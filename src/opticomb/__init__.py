@@ -81,7 +81,6 @@ from .comb import (
 )
 from .optic import (
     OPTIC_STRATEGIES,
-    OpticRep,
     check_probe_witness,
     equiv_optic,
     slide_related,
@@ -118,7 +117,6 @@ from .sampling import (
     env_words_for,
     random_isometry,
     random_unitary,
-    words_of_length,
 )
 
 __version__ = "0.1.0"

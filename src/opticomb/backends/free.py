@@ -11,9 +11,9 @@ object with a choice of point generators (states) and a discarding effect,
 modulo rewrite rules that cancel chosen state/effect pairs.  Morphisms
 normalize to wiring data: which inputs pass to which outputs, which are
 discarded, which outputs are freshly seeded, plus any scalar loops the
-rules do not cancel.  The rewrite system has no overlapping left-hand
-sides and strictly shrinks diagrams, so normal forms are unique; the
-constructor re-derives that report and refuses to start if it fails.
+rules do not cancel.  Each rule erases one state and one effect node and
+a state has a single output wire, so rewriting terminates, no two rules
+overlap, and normal forms are unique.
 
 ``AbsorbingPointedBackend`` is the pointed theory on ``psi, phi`` and
 ``bang`` with no cancelling rules and one equation,
@@ -22,6 +22,7 @@ so braid values do not settle filler agreement on it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
@@ -39,6 +40,24 @@ from ..core import (
     UnknownGenerator,
     permutation_term,
 )
+
+
+class _OneObjectBackend(Backend):
+    """Object words of the free backends: runs of the one ``object_name``."""
+
+    object_name: str
+
+    def strands(self, n: int) -> ObjectWord:
+        return ObjectWord((self.object_name,) * n)
+
+    def _check_word(self, word: ObjectWord) -> ObjectWord:
+        for fct in word:
+            if fct != self.object_name:
+                raise UnknownGenerator(f"unknown object {fct!r}")
+        return word
+
+    def object_names(self) -> tuple[str, ...]:
+        return (self.object_name,)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +82,7 @@ class StrandMor:
         return f"StrandMor({self.word.pretty()}, {body})"
 
 
-class IdempotentFreeBackend(Backend):
+class IdempotentFreeBackend(_OneObjectBackend):
     """Free commutative strand category on one idempotent endomorphism."""
 
     commutative_symmetry = True
@@ -78,19 +97,7 @@ class IdempotentFreeBackend(Backend):
         self.endo_name = endo_name
         self.name = name or "free-commutative"
 
-    def strands(self, n: int) -> ObjectWord:
-        return ObjectWord((self.object_name,) * n)
-
-    def _check_word(self, word: ObjectWord) -> ObjectWord:
-        for fct in word:
-            if fct != self.object_name:
-                raise UnknownGenerator(f"unknown object {fct!r}")
-        return word
-
     # -- signature ------------------------------------------------------------
-
-    def object_names(self) -> tuple[str, ...]:
-        return (self.object_name,)
 
     def generator_names(self) -> tuple[str, ...]:
         return (self.endo_name,)
@@ -225,7 +232,7 @@ class WiringMor:
         return f"WiringMor({self.dom.pretty()} -> {self.cod.pretty()}: {body})"
 
 
-class PointedFreeBackend(Backend):
+class PointedFreeBackend(_OneObjectBackend):
     """Free symmetric monoidal category on states and a discarding effect.
 
     ``rules`` lists (state, effect) pairs whose composite rewrites to the
@@ -260,45 +267,8 @@ class PointedFreeBackend(Backend):
                 raise UnknownGenerator(f"rule uses undeclared state {s!r}")
             if e not in self.effects:
                 raise UnknownGenerator(f"rule uses undeclared effect {e!r}")
-        report = self.rewrite_report()
-        if not (report["terminating"] and report["confluent"]):
-            raise ValueError(f"rewrite system is not canonical: {report}")
-
-    def rewrite_report(self) -> dict:
-        """Re-derive why normal forms are unique.
-
-        Every rule erases one state node and one effect node, so rewriting
-        strictly shrinks diagrams and terminates.  A left-hand side is a
-        single state-to-effect wire; a state node has exactly one output
-        wire, so two distinct rules can never fire on overlapping material.
-        The count below scans rule pairs for equal left-hand sides anyway.
-        """
-        overlaps = 0
-        rules = sorted(self.rules)
-        for i, r1 in enumerate(rules):
-            for r2 in rules[i + 1 :]:
-                if r1 == r2:
-                    overlaps += 1
-        return {
-            "terminating": True,
-            "critical_pairs": overlaps,
-            "confluent": overlaps == 0,
-            "rules": rules,
-        }
-
-    def strands(self, n: int) -> ObjectWord:
-        return ObjectWord((self.object_name,) * n)
-
-    def _check_word(self, word: ObjectWord) -> ObjectWord:
-        for fct in word:
-            if fct != self.object_name:
-                raise UnknownGenerator(f"unknown object {fct!r}")
-        return word
 
     # -- signature ---------------------------------------------------------------
-
-    def object_names(self) -> tuple[str, ...]:
-        return (self.object_name,)
 
     def generator_names(self) -> tuple[str, ...]:
         return self.states + self.effects
@@ -398,8 +368,11 @@ class PointedFreeBackend(Backend):
     def enumerate_hom(self, dom: ObjectWord, cod: ObjectWord, budget: int) -> HomSet:
         """Scalar-free wirings in a fixed order; always flagged truncated."""
         m, n = len(self._check_word(dom)), len(self._check_word(cod))
-        items: list[WiringMor] = []
-        done = False
+        # the scan has always returned at least one wiring, whatever the budget
+        items = itertools.islice(self._wirings(dom, cod, m, n), max(budget, 1))
+        return HomSet(tuple(items), complete=False)
+
+    def _wirings(self, dom: ObjectWord, cod: ObjectWord, m: int, n: int):
         for k in range(min(m, n), -1, -1):
             for ins in itertools.combinations(range(m), k):
                 for outs in itertools.combinations(range(n), k):
@@ -409,26 +382,11 @@ class PointedFreeBackend(Backend):
                         rest_out = [j for j in range(n) if j not in outs]
                         for caps in itertools.product(self.effects, repeat=len(rest_in)):
                             for seeds in itertools.product(self.states, repeat=len(rest_out)):
-                                items.append(WiringMor(
+                                yield WiringMor(
                                     dom, cod, matching,
                                     frozenset(zip(rest_in, caps)),
                                     frozenset(zip(rest_out, seeds)), (),
-                                ))
-                                if len(items) >= budget:
-                                    done = True
-                                if done:
-                                    break
-                            if done:
-                                break
-                        if done:
-                            break
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
-                break
-        return HomSet(tuple(items), complete=False)
+                                )
 
     # -- hooks ------------------------------------------------------------------------------
 
@@ -450,33 +408,22 @@ class PointedFreeBackend(Backend):
         seed_name = dict(m.seeds)
         strand = ObjectWord((self.object_name,))
 
-        term: MorTerm = Identity(m.dom)
-        if p:
-            perm = [i for (i, _) in pairs] + capped
-            term = Compose(term, permutation_term([strand] * p, perm))
-        effect_layer: MorTerm | None = None
-        for i in capped:
-            g: MorTerm = Generator(cap_name[i])
-            effect_layer = g if effect_layer is None else Tensor(effect_layer, g)
-        if effect_layer is not None:
-            term = Compose(
-                term,
-                Tensor(Identity(self.strands(k)), effect_layer) if k else effect_layer,
-            )
-        state_layer: MorTerm | None = None
-        for j in seeded:
-            g = Generator(seed_name[j])
-            state_layer = g if state_layer is None else Tensor(state_layer, g)
-        if state_layer is not None:
-            term = Compose(
-                term,
-                Tensor(Identity(self.strands(k)), state_layer) if k else state_layer,
-            )
-        if q:
-            # current block order: matched outputs by ascending target, then seeds
-            current = [j for (_, j) in pairs] + seeded
-            perm = [current.index(t) for t in range(q)]
-            term = Compose(term, permutation_term([strand] * q, perm))
+        # identity permutations are left out, so no layer is a bare id(...)
+        layers: list[MorTerm] = []
+        perm = [i for (i, _) in pairs] + capped
+        if perm != list(range(p)):
+            layers.append(permutation_term([strand] * p, perm))
+        # the effects, then the states, beside the k through-wires
+        for names in ([cap_name[i] for i in capped], [seed_name[j] for j in seeded]):
+            if names:
+                layer = functools.reduce(Tensor, map(Generator, names))
+                layers.append(Tensor(Identity(self.strands(k)), layer) if k else layer)
+        # current block order: matched outputs by ascending target, then seeds
+        current = [j for (_, j) in pairs] + seeded
+        perm = [current.index(t) for t in range(q)]
+        if perm != list(range(q)):
+            layers.append(permutation_term([strand] * q, perm))
+        term = functools.reduce(Compose, layers) if layers else Identity(m.dom)
         for (s, e) in m.scalars:
             term = Tensor(term, Compose(Generator(s), Generator(e)))
         return term

@@ -24,7 +24,6 @@ from ..core import (
     Backend,
     DimensionMismatch,
     HomSet,
-    MorTerm,
     ObjectWord,
     TypeMismatch,
     UnknownGenerator,
@@ -273,6 +272,3 @@ class MatrixBackend(Backend):
             return ("mat", m.dom, m.cod, tuple(m.array.reshape(-1)))
         rounded = np.round(m.array + 0.0, 9) + 0.0
         return ("mat", m.dom, m.cod, rounded.tobytes())
-
-    def value_to_term(self, m: Mat) -> MorTerm | None:
-        return None

@@ -26,6 +26,12 @@ _STRATEGIES = tuple(
 )
 
 
+def _bound(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opticomb",
@@ -37,10 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("program", help="path to a program file")
     run.add_argument(
         "--strategy", default="auto", choices=_STRATEGIES,
-        help="decision strategy for equiv comb / equiv optic queries",
+        help="decision strategy for each of equiv comb / equiv optic that "
+             "offers it; the other runs auto",
     )
     run.add_argument(
-        "--bound", type=int, default=2,
+        "--bound", type=_bound, default=2,
         help="search bound for enumerative strategies",
     )
     run.add_argument(

@@ -20,8 +20,9 @@ Three progressively cheaper relations are decidable here:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+import itertools
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .core import (
     Backend,
@@ -38,9 +39,6 @@ from .core import (
     Symmetry,
     TypeMismatch,
 )
-
-COMB_STRATEGIES = ("auto", "braid", "lens", "enumerate")
-
 
 @dataclass(frozen=True)
 class CombRep:
@@ -215,7 +213,7 @@ def lens_pair(backend: Backend, c: CombRep) -> tuple[Any, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence deciders
+# The decision core: one braid refuter, one probe scanner, route tables
 # ---------------------------------------------------------------------------
 
 def _check_same_boundary(c1: CombRep, c2: CombRep) -> None:
@@ -225,20 +223,140 @@ def _check_same_boundary(c1: CombRep, c2: CombRep) -> None:
         )
 
 
+def _swap_witness(
+    backend: Backend, c1: CombRep, c2: CombRep, note: str,
+    values: tuple[Any, Any] | None = None,
+) -> ProbeWitness:
+    """The swap probe as a witness; ``values`` default to its two evaluations."""
+    probe, cw, dw = swap_probe(backend, c1)
+    left, right = values or (
+        extended_eval(backend, c1, probe, cw, dw),
+        extended_eval(backend, c2, probe, cw, dw),
+    )
+    return ProbeWitness(
+        cw, dw, probe, left=left, right=right,
+        probe_term=Symmetry(c1.target[1], c1.target[0]), note=note,
+    )
+
+
+def braid_refutation(backend: Backend, c1: CombRep, c2: CombRep) -> ProbeWitness | None:
+    """The swap probe, carrying both braid values, when those values differ.
+
+    Slide equivalence implies filler agreement, which implies equal braid
+    values, so on every backend a witness here refutes all three relations.
+    None means the braid values agree.
+    """
+    v1, v2 = braid_eval(backend, c1), braid_eval(backend, c2)
+    if backend.equal(v1, v2):
+        return None
+    return _swap_witness(
+        backend, c1, c2, "braid values differ; the swap filler reproduces them",
+        (v1, v2),
+    )
+
+
+def _braid_compare(
+    backend: Backend, c1: CombRep, c2: CombRep, method: str
+) -> Decision:
+    witness = braid_refutation(backend, c1, c2)
+    if witness is None:
+        return Decision.equivalent(method, tolerance=backend.tolerance)
+    return Decision.distinct(method, witness, tolerance=backend.tolerance)
+
+
+def filler_probes(
+    backend: Backend,
+    target: tuple[ObjectWord, ObjectWord],
+    words: Iterable[ObjectWord],
+    max_hom: int,
+    scans: list[bool],
+) -> Iterator[tuple[Any, ObjectWord, ObjectWord]]:
+    """Probes ``(filler, C, D)`` for every pair of context words, lazily.
+
+    Each hom-set ``C (x) B -> D (x) B'`` is enumerated only when the walk
+    reaches it; its completeness flag is appended to ``scans``.
+    """
+    (b, b1) = target
+    for cw in words:
+        for dw in words:
+            homs = backend.enumerate_hom(cw @ b, dw @ b1, max_hom)
+            scans.append(homs.complete)
+            for lam in homs.items:
+                yield lam, cw, dw
+
+
+def probe_scan(
+    backend: Backend, rep1: Any, rep2: Any, probes: Iterable[Any],
+    evaluate: Callable[[Backend, Any, Any], Any] = (
+        lambda backend, c, probe: extended_eval(backend, c, *probe)
+    ),
+) -> tuple[tuple[Any, Any, Any] | None, int]:
+    """Evaluate both representatives on each probe, in order.
+
+    Returns ``((probe, left, right), tried)`` for the first probe on which
+    they differ, or ``(None, tried)`` when every probe agrees.  Probes are
+    ``(filler, C, D)`` triples unless ``evaluate`` reads them otherwise.
+    """
+    tried = 0
+    for probe in probes:
+        tried += 1
+        v1, v2 = evaluate(backend, rep1, probe), evaluate(backend, rep2, probe)
+        if not backend.equal(v1, v2):
+            return (probe, v1, v2), tried
+    return None, tried
+
+
+def _probe_witness(backend: Backend, hit: tuple, note: str) -> ProbeWitness:
+    (lam, cw, dw), v1, v2 = hit
+    return ProbeWitness(
+        cw, dw, lam, left=v1, right=v2,
+        probe_term=backend.value_to_term(lam), note=note,
+    )
+
+
+@dataclass(frozen=True)
+class Route:
+    """One way to decide a relation, as an entry of that relation's table.
+
+    ``applicable`` says whether the backend supports the route; naming a
+    route that does not apply raises ``IncompatibleStrategy`` with
+    ``needs``.  ``strategy="auto"`` takes the first route of the table whose
+    ``auto`` test (by default ``applicable``) holds, else the last route.
+    """
+
+    name: str
+    run: Callable[..., Decision]
+    applicable: Callable[[Backend], bool] = lambda backend: True
+    needs: str = ""
+    auto: Callable[[Backend], bool] | None = None
+
+
+def pick_route(routes: tuple[Route, ...], strategy: str, backend: Backend) -> Route:
+    """The route of ``routes`` that ``strategy`` names, or the one auto picks."""
+    if strategy == "auto":
+        route = next(
+            (r for r in routes if (r.auto or r.applicable)(backend)), routes[-1]
+        )
+    else:
+        route = next((r for r in routes if r.name == strategy), None)
+        if route is None:
+            names = ("auto",) + tuple(r.name for r in routes)
+            raise IncompatibleStrategy(
+                f"unknown strategy {strategy!r}, expected one of {names}"
+            )
+    if not route.applicable(backend):
+        raise IncompatibleStrategy(f"{route.needs}, not {backend.name}")
+    return route
+
+
+# ---------------------------------------------------------------------------
+# Equivalence deciders
+# ---------------------------------------------------------------------------
+
 def equiv_sigma(backend: Backend, c1: CombRep, c2: CombRep) -> Decision:
     """Decide braid-value equality.  Always certified: it is a direct compare."""
     _check_same_boundary(c1, c2)
-    v1, v2 = braid_eval(backend, c1), braid_eval(backend, c2)
-    if backend.equal(v1, v2):
-        return Decision.equivalent("braid-compare", tolerance=backend.tolerance)
-    probe, cw, dw = swap_probe(backend, c1)
-    witness = ProbeWitness(
-        cw, dw, probe,
-        left=v1, right=v2,
-        probe_term=Symmetry(c1.target[1], c1.target[0]),
-        note="braid values differ; the swap filler reproduces them",
-    )
-    return Decision.distinct("braid-compare", witness, tolerance=backend.tolerance)
+    return _braid_compare(backend, c1, c2, "braid-compare")
 
 
 def equiv_tau(backend: Backend, c1: CombRep, c2: CombRep, bound: int = 2) -> Decision:
@@ -250,33 +368,27 @@ def equiv_tau(backend: Backend, c1: CombRep, c2: CombRep, bound: int = 2) -> Dec
     unknown, with coverage counts.
     """
     _check_same_boundary(c1, c2)
-    budget = Budget.of(bound)
-    (b, b1) = c1.target
-    unit = ObjectWord.unit()
-    homs = backend.enumerate_hom(b, b1, budget.max_hom)
-    tried = 0
-    for lam in homs.items:
-        tried += 1
-        v1 = extended_eval(backend, c1, lam, unit, unit)
-        v2 = extended_eval(backend, c2, lam, unit, unit)
-        if not backend.equal(v1, v2):
-            witness = ProbeWitness(
-                unit, unit, lam, left=v1, right=v2,
-                probe_term=backend.value_to_term(lam),
-                note="trivial-context filler separates the combs",
-            )
-            return Decision.distinct(
-                "trivial-context-probes", witness, tolerance=backend.tolerance,
-                coverage={"probes_tried": tried},
-            )
+    scans: list[bool] = []
+    probes = filler_probes(
+        backend, c1.target, (ObjectWord.unit(),), Budget.of(bound).max_hom, scans
+    )
+    hit, tried = probe_scan(backend, c1, c2, probes)
+    if hit is not None:
+        witness = _probe_witness(
+            backend, hit, "trivial-context filler separates the combs"
+        )
+        return Decision.distinct(
+            "trivial-context-probes", witness, tolerance=backend.tolerance,
+            coverage={"probes_tried": tried},
+        )
     needed = backend.extension_word_len_needed(c1.source, c1.target)
     coverage = {
         "probes_tried": tried,
-        "hom_scan_complete": homs.complete,
+        "hom_scan_complete": scans[0],
         "disagreements": 0,
         "conclusive_context_len": needed,
     }
-    if homs.complete and needed == 0:
+    if scans[0] and needed == 0:
         return Decision.equivalent(
             "trivial-context-probes", tolerance=backend.tolerance, coverage=coverage
         )
@@ -285,15 +397,14 @@ def equiv_tau(backend: Backend, c1: CombRep, c2: CombRep, bound: int = 2) -> Dec
     )
 
 
-def _braid_route(backend: Backend, c1: CombRep, c2: CombRep) -> Decision:
-    v1, v2 = braid_eval(backend, c1), braid_eval(backend, c2)
-    if not backend.equal(v1, v2):
-        probe, cw, dw = swap_probe(backend, c1)
-        witness = ProbeWitness(
-            cw, dw, probe,
-            left=extended_eval(backend, c1, probe, cw, dw),
-            right=extended_eval(backend, c2, probe, cw, dw),
-            probe_term=Symmetry(c1.target[1], c1.target[0]),
+def _braid_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decision:
+    witness = braid_refutation(backend, c1, c2)
+    if witness is not None:
+        # this witness shows the swap filler's own values, not the braid values
+        probe = (witness.probe, witness.c_word, witness.d_word)
+        witness = replace(
+            witness, left=extended_eval(backend, c1, *probe),
+            right=extended_eval(backend, c2, *probe),
             note="the swap filler already separates the combs",
         )
         return Decision.distinct("braid-value", witness, tolerance=backend.tolerance)
@@ -319,7 +430,7 @@ def _all_inhabited(backend: Backend, c: CombRep) -> bool:
     return True
 
 
-def _lens_route(backend: Backend, c1: CombRep, c2: CombRep) -> Decision:
+def _lens_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decision:
     get1, put1 = lens_pair(backend, c1)
     get2, put2 = lens_pair(backend, c2)
     if backend.equal(get1, get2) and backend.equal(put1, put2):
@@ -332,13 +443,9 @@ def _lens_route(backend: Backend, c1: CombRep, c2: CombRep) -> Decision:
             coverage={"components_agree": True, "conclusive": False},
             tolerance=backend.tolerance,
         )
-    probe, cw, dw = swap_probe(backend, c1)
-    witness = ProbeWitness(
-        cw, dw, probe,
-        left=extended_eval(backend, c1, probe, cw, dw),
-        right=extended_eval(backend, c2, probe, cw, dw),
-        probe_term=Symmetry(c1.target[1], c1.target[0]),
-        note="lens components differ, so the swap filler separates the combs",
+    witness = _swap_witness(
+        backend, c1, c2,
+        "lens components differ, so the swap filler separates the combs",
     )
     return Decision.distinct("lens-components", witness, tolerance=backend.tolerance)
 
@@ -347,44 +454,46 @@ def _enumerate_route(
     backend: Backend, c1: CombRep, c2: CombRep, bound: int
 ) -> Decision:
     budget = Budget.of(bound)
-    (b, b1) = c1.target
     words = backend.enumerate_objects(budget.max_word_len).words
-    tried = 0
-    scans_complete = True
-    for cw in words:
-        for dw in words:
-            homs = backend.enumerate_hom(cw @ b, dw @ b1, budget.max_hom)
-            scans_complete = scans_complete and homs.complete
-            for lam in homs.items:
-                tried += 1
-                v1 = extended_eval(backend, c1, lam, cw, dw)
-                v2 = extended_eval(backend, c2, lam, cw, dw)
-                if not backend.equal(v1, v2):
-                    witness = ProbeWitness(
-                        cw, dw, lam, left=v1, right=v2,
-                        probe_term=backend.value_to_term(lam),
-                        note="enumerated filler separates the combs",
-                    )
-                    return Decision.distinct(
-                        "enumerated-probes", witness,
-                        tolerance=backend.tolerance,
-                        coverage={"probes_tried": tried},
-                    )
+    scans: list[bool] = []
+    hit, tried = probe_scan(
+        backend, c1, c2,
+        filler_probes(backend, c1.target, words, budget.max_hom, scans),
+    )
+    if hit is not None:
+        witness = _probe_witness(backend, hit, "enumerated filler separates the combs")
+        return Decision.distinct(
+            "enumerated-probes", witness,
+            tolerance=backend.tolerance,
+            coverage={"probes_tried": tried},
+        )
     needed = backend.extension_word_len_needed(c1.source, c1.target)
     coverage = {
         "probes_tried": tried,
         "context_words": len(words),
-        "hom_scans_complete": scans_complete,
+        "hom_scans_complete": all(scans),
         "conclusive_context_len": needed,
         "bound": bound,
     }
-    if needed is not None and bound >= needed and scans_complete:
+    if needed is not None and bound >= needed and all(scans):
         return Decision.equivalent(
             "enumerated-probes", tolerance=backend.tolerance, coverage=coverage
         )
     return Decision.unknown(
         "enumerated-probes", coverage=coverage, tolerance=backend.tolerance
     )
+
+
+#: The routes of ``equiv_comb``, in the order ``auto`` tries them.
+COMB_ROUTES = (
+    Route("braid", _braid_route,
+          auto=lambda b: b.braid_conclusive or not (b.cartesian or b.enumerable)),
+    Route("lens", _lens_route, lambda b: b.cartesian,
+          "lens strategy needs a cartesian backend"),
+    Route("enumerate", _enumerate_route, lambda b: b.enumerable,
+          "enumerate strategy needs an enumerable backend"),
+)
+COMB_STRATEGIES = ("auto",) + tuple(r.name for r in COMB_ROUTES)
 
 
 def equiv_comb(
@@ -399,35 +508,11 @@ def equiv_comb(
     Strategies: ``braid`` compares braid values (complete refuter
     everywhere, conclusive where the backend says so); ``lens`` compares
     cartesian components; ``enumerate`` plugs every enumerable filler up to
-    the bound; ``auto`` picks the strongest available.
+    the bound; ``auto`` picks braid on a backend whose braid values are
+    conclusive, else lens, else enumerate, else braid (``COMB_ROUTES``).
     """
     _check_same_boundary(c1, c2)
-    if strategy == "auto":
-        if backend.braid_conclusive:
-            strategy = "braid"
-        elif backend.cartesian:
-            strategy = "lens"
-        elif backend.enumerable:
-            strategy = "enumerate"
-        else:
-            strategy = "braid"
-    if strategy == "braid":
-        return _braid_route(backend, c1, c2)
-    if strategy == "lens":
-        if not backend.cartesian:
-            raise IncompatibleStrategy(
-                f"lens strategy needs a cartesian backend, not {backend.name}"
-            )
-        return _lens_route(backend, c1, c2)
-    if strategy == "enumerate":
-        if not backend.enumerable:
-            raise IncompatibleStrategy(
-                f"enumerate strategy needs an enumerable backend, not {backend.name}"
-            )
-        return _enumerate_route(backend, c1, c2, bound)
-    raise IncompatibleStrategy(
-        f"unknown strategy {strategy!r}, expected one of {COMB_STRATEGIES}"
-    )
+    return pick_route(COMB_ROUTES, strategy, backend).run(backend, c1, c2, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -460,27 +545,17 @@ def sigma_congruence_search(
             key = backend.canonical_key(braid_eval(backend, c))
             groups.setdefault(key, []).append(c)
         words = backend.enumerate_objects(budget.max_word_len).words
+        probes = list(filler_probes(backend, (b, b1), words, budget.max_hom, []))
         for _, members in sorted(groups.items(), key=lambda kv: repr(kv[0])):
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    pairs_checked += 1
-                    if pairs_checked > max_pairs:
-                        return None
-                    c1, c2 = members[i], members[j]
-                    for cw in words:
-                        for dw in words:
-                            homs = backend.enumerate_hom(
-                                cw @ b, dw @ b1, budget.max_hom
-                            )
-                            for lam in homs.items:
-                                v1 = extended_eval(backend, c1, lam, cw, dw)
-                                v2 = extended_eval(backend, c2, lam, cw, dw)
-                                if not backend.equal(v1, v2):
-                                    return ProbeWitness(
-                                        cw, dw, lam, left=v1, right=v2,
-                                        probe_term=backend.value_to_term(lam),
-                                        note="filler separates braid-equal combs",
-                                    )
+            for c1, c2 in itertools.combinations(members, 2):
+                pairs_checked += 1
+                if pairs_checked > max_pairs:
+                    return None
+                hit, _ = probe_scan(backend, c1, c2, probes)
+                if hit is not None:
+                    return _probe_witness(
+                        backend, hit, "filler separates braid-equal combs"
+                    )
     return None
 
 

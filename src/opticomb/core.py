@@ -70,9 +70,6 @@ __all__ = [
     "Decision",
 ]
 
-DEFAULT_TOLERANCE = 1e-9
-
-
 # ---------------------------------------------------------------------------
 # Errors
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ certified yes with the move chain as witness; exhausting the component
 yields a certified no only when the backend pins all environment shapes
 and every hom-set scan along the way was complete.
 
-On structured backends the search is bypassed: braid values classify
-optics over compact closed backends, (get, put) components classify them
-over cartesian ones, and environment-rotation factoring classifies them
-over unitary ones.
+On structured backends (``OPTIC_ROUTES``) the search is bypassed:
+environment-rotation factoring classifies optics over unitary backends,
+braid values over compact closed ones, and (get, put) components over
+cartesian ones.  Elsewhere ``auto`` first tries the braid refuter of
+``equiv_sigma``, since slide equivalence implies equal braid values.
 """
 from __future__ import annotations
 
@@ -29,25 +30,28 @@ from typing import Any
 
 from .core import (
     Backend,
-    BoundaryMismatch,
     Budget,
     Decision,
     ExhaustionWitness,
     FactorWitness,
-    IncompatibleStrategy,
     NonComposableMove,
     ObjectWord,
     ProbeWitness,
     SlidePathWitness,
     SlideStep,
-    Symmetry,
 )
-from .comb import CombRep, braid_eval, comb as make_comb, extended_eval, lens_pair, swap_probe
+from .comb import (
+    CombRep,
+    Route,
+    _braid_compare,
+    _check_same_boundary,
+    braid_refutation,
+    comb as make_comb,
+    lens_pair,
+    pick_route,
+    probe_scan,
+)
 from .sampling import env_words_for
-
-OpticRep = CombRep
-
-OPTIC_STRATEGIES = ("auto", "name-form", "lens", "unitary-factor", "zigzag")
 
 
 def slide_related(backend: Backend, f: Any, v: Any, g: Any) -> tuple[CombRep, CombRep]:
@@ -230,6 +234,39 @@ def unitary_comb_factor(backend: Backend, o1: CombRep, o2: CombRep) -> Decision:
     )
 
 
+def _lens_route(backend: Backend, o1: CombRep, o2: CombRep, *_) -> Decision:
+    get1, put1 = lens_pair(backend, o1)
+    get2, put2 = lens_pair(backend, o2)
+    same_get = backend.equal(get1, get2)
+    same_put = backend.equal(put1, put2)
+    if same_get and same_put:
+        return Decision.equivalent("lens-components", tolerance=backend.tolerance)
+    which = "get" if not same_get else "put"
+    witness = FactorWitness(
+        pieces={
+            "get_left": get1, "get_right": get2,
+            "put_left": put1, "put_right": put2,
+        },
+        note=f"the {which} components differ",
+    )
+    return Decision.distinct("lens-components", witness, tolerance=backend.tolerance)
+
+
+#: The routes of ``equiv_optic``, in the order ``auto`` tries them.
+OPTIC_ROUTES = (
+    Route("unitary-factor", lambda be, o1, o2, *_: unitary_comb_factor(be, o1, o2),
+          lambda b: b.unitary_values, "factorization needs a unitary backend"),
+    Route("name-form", lambda be, o1, o2, *_: _braid_compare(be, o1, o2, "name-form"),
+          lambda b: b.compact_closed,
+          "name forms need a compact closed backend"),
+    Route("lens", _lens_route, lambda b: b.cartesian,
+          "lens strategy needs a cartesian backend"),
+    Route("zigzag", _zigzag, lambda b: b.enumerable,
+          "slide search needs an enumerable backend"),
+)
+OPTIC_STRATEGIES = ("auto",) + tuple(r.name for r in OPTIC_ROUTES)
+
+
 def equiv_optic(
     backend: Backend,
     o1: CombRep,
@@ -238,76 +275,24 @@ def equiv_optic(
     bound: int = 2,
     max_states: int = 4096,
 ) -> Decision:
-    """Decide slide equivalence of two representatives on one boundary."""
-    if o1.boundary() != o2.boundary():
-        raise BoundaryMismatch(
-            f"representatives live on different boundaries: {o1.boundary()} vs "
-            f"{o2.boundary()}"
-        )
-    if strategy == "auto":
-        if backend.unitary_values:
-            strategy = "unitary-factor"
-        elif backend.compact_closed:
-            strategy = "name-form"
-        elif backend.cartesian:
-            strategy = "lens"
-        else:
-            strategy = "zigzag"
-    if strategy == "name-form":
-        if not backend.compact_closed:
-            raise IncompatibleStrategy(
-                f"name forms need a compact closed backend, not {backend.name}"
-            )
-        n1, n2 = braid_eval(backend, o1), braid_eval(backend, o2)
-        if backend.equal(n1, n2):
-            return Decision.equivalent("name-form", tolerance=backend.tolerance)
-        probe, cw, dw = swap_probe(backend, o1)
-        witness = ProbeWitness(
-            cw, dw, probe, left=n1, right=n2,
-            probe_term=Symmetry(o1.target[1], o1.target[0]),
-            note="name values differ",
-        )
-        return Decision.distinct("name-form", witness, tolerance=backend.tolerance)
-    if strategy == "lens":
-        if not backend.cartesian:
-            raise IncompatibleStrategy(
-                f"lens strategy needs a cartesian backend, not {backend.name}"
-            )
-        get1, put1 = lens_pair(backend, o1)
-        get2, put2 = lens_pair(backend, o2)
-        same_get = backend.equal(get1, get2)
-        same_put = backend.equal(put1, put2)
-        if same_get and same_put:
-            return Decision.equivalent("lens-components", tolerance=backend.tolerance)
-        which = "get" if not same_get else "put"
-        witness = FactorWitness(
-            pieces={
-                "get_left": get1, "get_right": get2,
-                "put_left": put1, "put_right": put2,
-            },
-            note=f"the {which} components differ",
-        )
-        return Decision.distinct("lens-components", witness, tolerance=backend.tolerance)
-    if strategy == "unitary-factor":
-        if not backend.unitary_values:
-            raise IncompatibleStrategy(
-                f"factorization needs a unitary backend, not {backend.name}"
-            )
-        return unitary_comb_factor(backend, o1, o2)
-    if strategy == "zigzag":
-        if not backend.enumerable:
-            raise IncompatibleStrategy(
-                f"slide search needs an enumerable backend, not {backend.name}"
-            )
-        return _zigzag(backend, o1, o2, bound, max_states)
-    raise IncompatibleStrategy(
-        f"unknown strategy {strategy!r}, expected one of {OPTIC_STRATEGIES}"
-    )
+    """Decide slide equivalence of two representatives on one boundary.
+
+    When ``auto`` lands on the slide search, differing braid values answer
+    DISTINCT first (method ``braid-value``); ``strategy="zigzag"`` searches
+    alone.  On ``AbsorbingPointedBackend`` the braid values of ``(psi, bang)``
+    and ``(phi, bang)`` agree, so the search runs and answers UNKNOWN.
+    """
+    _check_same_boundary(o1, o2)
+    route = pick_route(OPTIC_ROUTES, strategy, backend)
+    if strategy == "auto" and route.name == "zigzag":
+        witness = braid_refutation(backend, o1, o2)
+        if witness is not None:
+            return Decision.distinct("braid-value", witness, tolerance=backend.tolerance)
+    return route.run(backend, o1, o2, bound, max_states)
 
 
 def check_probe_witness(backend: Backend, o1: CombRep, o2: CombRep,
                         witness: ProbeWitness) -> bool:
     """Re-run a probe witness: do the two combs really disagree on it?"""
-    v1 = extended_eval(backend, o1, witness.probe, witness.c_word, witness.d_word)
-    v2 = extended_eval(backend, o2, witness.probe, witness.c_word, witness.d_word)
-    return not backend.equal(v1, v2)
+    probe = (witness.probe, witness.c_word, witness.d_word)
+    return probe_scan(backend, o1, o2, [probe])[0] is not None

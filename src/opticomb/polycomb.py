@@ -32,7 +32,7 @@ from .core import (
     UnsupportedShape,
     block_permutation,
 )
-from .comb import CombRep, identity_comb
+from .comb import CombRep, identity_comb, probe_scan
 
 Pair = tuple[ObjectWord, ObjectWord]
 
@@ -244,27 +244,27 @@ def poly_equiv(
     if backend.enumerable:
         budget = Budget.of(bound)
         unit = ObjectWord.unit()
+        ctx = [(unit, unit)] * len(p.holes)
         hom_sets = [
             backend.enumerate_hom(a, a1, budget.max_hom) for (a, a1) in p.holes
         ]
-        tried = 0
-        for combo in itertools.product(*[hs.items for hs in hom_sets]):
-            tried += 1
-            ctx = [(unit, unit)] * len(p.holes)
-            v1 = poly_extended_eval(backend, p, list(combo), ctx)
-            v2 = poly_extended_eval(backend, q, list(combo), ctx)
-            if not backend.equal(v1, v2):
-                witness = FactorWitness(
-                    pieces={"fillers": combo, "left": v1, "right": v2},
-                    note="a tuple of trivial-context fillers separates the "
-                         "representatives",
-                )
-                return Decision.distinct(
-                    "poly-probes",
-                    witness,
-                    tolerance=backend.tolerance,
-                    coverage={"filler_tuples_tried": tried},
-                )
+        hit, tried = probe_scan(
+            backend, p, q, itertools.product(*[hs.items for hs in hom_sets]),
+            lambda be, rep, combo: poly_extended_eval(be, rep, list(combo), ctx),
+        )
+        if hit is not None:
+            combo, v1, v2 = hit
+            witness = FactorWitness(
+                pieces={"fillers": combo, "left": v1, "right": v2},
+                note="a tuple of trivial-context fillers separates the "
+                     "representatives",
+            )
+            return Decision.distinct(
+                "poly-probes",
+                witness,
+                tolerance=backend.tolerance,
+                coverage={"filler_tuples_tried": tried},
+            )
         return Decision.unknown(
             "poly-probes",
             coverage={

@@ -48,6 +48,7 @@ from .core import (
     eval_term,
 )
 from .comb import (
+    COMB_STRATEGIES,
     CombRep,
     comb,
     comb_compose,
@@ -57,7 +58,7 @@ from .comb import (
     equiv_tau,
     lens_pair,
 )
-from .optic import equiv_optic
+from .optic import OPTIC_STRATEGIES, equiv_optic
 from .cpm import CpmMorphism, cpinf_equiv, cpm_equiv, dagger_comb, to_cpm
 from .polycomb import PolyCombRep, from_comb, poly, poly_compose_at, poly_equiv
 from .backends.matrix import Mat
@@ -630,6 +631,24 @@ def run_program(
     strategy: str = "auto",
     bound: int = 2,
 ) -> list[QueryReport]:
+    """Run every statement; ``strategy`` applies to each of ``equiv comb`` /
+    ``equiv optic`` that lists it, the other runs auto."""
+    known = set(COMB_STRATEGIES) | set(OPTIC_STRATEGIES)
+    comb_strategy, optic_strategy = (
+        strategy if strategy in names or strategy not in known else "auto"
+        for names in (COMB_STRATEGIES, OPTIC_STRATEGIES)
+    )
+    deciders = {
+        "sigma": lambda c1, c2: equiv_sigma(backend, c1, c2),
+        "tau": lambda c1, c2: equiv_tau(backend, c1, c2, bound=bound),
+        "comb": lambda c1, c2: equiv_comb(
+            backend, c1, c2, strategy=comb_strategy, bound=bound),
+        "optic": lambda c1, c2: equiv_optic(
+            backend, c1, c2, strategy=optic_strategy, bound=bound),
+        "cpm": lambda c1, c2: cpm_equiv(backend, c1, c2),
+        "cpinf": lambda c1, c2: cpinf_equiv(backend, c1, c2),
+        "poly": lambda p1, p2: poly_equiv(backend, p1, p2, bound=bound),
+    }
     env = _Bindings()
     reports: list[QueryReport] = []
     for stmt in statements:
@@ -658,28 +677,10 @@ def run_program(
             reports.append(QueryReport(stmt.line, "poly", _poly_summary(p)))
         elif isinstance(stmt, EquivQuery):
             if stmt.relation == "poly":
-                p1 = env.get_poly(backend, stmt.left)
-                p2 = env.get_poly(backend, stmt.right)
-                decision = poly_equiv(backend, p1, p2, bound=bound)
+                reps = (env.get_poly(backend, stmt.left), env.get_poly(backend, stmt.right))
             else:
-                c1 = env.get_comb(stmt.left)
-                c2 = env.get_comb(stmt.right)
-                if stmt.relation == "sigma":
-                    decision = equiv_sigma(backend, c1, c2)
-                elif stmt.relation == "tau":
-                    decision = equiv_tau(backend, c1, c2, bound=bound)
-                elif stmt.relation == "comb":
-                    decision = equiv_comb(
-                        backend, c1, c2, strategy=strategy, bound=bound
-                    )
-                elif stmt.relation == "optic":
-                    decision = equiv_optic(
-                        backend, c1, c2, strategy=strategy, bound=bound
-                    )
-                elif stmt.relation == "cpm":
-                    decision = cpm_equiv(backend, c1, c2)
-                else:
-                    decision = cpinf_equiv(backend, c1, c2)
+                reps = (env.get_comb(stmt.left), env.get_comb(stmt.right))
+            decision = deciders[stmt.relation](*reps)
             reports.append(
                 QueryReport(stmt.line, "decision", decision_json(decision))
             )

@@ -13,20 +13,6 @@ from .core import Backend, Budget, ObjectWord
 from .comb import CombRep, comb
 
 
-def words_of_length(backend: Backend, length: int) -> list[ObjectWord]:
-    """All normalized object words of exactly this many factors, deduplicated."""
-    names = sorted(backend.object_names())
-    out: dict[ObjectWord, None] = {}
-    def rec(prefix: tuple[str, ...]):
-        if len(prefix) == length:
-            out.setdefault(backend.normalize_word(ObjectWord(prefix)), None)
-            return
-        for n in names:
-            rec(prefix + (n,))
-    rec(())
-    return list(out.keys())
-
-
 def env_words_for(
     backend: Backend,
     source: tuple[ObjectWord, ObjectWord],
@@ -36,15 +22,15 @@ def env_words_for(
     """Candidate environment words for combs on a boundary.
 
     Returns ``(words, graded)`` where graded means the backend pinned the
-    possible environment lengths exactly, so the list is exhaustive.
+    possible environment lengths exactly, so the list is exhaustive.  Words
+    come length by length, in the order of the pinned lengths (or 0..bound).
     """
     lengths = backend.env_lengths_for_boundary(source, target)
-    if lengths is None:
-        return (
-            [w for k in range(bound + 1) for w in words_of_length(backend, k)],
-            False,
-        )
-    return ([w for k in lengths for w in words_of_length(backend, k)], True)
+    graded = lengths is not None
+    if not graded:
+        lengths = range(bound + 1)
+    words = backend.enumerate_objects(max(lengths, default=0)).words
+    return [w for k in lengths for w in words if len(w) == k], graded
 
 
 def enumerate_combs(

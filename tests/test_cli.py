@@ -9,6 +9,7 @@ from opticomb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 THEORIES = ROOT / "theories"
+GOLDEN = ROOT / "tests" / "fixtures" / "cli"
 
 BUNDLED = [
     ("idempotent.thy", "idempotent.prog"),
@@ -41,6 +42,16 @@ class TestBundledPairs:
         assert code == 0
         data = json.loads(out.out)
         assert data["format"] == 1 and data["queries"]
+
+    @pytest.mark.parametrize("thy,prog", BUNDLED)
+    def test_json_matches_golden_copy(self, thy, prog, capsys):
+        # tests/fixtures/cli holds the expected bytes of each bundled pair
+        code = run_cli(
+            "run", str(THEORIES / thy), str(THEORIES / prog), "--format", "json"
+        )
+        assert code == 0
+        golden = GOLDEN / prog.replace(".prog", ".json")
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_json_reruns_byte_identical(self, capsys):
         args = (
@@ -90,6 +101,32 @@ class TestExitCodes:
         )
         assert code == 3
         assert "cartesian" in capsys.readouterr().err
+
+    def test_strategy_applies_per_relation(self, capsys):
+        # braid is a comb route only: the optic query falls back to auto
+        code = run_cli(
+            "run", str(THEORIES / "idempotent.thy"),
+            str(THEORIES / "idempotent.prog"), "--strategy", "braid",
+            "--format", "json",
+        )
+        assert code == 0, capsys.readouterr().err
+        results = {
+            q["query"]: q["result"]
+            for q in json.loads(capsys.readouterr().out)["queries"]
+        }
+        assert results["equiv comb c1 c2"]["method"] == "braid-value"
+        assert results["equiv optic c1 c2"]["method"] == "slide-search"
+
+    @pytest.mark.parametrize("bound", ["-1", "two"])
+    def test_bad_bound_rejected(self, bound, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                "run", str(THEORIES / "idempotent.thy"),
+                str(THEORIES / "idempotent.prog"), "--bound", bound,
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--bound" in err and "Traceback" not in err
 
     def test_ill_typed_statement(self, capsys, tmp_path):
         prog = tmp_path / "p.prog"

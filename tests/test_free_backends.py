@@ -13,6 +13,7 @@ from opticomb import (
     eval_term,
     extended_eval,
 )
+from opticomb.program import term_text
 
 from conftest import word
 
@@ -81,11 +82,6 @@ class TestPointed:
         with pytest.raises(UnknownGenerator):
             PointedFreeBackend(rules=(("phi", "zap"),))
 
-    def test_rewrite_report(self, pointed):
-        report = pointed.rewrite_report()
-        assert report["terminating"] and report["confluent"]
-        assert report["critical_pairs"] == 0
-
     def test_symmetry_not_identity(self, pointed):
         a = word("a")
         s = pointed.symmetry(a, a)
@@ -109,6 +105,14 @@ class TestPointed:
         for v in hs.items:
             term = pointed.value_to_term(v)
             assert pointed.equal(eval_term(term, pointed), v)
+
+    def test_value_to_term_skips_identity_layers(self, pointed):
+        a = word("a")
+        assert term_text(pointed.value_to_term(pointed.identity(a))) == "id(a)"
+        swap = pointed.value_to_term(pointed.symmetry(a, a))
+        assert term_text(swap) == "id(a*a) ; sym(a,a)"
+        reset = pointed.compose(pointed.generator("bang"), pointed.generator("phi"))
+        assert term_text(pointed.value_to_term(reset)) == "bang ; phi"
 
     def test_scalar_value_term_round_trip(self):
         be = PointedFreeBackend(states=("phi", "psi"), effects=("bang",),

@@ -1,0 +1,134 @@
+"""The route tables of equiv_comb / equiv_optic and the shared braid refuter."""
+import numpy as np
+import pytest
+
+from opticomb import (
+    AbsorbingPointedBackend,
+    COMB_STRATEGIES,
+    FinFunBackend,
+    IdempotentFreeBackend,
+    IncompatibleStrategy,
+    Mat,
+    MatrixBackend,
+    OPTIC_STRATEGIES,
+    PointedFreeBackend,
+    ProbeWitness,
+    UnitaryBackend,
+    Verdict,
+    check_probe_witness,
+    comb,
+    equiv_comb,
+    equiv_optic,
+    equiv_sigma,
+    identity_comb,
+    swap_probe,
+)
+from opticomb.comb import COMB_ROUTES, braid_refutation
+from opticomb.optic import OPTIC_ROUTES
+from opticomb.program import witness_json
+
+from conftest import word
+
+# backend, hole object, and the methods auto picks for (comb, optic); they pin
+# the order of the route tables
+AUTO_METHODS = {
+    "bool": (lambda: MatrixBackend({"b": 2}, semiring="bool"), "b",
+             "braid-value", "name-form"),
+    "rational": (lambda: MatrixBackend({"x": 2}, semiring="rational"), "x",
+                 "braid-value", "name-form"),
+    "complex": (lambda: MatrixBackend({"x": 2}, semiring="complex", tolerance=1e-9),
+                "x", "braid-value", "name-form"),
+    "finfun": (lambda: FinFunBackend({"s": 2}), "s",
+               "braid-value", "lens-components"),
+    "idempotent": (IdempotentFreeBackend, "a", "braid-value", "slide-search"),
+    "pointed": (PointedFreeBackend, "a", "braid-value", "slide-search"),
+    "absorbing-pointed": (AbsorbingPointedBackend, "a",
+                          "enumerated-probes", "slide-search"),
+    "unitary": (lambda: UnitaryBackend({"q": 2}), "q",
+                "braid-value", "unitary-factorization"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUTO_METHODS))
+def test_auto_picks_the_same_route(name):
+    make, obj, comb_method, optic_method = AUTO_METHODS[name]
+    backend = make()
+    c = identity_comb(backend, word(obj), word(obj))
+    assert equiv_comb(backend, c, c).method == comb_method
+    assert equiv_optic(backend, c, c).method == optic_method
+
+
+def test_strategies_come_from_the_tables():
+    assert COMB_STRATEGIES == ("auto", "braid", "lens", "enumerate")
+    assert OPTIC_STRATEGIES == ("auto",) + tuple(r.name for r in OPTIC_ROUTES)
+    assert set(OPTIC_STRATEGIES) == {
+        "auto", "name-form", "lens", "unitary-factor", "zigzag"
+    }
+    assert [r.name for r in COMB_ROUTES] == list(COMB_STRATEGIES[1:])
+
+
+def test_unknown_strategy_rejected(pointed):
+    c = identity_comb(pointed, word("a"), word("a"))
+    with pytest.raises(IncompatibleStrategy, match="unknown strategy"):
+        equiv_comb(pointed, c, c, strategy="zigzag")
+    with pytest.raises(IncompatibleStrategy, match="unknown strategy"):
+        equiv_optic(pointed, c, c, strategy="braid")
+
+
+def state_combs(backend):
+    """``(psi, bang)`` and ``(phi, bang)``, both with environment I."""
+    bang = backend.generator("bang")
+    return (comb(backend, backend.generator("psi"), bang, word()),
+            comb(backend, backend.generator("phi"), bang, word()))
+
+
+class TestOpticAutoBraidPrecheck:
+    def test_pointed_refuted_by_braid_value(self, pointed):
+        c1, c2 = state_combs(pointed)
+        d = equiv_optic(pointed, c1, c2)
+        assert d.verdict is Verdict.DISTINCT and d.certified
+        assert d.method == "braid-value"
+        assert isinstance(d.witness, ProbeWitness)
+        assert check_probe_witness(pointed, c1, c2, d.witness)
+        # the same witness as equiv_sigma's
+        assert d.witness == equiv_sigma(pointed, c1, c2).witness
+
+    def test_explicit_zigzag_stays_a_slide_search(self, pointed):
+        c1, c2 = state_combs(pointed)
+        d = equiv_optic(pointed, c1, c2, strategy="zigzag", bound=1)
+        assert d.verdict is Verdict.UNKNOWN
+        assert d.method == "slide-search"
+
+    def test_absorbing_braid_values_agree(self):
+        ab = AbsorbingPointedBackend()
+        c1, c2 = state_combs(ab)
+        assert braid_refutation(ab, c1, c2) is None
+        d = equiv_optic(ab, c1, c2, bound=1)
+        assert d.verdict is Verdict.UNKNOWN
+        assert d.method == "slide-search"
+        # the swap filler does not separate the pair, the identity filler does
+        probe, cw, dw = swap_probe(ab, c1)
+        swap = ProbeWitness(cw, dw, probe, left=None, right=None)
+        assert not check_probe_witness(ab, c1, c2, swap)
+        separated = equiv_comb(ab, c1, c2)
+        assert separated.verdict is Verdict.DISTINCT
+        assert check_probe_witness(ab, c1, c2, separated.witness)
+
+
+def test_one_refuter_behind_sigma_comb_and_name_form():
+    bb = MatrixBackend({"b": 2}, semiring="bool")
+    b = word("b")
+    reset = Mat(b, b, np.array([[1, 1], [0, 0]]))
+    c1 = identity_comb(bb, b, b)
+    c2 = comb(bb, reset, bb.identity(b), word())
+    witness = braid_refutation(bb, c1, c2)
+    assert witness is not None and check_probe_witness(bb, c1, c2, witness)
+    assert witness_json(equiv_sigma(bb, c1, c2).witness) == witness_json(witness)
+    assert witness_json(equiv_optic(bb, c1, c2).witness) == witness_json(witness)
+    by_braid = equiv_comb(bb, c1, c2, strategy="braid")
+    assert by_braid.verdict is Verdict.DISTINCT and by_braid.method == "braid-value"
+    # the comb route reports the swap filler's own values on the two combs
+    assert by_braid.witness.probe_term == witness.probe_term
+    assert by_braid.witness.note == "the swap filler already separates the combs"
+    assert check_probe_witness(bb, c1, c2, by_braid.witness)
+    assert braid_refutation(bb, c1, c1) is None

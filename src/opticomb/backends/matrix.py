@@ -10,7 +10,8 @@ nose.
 The boolean semiring is exact and fully enumerable, so it is the workhorse
 for certified searches; the complex backend carries a tolerance and hosts
 the positive-map constructions; the rational backend is exact arithmetic
-for cross-checking numeric results.
+for cross-checking numeric results.  :func:`close` and
+:func:`residual_tolerance` are the tolerance policy of every numeric check.
 """
 from __future__ import annotations
 
@@ -30,6 +31,21 @@ from ..core import (
 )
 
 SEMIRINGS = ("bool", "complex", "rational")
+
+
+def close(a: Any, b: Any, tolerance: float) -> bool:
+    """Values are equal: every entry of ``a - b`` is within ``tolerance``."""
+    return bool(np.allclose(a, b, rtol=0.0, atol=tolerance))
+
+
+def residual_tolerance(tolerance: float) -> float:
+    """The bound on residuals derived from values at ``tolerance``.
+
+    A product checked against the identity, a factorization error, a Choi
+    eigenvalue or a channel output collects the rounding of several
+    operations, so it is held to ten times the tolerance of the values.
+    """
+    return 10 * tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +209,7 @@ class MatrixBackend(Backend):
                 f"{m2.dom.pretty()} -> {m2.cod.pretty()}"
             )
         if self.semiring == "complex":
-            return bool(np.allclose(m1.array, m2.array, rtol=0.0, atol=self.tolerance))
+            return close(m1.array, m2.array, self.tolerance)
         return bool(np.array_equal(m1.array, m2.array))
 
     # -- enumeration --------------------------------------------------------------

@@ -8,12 +8,12 @@ the same values sit inside the full complex matrix category.
 """
 from __future__ import annotations
 
-from typing import Any, Hashable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
 from ..core import DimensionMismatch, NotEnumerable, ObjectWord
-from .matrix import Mat, MatrixBackend
+from .matrix import Mat, MatrixBackend, close, residual_tolerance
 
 
 class UnitaryBackend(MatrixBackend):
@@ -22,20 +22,11 @@ class UnitaryBackend(MatrixBackend):
     unitary_values = True
     braid_conclusive = True
 
-    def __init__(
-        self,
-        dims: Mapping[str, int],
-        generators: Mapping[str, tuple[Any, Any, Any]] | None = None,
-        tolerance: float = 1e-9,
-        name: str | None = None,
-    ):
-        super().__init__(
-            dims, None, semiring="complex", tolerance=tolerance,
-            name=name or "unitary",
-        )
-        self.enumerable = False
-        for gname, (dom, cod, entries) in (generators or {}).items():
-            self.add_generator(gname, dom, cod, entries)
+    def __init__(self, dims: Mapping[str, int],
+                 generators: Mapping[str, tuple[Any, Any, Any]] | None = None,
+                 name: str = "unitary", **tolerance: float):
+        # the optional ``tolerance`` keyword and its default are MatrixBackend's
+        super().__init__(dims, generators, "complex", name=name, **tolerance)
 
     def mat(self, dom: ObjectWord, cod: ObjectWord, entries: Any) -> Mat:
         m = super().mat(dom, cod, entries)
@@ -45,7 +36,7 @@ class UnitaryBackend(MatrixBackend):
                 f"unitary {dom.pretty()} -> {cod.pretty()} must preserve dimension"
             )
         gram = m.array.conj().T @ m.array
-        if not np.allclose(gram, np.eye(d), rtol=0.0, atol=max(self.tolerance, 1e-9) * 10):
+        if not close(gram, np.eye(d), residual_tolerance(self.tolerance)):
             raise DimensionMismatch(
                 f"matrix for {dom.pretty()} -> {cod.pretty()} is not unitary"
             )
@@ -68,18 +59,14 @@ class UnitaryBackend(MatrixBackend):
 
         return NotCompactClosed("pairing vectors are not unitary")
 
-    def canonical_key(self, m: Mat) -> Hashable:
-        rounded = np.round(m.array + 0.0, 9) + 0.0
-        return ("unitary", m.dom, m.cod, rounded.tobytes())
 
-
-def tensor_separate(u: np.ndarray, d_left: int, d_right: int, tolerance: float = 1e-9):
+def tensor_separate(u: np.ndarray, d_left: int, d_right: int):
     """Split ``u`` on a d_left*d_right space as ``u_left tensor identity``.
 
     Returns ``(u_left, residual)`` where ``u_left`` is the compression of
     ``u`` onto the first basis vector of the right factor and residual is
     the max-abs deviation of ``u`` from ``kron(u_left, eye(d_right))``.
-    A residual within tolerance certifies the split.
+    A residual within ``residual_tolerance`` certifies the split.
     """
     if u.shape != (d_left * d_right, d_left * d_right):
         raise DimensionMismatch(

@@ -12,7 +12,7 @@ import sys
 from .core import CategoryError
 from .comb import COMB_STRATEGIES
 from .optic import OPTIC_STRATEGIES
-from .theory import TheoryError, load_theory
+from .theory import TheoryError, load_theory, parse_tolerance
 from .program import (
     ProgramError,
     load_program,
@@ -30,6 +30,13 @@ def _bound(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
+
+
+def _tolerance(text: str) -> float:
+    try:
+        return parse_tolerance(text)
+    except TheoryError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search bound for enumerative strategies",
     )
     run.add_argument(
-        "--tolerance", type=float, default=None,
+        "--tolerance", type=_tolerance, default=None,
         help="override the theory's numeric tolerance",
     )
     run.add_argument(

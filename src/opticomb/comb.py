@@ -38,6 +38,7 @@ from .core import (
     ProbeWitness,
     Symmetry,
     TypeMismatch,
+    reports_tolerance,
 )
 
 @dataclass(frozen=True)
@@ -260,8 +261,8 @@ def _braid_compare(
 ) -> Decision:
     witness = braid_refutation(backend, c1, c2)
     if witness is None:
-        return Decision.equivalent(method, tolerance=backend.tolerance)
-    return Decision.distinct(method, witness, tolerance=backend.tolerance)
+        return Decision.equivalent(method)
+    return Decision.distinct(method, witness)
 
 
 def filler_probes(
@@ -353,12 +354,14 @@ def pick_route(routes: tuple[Route, ...], strategy: str, backend: Backend) -> Ro
 # Equivalence deciders
 # ---------------------------------------------------------------------------
 
+@reports_tolerance
 def equiv_sigma(backend: Backend, c1: CombRep, c2: CombRep) -> Decision:
     """Decide braid-value equality.  Always certified: it is a direct compare."""
     _check_same_boundary(c1, c2)
     return _braid_compare(backend, c1, c2, "braid-compare")
 
 
+@reports_tolerance
 def equiv_tau(backend: Backend, c1: CombRep, c2: CombRep, bound: int = 2) -> Decision:
     """Screen with trivial-context fillers ``B -> B'`` only.
 
@@ -378,8 +381,7 @@ def equiv_tau(backend: Backend, c1: CombRep, c2: CombRep, bound: int = 2) -> Dec
             backend, hit, "trivial-context filler separates the combs"
         )
         return Decision.distinct(
-            "trivial-context-probes", witness, tolerance=backend.tolerance,
-            coverage={"probes_tried": tried},
+            "trivial-context-probes", witness, coverage={"probes_tried": tried}
         )
     needed = backend.extension_word_len_needed(c1.source, c1.target)
     coverage = {
@@ -389,12 +391,8 @@ def equiv_tau(backend: Backend, c1: CombRep, c2: CombRep, bound: int = 2) -> Dec
         "conclusive_context_len": needed,
     }
     if scans[0] and needed == 0:
-        return Decision.equivalent(
-            "trivial-context-probes", tolerance=backend.tolerance, coverage=coverage
-        )
-    return Decision.unknown(
-        "trivial-context-probes", coverage=coverage, tolerance=backend.tolerance
-    )
+        return Decision.equivalent("trivial-context-probes", coverage=coverage)
+    return Decision.unknown("trivial-context-probes", coverage=coverage)
 
 
 def _braid_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decision:
@@ -407,16 +405,11 @@ def _braid_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Deci
             right=extended_eval(backend, c2, *probe),
             note="the swap filler already separates the combs",
         )
-        return Decision.distinct("braid-value", witness, tolerance=backend.tolerance)
+        return Decision.distinct("braid-value", witness)
     if backend.braid_conclusive:
-        return Decision.equivalent(
-            "braid-value", tolerance=backend.tolerance,
-            coverage={"conclusive": True},
-        )
+        return Decision.equivalent("braid-value", coverage={"conclusive": True})
     return Decision.unknown(
-        "braid-value",
-        coverage={"braid_values_agree": True, "conclusive": False},
-        tolerance=backend.tolerance,
+        "braid-value", coverage={"braid_values_agree": True, "conclusive": False}
     )
 
 
@@ -437,17 +430,15 @@ def _lens_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decis
         certified = backend.braid_conclusive and _all_inhabited(backend, c1) \
             and _all_inhabited(backend, c2)
         if certified:
-            return Decision.equivalent("lens-components", tolerance=backend.tolerance)
+            return Decision.equivalent("lens-components")
         return Decision.unknown(
-            "lens-components",
-            coverage={"components_agree": True, "conclusive": False},
-            tolerance=backend.tolerance,
+            "lens-components", coverage={"components_agree": True, "conclusive": False}
         )
     witness = _swap_witness(
         backend, c1, c2,
         "lens components differ, so the swap filler separates the combs",
     )
-    return Decision.distinct("lens-components", witness, tolerance=backend.tolerance)
+    return Decision.distinct("lens-components", witness)
 
 
 def _enumerate_route(
@@ -463,9 +454,7 @@ def _enumerate_route(
     if hit is not None:
         witness = _probe_witness(backend, hit, "enumerated filler separates the combs")
         return Decision.distinct(
-            "enumerated-probes", witness,
-            tolerance=backend.tolerance,
-            coverage={"probes_tried": tried},
+            "enumerated-probes", witness, coverage={"probes_tried": tried}
         )
     needed = backend.extension_word_len_needed(c1.source, c1.target)
     coverage = {
@@ -476,12 +465,8 @@ def _enumerate_route(
         "bound": bound,
     }
     if needed is not None and bound >= needed and all(scans):
-        return Decision.equivalent(
-            "enumerated-probes", tolerance=backend.tolerance, coverage=coverage
-        )
-    return Decision.unknown(
-        "enumerated-probes", coverage=coverage, tolerance=backend.tolerance
-    )
+        return Decision.equivalent("enumerated-probes", coverage=coverage)
+    return Decision.unknown("enumerated-probes", coverage=coverage)
 
 
 #: The routes of ``equiv_comb``, in the order ``auto`` tries them.
@@ -496,6 +481,7 @@ COMB_ROUTES = (
 COMB_STRATEGIES = ("auto",) + tuple(r.name for r in COMB_ROUTES)
 
 
+@reports_tolerance
 def equiv_comb(
     backend: Backend,
     c1: CombRep,

@@ -24,10 +24,11 @@ ObjectWord.parse('a*a')
 """
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Hashable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 __all__ = [
     "CategoryError",
@@ -68,6 +69,7 @@ __all__ = [
     "ExhaustionWitness",
     "FactorWitness",
     "Decision",
+    "reports_tolerance",
 ]
 
 # ---------------------------------------------------------------------------
@@ -642,20 +644,18 @@ class Decision:
             raise ValueError("an uncertified equivalence must be reported unknown")
 
     @staticmethod
-    def equivalent(method: str, witness: Any = None, tolerance: float | None = None,
+    def equivalent(method: str, witness: Any = None,
                    coverage: Mapping[str, Any] | None = None) -> "Decision":
-        return Decision(Verdict.EQUIVALENT, method, True, witness, tolerance, coverage)
+        return Decision(Verdict.EQUIVALENT, method, True, witness, None, coverage)
 
     @staticmethod
     def distinct(method: str, witness: Any, certified: bool = True,
-                 tolerance: float | None = None,
                  coverage: Mapping[str, Any] | None = None) -> "Decision":
-        return Decision(Verdict.DISTINCT, method, certified, witness, tolerance, coverage)
+        return Decision(Verdict.DISTINCT, method, certified, witness, None, coverage)
 
     @staticmethod
-    def unknown(method: str, coverage: Mapping[str, Any] | None = None,
-                tolerance: float | None = None) -> "Decision":
-        return Decision(Verdict.UNKNOWN, method, False, None, tolerance, coverage)
+    def unknown(method: str, coverage: Mapping[str, Any] | None = None) -> "Decision":
+        return Decision(Verdict.UNKNOWN, method, False, None, None, coverage)
 
     def is_equivalent(self) -> bool:
         return self.verdict is Verdict.EQUIVALENT
@@ -665,3 +665,18 @@ class Decision:
 
     def is_unknown(self) -> bool:
         return self.verdict is Verdict.UNKNOWN
+
+
+def reports_tolerance(decide: Callable[..., Decision]) -> Callable[..., Decision]:
+    """Report the tolerance of ``decide``'s backend (its first argument) on
+    every Decision it returns; the routes behind it leave the field unset.
+    """
+
+    @functools.wraps(decide)
+    def stamped(backend: "Backend", *args: Any, **kwargs: Any) -> Decision:
+        d = decide(backend, *args, **kwargs)
+        return Decision(
+            d.verdict, d.method, d.certified, d.witness, backend.tolerance, d.coverage
+        )
+
+    return stamped

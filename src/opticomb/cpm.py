@@ -31,8 +31,9 @@ from .core import (
     NotDaggerBackend,
     ObjectWord,
     ProbeWitness,
+    reports_tolerance,
 )
-from .backends.matrix import MatrixBackend
+from .backends.matrix import MatrixBackend, close, residual_tolerance
 from .comb import CombRep, comb as make_comb
 
 
@@ -57,6 +58,7 @@ class CpmMorphism:
 
     The transfer matrix acts on row-major vectorizations: with
     ``vec(rho)[a*d+a'] = rho[a, a']``, it is ``sum_x kron(K_x, conj(K_x))``.
+    ``tolerance`` is its backend's, for the positivity and trace checks.
     """
 
     in_word: ObjectWord
@@ -65,6 +67,7 @@ class CpmMorphism:
     out_dim: int
     kraus: tuple
     transfer: np.ndarray
+    tolerance: float
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = np.zeros((self.out_dim, self.out_dim), dtype=np.complex128)
@@ -75,14 +78,16 @@ class CpmMorphism:
     def choi(self) -> np.ndarray:
         return choi_matrix(self.transfer, self.in_dim, self.out_dim)
 
-    def is_completely_positive(self, tolerance: float = 1e-9) -> bool:
-        return is_completely_positive(self.transfer, self.in_dim, self.out_dim, tolerance)
+    def is_completely_positive(self) -> bool:
+        return is_completely_positive(
+            self.transfer, self.in_dim, self.out_dim, self.tolerance
+        )
 
-    def is_trace_preserving(self, tolerance: float = 1e-9) -> bool:
+    def is_trace_preserving(self) -> bool:
         acc = np.zeros((self.in_dim, self.in_dim), dtype=np.complex128)
         for k in self.kraus:
             acc += k.conj().T @ k
-        return bool(np.allclose(acc, np.eye(self.in_dim), rtol=0.0, atol=tolerance))
+        return close(acc, np.eye(self.in_dim), self.tolerance)
 
 
 def kraus_slices(f_array: np.ndarray, env_dim: int, out_dim: int) -> tuple:
@@ -111,7 +116,7 @@ def to_cpm(backend: MatrixBackend, c: CombRep) -> CpmMorphism:
     transfer = np.zeros((d_b * d_b, d_a * d_a), dtype=np.complex128)
     for k in kraus:
         transfer += np.kron(k, k.conj())
-    return CpmMorphism(a, b, d_a, d_b, kraus, transfer)
+    return CpmMorphism(a, b, d_a, d_b, kraus, transfer, backend.tolerance)
 
 
 def choi_matrix(transfer: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
@@ -125,27 +130,28 @@ def choi_matrix(transfer: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
 
 
 def is_completely_positive(
-    transfer: np.ndarray, in_dim: int, out_dim: int, tolerance: float = 1e-9
+    transfer: np.ndarray, in_dim: int, out_dim: int, tolerance: float
 ) -> bool:
     ch = choi_matrix(transfer, in_dim, out_dim)
-    if not np.allclose(ch, ch.conj().T, rtol=0.0, atol=tolerance * 10):
+    bound = residual_tolerance(tolerance)
+    if not close(ch, ch.conj().T, bound):
         return False
     eigs = np.linalg.eigvalsh((ch + ch.conj().T) / 2)
-    return bool(eigs.min() >= -tolerance * 10)
+    return bool(eigs.min() >= -bound)
 
 
-def cpm_equal(m1: CpmMorphism, m2: CpmMorphism, tolerance: float = 1e-9) -> bool:
+def cpm_equal(m1: CpmMorphism, m2: CpmMorphism, tolerance: float) -> bool:
     if (m1.in_word, m1.out_word) != (m2.in_word, m2.out_word):
         return False
-    return bool(np.allclose(m1.transfer, m2.transfer, rtol=0.0, atol=tolerance))
+    return close(m1.transfer, m2.transfer, tolerance)
 
 
+@reports_tolerance
 def cpm_equiv(backend: MatrixBackend, c1: CombRep, c2: CombRep) -> Decision:
     """Transfer-matrix comparison of the channels of two dagger combs."""
     m1, m2 = to_cpm(backend, c1), to_cpm(backend, c2)
-    tol = backend.tolerance or 1e-9
-    if cpm_equal(m1, m2, tol):
-        return Decision.equivalent("transfer-compare", tolerance=tol)
+    if cpm_equal(m1, m2, backend.tolerance):
+        return Decision.equivalent("transfer-compare")
     diff = np.abs(m1.transfer - m2.transfer)
     flat = int(np.argmax(diff))
     row, col = divmod(flat, diff.shape[1])
@@ -156,7 +162,7 @@ def cpm_equiv(backend: MatrixBackend, c1: CombRep, c2: CombRep) -> Decision:
         },
         note="transfer matrices differ",
     )
-    return Decision.distinct("transfer-compare", witness, tolerance=tol)
+    return Decision.distinct("transfer-compare", witness)
 
 
 def positive_probe_frame(d: int):
@@ -176,6 +182,7 @@ def positive_probe_frame(d: int):
             yield np.outer(w, w.conj())
 
 
+@reports_tolerance
 def cpinf_equiv(backend: MatrixBackend, c1: CombRep, c2: CombRep) -> Decision:
     """Positive-probe comparison of the channels of two dagger combs.
 
@@ -185,28 +192,26 @@ def cpinf_equiv(backend: MatrixBackend, c1: CombRep, c2: CombRep) -> Decision:
     frame spans hermitian inputs and the channels act linearly.
     """
     m1, m2 = to_cpm(backend, c1), to_cpm(backend, c2)
-    tol = backend.tolerance or 1e-9
     if (m1.in_word, m1.out_word) != (m2.in_word, m2.out_word):
         witness = FactorWitness(
             pieces={"left": (m1.in_word, m1.out_word), "right": (m2.in_word, m2.out_word)},
             note="channel boundaries differ",
         )
-        return Decision.distinct("positive-probes", witness, tolerance=tol)
+        return Decision.distinct("positive-probes", witness)
     tried = 0
     for rho in positive_probe_frame(m1.in_dim):
         tried += 1
         out1, out2 = m1.apply(rho), m2.apply(rho)
-        if not np.allclose(out1, out2, rtol=0.0, atol=tol * 10):
+        if not close(out1, out2, residual_tolerance(backend.tolerance)):
             witness = ProbeWitness(
                 ObjectWord.unit(), ObjectWord.unit(), rho,
                 left=out1, right=out2,
                 note="a rank-one positive input separates the channels",
             )
             return Decision.distinct(
-                "positive-probes", witness, tolerance=tol,
-                coverage={"probes_tried": tried},
+                "positive-probes", witness, coverage={"probes_tried": tried}
             )
     return Decision.equivalent(
-        "positive-probes", tolerance=tol,
+        "positive-probes",
         coverage={"probes_tried": tried, "frame_spans_hermitian": True},
     )

@@ -20,14 +20,19 @@ and every hom-set scan along the way was complete.
 On structured backends (``OPTIC_ROUTES``) the search is bypassed:
 environment-rotation factoring classifies optics over unitary backends,
 braid values over compact closed ones, and (get, put) components over
-cartesian ones.  Elsewhere ``auto`` first tries the braid refuter of
-``equiv_sigma``, since slide equivalence implies equal braid values.
+cartesian ones.  Elsewhere ``auto`` first tries the refuters of
+``equiv_sigma`` and ``equiv_tau``, since slide equivalence implies filler
+agreement and so equal braid values.
 """
 from __future__ import annotations
 
 from collections import deque
 from typing import Any
 
+import numpy as np
+
+from .backends.matrix import residual_tolerance
+from .backends.unitary import tensor_separate
 from .core import (
     Backend,
     Budget,
@@ -39,6 +44,7 @@ from .core import (
     ProbeWitness,
     SlidePathWitness,
     SlideStep,
+    reports_tolerance,
 )
 from .comb import (
     CombRep,
@@ -47,6 +53,7 @@ from .comb import (
     _check_same_boundary,
     braid_refutation,
     comb as make_comb,
+    equiv_tau,
     lens_pair,
     pick_route,
     probe_scan,
@@ -83,8 +90,11 @@ def _state_key(backend: Backend, e: ObjectWord, f: Any, g: Any):
     return (e, backend.canonical_key(f), backend.canonical_key(g))
 
 
-def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int,
-            max_states: int = 4096) -> Decision:
+#: the slide search stops adding states to its frontier at this many
+MAX_SLIDE_STATES = 4096
+
+
+def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
     budget = Budget.of(bound)
     (a, a1), (b, b1) = o1.source, o1.target
     id_b = backend.identity(b)
@@ -124,9 +134,7 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int,
         return SlidePathWitness(tuple(reversed(steps)))
 
     if start_key == goal_key:
-        return Decision.equivalent(
-            "slide-search", witness=SlidePathWitness(()), tolerance=backend.tolerance
-        )
+        return Decision.equivalent("slide-search", witness=SlidePathWitness(()))
 
     while queue:
         e, f, g = queue.popleft()
@@ -157,11 +165,8 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int,
                 continue
             parents[key] = (cur_key, step)
             if key == goal_key:
-                return Decision.equivalent(
-                    "slide-search", witness=emit_path(key),
-                    tolerance=backend.tolerance,
-                )
-            if len(parents) >= max_states:
+                return Decision.equivalent("slide-search", witness=emit_path(key))
+            if len(parents) >= MAX_SLIDE_STATES:
                 truncated = True
             else:
                 queue.append(state)
@@ -179,12 +184,11 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int,
             note="the full slide component of the left representative was "
                  "explored and never met the right one",
         )
-        return Decision.distinct(
-            "slide-search", witness, tolerance=backend.tolerance, coverage=coverage
-        )
-    return Decision.unknown("slide-search", coverage=coverage, tolerance=backend.tolerance)
+        return Decision.distinct("slide-search", witness, coverage=coverage)
+    return Decision.unknown("slide-search", coverage=coverage)
 
 
+@reports_tolerance
 def unitary_comb_factor(backend: Backend, o1: CombRep, o2: CombRep) -> Decision:
     """Decide slide equivalence of unitary combs by factoring the change of
     environment.
@@ -195,21 +199,17 @@ def unitary_comb_factor(backend: Backend, o1: CombRep, o2: CombRep) -> Decision:
     slides in a unitary backend are invertible, so a whole zigzag collapses
     to one rotation and this check is complete.
     """
-    from .backends.unitary import tensor_separate
-
     (b, b1) = o1.target
     d_b = backend.dim(b)
     d_b1 = backend.dim(b1)
     d_e1 = backend.dim(o1.env)
-    import numpy as np
-
     u = backend.compose(backend.dagger(o1.f), o2.f)
     v = backend.compose(o2.g, backend.dagger(o1.g))
-    u_left, res_u = tensor_separate(u.array, d_e1, d_b, backend.tolerance)
-    v_left, res_v = tensor_separate(v.array, backend.dim(o2.env), d_b1, backend.tolerance)
+    u_left, res_u = tensor_separate(u.array, d_e1, d_b)
+    v_left, res_v = tensor_separate(v.array, backend.dim(o2.env), d_b1)
     cancel = float(np.max(np.abs(np.dot(v_left, u_left) - np.eye(d_e1))))
-    ok = res_u <= backend.tolerance * 10 and res_v <= backend.tolerance * 10 \
-        and cancel <= backend.tolerance * 10
+    bound = residual_tolerance(backend.tolerance)
+    ok = res_u <= bound and res_v <= bound and cancel <= bound
     pieces = {
         "rotation": u_left,
         "inverse_rotation": v_left,
@@ -222,16 +222,12 @@ def unitary_comb_factor(backend: Backend, o1: CombRep, o2: CombRep) -> Decision:
             pieces=pieces,
             note="both sides factor through one environment rotation",
         )
-        return Decision.equivalent(
-            "unitary-factorization", witness=witness, tolerance=backend.tolerance
-        )
+        return Decision.equivalent("unitary-factorization", witness=witness)
     witness = FactorWitness(
         pieces=pieces,
         note="no environment rotation relates the representatives",
     )
-    return Decision.distinct(
-        "unitary-factorization", witness, tolerance=backend.tolerance
-    )
+    return Decision.distinct("unitary-factorization", witness)
 
 
 def _lens_route(backend: Backend, o1: CombRep, o2: CombRep, *_) -> Decision:
@@ -240,7 +236,7 @@ def _lens_route(backend: Backend, o1: CombRep, o2: CombRep, *_) -> Decision:
     same_get = backend.equal(get1, get2)
     same_put = backend.equal(put1, put2)
     if same_get and same_put:
-        return Decision.equivalent("lens-components", tolerance=backend.tolerance)
+        return Decision.equivalent("lens-components")
     which = "get" if not same_get else "put"
     witness = FactorWitness(
         pieces={
@@ -249,7 +245,7 @@ def _lens_route(backend: Backend, o1: CombRep, o2: CombRep, *_) -> Decision:
         },
         note=f"the {which} components differ",
     )
-    return Decision.distinct("lens-components", witness, tolerance=backend.tolerance)
+    return Decision.distinct("lens-components", witness)
 
 
 #: The routes of ``equiv_optic``, in the order ``auto`` tries them.
@@ -267,28 +263,31 @@ OPTIC_ROUTES = (
 OPTIC_STRATEGIES = ("auto",) + tuple(r.name for r in OPTIC_ROUTES)
 
 
+@reports_tolerance
 def equiv_optic(
     backend: Backend,
     o1: CombRep,
     o2: CombRep,
     strategy: str = "auto",
     bound: int = 2,
-    max_states: int = 4096,
 ) -> Decision:
     """Decide slide equivalence of two representatives on one boundary.
 
     When ``auto`` lands on the slide search, differing braid values answer
-    DISTINCT first (method ``braid-value``); ``strategy="zigzag"`` searches
-    alone.  On ``AbsorbingPointedBackend`` the braid values of ``(psi, bang)``
-    and ``(phi, bang)`` agree, so the search runs and answers UNKNOWN.
+    DISTINCT first, then, where braid values are not conclusive, a separating
+    trivial-context filler (``equiv_tau``); ``strategy="zigzag"`` searches alone.
     """
     _check_same_boundary(o1, o2)
     route = pick_route(OPTIC_ROUTES, strategy, backend)
     if strategy == "auto" and route.name == "zigzag":
         witness = braid_refutation(backend, o1, o2)
         if witness is not None:
-            return Decision.distinct("braid-value", witness, tolerance=backend.tolerance)
-    return route.run(backend, o1, o2, bound, max_states)
+            return Decision.distinct("braid-value", witness)
+        if not backend.braid_conclusive:
+            screen = equiv_tau(backend, o1, o2, bound)
+            if screen.is_distinct():
+                return screen
+    return route.run(backend, o1, o2, bound)
 
 
 def check_probe_witness(backend: Backend, o1: CombRep, o2: CombRep,

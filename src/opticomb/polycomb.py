@@ -31,6 +31,7 @@ from .core import (
     TypeMismatch,
     UnsupportedShape,
     block_permutation,
+    reports_tolerance,
 )
 from .comb import CombRep, identity_comb, probe_scan
 
@@ -51,12 +52,6 @@ class PolyCombRep:
     outers: tuple[Pair, ...]
     envs: tuple[ObjectWord, ...]
     segments: tuple[Any, ...]
-
-    def outer_ins(self) -> ObjectWord:
-        return _join([p[0] for p in self.outers])
-
-    def outer_outs(self) -> ObjectWord:
-        return _join([p[1] for p in self.outers])
 
     def __repr__(self) -> str:
         hs = ", ".join(_pp(p) for p in self.holes)
@@ -221,6 +216,7 @@ def poly_name(backend: Backend, p: PolyCombRep) -> Any:
     return val
 
 
+@reports_tolerance
 def poly_equiv(
     backend: Backend, p: PolyCombRep, q: PolyCombRep, bound: int = 2
 ) -> Decision:
@@ -235,12 +231,12 @@ def poly_equiv(
     if backend.compact_closed:
         n1, n2 = poly_name(backend, p), poly_name(backend, q)
         if backend.equal(n1, n2):
-            return Decision.equivalent("poly-name", tolerance=backend.tolerance)
+            return Decision.equivalent("poly-name")
         witness = FactorWitness(
             pieces={"left_name": n1, "right_name": n2},
             note="name values differ",
         )
-        return Decision.distinct("poly-name", witness, tolerance=backend.tolerance)
+        return Decision.distinct("poly-name", witness)
     if backend.enumerable:
         budget = Budget.of(bound)
         unit = ObjectWord.unit()
@@ -260,10 +256,7 @@ def poly_equiv(
                      "representatives",
             )
             return Decision.distinct(
-                "poly-probes",
-                witness,
-                tolerance=backend.tolerance,
-                coverage={"filler_tuples_tried": tried},
+                "poly-probes", witness, coverage={"filler_tuples_tried": tried}
             )
         return Decision.unknown(
             "poly-probes",
@@ -271,7 +264,6 @@ def poly_equiv(
                 "filler_tuples_tried": tried,
                 "hom_scans_complete": all(hs.complete for hs in hom_sets),
             },
-            tolerance=backend.tolerance,
         )
     raise NotCompactClosed(
         f"{backend.name} offers neither name forms nor enumerable fillers"

@@ -22,10 +22,17 @@ Matrix entries are JSON.  A complex matrix is written with every entry a
 two-element ``[re, im]`` list; an array of plain numbers is read as real.
 Function morphisms are the list of output indices.  Free backends carry
 their generators implicitly, so they take no morphism lines.
+
+``tolerance`` (a finite number >= 0, default 1e-9) sets the policy of
+complex matrix and unitary theories: values are equal within the tolerance,
+and residuals derived from values (unitarity, positivity, a factorization
+error, a channel output) within 10 times the tolerance.  The boolean and
+rational semirings and the other kinds compare exactly.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -167,6 +174,17 @@ def _rational_entries(value: Any) -> Any:
     return [[entry(e) for e in row] for row in value]
 
 
+def parse_tolerance(text: str) -> float:
+    """A tolerance from outside input: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise TheoryError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_backend(config: TheoryConfig):
     """Turn a parsed theory into a live backend."""
     kind = config.kind
@@ -204,7 +222,9 @@ def build_backend(config: TheoryConfig):
         return PointedFreeBackend(
             object_name=obj, states=states, effects=effects, rules=rules
         )
-    tolerance = float(opts.pop("tolerance", "1e-9"))
+    numeric: dict[str, float] = {}
+    if "tolerance" in opts:
+        numeric["tolerance"] = parse_tolerance(opts.pop("tolerance"))
     if kind == "finfun":
         if opts:
             raise TheoryError(f"unknown options {sorted(opts)} for finfun")
@@ -222,26 +242,14 @@ def build_backend(config: TheoryConfig):
         return backend
     if config.rules:
         raise TheoryError(f"{kind} theories take no rules")
-    if kind == "unitary":
-        if opts:
-            raise TheoryError(f"unknown options {sorted(opts)} for unitary")
-        backend = UnitaryBackend(
-            {name: dim for name, dim in config.objects}, tolerance=tolerance
-        )
-        for name, dom, cod, value in config.morphisms:
-            backend.add_generator(
-                name, ObjectWord.parse(dom), ObjectWord.parse(cod),
-                _complex_entries(value),
-            )
-        return backend
-    semiring = opts.pop("semiring", "complex")
+    semiring = "complex" if kind == "unitary" else opts.pop("semiring", "complex")
     if opts:
-        raise TheoryError(f"unknown options {sorted(opts)} for matrix")
-    backend = MatrixBackend(
-        {name: dim for name, dim in config.objects},
-        semiring=semiring,
-        tolerance=tolerance,
-    )
+        raise TheoryError(f"unknown options {sorted(opts)} for {kind}")
+    dims = {name: dim for name, dim in config.objects}
+    if kind == "unitary":
+        backend = UnitaryBackend(dims, **numeric)
+    else:
+        backend = MatrixBackend(dims, semiring=semiring, **numeric)
     for name, dom, cod, value in config.morphisms:
         if semiring == "complex":
             value = _complex_entries(value)

@@ -117,6 +117,25 @@ class TestExitCodes:
         assert results["equiv comb c1 c2"]["method"] == "braid-value"
         assert results["equiv optic c1 c2"]["method"] == "slide-search"
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "abc"])
+    def test_bad_tolerance_rejected(self, tolerance, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                "run", str(THEORIES / "unitary.thy"),
+                str(THEORIES / "unitary.prog"), "--tolerance", tolerance,
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tolerance" in err and "finite number >= 0" in err
+        assert "Traceback" not in err
+
+    def test_bad_theory_tolerance_rejected(self, capsys, tmp_path):
+        thy = tmp_path / "t.thy"
+        thy.write_text("backend matrix semiring=complex tolerance=abc\n")
+        code = run_cli("run", str(thy), str(THEORIES / "qubit.prog"))
+        assert code == 2
+        assert "finite number >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bound", ["-1", "two"])
     def test_bad_bound_rejected(self, bound, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -174,6 +193,23 @@ class TestFlags:
             if q["kind"] == "decision" and q["query"].startswith("equiv tau")
         ]
         assert tau and tau[0]["result"]["verdict"] == "unknown"
+
+    def test_tolerance_override_reaches_cpm_summary(self, capsys, tmp_path):
+        # the copy isometry's Kraus pieces sum to diag(1, 1.000001**2)
+        thy = tmp_path / "t.thy"
+        thy.write_text(
+            "backend matrix semiring=complex\n"
+            "object q dim=2\n"
+            "morphism copy : q -> q*q = [[1,0],[0,0],[0,0],[0,1.000001]]\n"
+        )
+        prog = tmp_path / "p.prog"
+        prog.write_text("dagger_comb d = copy env q\nequiv cpm d d\ncpm d\n")
+        for tolerance, preserving in ((None, False), ("0.001", True)):
+            flag = () if tolerance is None else ("--tolerance", tolerance)
+            assert run_cli("run", str(thy), str(prog), "--format", "json", *flag) == 0
+            _, equiv, summary = json.loads(capsys.readouterr().out)["queries"]
+            assert equiv["result"]["tolerance"] == float(tolerance or 1e-9)
+            assert summary["result"]["trace_preserving"] is preserving
 
 
 class TestModuleEntry:

@@ -17,11 +17,17 @@ from opticomb import (
     Verdict,
     check_probe_witness,
     comb,
+    cpinf_equiv,
+    cpm_equiv,
     equiv_comb,
     equiv_optic,
     equiv_sigma,
+    equiv_tau,
+    from_comb,
     identity_comb,
+    poly_equiv,
     swap_probe,
+    unitary_comb_factor,
 )
 from opticomb.comb import COMB_ROUTES, braid_refutation
 from opticomb.optic import OPTIC_ROUTES
@@ -56,6 +62,34 @@ def test_auto_picks_the_same_route(name):
     c = identity_comb(backend, word(obj), word(obj))
     assert equiv_comb(backend, c, c).method == comb_method
     assert equiv_optic(backend, c, c).method == optic_method
+
+
+def applicable_deciders(backend):
+    """The public deciders that accept a comb pair on ``backend``."""
+    deciders = [equiv_sigma, equiv_comb, equiv_optic]
+    if not backend.unitary_values:
+        deciders.append(equiv_tau)
+    if backend.compact_closed or backend.enumerable:
+        deciders.append(
+            lambda be, c1, c2: poly_equiv(be, from_comb(be, c1), from_comb(be, c2))
+        )
+    if backend.unitary_values:
+        deciders.append(unitary_comb_factor)
+    if getattr(backend, "semiring", None) == "complex":
+        deciders += [cpm_equiv, cpinf_equiv]
+    return deciders
+
+
+@pytest.mark.parametrize("name", sorted(AUTO_METHODS))
+def test_decisions_report_the_backend_tolerance(name):
+    make, obj, _, _ = AUTO_METHODS[name]
+    backend = make()
+    c = identity_comb(backend, word(obj), word(obj))
+    # the configured tolerance, and zero as `--tolerance 0` sets it
+    for tolerance in (backend.tolerance, 0.0):
+        backend.tolerance = tolerance
+        for decide in applicable_deciders(backend):
+            assert decide(backend, c, c).tolerance == tolerance
 
 
 def test_strategies_come_from_the_tables():
@@ -103,9 +137,14 @@ class TestOpticAutoBraidPrecheck:
         ab = AbsorbingPointedBackend()
         c1, c2 = state_combs(ab)
         assert braid_refutation(ab, c1, c2) is None
+        # auto falls back on a trivial-context filler, which separates the pair
         d = equiv_optic(ab, c1, c2, bound=1)
-        assert d.verdict is Verdict.UNKNOWN
-        assert d.method == "slide-search"
+        assert d.verdict is Verdict.DISTINCT and d.certified
+        assert d.method == "trivial-context-probes"
+        assert check_probe_witness(ab, c1, c2, d.witness)
+        searched = equiv_optic(ab, c1, c2, strategy="zigzag", bound=1)
+        assert searched.verdict is Verdict.UNKNOWN
+        assert searched.method == "slide-search"
         # the swap filler does not separate the pair, the identity filler does
         probe, cw, dw = swap_probe(ab, c1)
         swap = ProbeWitness(cw, dw, probe, left=None, right=None)

@@ -131,6 +131,12 @@ class TestBackendBuilding:
         )
         assert isinstance(be, UnitaryBackend)
 
+    @pytest.mark.parametrize("kind", ["matrix semiring=complex", "unitary"])
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1e-9", ""])
+    def test_bad_tolerance_rejected(self, kind, value):
+        with pytest.raises(TheoryError, match="finite number >= 0"):
+            make_backend(f"backend {kind} tolerance={value}\nobject q dim=2\n")
+
     def test_unknown_option_rejected(self):
         with pytest.raises(TheoryError):
             make_backend("backend matrix flavor=spicy\n")

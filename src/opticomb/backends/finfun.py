@@ -91,27 +91,7 @@ class FinFunBackend(Backend):
     def object_names(self) -> tuple[str, ...]:
         return tuple(self.sizes)
 
-    def generator_names(self) -> tuple[str, ...]:
-        return tuple(self._gens)
-
-    def gen_type(self, name: str) -> tuple[ObjectWord, ObjectWord]:
-        if name not in self._gens:
-            raise UnknownGenerator(f"unknown morphism {name!r}")
-        g = self._gens[name]
-        return (g.dom, g.cod)
-
-    def generator(self, name: str) -> FinMap:
-        if name not in self._gens:
-            raise UnknownGenerator(f"unknown morphism {name!r}")
-        return self._gens[name]
-
     # -- structure --------------------------------------------------------------------
-
-    def dom(self, m: FinMap) -> ObjectWord:
-        return m.dom
-
-    def cod(self, m: FinMap) -> ObjectWord:
-        return m.cod
 
     def identity(self, word: ObjectWord) -> FinMap:
         return FinMap(word, word, tuple(range(self.size(word))))

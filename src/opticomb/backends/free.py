@@ -96,22 +96,7 @@ class IdempotentFreeBackend(_OneObjectBackend):
         self.object_name = object_name
         self.endo_name = endo_name
         self.name = name or "free-commutative"
-
-    # -- signature ------------------------------------------------------------
-
-    def generator_names(self) -> tuple[str, ...]:
-        return (self.endo_name,)
-
-    def gen_type(self, name: str) -> tuple[ObjectWord, ObjectWord]:
-        if name != self.endo_name:
-            raise UnknownGenerator(f"unknown morphism {name!r}")
-        a = self.strands(1)
-        return (a, a)
-
-    def generator(self, name: str) -> StrandMor:
-        if name != self.endo_name:
-            raise UnknownGenerator(f"unknown morphism {name!r}")
-        return StrandMor(self.strands(1), (True,))
+        self._gens = {endo_name: StrandMor(self.strands(1), (True,))}
 
     # -- structure ----------------------------------------------------------------
 
@@ -267,39 +252,18 @@ class PointedFreeBackend(_OneObjectBackend):
                 raise UnknownGenerator(f"rule uses undeclared state {s!r}")
             if e not in self.effects:
                 raise UnknownGenerator(f"rule uses undeclared effect {e!r}")
-
-    # -- signature ---------------------------------------------------------------
-
-    def generator_names(self) -> tuple[str, ...]:
-        return self.states + self.effects
-
-    def gen_type(self, name: str) -> tuple[ObjectWord, ObjectWord]:
-        if name in self.states:
-            return (ObjectWord.unit(), self.strands(1))
-        if name in self.effects:
-            return (self.strands(1), ObjectWord.unit())
-        raise UnknownGenerator(f"unknown morphism {name!r}")
-
-    def generator(self, name: str) -> WiringMor:
-        if name in self.states:
-            return WiringMor(
-                ObjectWord.unit(), self.strands(1),
-                frozenset(), frozenset(), frozenset({(0, name)}), (),
-            )
-        if name in self.effects:
-            return WiringMor(
-                self.strands(1), ObjectWord.unit(),
-                frozenset(), frozenset({(0, name)}), frozenset(), (),
-            )
-        raise UnknownGenerator(f"unknown morphism {name!r}")
+        names = self.states + self.effects
+        if len(set(names)) != len(names):
+            raise ValueError(f"state and effect names must be distinct, got {names}")
+        unit, a, none = ObjectWord.unit(), self.strands(1), frozenset()
+        self._gens = {
+            s: WiringMor(unit, a, none, none, frozenset({(0, s)}), ()) for s in self.states
+        }
+        self._gens.update(
+            (e, WiringMor(a, unit, none, frozenset({(0, e)}), none, ())) for e in self.effects
+        )
 
     # -- structure ------------------------------------------------------------------
-
-    def dom(self, m: WiringMor) -> ObjectWord:
-        return m.dom
-
-    def cod(self, m: WiringMor) -> ObjectWord:
-        return m.cod
 
     def identity(self, word: ObjectWord) -> WiringMor:
         w = self._check_word(word)

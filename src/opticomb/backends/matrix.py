@@ -147,27 +147,7 @@ class MatrixBackend(Backend):
     def object_names(self) -> tuple[str, ...]:
         return tuple(self.dims)
 
-    def generator_names(self) -> tuple[str, ...]:
-        return tuple(self._gens)
-
-    def gen_type(self, name: str) -> tuple[ObjectWord, ObjectWord]:
-        if name not in self._gens:
-            raise UnknownGenerator(f"unknown morphism {name!r}")
-        g = self._gens[name]
-        return (g.dom, g.cod)
-
-    def generator(self, name: str) -> Mat:
-        if name not in self._gens:
-            raise UnknownGenerator(f"unknown morphism {name!r}")
-        return self._gens[name]
-
     # -- structure --------------------------------------------------------------
-
-    def dom(self, m: Mat) -> ObjectWord:
-        return m.dom
-
-    def cod(self, m: Mat) -> ObjectWord:
-        return m.cod
 
     def _eye(self, d: int) -> np.ndarray:
         if self.semiring == "bool":

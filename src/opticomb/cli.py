@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--tolerance", type=_tolerance, default=None,
-        help="override the theory's numeric tolerance",
+        help="override the theory's numeric tolerance (exact theories have none)",
     )
     run.add_argument(
         "--format", dest="fmt", default="text", choices=("text", "json"),
@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ProgramError, OSError) as exc:
         print(f"program error: {exc}", file=sys.stderr)
         return 2
-    if args.tolerance is not None:
+    if args.tolerance is not None and backend.tolerance is not None:
         backend.tolerance = args.tolerance
     try:
         reports = run_program(

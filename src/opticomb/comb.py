@@ -445,7 +445,7 @@ def _enumerate_route(
     backend: Backend, c1: CombRep, c2: CombRep, bound: int
 ) -> Decision:
     budget = Budget.of(bound)
-    words = backend.enumerate_objects(budget.max_word_len).words
+    words = backend.enumerate_objects(budget.max_word_len)
     scans: list[bool] = []
     hit, tried = probe_scan(
         backend, c1, c2,
@@ -530,7 +530,7 @@ def sigma_congruence_search(
         for c in enumerate_combs(backend, (a, a1), (b, b1), bound):
             key = backend.canonical_key(braid_eval(backend, c))
             groups.setdefault(key, []).append(c)
-        words = backend.enumerate_objects(budget.max_word_len).words
+        words = backend.enumerate_objects(budget.max_word_len)
         probes = list(filler_probes(backend, (b, b1), words, budget.max_hom, []))
         for _, members in sorted(groups.items(), key=lambda kv: repr(kv[0])):
             for c1, c2 in itertools.combinations(members, 2):
@@ -598,11 +598,11 @@ def lift_functor(
         if name not in fun.object_map:
             raise IllTypedFunctor(f"object map misses {name!r}")
     for name in source.generator_names():
-        gdom, gcod = source.gen_type(name)
-        img = value_map(source.generator(name))
+        g = source.generator(name)
+        img = value_map(g)
         if not (
-            target.words_equal(target.dom(img), fun.map_word(gdom))
-            and target.words_equal(target.cod(img), fun.map_word(gcod))
+            target.words_equal(target.dom(img), fun.map_word(source.dom(g)))
+            and target.words_equal(target.cod(img), fun.map_word(source.cod(g)))
         ):
             raise IllTypedFunctor(f"image of {name!r} has the wrong boundary")
     for name in source.object_names():

@@ -7,9 +7,12 @@ This module defines the pieces every other module builds on:
 * Morphism terms (:class:`Generator`, :class:`Identity`, :class:`Symmetry`,
   :class:`Compose`, :class:`Tensor`) -- a tiny syntax tree with a typed,
   functorial evaluator.
-* :class:`Backend` -- the contract a concrete category has to satisfy to be
-  used by the generic deciders: composition, tensor, symmetry, equality, and
-  (optionally) enumeration, cartesian structure, duals, and a dagger.
+* :class:`Backend` -- the contract a concrete category satisfies for the
+  generic deciders: six methods (``object_names``, ``identity``,
+  ``symmetry``, ``compose``, ``tensor``, ``equal``) and the ``_gens`` table
+  of generator values.  Values carry their own ``dom`` / ``cod``; the rest
+  (word normal forms, enumeration, cartesian structure, duals, a dagger,
+  certification hooks, canonical keys) are optional hooks.
 * :class:`Decision` -- the three-valued answer type used by every
   equivalence procedure, together with its witness payloads.
 
@@ -57,7 +60,6 @@ __all__ = [
     "typecheck",
     "eval_term",
     "HomSet",
-    "ObjectList",
     "Budget",
     "Backend",
     "permutation_term",
@@ -251,43 +253,18 @@ class Tensor(MorTerm):
 
 
 def typecheck(term: MorTerm, backend: "Backend") -> tuple[ObjectWord, ObjectWord]:
-    """Return ``(dom, cod)`` of ``term`` or raise :class:`TypeMismatch`.
-
-    Types are computed from the backend's generator signature alone; no
-    values are produced.
-    """
-    if isinstance(term, Generator):
-        return backend.gen_type(term.name)
-    if isinstance(term, Identity):
-        w = backend.normalize_word(term.word)
-        return (w, w)
-    if isinstance(term, Symmetry):
-        l = backend.normalize_word(term.left)
-        r = backend.normalize_word(term.right)
-        return (l @ r, r @ l)
-    if isinstance(term, Compose):
-        d1, c1 = typecheck(term.first, backend)
-        d2, c2 = typecheck(term.then, backend)
-        if not backend.words_equal(c1, d2):
-            raise TypeMismatch(
-                f"cannot compose: left produces {c1.pretty()} but right consumes {d2.pretty()}",
-                offender=term,
-            )
-        return (d1, c2)
-    if isinstance(term, Tensor):
-        d1, c1 = typecheck(term.left, backend)
-        d2, c2 = typecheck(term.right, backend)
-        return (d1 @ d2, c1 @ c2)
-    raise TypeError(f"not a morphism term: {term!r}")
+    """Return ``(dom, cod)`` of ``term``'s value or raise :class:`TypeMismatch`."""
+    value = eval_term(term, backend)
+    return (backend.dom(value), backend.cod(value))
 
 
 def eval_term(term: MorTerm, backend: "Backend") -> Any:
     """Evaluate a term to a backend value; evaluation is functorial by construction."""
-    typecheck(term, backend)
     return _eval(term, backend)
 
 
 def _eval(term: MorTerm, backend: "Backend") -> Any:
+    # recursion stays here, so a traced eval_term counts one call per term
     if isinstance(term, Generator):
         return backend.generator(term.name)
     if isinstance(term, Identity):
@@ -297,7 +274,14 @@ def _eval(term: MorTerm, backend: "Backend") -> Any:
             backend.normalize_word(term.left), backend.normalize_word(term.right)
         )
     if isinstance(term, Compose):
-        return backend.compose(_eval(term.first, backend), _eval(term.then, backend))
+        first, then = _eval(term.first, backend), _eval(term.then, backend)
+        c1, d2 = backend.cod(first), backend.dom(then)
+        if not backend.words_equal(c1, d2):
+            raise TypeMismatch(
+                f"cannot compose: left produces {c1.pretty()} but right consumes {d2.pretty()}",
+                offender=term,
+            )
+        return backend.compose(first, then)
     if isinstance(term, Tensor):
         return backend.tensor(_eval(term.left, backend), _eval(term.right, backend))
     raise TypeError(f"not a morphism term: {term!r}")
@@ -312,12 +296,6 @@ class HomSet:
     """A duplicate-free enumeration of a hom-set, flagged if truncated."""
 
     items: tuple
-    complete: bool
-
-
-@dataclass(frozen=True)
-class ObjectList:
-    words: tuple[ObjectWord, ...]
     complete: bool
 
 
@@ -378,17 +356,18 @@ class Backend(ABC):
     def object_names(self) -> tuple[str, ...]:
         """Generator object names, in declaration order."""
 
-    @abstractmethod
+    #: generator values by name, in declaration order; filled by the backend
+    _gens: dict[str, Any]
+
     def generator_names(self) -> tuple[str, ...]:
         """Generator morphism names, in declaration order."""
+        return tuple(self._gens)
 
-    @abstractmethod
-    def gen_type(self, name: str) -> tuple[ObjectWord, ObjectWord]:
-        """(dom, cod) of a declared generator; raises UnknownGenerator."""
-
-    @abstractmethod
     def generator(self, name: str) -> Any:
         """Value of a declared generator; raises UnknownGenerator."""
+        if name not in self._gens:
+            raise UnknownGenerator(f"unknown morphism {name!r}")
+        return self._gens[name]
 
     def normalize_word(self, word: ObjectWord) -> ObjectWord:
         """Backend-specific word normal form (commutative backends sort)."""
@@ -401,11 +380,12 @@ class Backend(ABC):
 
     # -- structure ----------------------------------------------------------
 
-    @abstractmethod
-    def dom(self, m: Any) -> ObjectWord: ...
+    def dom(self, m: Any) -> ObjectWord:
+        """Domain word of a value; values carry it as ``m.dom`` unless overridden."""
+        return m.dom
 
-    @abstractmethod
-    def cod(self, m: Any) -> ObjectWord: ...
+    def cod(self, m: Any) -> ObjectWord:
+        return m.cod
 
     @abstractmethod
     def identity(self, word: ObjectWord) -> Any: ...
@@ -433,7 +413,7 @@ class Backend(ABC):
 
     # -- enumeration ---------------------------------------------------------
 
-    def enumerate_objects(self, max_len: int) -> ObjectList:
+    def enumerate_objects(self, max_len: int) -> tuple[ObjectWord, ...]:
         """All object words up to the given length, shortest first then lexicographic."""
         names = self.object_names()
         words: list[ObjectWord] = []
@@ -444,7 +424,7 @@ class Backend(ABC):
         seen: dict[ObjectWord, None] = {}
         for w in words:
             seen.setdefault(self.normalize_word(w), None)
-        return ObjectList(tuple(seen.keys()), complete=False)
+        return tuple(seen)
 
     def enumerate_hom(self, dom: ObjectWord, cod: ObjectWord, budget: int) -> HomSet:
         """Up to ``budget`` morphisms dom -> cod in a fixed deterministic order.

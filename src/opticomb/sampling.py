@@ -29,7 +29,7 @@ def env_words_for(
     graded = lengths is not None
     if not graded:
         lengths = range(bound + 1)
-    words = backend.enumerate_objects(max(lengths, default=0)).words
+    words = backend.enumerate_objects(max(lengths, default=0))
     return [w for k in lengths for w in words if len(w) == k], graded
 
 

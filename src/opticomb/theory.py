@@ -18,10 +18,12 @@ Then, depending on the kind:
     rule phi ; bang -> 1      # free-pointed collapse pairs
     rule f ; f -> f           # free-commutative, must name the endo
 
-Matrix entries are JSON.  A complex matrix is written with every entry a
-two-element ``[re, im]`` list; an array of plain numbers is read as real.
-Function morphisms are the list of output indices.  Free backends carry
-their generators implicitly, so they take no morphism lines.
+Matrix entries are finite JSON numbers in rows of equal length.  A complex
+matrix is written with every entry a two-element ``[re, im]`` list; an
+array of plain numbers is read as real.  Function morphisms are the list
+of output indices.  Free backends carry their generators implicitly, so
+they take no morphism lines.  A declaration the backend refuses (a wrong
+shape, a non-unitary matrix, an undeclared object) is a TheoryError.
 
 ``tolerance`` (a finite number >= 0, default 1e-9) sets the policy of
 complex matrix and unitary theories: values are equal within the tolerance,
@@ -31,13 +33,15 @@ rational semirings and the other kinds compare exactly.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
-from .core import ObjectWord
+from .core import CategoryError, ObjectWord
 from .backends import (
     FinFunBackend,
     IdempotentFreeBackend,
@@ -124,8 +128,10 @@ def parse_theory(text: str) -> TheoryConfig:
                 raise TheoryError("morphism boundary needs ->", line_no)
             dom, _, cod = arrow.partition("->")
             try:
-                value = json.loads(literal.strip())
-            except json.JSONDecodeError as exc:
+                value = json.loads(
+                    literal.strip(), parse_float=_finite, parse_constant=_finite
+                )
+            except ValueError as exc:
                 raise TheoryError(f"bad literal: {exc}", line_no) from None
             config.morphisms.append((name.strip(), dom.strip(), cod.strip(), value))
         elif head == "rule":
@@ -143,35 +149,64 @@ def parse_theory(text: str) -> TheoryConfig:
     return config
 
 
-def _complex_entries(value: Any) -> Any:
-    """Rebuild a JSON matrix literal as complex rows.
+def _finite(text: str) -> float:
+    """A JSON number that is finite: NaN, Infinity and overflowing literals are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"entries must be finite numbers, got {text}")
+    return value
 
-    Entries are two-element ``[re, im]`` lists; plain numbers are taken as
-    real.  Mixing the two inside one matrix is allowed.
+
+def _number(e: Any) -> Any:
+    if isinstance(e, (int, float)):
+        return e
+    raise ValueError(f"matrix entries are numbers: {e!r}")
+
+
+def _complex_entry(e: Any) -> complex:
+    if isinstance(e, list):
+        if len(e) != 2:
+            raise ValueError(f"complex entry must be [re, im]: {e!r}")
+        return complex(float(_number(e[0])), float(_number(e[1])))
+    return complex(float(_number(e)), 0.0)
+
+
+def _rational_entry(e: Any) -> Fraction:
+    if isinstance(e, (str, int)):
+        return Fraction(e)
+    raise ValueError(f"rational entries are integers or 'p/q' strings: {e!r}")
+
+
+_ENTRIES = {"bool": _number, "complex": _complex_entry, "rational": _rational_entry}
+
+
+def _matrix_entries(value: Any, semiring: str) -> list[list[Any]]:
+    """Rebuild a JSON matrix literal, a list of equally long rows, for ``semiring``.
+
+    Boolean entries are numbers; complex entries are numbers, taken as real,
+    or two-element ``[re, im]`` lists, mixed freely; rational entries are
+    integers or ``'p/q'`` strings.
     """
-    if isinstance(value, list) and value and all(
-        isinstance(row, list) for row in value
-    ):
-        def entry(e: Any) -> complex:
-            if isinstance(e, list):
-                if len(e) != 2:
-                    raise TheoryError(f"complex entry must be [re, im]: {e!r}")
-                return complex(float(e[0]), float(e[1]))
-            return complex(float(e), 0.0)
-
-        return [[entry(e) for e in row] for row in value]
-    raise TheoryError(f"matrix literal must be a list of rows: {value!r}")
+    if not (isinstance(value, list) and value and all(
+        isinstance(row, list) and len(row) == len(value[0]) for row in value
+    )):
+        raise ValueError(f"a matrix literal is a list of equally long rows: {value!r}")
+    return [[_ENTRIES[semiring](e) for e in row] for row in value]
 
 
-def _rational_entries(value: Any) -> Any:
-    def entry(e: Any) -> Fraction:
-        if isinstance(e, str):
-            return Fraction(e)
-        if isinstance(e, int):
-            return Fraction(e)
-        raise TheoryError(f"rational entries are integers or 'p/q' strings: {e!r}")
+def _indices(value: Any) -> list[int]:
+    if isinstance(value, list) and all(isinstance(v, int) for v in value):
+        return value
+    raise ValueError(f"a function is a list of indices: {value!r}")
 
-    return [[entry(e) for e in row] for row in value]
+
+@contextlib.contextmanager
+def _refusal_named(what: str) -> Iterator[None]:
+    """Report a backend's refusal of ``what`` as a TheoryError that names it."""
+    try:
+        yield
+    except (CategoryError, ValueError, ArithmeticError) as exc:
+        raise TheoryError(f"{what}: {exc}") from None
 
 
 def parse_tolerance(text: str) -> float:
@@ -211,53 +246,38 @@ def build_backend(config: TheoryConfig):
         effects = tuple(e for e in opts.pop("effects", "bang").split(",") if e)
         if opts:
             raise TheoryError(f"unknown options {sorted(opts)} for {kind}")
-        rules = None
-        if config.rules:
-            pairs = []
-            for g1, g2, rhs in config.rules:
-                if rhs != "1":
-                    raise TheoryError("pointed rules collapse to 1")
-                pairs.append((g1, g2))
-            rules = tuple(pairs)
-        return PointedFreeBackend(
-            object_name=obj, states=states, effects=effects, rules=rules
-        )
+        if any(rhs != "1" for _, _, rhs in config.rules):
+            raise TheoryError("pointed rules collapse to 1")
+        # no rule lines: the backend's default cancels every state/effect pair
+        rules = tuple((g1, g2) for g1, g2, _ in config.rules) or None
+        with _refusal_named(f"backend {kind}"):
+            return PointedFreeBackend(
+                object_name=obj, states=states, effects=effects, rules=rules
+            )
+    if config.rules:
+        raise TheoryError(f"{kind} theories take no rules")
     numeric: dict[str, float] = {}
     if "tolerance" in opts:
         numeric["tolerance"] = parse_tolerance(opts.pop("tolerance"))
-    if kind == "finfun":
-        if opts:
-            raise TheoryError(f"unknown options {sorted(opts)} for finfun")
-        if config.rules:
-            raise TheoryError("finfun theories take no rules")
-        backend = FinFunBackend({name: size for name, size in config.objects})
-        for name, dom, cod, value in config.morphisms:
-            if not isinstance(value, list) or not all(
-                isinstance(v, int) for v in value
-            ):
-                raise TheoryError(f"function {name} must be a list of indices")
-            backend.add_generator(
-                name, ObjectWord.parse(dom), ObjectWord.parse(cod), value
-            )
-        return backend
-    if config.rules:
-        raise TheoryError(f"{kind} theories take no rules")
-    semiring = "complex" if kind == "unitary" else opts.pop("semiring", "complex")
+    semiring = opts.pop("semiring", "complex") if kind == "matrix" else "complex"
     if opts:
         raise TheoryError(f"unknown options {sorted(opts)} for {kind}")
-    dims = {name: dim for name, dim in config.objects}
-    if kind == "unitary":
-        backend = UnitaryBackend(dims, **numeric)
+    if kind == "finfun":
+        backend = FinFunBackend({name: size for name, size in config.objects})
+        entries = _indices
     else:
-        backend = MatrixBackend(dims, semiring=semiring, **numeric)
+        dims = {name: dim for name, dim in config.objects}
+        with _refusal_named(f"backend {kind}"):
+            if kind == "unitary":
+                backend = UnitaryBackend(dims, **numeric)
+            else:
+                backend = MatrixBackend(dims, semiring=semiring, **numeric)
+        entries = functools.partial(_matrix_entries, semiring=semiring)
     for name, dom, cod, value in config.morphisms:
-        if semiring == "complex":
-            value = _complex_entries(value)
-        elif semiring == "rational":
-            value = _rational_entries(value)
-        backend.add_generator(
-            name, ObjectWord.parse(dom), ObjectWord.parse(cod), value
-        )
+        with _refusal_named(f"morphism {name}"):
+            backend.add_generator(
+                name, ObjectWord.parse(dom), ObjectWord.parse(cod), entries(value)
+            )
     return backend
 
 

@@ -21,6 +21,37 @@ BUNDLED = [
 ]
 
 
+MATRIX = "backend matrix\nobject x dim=1\nmorphism h : x -> x = "
+# theories the backend refuses; each must exit 2 with a message
+MALFORMED_THEORIES = {
+    "unknown-semiring": "backend matrix semiring=quaternion\n",
+    "ragged-bool": "backend matrix semiring=bool\nobject x dim=2\n"
+                   "morphism h : x -> x = [[1,1],[1]]\n",
+    "ragged-complex": "backend matrix\nobject x dim=2\n"
+                      "morphism h : x -> x = [[1,1],[1]]\n",
+    "string-complex": MATRIX + '[["a"]]\n',
+    "string-bool": MATRIX.replace("matrix", "matrix semiring=bool") + '[["a"]]\n',
+    "null-entry": MATRIX + "[[null]]\n",
+    "zero-denominator": MATRIX.replace("matrix", "matrix semiring=rational")
+                        + '[["1/0"]]\n',
+    "wrong-shape": "backend matrix\nobject x dim=2\nmorphism h : x -> x = [[1,0]]\n",
+    "not-unitary": "backend unitary\nobject q dim=2\n"
+                   "morphism u : q -> q = [[1,1],[0,1]]\n",
+    "short-table": "backend finfun\nobject s size=3\nmorphism f : s -> s = [0, 1]\n",
+    "value-out-of-range": "backend finfun\nobject s size=3\n"
+                          "morphism f : s -> s = [0, 1, 3]\n",
+    "undeclared-object": "backend matrix\nobject x dim=2\n"
+                         "morphism h : x -> z = [[1,0],[0,1]]\n",
+    "rule-undeclared-state": "backend free-pointed\nrule chi ; bang -> 1\n",
+    "state-is-effect": "backend free-pointed states=x effects=x\n",
+    "state-twice": "backend free-pointed states=phi,phi\n",
+    "overflow": MATRIX + "[[1e400]]\n",
+    "nan": MATRIX + "[[NaN]]\n",
+    "minus-infinity": MATRIX + "[[[0, -Infinity]]]\n",
+    "int-too-large": MATRIX + "[[1" + "0" * 400 + "]]\n",
+}
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -147,6 +178,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--bound" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text", MALFORMED_THEORIES.values(), ids=MALFORMED_THEORIES.keys()
+    )
+    def test_malformed_theory_exits_2(self, text, capsys, tmp_path):
+        thy = tmp_path / "t.thy"
+        thy.write_text(text)
+        prog = tmp_path / "p.prog"
+        prog.write_text("comb c = (h, id(x)) env I\nequiv comb c c\n")
+        assert run_cli("run", str(thy), str(prog)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("theory error: ") and "Traceback" not in err
+
     def test_ill_typed_statement(self, capsys, tmp_path):
         prog = tmp_path / "p.prog"
         # f : a -> a cannot carry an environment b: no such object exists
@@ -179,6 +222,16 @@ class TestFlags:
         ) == 0
         loose = json.loads(capsys.readouterr().out)
         assert loose["queries"][2]["result"]["verdict"] == "equivalent"
+
+    def test_tolerance_flag_leaves_exact_theories_alone(self, capsys):
+        args = (
+            "run", str(THEORIES / "bool2.thy"), str(THEORIES / "bool2.prog"),
+            "--format", "json",
+        )
+        assert run_cli(*args) == 0
+        plain = capsys.readouterr().out
+        assert run_cli(*args, "--tolerance", "0.5") == 0
+        assert capsys.readouterr().out == plain
 
     def test_bound_flag_widens_tau(self, capsys):
         # with pointed states the tau scan stays inconclusive at any bound

@@ -1,7 +1,10 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from opticomb import (
+    Backend,
     Budget,
     Compose,
     Decision,
@@ -9,6 +12,7 @@ from opticomb import (
     Identity,
     MatrixBackend,
     ObjectWord,
+    PointedFreeBackend,
     ProbeWitness,
     Symmetry,
     Tensor,
@@ -16,6 +20,8 @@ from opticomb import (
     UnknownGenerator,
     Verdict,
     block_permutation,
+    comb,
+    equiv_sigma,
     eval_term,
     permutation_term,
     typecheck,
@@ -69,6 +75,75 @@ class TestTerms:
         assert np.array_equal(
             cbe.compose(s, cbe.symmetry(y, x)).array, np.eye(6)
         )
+
+
+@dataclass(frozen=True)
+class Cost:
+    dom: ObjectWord
+    cod: ObjectWord
+    weight: int
+
+
+class CostBackend(Backend):
+    """Morphisms weighed by how many generators they use: only the six
+    required methods and the generator table."""
+
+    def __init__(self):
+        x = ObjectWord.of("x")
+        self._gens = {"f": Cost(x, x, 1), "g": Cost(x, x @ x, 2)}
+
+    def object_names(self):
+        return ("x",)
+
+    def identity(self, word):
+        return Cost(word, word, 0)
+
+    def symmetry(self, left, right):
+        return Cost(left @ right, right @ left, 0)
+
+    def compose(self, first, then):
+        self._require_composable(first, then)
+        return Cost(first.dom, then.cod, first.weight + then.weight)
+
+    def tensor(self, left, right):
+        return Cost(left.dom @ right.dom, left.cod @ right.cod, left.weight + right.weight)
+
+    def equal(self, m1, m2):
+        return m1.weight == m2.weight
+
+
+class TestBackendContract:
+    def test_six_required_methods(self):
+        assert Backend.__abstractmethods__ == {
+            "object_names", "identity", "symmetry", "compose", "tensor", "equal",
+        }
+
+    def test_minimal_backend_evaluates_terms(self):
+        be = CostBackend()
+        x = ObjectWord.of("x")
+        assert be.generator_names() == ("f", "g")
+        v = eval_term(Compose(Generator("f"), Generator("g")), be)
+        assert (v.dom, v.cod, v.weight) == (x, x @ x, 3)
+        assert typecheck(Tensor(Generator("g"), Identity(x)), be) == (x @ x, x @ x @ x)
+        with pytest.raises(UnknownGenerator, match="unknown morphism 'h'"):
+            eval_term(Generator("h"), be)
+        bad = Compose(Generator("g"), Generator("f"))
+        with pytest.raises(TypeMismatch) as err:
+            eval_term(bad, be)
+        assert err.value.offender is bad
+
+    def test_minimal_backend_answers_sigma(self):
+        be = CostBackend()
+        f, unit = be.generator("f"), ObjectWord.unit()
+        ff = be.compose(f, f)
+        once = comb(be, f, f, unit)
+        assert equiv_sigma(be, once, comb(be, be.identity(f.dom), ff, unit)).is_equivalent()
+        assert equiv_sigma(be, once, comb(be, f, ff, unit)).is_distinct()
+
+    @pytest.mark.parametrize("states,effects", [(("x",), ("x",)), (("x", "x"), ("e",))])
+    def test_state_and_effect_names_must_differ(self, states, effects):
+        with pytest.raises(ValueError, match="names must be distinct"):
+            PointedFreeBackend(states=states, effects=effects)
 
 
 class TestPermutationTerm:

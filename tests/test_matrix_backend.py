@@ -133,6 +133,6 @@ class TestEnumeration:
 
     def test_enumerate_objects(self, cbe):
         objs = cbe.enumerate_objects(2)
-        pretties = [w.pretty() for w in objs.words]
+        pretties = [w.pretty() for w in objs]
         assert "I" in pretties and "x*y" in pretties
         assert len(pretties) == 1 + 2 + 4

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable
+from typing import Hashable, Iterable
 
 from ..core import (
     Backend,

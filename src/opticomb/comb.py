@@ -505,6 +505,48 @@ def equiv_comb(
 # Congruence search
 # ---------------------------------------------------------------------------
 
+def staged_evals(backend: Backend, c: CombRep, probes: Iterable[Any]) -> Iterator[Any]:
+    """``extended_eval(backend, c, *probe)`` for each probe of ``filler_probes``.
+
+    The prefix ``(1_C (x) f) ; (sigma_{C,E} (x) 1_B)`` and the suffix
+    ``(sigma_{E,D} (x) 1_B') ; (1_D (x) g)`` are rebuilt only when C or D
+    changes, so a probe costs one tensor and two composites.  The values are
+    composed in another order than ``extended_eval``'s, so they serve exact
+    comparisons by key only.
+    """
+    (b, b1), e = c.target, c.env
+    id_e = backend.identity(e)
+    c_word = d_word = prefix = suffix = None
+    for lam, cw, dw in probes:
+        if cw != c_word:
+            c_word, prefix = cw, backend.compose(
+                backend.tensor(backend.identity(cw), c.f),
+                backend.tensor(backend.symmetry(cw, e), backend.identity(b)),
+            )
+        if dw != d_word:
+            d_word, suffix = dw, backend.compose(
+                backend.tensor(backend.symmetry(e, dw), backend.identity(b1)),
+                backend.tensor(backend.identity(dw), c.g),
+            )
+        yield backend.compose(backend.compose(prefix, backend.tensor(id_e, lam)), suffix)
+
+
+def _fingerprinter(backend: Backend, probes: list) -> Callable[[CombRep], tuple]:
+    """A comb's probe values as keys interned per probe index, computed once."""
+    interned: list[dict[Any, int]] = [{} for _ in probes]
+    prints: dict[int, tuple[int, ...]] = {}
+
+    def fingerprint(c: CombRep) -> tuple[int, ...]:
+        if id(c) not in prints:
+            prints[id(c)] = tuple(
+                table.setdefault(backend.canonical_key(v), len(table))
+                for table, v in zip(interned, staged_evals(backend, c, probes))
+            )
+        return prints[id(c)]
+
+    return fingerprint
+
+
 def sigma_congruence_search(
     backend: Backend,
     boundaries: Iterable[tuple[ObjectWord, ObjectWord, ObjectWord, ObjectWord]],
@@ -520,6 +562,14 @@ def sigma_congruence_search(
     ``braid_conclusive`` None is the expected outcome, and the search keeps
     that claim falsifiable; on ``AbsorbingPointedBackend`` it finds the
     braid-equal pair ``(psi, bang)``, ``(phi, bang)``.
+
+    Each comb is evaluated on the probe list once, when a pair first
+    reaches it (:func:`staged_evals`), and its fingerprint is the tuple of
+    its values' keys, interned per probe index.  Keys agree exactly when
+    values are ``equal``, so a pair differs exactly when the fingerprints
+    do; the first differing probe is replayed through :func:`probe_scan`,
+    so the pairs, the ``max_pairs`` cut and the witness are those of a
+    pair-by-pair scan.
     """
     from .sampling import enumerate_combs
 
@@ -532,12 +582,17 @@ def sigma_congruence_search(
             groups.setdefault(key, []).append(c)
         words = backend.enumerate_objects(budget.max_word_len)
         probes = list(filler_probes(backend, (b, b1), words, budget.max_hom, []))
+        fingerprint = _fingerprinter(backend, probes)
         for _, members in sorted(groups.items(), key=lambda kv: repr(kv[0])):
             for c1, c2 in itertools.combinations(members, 2):
                 pairs_checked += 1
                 if pairs_checked > max_pairs:
                     return None
-                hit, _ = probe_scan(backend, c1, c2, probes)
+                p1, p2 = fingerprint(c1), fingerprint(c2)
+                if p1 == p2:
+                    continue
+                first = next(i for i, (k1, k2) in enumerate(zip(p1, p2)) if k1 != k2)
+                hit, _ = probe_scan(backend, c1, c2, probes[first:])
                 if hit is not None:
                     return _probe_witness(
                         backend, hit, "filler separates braid-equal combs"

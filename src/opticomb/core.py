@@ -501,7 +501,11 @@ class Backend(ABC):
         return None
 
     def canonical_key(self, m: Any) -> Hashable:
-        """A hashable key consistent with :meth:`equal`, for search dedup."""
+        """A hashable key for searches: equal keys exactly when :meth:`equal`.
+
+        Only exact backends have keys; one that compares within a tolerance
+        raises NotEnumerable, since no key can follow that comparison.
+        """
         raise NotEnumerable(f"{self.name} has no canonical keys")
 
     def value_to_term(self, m: Any) -> MorTerm | None:

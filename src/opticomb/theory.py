@@ -29,7 +29,8 @@ shape, a non-unitary matrix, an undeclared object) is a TheoryError.
 complex matrix and unitary theories: values are equal within the tolerance,
 and residuals derived from values (unitarity, positivity, a factorization
 error, a channel output) within 10 times the tolerance.  The boolean and
-rational semirings and the other kinds compare exactly.
+rational semirings and the other kinds compare exactly and refuse the
+option.
 """
 from __future__ import annotations
 
@@ -262,6 +263,11 @@ def build_backend(config: TheoryConfig):
     semiring = opts.pop("semiring", "complex") if kind == "matrix" else "complex"
     if opts:
         raise TheoryError(f"unknown options {sorted(opts)} for {kind}")
+    if numeric and (kind == "finfun" or semiring != "complex"):
+        exact = kind if kind == "finfun" else f"semiring={semiring}"
+        raise TheoryError(
+            f"tolerance= needs a complex matrix or unitary theory; {exact} compares exactly"
+        )
     if kind == "finfun":
         backend = FinFunBackend({name: size for name, size in config.objects})
         entries = _indices

@@ -49,6 +49,10 @@ MALFORMED_THEORIES = {
     "nan": MATRIX + "[[NaN]]\n",
     "minus-infinity": MATRIX + "[[[0, -Infinity]]]\n",
     "int-too-large": MATRIX + "[[1" + "0" * 400 + "]]\n",
+    "tolerance-on-bool": "backend matrix semiring=bool tolerance=0.5\nobject x dim=2\n"
+                         "morphism h : x -> x = [[1,0],[0,1]]\n",
+    "tolerance-on-finfun": "backend finfun tolerance=0.5\nobject x size=2\n"
+                           "morphism h : x -> x = [0, 1]\n",
 }
 
 

@@ -1,11 +1,21 @@
+import itertools
+import json
+
 import pytest
 
 from opticomb import (
+    AbsorbingPointedBackend,
     BadSplit,
     BoundaryMismatch,
+    Budget,
+    FinFunBackend,
+    IdempotentFreeBackend,
     IllTypedFunctor,
     IncompatibleStrategy,
+    MatrixBackend,
     ObjectWord,
+    PointedFreeBackend,
+    ProbeWitness,
     Symmetry,
     TypeMismatch,
     Verdict,
@@ -13,6 +23,7 @@ from opticomb import (
     comb,
     comb_compose,
     comb_tensor,
+    enumerate_combs,
     equiv_comb,
     equiv_sigma,
     equiv_tau,
@@ -21,8 +32,11 @@ from opticomb import (
     identity_comb,
     lens_pair,
     lift_functor,
+    sigma_congruence_search,
     swap_probe,
 )
+from opticomb.comb import filler_probes, probe_scan, staged_evals
+from opticomb.program import witness_json
 
 from conftest import rand_mat, word
 
@@ -298,3 +312,84 @@ class TestFunctorTransport:
         d_src = equiv_sigma(ffb, c1, c2)
         d_img = equiv_sigma(mat_be, fun.map_comb(c1), fun.map_comb(c2))
         assert d_src.verdict == d_img.verdict
+
+
+A = word("a")
+#: criterion 05's search list
+SEARCHES = [
+    (IdempotentFreeBackend(), [(A, A, A, A)]),
+    (PointedFreeBackend(), [(word(), word(), A, A), (A, A, A, A)]),
+    (MatrixBackend({"x": 2}, semiring="bool"),
+     [(word("x"),) * 4, (word("x"), word(), word(), word("x"))]),
+    (FinFunBackend({"s": 2}), [(word("s"),) * 4]),
+    (AbsorbingPointedBackend(), [(word(), word(), A, A), (A, A, A, A)]),
+]
+
+
+def _probes(backend, b, b1, bound=2):
+    budget = Budget.of(bound)
+    words = backend.enumerate_objects(budget.max_word_len)
+    return list(filler_probes(backend, (b, b1), words, budget.max_hom, []))
+
+
+def reference_search(backend, boundaries, bound, max_pairs):
+    """The pair-by-pair scan: every braid-equal pair through probe_scan.
+
+    Returns the witness (or None) and the number of pairs counted.
+    """
+    pairs = 0
+    for (a, a1, b, b1) in boundaries:
+        groups = {}
+        for c in enumerate_combs(backend, (a, a1), (b, b1), bound):
+            groups.setdefault(backend.canonical_key(braid_eval(backend, c)), []).append(c)
+        probes = _probes(backend, b, b1, bound)
+        for _, members in sorted(groups.items(), key=lambda kv: repr(kv[0])):
+            for c1, c2 in itertools.combinations(members, 2):
+                pairs += 1
+                if pairs > max_pairs:
+                    return None, pairs
+                hit, _ = probe_scan(backend, c1, c2, probes)
+                if hit is not None:
+                    (lam, cw, dw), v1, v2 = hit
+                    return ProbeWitness(
+                        cw, dw, lam, left=v1, right=v2,
+                        probe_term=backend.value_to_term(lam),
+                        note="filler separates braid-equal combs",
+                    ), pairs
+    return None, pairs
+
+
+def _same_witness(w1, w2):
+    if w1 is None or w2 is None:
+        return w1 is w2
+    return json.dumps(witness_json(w1)) == json.dumps(witness_json(w2))
+
+
+class TestCongruenceSearch:
+    @pytest.mark.parametrize(
+        "backend,boundaries", SEARCHES, ids=[be.name for be, _ in SEARCHES]
+    )
+    def test_staged_evals_match_extended_eval(self, backend, boundaries):
+        for (a, a1, b, b1) in boundaries:
+            combs = list(enumerate_combs(backend, (a, a1), (b, b1), 2))
+            probes = _probes(backend, b, b1)
+            for c in combs[:: max(1, len(combs) // 6)]:
+                staged = list(staged_evals(backend, c, probes))
+                assert len(staged) == len(probes)
+                for v, probe in zip(staged, probes):
+                    expected = extended_eval(backend, c, *probe)
+                    assert backend.canonical_key(v) == backend.canonical_key(expected)
+
+    def test_absorbing_witness_and_cut_match_reference(self):
+        backend, boundaries = SEARCHES[-1]
+        expected, pairs = reference_search(backend, boundaries, 2, 200)
+        assert expected is not None
+        for max_pairs in (pairs - 1, pairs, 200):
+            found = sigma_congruence_search(backend, boundaries, 2, max_pairs)
+            assert _same_witness(found, expected if max_pairs >= pairs else None)
+
+    def test_bool_small_cut_matches_reference(self):
+        backend, boundaries = SEARCHES[2]
+        expected, _ = reference_search(backend, boundaries, 2, 20)
+        found = sigma_congruence_search(backend, boundaries, 2, 20)
+        assert _same_witness(found, expected)

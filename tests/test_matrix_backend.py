@@ -5,7 +5,9 @@ import pytest
 
 from opticomb import (
     DimensionMismatch,
+    Mat,
     MatrixBackend,
+    NotEnumerable,
     ObjectWord,
     TypeMismatch,
 )
@@ -105,6 +107,45 @@ class TestSemirings:
         assert t.array[0, 0] == Fraction(1, 9)
 
 
+def _entries(semiring, rng, shape):
+    if semiring == "bool":
+        return rng.integers(0, 2, size=shape)
+    if semiring == "rational":
+        return rng.integers(-4, 5, size=shape).astype(object) / Fraction(3)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestCachedStructureAndTensor:
+    @pytest.mark.parametrize("semiring", ["bool", "complex", "rational"])
+    def test_tensor_equals_kron(self, semiring, rng):
+        be = MatrixBackend({"x": 2, "y": 3, "z": 0}, semiring=semiring)
+        x, y, z, i = word("x"), word("y"), word("z"), word()
+        for (d1, c1), (d2, c2) in [
+            ((x, y), (y, x)), ((y, x @ x), (i, y)), ((z, x), (x, y)),
+            ((x, z), (i, i)), ((y, y), (z, z)),
+        ]:
+            left = be.mat(d1, c1, _entries(semiring, rng, (be.dim(c1), be.dim(d1))))
+            right = be.mat(d2, c2, _entries(semiring, rng, (be.dim(c2), be.dim(d2))))
+            t = be.tensor(left, right)
+            ref = np.kron(left.array, right.array)
+            assert (t.dom, t.cod) == (d1 @ d2, c1 @ c2)
+            assert t.array.dtype == ref.dtype and t.array.shape == ref.shape
+            assert np.array_equal(t.array, ref)
+
+    @pytest.mark.parametrize("semiring", ["bool", "complex", "rational"])
+    def test_cached_structure_maps_reject_writes(self, semiring):
+        be = MatrixBackend({"x": 2, "y": 3}, semiring=semiring)
+        x, y = word("x"), word("y")
+        for m, again in ((be.identity(x @ y), be.identity(x @ y)),
+                         (be.symmetry(x, y), be.symmetry(x, y))):
+            assert m is again
+            with pytest.raises(ValueError):
+                m.array[0, 0] = m.array[0, 1]
+        # products of cached values are fresh, writable arrays
+        t = be.tensor(be.identity(x), be.symmetry(x, y))
+        t.array[0, 0] = t.array[0, 1]
+
+
 class TestEnumeration:
     def test_bool_hom_complete(self, bbe):
         hs = bbe.enumerate_hom(word("b"), word("b"), 16)
@@ -118,18 +159,38 @@ class TestEnumeration:
         hs = bbe.enumerate_hom(word(), word(), 4)
         assert hs.complete and len(hs.items) == 2  # the 0 and 1 scalars
 
-    def test_canonical_key_distinguishes(self, cbe, rng):
+    def test_canonical_key_distinguishes(self, cbe, ube, qbe, rng):
+        # complex values are equal within a tolerance, which no key can follow
         f = rand_mat(cbe, rng, word("x"), word("x"))
-        g = rand_mat(cbe, rng, word("x"), word("x"))
-        assert cbe.canonical_key(f) != cbe.canonical_key(g)
-        assert cbe.canonical_key(f) == cbe.canonical_key(f)
+        with pytest.raises(NotEnumerable):
+            cbe.canonical_key(f)
+        with pytest.raises(NotEnumerable):
+            ube.canonical_key(ube.identity(word("q")))
+        # exact keys tell distinct values apart
+        a = qbe.mat(word("x"), word("x"), [[1, 0], [0, 1]])
+        b = qbe.mat(word("x"), word("x"), [[1, 0], [0, Fraction(1, 3)]])
+        assert qbe.canonical_key(a) != qbe.canonical_key(b)
+        assert qbe.canonical_key(a) == qbe.canonical_key(a)
 
-    def test_canonical_key_merges_signed_zero(self, cbe):
-        from opticomb import Mat
+    def test_canonical_key_merges_signed_zero(self, cbe, qbe):
+        entries = np.array([[0.0, 0], [0, -0.0]])
+        with pytest.raises(NotEnumerable):
+            cbe.canonical_key(Mat(word("x"), word("x"), entries.astype(complex)))
+        # an exact backend reads -0.0 as the rational 0, so the keys merge
+        a = qbe.mat(word("x"), word("x"), entries)
+        b = qbe.mat(word("x"), word("x"), np.zeros((2, 2)))
+        assert qbe.canonical_key(a) == qbe.canonical_key(b)
 
-        a = Mat(word("x"), word("x"), np.array([[0.0, 0], [0, -0.0]], dtype=complex))
-        b = Mat(word("x"), word("x"), np.zeros((2, 2), dtype=complex))
-        assert cbe.canonical_key(a) == cbe.canonical_key(b)
+    def test_exact_canonical_key_agrees_with_equal(self, bbe, qbe):
+        for be, w in ((bbe, word("b")), (qbe, word("x"))):
+            items = be.enumerate_hom(w, w, 16).items
+            for m1 in items:
+                for m2 in items:
+                    same = be.canonical_key(m1) == be.canonical_key(m2)
+                    assert same == be.equal(m1, m2)
+        half = qbe.mat(word("x"), word("x"), [[Fraction(1, 2), 0], [0, 1]])
+        also = qbe.mat(word("x"), word("x"), [[Fraction(2, 4), 0], [0, 1]])
+        assert qbe.canonical_key(half) == qbe.canonical_key(also)
 
     def test_enumerate_objects(self, cbe):
         objs = cbe.enumerate_objects(2)

@@ -41,6 +41,11 @@ from .core import (
     reports_tolerance,
 )
 
+
+def _pp(pair: tuple[ObjectWord, ObjectWord]) -> str:
+    return f"({pair[0].pretty()},{pair[1].pretty()})"
+
+
 @dataclass(frozen=True)
 class CombRep:
     """A one-hole comb representative.
@@ -60,11 +65,7 @@ class CombRep:
         return (self.source, self.target)
 
     def __repr__(self) -> str:
-        (a, a1), (b, b1) = self.source, self.target
-        return (
-            f"CombRep(({a.pretty()},{a1.pretty()}) -> ({b.pretty()},{b1.pretty()})"
-            f" env {self.env.pretty()})"
-        )
+        return f"CombRep({_pp(self.source)} -> {_pp(self.target)} env {self.env.pretty()})"
 
 
 def _split_env(backend: Backend, word: ObjectWord, env: ObjectWord) -> ObjectWord:
@@ -102,8 +103,8 @@ def comb_compose(backend: Backend, c1: CombRep, c2: CombRep) -> CombRep:
     """
     if c1.target != c2.source:
         raise BoundaryMismatch(
-            f"cannot nest: inner boundary {c1.target} does not match outer source "
-            f"{c2.source}"
+            f"cannot nest: inner boundary {_pp(c1.target)} does not match outer source "
+            f"{_pp(c2.source)}"
         )
     e1 = backend.identity(c1.env)
     f = backend.compose(c1.f, backend.tensor(e1, c2.f))
@@ -220,7 +221,7 @@ def lens_pair(backend: Backend, c: CombRep) -> tuple[Any, Any]:
 def _check_same_boundary(c1: CombRep, c2: CombRep) -> None:
     if c1.boundary() != c2.boundary():
         raise BoundaryMismatch(
-            f"combs live on different boundaries: {c1.boundary()} vs {c2.boundary()}"
+            f"combs live on different boundaries: {c1!r} vs {c2!r}"
         )
 
 

@@ -376,7 +376,7 @@ class Backend(ABC):
         return word
 
     def words_equal(self, w1: ObjectWord, w2: ObjectWord) -> bool:
-        return self.normalize_word(w1) == self.normalize_word(w2)
+        return w1 == w2 or self.normalize_word(w1) == self.normalize_word(w2)
 
     # -- structure ----------------------------------------------------------
 

@@ -15,7 +15,8 @@ components of the move graph and a breadth-first search from one
 representative decides membership.  A reached representative yields a
 certified yes with the move chain as witness; exhausting the component
 yields a certified no only when the backend pins all environment shapes
-and every hom-set scan along the way was complete.
+and every hom-set scan along the way was complete.  Moves are found by key
+lookup in per-query indexes, built once per environment pair (E0, E).
 
 On structured backends (``OPTIC_ROUTES``) the search is bypassed:
 environment-rotation factoring classifies optics over unitary backends,
@@ -110,55 +111,56 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
 
     def hom(dom: ObjectWord, cod: ObjectWord):
         nonlocal scans_complete
-        key = (dom, cod)
-        if key not in hom_cache:
+        if (dom, cod) not in hom_cache:
             hs = backend.enumerate_hom(dom, cod, budget.max_hom)
             scans_complete = scans_complete and hs.complete
-            hom_cache[key] = hs.items
-        return hom_cache[key]
+            hom_cache[dom, cod] = hs.items
+        return hom_cache[dom, cod]
+
+    indexes: dict[tuple, dict] = {}
+
+    def moves(step, e0, e, side_key):
+        """The ``(v, piece)`` of ``step`` between E0 and E whose recomposed side has
+        ``side_key``, v then piece in hom order; pieces are scanned only if a v exists."""
+        if (step, e0, e) not in indexes:
+            index = indexes[step, e0, e] = {}
+            down = step == "push_down"
+            for v in hom(e0, e) if down else hom(e, e0):
+                for piece in hom(a, e0 @ b) if down else hom(e0 @ b1, a1):
+                    side = (backend.compose(piece, backend.tensor(v, id_b)) if down
+                            else backend.compose(backend.tensor(v, id_b1), piece))
+                    index.setdefault(backend.canonical_key(side), []).append((v, piece))
+        return indexes[step, e0, e].get(side_key, ())
 
     start = (o1.env, o1.f, o1.g)
     goal_key = _state_key(backend, o2.env, o2.f, o2.g)
     start_key = _state_key(backend, *start)
     parents: dict[Any, tuple[Any, SlideStep] | None] = {start_key: None}
-    queue = deque([start])
+    queue = deque([(start, start_key)])
     truncated = False
 
     def emit_path(end_key) -> SlidePathWitness:
         steps = []
-        cur = end_key
-        while parents[cur] is not None:
-            prev, step = parents[cur]
+        while parents[end_key] is not None:
+            end_key, step = parents[end_key]
             steps.append(step)
-            cur = prev
         return SlidePathWitness(tuple(reversed(steps)))
 
     if start_key == goal_key:
         return Decision.equivalent("slide-search", witness=SlidePathWitness(()))
 
     while queue:
-        e, f, g = queue.popleft()
-        cur_key = _state_key(backend, e, f, g)
+        (e, f, g), cur_key = queue.popleft()
         neighbors = []
         for e0 in env_list:
             # push_down: f = (v (x) 1_B) . f0 moves v out of the bottom
-            for v in hom(e0, e):
-                for f0 in hom(a, e0 @ b):
-                    cand = backend.compose(f0, backend.tensor(v, id_b))
-                    if backend.equal(cand, f):
-                        g0 = backend.compose(backend.tensor(v, id_b1), g)
-                        neighbors.append(
-                            ((e0, f0, g0), SlideStep("push_down", v, e0))
-                        )
+            for v, f0 in moves("push_down", e0, e, cur_key[1]):
+                g0 = backend.compose(backend.tensor(v, id_b1), g)
+                neighbors.append(((e0, f0, g0), SlideStep("push_down", v, e0)))
             # push_up: g = g0 . (v (x) 1_B') moves v out of the top
-            for v in hom(e, e0):
-                for g0 in hom(e0 @ b1, a1):
-                    cand = backend.compose(backend.tensor(v, id_b1), g0)
-                    if backend.equal(cand, g):
-                        f1 = backend.compose(f, backend.tensor(v, id_b))
-                        neighbors.append(
-                            ((e0, f1, g0), SlideStep("push_up", v, e0))
-                        )
+            for v, g0 in moves("push_up", e0, e, cur_key[2]):
+                f1 = backend.compose(f, backend.tensor(v, id_b))
+                neighbors.append(((e0, f1, g0), SlideStep("push_up", v, e0)))
         for (state, step) in neighbors:
             key = _state_key(backend, *state)
             if key in parents:
@@ -169,7 +171,7 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
             if len(parents) >= MAX_SLIDE_STATES:
                 truncated = True
             else:
-                queue.append(state)
+                queue.append((state, key))
 
     coverage = {
         "states_explored": len(parents),

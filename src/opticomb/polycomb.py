@@ -33,17 +33,13 @@ from .core import (
     block_permutation,
     reports_tolerance,
 )
-from .comb import CombRep, identity_comb, probe_scan
+from .comb import CombRep, _pp, identity_comb, probe_scan
 
 Pair = tuple[ObjectWord, ObjectWord]
 
 
 def _join(words: Sequence[ObjectWord]) -> ObjectWord:
     return ObjectWord(tuple(f for w in words for f in w.factors))
-
-
-def _pp(pair: Pair) -> str:
-    return f"({pair[0].pretty()},{pair[1].pretty()})"
 
 
 @dataclass(frozen=True)

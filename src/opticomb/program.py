@@ -312,6 +312,20 @@ _POLY_RE = re.compile(
 )
 
 
+def _split_decl(head: str, rest: str, body_syntax: str, line_no: int):
+    """``NAME = BODY env WORD`` as its three parts; NAME must be one ``\\w+``."""
+    name, eq, body = rest.partition("=")
+    if not eq:
+        raise ProgramError(f"{head} syntax: name = {body_syntax} env WORD", line_no)
+    name = name.strip()
+    if not re.fullmatch(r"\w+", name):
+        raise ProgramError(f"{head} name must be one \\w+ word, got {name!r}", line_no)
+    body, sep, env_text = body.rpartition(" env ")
+    if not sep:
+        raise ProgramError(f"{head} needs a trailing 'env WORD'", line_no)
+    return name, body.strip(), env_text
+
+
 def parse_program(text: str) -> list[Statement]:
     statements: list[Statement] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -321,37 +335,23 @@ def parse_program(text: str) -> list[Statement]:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "comb":
-            name, eq, body = rest.partition("=")
-            if not eq:
-                raise ProgramError("comb syntax: name = (f, g) env WORD", line_no)
-            body, sep, env_text = body.rpartition(" env ")
-            if not sep:
-                raise ProgramError("comb needs a trailing 'env WORD'", line_no)
-            body = body.strip()
+            name, body, env_text = _split_decl(head, rest, "(f, g)", line_no)
             if not (body.startswith("(") and body.endswith(")")):
                 raise ProgramError("comb body must be (f, g)", line_no)
             halves = _split_top(body[1:-1], ",", line_no)
             if len(halves) != 2:
                 raise ProgramError("comb body must hold two terms", line_no)
             statements.append(CombDecl(
-                name.strip(),
+                name,
                 parse_term(halves[0], line_no),
                 parse_term(halves[1], line_no),
                 ObjectWord.parse(env_text),
                 line,
             ))
         elif head == "dagger_comb":
-            name, eq, body = rest.partition("=")
-            if not eq:
-                raise ProgramError("dagger_comb syntax: name = f env WORD", line_no)
-            body, sep, env_text = body.rpartition(" env ")
-            if not sep:
-                raise ProgramError("dagger_comb needs a trailing 'env WORD'", line_no)
+            name, body, env_text = _split_decl(head, rest, "f", line_no)
             statements.append(DaggerDecl(
-                name.strip(),
-                parse_term(body.strip(), line_no),
-                ObjectWord.parse(env_text),
-                line,
+                name, parse_term(body, line_no), ObjectWord.parse(env_text), line,
             ))
         elif head == "poly":
             m = _POLY_RE.match(rest)

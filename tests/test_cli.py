@@ -55,6 +55,20 @@ MALFORMED_THEORIES = {
                            "morphism h : x -> x = [0, 1]\n",
 }
 
+P1 = "poly p1 holes=[(b,b)] outers=[(b,b)] envs=[I] segs=[top | lower]\n"
+# programs over bool2.thy the parser or the runner refuses; each must exit 2
+# or 3 with a message
+MALFORMED_PROGRAMS = {
+    "empty-comb-name": "comb = (top, lower) env I\n",
+    "comb-name-with-space": "comb a b = (top, lower) env I\n",
+    "dagger-name-with-space": "dagger_comb a b = top env I\n",
+    "unbalanced-paren": "comb c = ((top, lower) env I\n",
+    "unknown-relation": "comb c = (top, lower) env I\nequiv slide c c\n",
+    "equiv-one-operand": "comb c = (top, lower) env I\nequiv comb c\n",
+    "plug-missing-hole": P1 + "plug p1 at 3 with p1 as p3\n",
+    "poly-segment-count": "poly p1 holes=[(b,b)] outers=[(b,b)] envs=[I] segs=[top]\n",
+}
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -193,6 +207,30 @@ class TestExitCodes:
         assert run_cli("run", str(thy), str(prog)) == 2
         err = capsys.readouterr().err
         assert err.startswith("theory error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text", MALFORMED_PROGRAMS.values(), ids=MALFORMED_PROGRAMS.keys()
+    )
+    def test_malformed_program_exits_with_message(self, text, capsys, tmp_path):
+        prog = tmp_path / "p.prog"
+        prog.write_text(text)
+        assert run_cli("run", str(THEORIES / "bool2.thy"), str(prog)) in (2, 3)
+        err = capsys.readouterr().err
+        assert err.startswith(("program error: ", "error: ")) and "Traceback" not in err
+
+    @pytest.mark.parametrize("statement,message", [
+        ("compose c1 c1 as c3",
+         "inner boundary (a,a) does not match outer source (I,I)"),
+        ("comb c2 = (id(a), id(a)) env I\nequiv comb c1 c2",
+         "different boundaries: CombRep((I,I) -> (a,a) env I) vs "
+         "CombRep((a,a) -> (a,a) env I)"),
+    ], ids=["nest", "equiv"])
+    def test_boundary_mismatch_prints_words(self, statement, message, capsys, tmp_path):
+        prog = tmp_path / "p.prog"
+        prog.write_text(f"comb c1 = (psi, bang) env I\n{statement}\n")
+        assert run_cli("run", str(THEORIES / "pointed.thy"), str(prog)) == 3
+        err = capsys.readouterr().err
+        assert message in err and "ObjectWord" not in err
 
     def test_ill_typed_statement(self, capsys, tmp_path):
         prog = tmp_path / "p.prog"

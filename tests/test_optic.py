@@ -1,21 +1,31 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from opticomb import (
+    AbsorbingPointedBackend,
     BoundaryMismatch,
     ExhaustionWitness,
     FactorWitness,
+    IdempotentFreeBackend,
     IncompatibleStrategy,
     NonComposableMove,
     ObjectWord,
+    PointedFreeBackend,
     SlidePathWitness,
     Verdict,
     check_probe_witness,
     comb,
+    enumerate_combs,
     equiv_comb,
     equiv_optic,
     slide_related,
 )
+import opticomb.optic as optic
+from opticomb.core import Budget, Decision
+from opticomb.optic import MAX_SLIDE_STATES, _state_key
+from opticomb.sampling import env_words_for
 
 from conftest import rand_mat, word
 
@@ -213,3 +223,133 @@ class TestDispatch:
         assert check_probe_witness(cbe, o1, o2, d.witness) is True
         # the same probe does not separate a comb from itself
         assert check_probe_witness(cbe, o1, o1, d.witness) is False
+
+
+def reference_zigzag(backend, o1, o2, bound):
+    """The slide search as a double loop: every state composes each candidate
+    ``f0 ; (v (x) 1_B)`` and ``(v (x) 1_B') ; g0`` and compares it with
+    ``equal``.  The library finds the same moves by key lookup."""
+    budget = Budget.of(bound)
+    (a, a1), (b, b1) = o1.source, o1.target
+    id_b = backend.identity(b)
+    id_b1 = backend.identity(b1)
+    envs, graded = env_words_for(backend, o1.source, o1.target, bound)
+    env_list = list(envs)
+    for extra in (o1.env, o2.env):
+        if extra not in env_list:
+            env_list.append(extra)
+    scans_complete = True
+    hom_cache = {}
+
+    def hom(dom, cod):
+        nonlocal scans_complete
+        if (dom, cod) not in hom_cache:
+            hs = backend.enumerate_hom(dom, cod, budget.max_hom)
+            scans_complete = scans_complete and hs.complete
+            hom_cache[dom, cod] = hs.items
+        return hom_cache[dom, cod]
+
+    start = (o1.env, o1.f, o1.g)
+    goal_key = _state_key(backend, o2.env, o2.f, o2.g)
+    start_key = _state_key(backend, *start)
+    parents = {start_key: None}
+    queue = deque([start])
+    truncated = False
+
+    def emit_path(end_key):
+        steps = []
+        while parents[end_key] is not None:
+            end_key, step = parents[end_key]
+            steps.append(step)
+        return SlidePathWitness(tuple(reversed(steps)))
+
+    if start_key == goal_key:
+        return Decision.equivalent("slide-search", witness=SlidePathWitness(()))
+    while queue:
+        e, f, g = queue.popleft()
+        cur_key = _state_key(backend, e, f, g)
+        neighbors = []
+        for e0 in env_list:
+            for v in hom(e0, e):
+                for f0 in hom(a, e0 @ b):
+                    if backend.equal(backend.compose(f0, backend.tensor(v, id_b)), f):
+                        g0 = backend.compose(backend.tensor(v, id_b1), g)
+                        neighbors.append(((e0, f0, g0), optic.SlideStep("push_down", v, e0)))
+            for v in hom(e, e0):
+                for g0 in hom(e0 @ b1, a1):
+                    if backend.equal(backend.compose(backend.tensor(v, id_b1), g0), g):
+                        f1 = backend.compose(f, backend.tensor(v, id_b))
+                        neighbors.append(((e0, f1, g0), optic.SlideStep("push_up", v, e0)))
+        for state, step in neighbors:
+            key = _state_key(backend, *state)
+            if key in parents:
+                continue
+            parents[key] = (cur_key, step)
+            if key == goal_key:
+                return Decision.equivalent("slide-search", witness=emit_path(key))
+            if len(parents) >= MAX_SLIDE_STATES:
+                truncated = True
+            else:
+                queue.append(state)
+    coverage = {
+        "states_explored": len(parents),
+        "environments_graded": graded,
+        "hom_scans_complete": scans_complete,
+        "frontier_truncated": truncated,
+    }
+    if graded and scans_complete and not truncated:
+        witness = ExhaustionWitness(
+            states_explored=len(parents),
+            environments=tuple(env_list),
+            note="the full slide component of the left representative was "
+                 "explored and never met the right one",
+        )
+        return Decision.distinct("slide-search", witness, coverage=coverage)
+    return Decision.unknown("slide-search", coverage=coverage)
+
+
+def _slide_configurations():
+    pointed = PointedFreeBackend()
+    reps = list(enumerate_combs(pointed, (word(), word()), (word("a"),) * 2, bound=1))
+    for i, c1 in enumerate(reps):
+        for j, c2 in enumerate(reps):
+            yield f"pointed-II-{i}-{j}", pointed, c1, c2, 3
+    idem = IdempotentFreeBackend()
+    for n in range(1, 4):
+        an = word(*["a"] * n)
+        reps = list(enumerate_combs(idem, (an, an), (word("a"),) * 2, bound=2))
+        for i, c1 in enumerate(reps):
+            for j, c2 in enumerate(reps[i + 1:], start=i + 1):
+                yield f"idempotent-{n}-{i}-{j}", idem, c1, c2, 2
+    ab = AbsorbingPointedBackend()
+    bang = ab.generator("bang")
+    yield ("absorbing", ab, comb(ab, ab.generator("psi"), bang, word()),
+           comb(ab, ab.generator("phi"), bang, word()), 1)
+
+
+SLIDE_CONFIGURATIONS = list(_slide_configurations())
+
+
+@pytest.mark.parametrize(
+    "backend,o1,o2,bound", [c[1:] for c in SLIDE_CONFIGURATIONS],
+    ids=[c[0] for c in SLIDE_CONFIGURATIONS],
+)
+def test_indexed_zigzag_matches_double_loop(backend, o1, o2, bound, monkeypatch):
+    # every hom-set scan and every move found, in order: the same trail means
+    # the same hom scans and the same neighbour order in every state
+    trail = []
+    scan, make_step = backend.enumerate_hom, optic.SlideStep
+    monkeypatch.setattr(backend, "enumerate_hom",
+                        lambda *args: trail.append(args[:2]) or scan(*args))
+    monkeypatch.setattr(optic, "SlideStep",
+                        lambda *args: trail.append(args) or make_step(*args))
+    got = equiv_optic(backend, o1, o2, strategy="zigzag", bound=bound)
+    got_trail, trail[:] = trail[:], []
+    want = reference_zigzag(backend, o1, o2, bound)
+    assert got_trail == trail
+    assert (got.verdict, got.certified, got.method) == (
+        want.verdict, want.certified, want.method)
+    assert got.coverage == want.coverage
+    assert got.witness == want.witness
+    if isinstance(want.witness, SlidePathWitness):
+        assert got.witness.steps == want.witness.steps

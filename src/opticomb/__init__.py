@@ -7,7 +7,13 @@ representatives under several equivalence relations of increasing
 context sensitivity, report certified verdicts with replayable
 witnesses, and degrade to explicit partial coverage when a search is
 genuinely unbounded.
+
+Names whose modules load numpy (the matrix and unitary backends and the
+channel constructions) are imported on first access, through ``_LAZY`` and
+the module ``__getattr__``, so free and finite-function theories run
+without numpy.
 """
+import importlib
 
 from .core import (
     Backend,
@@ -47,19 +53,13 @@ from .core import (
     permutation_term,
     typecheck,
 )
-from .backends import (
+from .backends.finfun import FinFunBackend, FinMap, functions_as_boolean_matrices
+from .backends.free import (
     AbsorbingPointedBackend,
-    FinFunBackend,
-    FinMap,
     IdempotentFreeBackend,
-    Mat,
-    MatrixBackend,
     PointedFreeBackend,
     StrandMor,
-    UnitaryBackend,
     WiringMor,
-    functions_as_boolean_matrices,
-    tensor_separate,
 )
 from .comb import (
     BackendFunctor,
@@ -86,19 +86,6 @@ from .optic import (
     slide_related,
     unitary_comb_factor,
 )
-from .cpm import (
-    CpmMorphism,
-    choi_matrix,
-    cpinf_equiv,
-    cpm_equal,
-    cpm_equiv,
-    dagger_comb,
-    is_completely_positive,
-    is_dagger_comb,
-    kraus_slices,
-    positive_probe_frame,
-    to_cpm,
-)
 from .polycomb import (
     PolyCombRep,
     from_comb,
@@ -120,3 +107,27 @@ from .sampling import (
 )
 
 __version__ = "0.1.0"
+
+#: public name -> the submodule that defines it, for the names that need numpy
+_LAZY = {
+    name: module
+    for module, names in (
+        ("backends.matrix", "Mat MatrixBackend"),
+        ("backends.unitary", "UnitaryBackend tensor_separate"),
+        ("cpm", "CpmMorphism choi_matrix cpinf_equiv cpm_equal cpm_equiv dagger_comb "
+                "is_completely_positive is_dagger_comb kraus_slices "
+                "positive_probe_frame to_cpm"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    """A numpy-backed name, read from its module at each access (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

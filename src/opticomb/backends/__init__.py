@@ -1,26 +1,5 @@
-"""Bundled backend implementations."""
-from .matrix import Mat, MatrixBackend
-from .finfun import FinMap, FinFunBackend, functions_as_boolean_matrices
-from .free import (
-    AbsorbingPointedBackend,
-    IdempotentFreeBackend,
-    PointedFreeBackend,
-    StrandMor,
-    WiringMor,
-)
-from .unitary import UnitaryBackend, tensor_separate
+"""Bundled backend implementations, one module each.
 
-__all__ = [
-    "Mat",
-    "MatrixBackend",
-    "FinMap",
-    "FinFunBackend",
-    "functions_as_boolean_matrices",
-    "StrandMor",
-    "IdempotentFreeBackend",
-    "WiringMor",
-    "PointedFreeBackend",
-    "AbsorbingPointedBackend",
-    "UnitaryBackend",
-    "tensor_separate",
-]
+Nothing is imported here: ``matrix`` and ``unitary`` load numpy, so they are
+loaded only by code that builds a matrix, unitary or channel value.
+"""

@@ -355,11 +355,8 @@ class PointedFreeBackend(_OneObjectBackend):
     # -- hooks ------------------------------------------------------------------------------
 
     def canonical_key(self, m: WiringMor) -> Hashable:
-        return (
-            "wiring", m.dom, m.cod,
-            tuple(sorted(m.matching)), tuple(sorted(m.caps)),
-            tuple(sorted(m.seeds)), m.scalars,
-        )
+        # the frozensets hash and compare by content, and cache their hashes
+        return ("wiring", m.dom, m.cod, m.matching, m.caps, m.seeds, m.scalars)
 
     def value_to_term(self, m: WiringMor) -> MorTerm:
         """Reconstruct a term whose evaluation is this wiring."""

@@ -76,3 +76,29 @@ def tensor_separate(u: np.ndarray, d_left: int, d_right: int):
     u_left = blocks[:, 0, :, 0].copy()
     residual = float(np.max(np.abs(u - np.kron(u_left, np.eye(d_right)))))
     return u_left, residual
+
+
+def environment_rotation(u: np.ndarray, v: np.ndarray, d_e1: int, d_e2: int,
+                         d_b: int, d_b1: int, tolerance: float) -> tuple[bool, dict]:
+    """Factor the change of environment between two unitary combs.
+
+    ``u = f2 . dagger(f1)`` on ``E1 (x) B`` and ``v = dagger(g1) . g2`` on
+    ``E2 (x) B'`` are split by :func:`tensor_separate` into a rotation
+    beside an identity on the hole, and the two rotations must cancel.
+    Returns ``(ok, pieces)``: ``pieces`` holds both rotations and the three
+    residuals (bottom split, top split, and ``max |v_left u_left - 1|``),
+    and ``ok`` says every residual is within ``residual_tolerance``.  This
+    is the arithmetic of :func:`optic.unitary_comb_factor`.
+    """
+    u_left, res_u = tensor_separate(u, d_e1, d_b)
+    v_left, res_v = tensor_separate(v, d_e2, d_b1)
+    cancel = float(np.max(np.abs(np.dot(v_left, u_left) - np.eye(d_e1))))
+    bound = residual_tolerance(tolerance)
+    pieces = {
+        "rotation": u_left,
+        "inverse_rotation": v_left,
+        "bottom_residual": res_u,
+        "top_residual": res_v,
+        "cancellation_residual": cancel,
+    }
+    return res_u <= bound and res_v <= bound and cancel <= bound, pieces

@@ -548,6 +548,16 @@ def _fingerprinter(backend: Backend, probes: list) -> Callable[[CombRep], tuple]
     return fingerprint
 
 
+def _ordered(key: Any) -> Any:
+    """``key`` with each frozenset in it as a sorted tuple, so that its repr,
+    which orders the braid classes, does not depend on hash order."""
+    if isinstance(key, frozenset):
+        return tuple(sorted(key))
+    if type(key) is tuple:
+        return tuple(_ordered(k) for k in key)
+    return key
+
+
 def sigma_congruence_search(
     backend: Backend,
     boundaries: Iterable[tuple[ObjectWord, ObjectWord, ObjectWord, ObjectWord]],
@@ -584,7 +594,7 @@ def sigma_congruence_search(
         words = backend.enumerate_objects(budget.max_word_len)
         probes = list(filler_probes(backend, (b, b1), words, budget.max_hom, []))
         fingerprint = _fingerprinter(backend, probes)
-        for _, members in sorted(groups.items(), key=lambda kv: repr(kv[0])):
+        for _, members in sorted(groups.items(), key=lambda kv: repr(_ordered(kv[0]))):
             for c1, c2 in itertools.combinations(members, 2):
                 pairs_checked += 1
                 if pairs_checked > max_pairs:

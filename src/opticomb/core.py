@@ -33,47 +33,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
-__all__ = [
-    "CategoryError",
-    "UnknownGenerator",
-    "TypeMismatch",
-    "BoundaryMismatch",
-    "NotEnumerable",
-    "NotCartesian",
-    "NotInhabited",
-    "NotCompactClosed",
-    "NotDaggerBackend",
-    "IncompatibleStrategy",
-    "NonComposableMove",
-    "BadSplit",
-    "DimensionMismatch",
-    "IllTypedFunctor",
-    "HoleMismatch",
-    "UnsupportedShape",
-    "ObjectWord",
-    "MorTerm",
-    "Generator",
-    "Identity",
-    "Symmetry",
-    "Compose",
-    "Tensor",
-    "typecheck",
-    "eval_term",
-    "HomSet",
-    "Budget",
-    "Backend",
-    "permutation_term",
-    "block_permutation",
-    "Verdict",
-    "ProbeWitness",
-    "SlideStep",
-    "SlidePathWitness",
-    "ExhaustionWitness",
-    "FactorWitness",
-    "Decision",
-    "reports_tolerance",
-]
-
 # ---------------------------------------------------------------------------
 # Errors
 # ---------------------------------------------------------------------------

@@ -30,10 +30,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-import numpy as np
-
-from .backends.matrix import residual_tolerance
-from .backends.unitary import tensor_separate
 from .core import (
     Backend,
     Budget,
@@ -199,26 +195,19 @@ def unitary_comb_factor(backend: Backend, o1: CombRep, o2: CombRep) -> Decision:
     identity on the hole input, ``v = dagger(g1) . g2`` one beside an
     identity on the hole output, and the two rotations must cancel.  All
     slides in a unitary backend are invertible, so a whole zigzag collapses
-    to one rotation and this check is complete.
+    to one rotation and this check is complete.  The matrix arithmetic is
+    :func:`backends.unitary.environment_rotation`'s, imported here on first
+    use so that this module loads without numpy.
     """
+    from .backends.unitary import environment_rotation
+
     (b, b1) = o1.target
-    d_b = backend.dim(b)
-    d_b1 = backend.dim(b1)
-    d_e1 = backend.dim(o1.env)
     u = backend.compose(backend.dagger(o1.f), o2.f)
     v = backend.compose(o2.g, backend.dagger(o1.g))
-    u_left, res_u = tensor_separate(u.array, d_e1, d_b)
-    v_left, res_v = tensor_separate(v.array, backend.dim(o2.env), d_b1)
-    cancel = float(np.max(np.abs(np.dot(v_left, u_left) - np.eye(d_e1))))
-    bound = residual_tolerance(backend.tolerance)
-    ok = res_u <= bound and res_v <= bound and cancel <= bound
-    pieces = {
-        "rotation": u_left,
-        "inverse_rotation": v_left,
-        "bottom_residual": res_u,
-        "top_residual": res_v,
-        "cancellation_residual": cancel,
-    }
+    ok, pieces = environment_rotation(
+        u.array, v.array, backend.dim(o1.env), backend.dim(o2.env),
+        backend.dim(b), backend.dim(b1), backend.tolerance,
+    )
     if ok:
         witness = FactorWitness(
             pieces=pieces,

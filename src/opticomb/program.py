@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .core import (
     Backend,
@@ -59,11 +58,14 @@ from .comb import (
     lens_pair,
 )
 from .optic import OPTIC_STRATEGIES, equiv_optic
-from .cpm import CpmMorphism, cpinf_equiv, cpm_equiv, dagger_comb, to_cpm
 from .polycomb import PolyCombRep, from_comb, poly, poly_compose_at, poly_equiv
-from .backends.matrix import Mat
 from .backends.finfun import FinMap
 from .backends.free import StrandMor, WiringMor
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .cpm import CpmMorphism
 
 RELATIONS = ("sigma", "tau", "comb", "optic", "cpm", "cpinf", "poly")
 
@@ -444,6 +446,11 @@ def _num_json(x: Any) -> Any:
         return str(x)
     if isinstance(x, complex):
         return [float(x.real), float(x.imag)]
+    # numpy is imported only where a matrix value is built: until then no
+    # value is a numpy number, array or Mat, and serializing loads nothing
+    np = sys.modules.get("numpy")
+    if np is None:
+        return x
     if isinstance(x, (np.complexfloating,)):
         return [float(x.real), float(x.imag)]
     if isinstance(x, (np.floating,)):
@@ -454,17 +461,23 @@ def _num_json(x: Any) -> Any:
 
 
 def _array_json(arr: np.ndarray) -> list:
-    return [[_num_json(x) for x in row] for row in np.atleast_2d(arr)]
+    return [[_num_json(x) for x in row] for row in sys.modules["numpy"].atleast_2d(arr)]
 
 
 def value_json(value: Any) -> Any:
     """Serialize a backend value (or number, word, tuple) to JSON data."""
-    if isinstance(value, Mat):
-        return {
-            "dom": value.dom.pretty(),
-            "cod": value.cod.pretty(),
-            "entries": _array_json(value.array),
-        }
+    np = sys.modules.get("numpy")  # see _num_json
+    if np is not None:
+        from .backends.matrix import Mat
+
+        if isinstance(value, Mat):
+            return {
+                "dom": value.dom.pretty(),
+                "cod": value.cod.pretty(),
+                "entries": _array_json(value.array),
+            }
+        if isinstance(value, np.ndarray):
+            return _array_json(value)
     if isinstance(value, FinMap):
         return {
             "dom": value.dom.pretty(),
@@ -496,8 +509,6 @@ def value_json(value: Any) -> Any:
         return [value_json(v) for v in value]
     if isinstance(value, dict):
         return {str(k): value_json(v) for k, v in sorted(value.items())}
-    if isinstance(value, np.ndarray):
-        return _array_json(value)
     out = _num_json(value)
     if isinstance(out, (int, float, str, bool, list)) or out is None:
         return out
@@ -601,6 +612,13 @@ def _cpm_summary(m: CpmMorphism) -> dict:
     }
 
 
+def _channels():
+    """The channel module: it needs numpy, so the first channel statement loads it."""
+    from . import cpm
+
+    return cpm
+
+
 class _Bindings:
     def __init__(self) -> None:
         self.combs: dict[str, CombRep] = {}
@@ -645,8 +663,8 @@ def run_program(
             backend, c1, c2, strategy=comb_strategy, bound=bound),
         "optic": lambda c1, c2: equiv_optic(
             backend, c1, c2, strategy=optic_strategy, bound=bound),
-        "cpm": lambda c1, c2: cpm_equiv(backend, c1, c2),
-        "cpinf": lambda c1, c2: cpinf_equiv(backend, c1, c2),
+        "cpm": lambda c1, c2: _channels().cpm_equiv(backend, c1, c2),
+        "cpinf": lambda c1, c2: _channels().cpinf_equiv(backend, c1, c2),
         "poly": lambda p1, p2: poly_equiv(backend, p1, p2, bound=bound),
     }
     env = _Bindings()
@@ -662,7 +680,8 @@ def run_program(
             env.bind_comb(stmt.name, c)
             reports.append(QueryReport(stmt.line, "comb", _comb_summary(c)))
         elif isinstance(stmt, DaggerDecl):
-            c = dagger_comb(backend, eval_term(stmt.f_term, backend), env=stmt.env)
+            c = _channels().dagger_comb(
+                backend, eval_term(stmt.f_term, backend), env=stmt.env)
             env.bind_comb(stmt.name, c)
             reports.append(QueryReport(stmt.line, "comb", _comb_summary(c)))
         elif isinstance(stmt, PolyDecl):
@@ -712,7 +731,7 @@ def run_program(
         elif isinstance(stmt, CpmQuery):
             c = env.get_comb(stmt.name)
             reports.append(QueryReport(
-                stmt.line, "cpm", _cpm_summary(to_cpm(backend, c))
+                stmt.line, "cpm", _cpm_summary(_channels().to_cpm(backend, c))
             ))
         else:
             raise ProgramError(f"cannot execute {stmt!r}")

@@ -5,12 +5,13 @@ scripts, and frozen test values are reproducible run to run.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .core import Backend, Budget, ObjectWord
 from .comb import CombRep, comb
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def env_words_for(
@@ -53,6 +54,8 @@ def enumerate_combs(
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-ish unitary from the QR factorization of a complex gaussian."""
+    import numpy as np
+
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()

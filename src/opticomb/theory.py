@@ -43,13 +43,8 @@ from fractions import Fraction
 from typing import Any, Iterator
 
 from .core import CategoryError, ObjectWord
-from .backends import (
-    FinFunBackend,
-    IdempotentFreeBackend,
-    MatrixBackend,
-    PointedFreeBackend,
-    UnitaryBackend,
-)
+from .backends.finfun import FinFunBackend
+from .backends.free import IdempotentFreeBackend, PointedFreeBackend
 
 KINDS = ("matrix", "finfun", "free-commutative", "free-pointed", "unitary")
 
@@ -272,6 +267,10 @@ def build_backend(config: TheoryConfig):
         backend = FinFunBackend({name: size for name, size in config.objects})
         entries = _indices
     else:
+        # the matrix modules load numpy, so free and finfun theories never import them
+        from .backends.matrix import MatrixBackend
+        from .backends.unitary import UnitaryBackend
+
         dims = {name: dim for name, dim in config.objects}
         with _refusal_named(f"backend {kind}"):
             if kind == "unitary":

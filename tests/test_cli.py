@@ -1,10 +1,13 @@
+import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import opticomb
 from opticomb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +59,7 @@ MALFORMED_THEORIES = {
 }
 
 P1 = "poly p1 holes=[(b,b)] outers=[(b,b)] envs=[I] segs=[top | lower]\n"
+C = "comb c = (top, lower) env I\n"
 # programs over bool2.thy the parser or the runner refuses; each must exit 2
 # or 3 with a message
 MALFORMED_PROGRAMS = {
@@ -67,7 +71,76 @@ MALFORMED_PROGRAMS = {
     "equiv-one-operand": "comb c = (top, lower) env I\nequiv comb c\n",
     "plug-missing-hole": P1 + "plug p1 at 3 with p1 as p3\n",
     "poly-segment-count": "poly p1 holes=[(b,b)] outers=[(b,b)] envs=[I] segs=[top]\n",
+    # unknown names
+    "equiv-unknown-comb": C + "equiv comb c nope\n",
+    "lens-unknown-comb": "lens nope\n",
+    "compose-unknown-combs": "compose x y as z\n",
+    "tensor-unknown-combs": "tensor x y as z\n",
+    # statements with a part missing
+    "lens-no-operand": C + "lens\n",
+    "cpm-no-operand": C + "cpm\n",
+    "equiv-no-operands": C + "equiv comb\n",
+    "comb-no-env": "comb c = (top, lower)\n",
+    "comb-one-term": "comb c = (top) env I\n",
+    "dagger-no-env": "dagger_comb d = top\n",
+    "compose-no-name": C + "compose c c\n",
+    "plug-no-filler": C + "plug c at 0\n",
 }
+
+# channel statements against a theory without channels: they reach the channel
+# module, which is imported on first use, and must exit 3
+CHANNEL_STATEMENTS = ("cpm c1", "equiv cpm c1 c1", "dagger_comb d = psi env I")
+
+# every public name of the package, by the module that defines it
+PUBLIC_NAMES = {
+    "core": "Backend BadSplit BoundaryMismatch Budget CategoryError Compose Decision "
+            "DimensionMismatch ExhaustionWitness FactorWitness Generator HoleMismatch "
+            "Identity IllTypedFunctor IncompatibleStrategy MorTerm NonComposableMove "
+            "NotCartesian NotCompactClosed NotDaggerBackend NotEnumerable NotInhabited "
+            "ObjectWord ProbeWitness SlidePathWitness SlideStep Symmetry Tensor "
+            "TypeMismatch UnknownGenerator UnsupportedShape Verdict block_permutation "
+            "eval_term permutation_term typecheck",
+    "backends.finfun": "FinFunBackend FinMap functions_as_boolean_matrices",
+    "backends.free": "AbsorbingPointedBackend IdempotentFreeBackend PointedFreeBackend "
+                     "StrandMor WiringMor",
+    "backends.matrix": "Mat MatrixBackend",
+    "backends.unitary": "UnitaryBackend tensor_separate",
+    "comb": "BackendFunctor COMB_STRATEGIES CombRep braid_eval comb comb_compose "
+            "comb_tensor equiv_comb equiv_sigma equiv_tau extended_eval identity_comb "
+            "lens_pair lift_functor sigma_congruence_search swap_probe",
+    "optic": "OPTIC_STRATEGIES check_probe_witness equiv_optic slide_related "
+             "unitary_comb_factor",
+    "cpm": "CpmMorphism choi_matrix cpinf_equiv cpm_equal cpm_equiv dagger_comb "
+           "is_completely_positive is_dagger_comb kraus_slices positive_probe_frame "
+           "to_cpm",
+    "polycomb": "PolyCombRep from_comb identity_poly poly poly_compose_at poly_equiv "
+                "poly_extended_eval poly_name star_counit star_unit to_comb",
+    "sampling": "enumerate_combs env_words_for random_isometry random_unitary",
+}
+
+# run in a fresh interpreter: import the package, run the CLI on the arguments
+# if any, and report on stderr whether numpy was loaded
+NUMPY_PROBE = """
+import sys
+import opticomb
+from opticomb.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def child_env():
+    """The environment of a child interpreter, with the package sources first
+    on its path whatever the parent's PYTHONPATH."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
+def run_child(*argv):
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, cwd=ROOT, env=child_env(),
+    )
 
 
 def run_cli(*argv):
@@ -232,6 +305,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and "ObjectWord" not in err
 
+    @pytest.mark.parametrize("statement", CHANNEL_STATEMENTS)
+    def test_channel_statement_without_channels(self, statement, capsys, tmp_path):
+        prog = tmp_path / "p.prog"
+        prog.write_text(f"comb c1 = (psi, bang) env I\n{statement}\n")
+        assert run_cli("run", str(THEORIES / "pointed.thy"), str(prog)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_ill_typed_statement(self, capsys, tmp_path):
         prog = tmp_path / "p.prog"
         # f : a -> a cannot carry an environment b: no such object exists
@@ -309,14 +390,36 @@ class TestFlags:
 
 class TestModuleEntry:
     def test_python_dash_m(self):
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "opticomb.cli", "run",
-                str(THEORIES / "cartesian.thy"), str(THEORIES / "cartesian.prog"),
-                "--format", "json",
-            ],
-            capture_output=True, text=True, cwd=ROOT,
+        proc = run_child(
+            "-m", "opticomb.cli", "run",
+            str(THEORIES / "cartesian.thy"), str(THEORIES / "cartesian.prog"),
+            "--format", "json",
         )
         assert proc.returncode == 0, proc.stderr
         data = json.loads(proc.stdout)
         assert data["format"] == 1
+
+
+class TestImports:
+    def test_bare_import_leaves_numpy_unloaded(self):
+        proc = run_child("-c", NUMPY_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "False"
+
+    @pytest.mark.parametrize("name", ["pointed", "idempotent", "cartesian"])
+    def test_numpy_free_pair_leaves_numpy_unloaded(self, name):
+        proc = run_child(
+            "-c", NUMPY_PROBE, "run",
+            str(THEORIES / f"{name}.thy"), str(THEORIES / f"{name}.prog"),
+            "--format", "json",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        assert proc.stderr.strip().splitlines()[-1] == "False"
+
+    def test_public_names_are_their_modules_objects(self):
+        for module, names in PUBLIC_NAMES.items():
+            defining = importlib.import_module(f"opticomb.{module}")
+            for name in names.split():
+                assert getattr(opticomb, name) is getattr(defining, name), name
+                assert name in dir(opticomb), name

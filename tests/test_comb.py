@@ -35,7 +35,7 @@ from opticomb import (
     sigma_congruence_search,
     swap_probe,
 )
-from opticomb.comb import filler_probes, probe_scan, staged_evals
+from opticomb.comb import _ordered, filler_probes, probe_scan, staged_evals
 from opticomb.program import witness_json
 
 from conftest import rand_mat, word
@@ -333,7 +333,8 @@ def _probes(backend, b, b1, bound=2):
 
 
 def reference_search(backend, boundaries, bound, max_pairs):
-    """The pair-by-pair scan: every braid-equal pair through probe_scan.
+    """The pair-by-pair scan: every braid-equal pair through probe_scan, braid
+    classes in the order of their keys' text with each set written sorted.
 
     Returns the witness (or None) and the number of pairs counted.
     """
@@ -343,7 +344,7 @@ def reference_search(backend, boundaries, bound, max_pairs):
         for c in enumerate_combs(backend, (a, a1), (b, b1), bound):
             groups.setdefault(backend.canonical_key(braid_eval(backend, c)), []).append(c)
         probes = _probes(backend, b, b1, bound)
-        for _, members in sorted(groups.items(), key=lambda kv: repr(kv[0])):
+        for _, members in sorted(groups.items(), key=lambda kv: repr(_ordered(kv[0]))):
             for c1, c2 in itertools.combinations(members, 2):
                 pairs += 1
                 if pairs > max_pairs:
@@ -357,6 +358,15 @@ def reference_search(backend, boundaries, bound, max_pairs):
                         note="filler separates braid-equal combs",
                     ), pairs
     return None, pairs
+
+
+def test_braid_class_order_ignores_hash_order():
+    # pointed keys hold frozensets, whose repr follows hash order; the classes
+    # are ordered by the text of the key with each set sorted
+    key = ("wiring", A, A, frozenset({(1, 0), (0, 1)}), frozenset(),
+           frozenset({(0, "psi")}), (("phi", "bang"),))
+    assert _ordered(key) == ("wiring", A, A, ((0, 1), (1, 0)), (), ((0, "psi"),),
+                             (("phi", "bang"),))
 
 
 def _same_witness(w1, w2):

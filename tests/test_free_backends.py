@@ -203,6 +203,30 @@ class TestAbsorbing:
         assert ab.equal(eval_term(w.probe_term, ab), w.probe)
 
 
+@pytest.mark.parametrize(
+    "backend", [PointedFreeBackend(), AbsorbingPointedBackend()], ids=["pointed", "absorbing"]
+)
+def test_canonical_key_equal_exactly_when_equal(backend):
+    # every enumerated wiring, also after a double swap of its outputs (equal, with
+    # its sets built in another order) and beside each loop
+    loops = [backend.identity(word())] + [
+        backend.compose(backend.generator(s), backend.generator("bang")) for s in ("phi", "psi")
+    ]
+    for m in range(3):
+        for n in range(3):
+            homs = backend.enumerate_hom(word(*"a" * m), word(*"a" * n), 256).items
+            values = list(homs)
+            if n:
+                a, rest = word("a"), word(*"a" * (n - 1))
+                twice = backend.compose(backend.symmetry(a, rest), backend.symmetry(rest, a))
+                values += [backend.compose(v, twice) for v in homs]
+            values = [backend.tensor(v, loop) for v in values for loop in loops]
+            for v in values:
+                for w in values:
+                    same_key = backend.canonical_key(v) == backend.canonical_key(w)
+                    assert same_key == backend.equal(v, w), (v, w)
+
+
 class TestNames:
     def test_custom_names(self):
         idem = IdempotentFreeBackend(object_name="w", endo_name="step")

@@ -5,7 +5,9 @@ hole: a bottom ``f : A -> E (x) B`` and a top ``g : E (x) B' -> A'``
 sharing an environment ``E`` that bypasses the hole.  Plugging a filler
 ``lam : C (x) B -> D (x) B'`` into the hole yields the extended evaluation
 ``C (x) A -> D (x) A'``; two combs are extensionally equivalent when every
-filler yields the same value.
+filler yields the same value.  The evaluation and the braid value are
+built by ``plug_chain`` and ``chain_name``, which ``polycomb`` shares for
+any number of holes.
 
 Three progressively cheaper relations are decidable here:
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Backend,
@@ -30,6 +32,7 @@ from .core import (
     BoundaryMismatch,
     Budget,
     Decision,
+    HoleMismatch,
     IllTypedFunctor,
     IncompatibleStrategy,
     NotCartesian,
@@ -42,7 +45,10 @@ from .core import (
 )
 
 
-def _pp(pair: tuple[ObjectWord, ObjectWord]) -> str:
+Pair = tuple[ObjectWord, ObjectWord]
+
+
+def _pp(pair: Pair) -> str:
     return f"({pair[0].pretty()},{pair[1].pretty()})"
 
 
@@ -135,6 +141,88 @@ def comb_tensor(backend: Backend, c1: CombRep, c2: CombRep) -> CombRep:
     )
 
 
+def _join(words: Sequence[ObjectWord]) -> ObjectWord:
+    if len(words) == 1:  # the one-hole case, which builds no new word
+        return words[0]
+    return ObjectWord(sum((w.factors for w in words), ()))
+
+
+def plug_chain(
+    backend: Backend, holes: Sequence[Pair], envs: Sequence[ObjectWord],
+    segments: Sequence[Any], fillers: Sequence[Any], contexts: Sequence[Pair],
+) -> Any:
+    """Plug ``fillers[i] : C_i (x) A_i -> D_i (x) A_i'`` into hole ``i``.
+
+    The chain runs ``segments[0] : B -> M_0 (x) A_0``, then
+    ``segments[i] : M_{i-1} (x) A_{i-1}' -> M_i (x) A_i``, up to
+    ``segments[n] : M_{n-1} (x) A_{n-1}' -> B'``, with ``holes[i] = (A_i,
+    A_i')`` and ``envs[i] = M_i``.  The result runs ``C_0 .. C_{n-1} (x) B
+    -> D_0 .. D_{n-1} (x) B'``.  Context legs wait on the far left; each
+    round moves one leg across, applies the filler, parks its output leg,
+    and runs the next segment.  When no leg waits, the environment swap
+    gets no identity on the unit word beside it, so one hole composes
+    ``(1_C (x) f) (sigma_{C,E} (x) 1_B) (1_E (x) filler) (sigma_{E,D} (x)
+    1_B') (1_D (x) g)`` and nothing else.
+    """
+    n = len(holes)
+    if len(fillers) != n or len(contexts) != n:
+        raise HoleMismatch(f"expected {n} fillers and {n} contexts")
+    cs = [backend.normalize_word(c) for (c, _) in contexts]
+    ds = [backend.normalize_word(d) for (_, d) in contexts]
+    for i, lam in enumerate(fillers):
+        want_d, want_c = cs[i] @ holes[i][0], ds[i] @ holes[i][1]
+        if not (
+            backend.words_equal(backend.dom(lam), want_d)
+            and backend.words_equal(backend.cod(lam), want_c)
+        ):
+            raise TypeMismatch(
+                f"filler {i} must be {want_d.pretty()} -> {want_c.pretty()}, got "
+                f"{backend.dom(lam).pretty()} -> {backend.cod(lam).pretty()}"
+            )
+    val = backend.tensor(backend.identity(_join(cs)), segments[0])
+    for i, ((a, a1), e, lam) in enumerate(zip(holes, envs, fillers)):
+        waiting = cs[i + 1 :] + ds[:i]
+        across = _join(waiting + [e])
+        val = backend.compose(
+            val, backend.tensor(backend.symmetry(cs[i], across), backend.identity(a))
+        )
+        val = backend.compose(val, backend.tensor(backend.identity(across), lam))
+        swap = backend.symmetry(e, ds[i])
+        if waiting:
+            swap = backend.tensor(backend.identity(_join(waiting)), swap)
+        val = backend.compose(val, backend.tensor(swap, backend.identity(a1)))
+        beside = backend.identity(_join(waiting + [ds[i]]))
+        val = backend.compose(val, backend.tensor(beside, segments[i + 1]))
+    return val
+
+
+def chain_name(
+    backend: Backend, holes: Sequence[Pair], envs: Sequence[ObjectWord],
+    segments: Sequence[Any],
+) -> Any:
+    """Bend every hole of a chain (see :func:`plug_chain`) around.
+
+    The value runs ``B (x) A_0' .. A_{n-1}' -> B' (x) A_0 .. A_{n-1}``:
+    each hole output waits on the right until its segment takes it in, and
+    each hole input is parked on the far right as it appears.  Plugging the
+    swap filler ``sigma(A_i', A_i)`` at context ``(A_i', A_i)`` into every
+    hole gives the same value up to fixed symmetries, so it is defined in
+    any symmetric monoidal category and refutes plugging equivalence there.
+    """
+    ins, outs = [a for (a, _) in holes], [a1 for (_, a1) in holes]
+    val = backend.tensor(segments[0], backend.identity(_join(outs)))
+    for i, ((a, a1), e) in enumerate(zip(holes, envs)):
+        rest = outs[i + 1 :] + ins[:i]
+        right = _join([a1] + rest)
+        val = backend.compose(
+            val, backend.tensor(backend.identity(e), backend.symmetry(a, right))
+        )
+        val = backend.compose(
+            val, backend.tensor(segments[i + 1], backend.identity(_join(rest + [a])))
+        )
+    return val
+
+
 def extended_eval(
     backend: Backend, c: CombRep, filler: Any, c_word: ObjectWord, d_word: ObjectWord
 ) -> Any:
@@ -143,27 +231,9 @@ def extended_eval(
     The result has type ``C (x) A -> D (x) A'``; the context legs C and D
     ride past the environment with two symmetries.
     """
-    (b, b1) = c.target
-    c_word = backend.normalize_word(c_word)
-    d_word = backend.normalize_word(d_word)
-    if not (
-        backend.words_equal(backend.dom(filler), c_word @ b)
-        and backend.words_equal(backend.cod(filler), d_word @ b1)
-    ):
-        raise TypeMismatch(
-            f"filler must be {(c_word @ b).pretty()} -> {(d_word @ b1).pretty()}, got "
-            f"{backend.dom(filler).pretty()} -> {backend.cod(filler).pretty()}"
-        )
-    e = c.env
-    val = backend.tensor(backend.identity(c_word), c.f)
-    val = backend.compose(
-        val, backend.tensor(backend.symmetry(c_word, e), backend.identity(b))
+    return plug_chain(
+        backend, (c.target,), (c.env,), (c.f, c.g), (filler,), ((c_word, d_word),)
     )
-    val = backend.compose(val, backend.tensor(backend.identity(e), filler))
-    val = backend.compose(
-        val, backend.tensor(backend.symmetry(e, d_word), backend.identity(b1))
-    )
-    return backend.compose(val, backend.tensor(backend.identity(d_word), c.g))
 
 
 def braid_eval(backend: Backend, c: CombRep) -> Any:
@@ -174,12 +244,7 @@ def braid_eval(backend: Backend, c: CombRep) -> Any:
     because plugging the swap filler at context ``(B', B)`` reproduces it
     up to fixed symmetries.
     """
-    (b, b1) = c.target
-    val = backend.tensor(c.f, backend.identity(b1))
-    val = backend.compose(
-        val, backend.tensor(backend.identity(c.env), backend.symmetry(b, b1))
-    )
-    return backend.compose(val, backend.tensor(c.g, backend.identity(b)))
+    return chain_name(backend, (c.target,), (c.env,), (c.f, c.g))
 
 
 def swap_probe(backend: Backend, c: CombRep) -> tuple[Any, ObjectWord, ObjectWord]:

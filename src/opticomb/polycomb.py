@@ -6,6 +6,13 @@ holes, and segments ``s_0 ... s_n``: the bottom segment turns the outer
 inputs into the first environment and hole input, each middle segment
 turns one hole's output into the next environment and hole input, and
 the top segment turns the last hole's output into the outer outputs.
+Plugging fillers and the name run through ``comb.plug_chain`` and
+``comb.chain_name``, the bodies of the one-hole evaluation and braid value.
+
+``poly_equiv`` hands a one-hole, one-outer pair to ``equiv_comb``.  It
+refutes any other pair by name on every backend, and confirms by name
+where the name is complete: over compact closed backends, and for
+hole-free pieces.
 
 Composition plugs one representative into a hole of another.  Two shapes
 are supported: an inner piece with exactly one outer pair splices its
@@ -33,13 +40,10 @@ from .core import (
     block_permutation,
     reports_tolerance,
 )
-from .comb import CombRep, _pp, identity_comb, probe_scan
-
-Pair = tuple[ObjectWord, ObjectWord]
-
-
-def _join(words: Sequence[ObjectWord]) -> ObjectWord:
-    return ObjectWord(tuple(f for w in words for f in w.factors))
+from .comb import (
+    CombRep, Pair, _join, _pp, chain_name, equiv_comb, identity_comb, plug_chain,
+    probe_scan,
+)
 
 
 @dataclass(frozen=True)
@@ -74,15 +78,10 @@ def poly(
         raise TypeMismatch(f"{n} holes need {n + 1} segments, got {len(segments)}")
     ins = _join([p[0] for p in outers])
     outs = _join([p[1] for p in outers])
-    expected: list[tuple[ObjectWord, ObjectWord]] = []
-    if n == 0:
-        expected.append((ins, outs))
-    else:
-        expected.append((ins, envs[0] @ holes[0][0]))
-        for i in range(1, n):
-            expected.append((envs[i - 1] @ holes[i - 1][1], envs[i] @ holes[i][0]))
-        expected.append((envs[n - 1] @ holes[n - 1][1], outs))
-    for i, (d, c) in enumerate(expected):
+    # segment i runs from what hole i - 1 leaves (or B) to what hole i takes (or B')
+    ends = [ins] + [m @ a1 for m, (_, a1) in zip(envs, holes)]
+    starts = [m @ a for m, (a, _) in zip(envs, holes)] + [outs]
+    for i, (d, c) in enumerate(zip(ends, starts)):
         got_d, got_c = backend.dom(segments[i]), backend.cod(segments[i])
         if not (backend.words_equal(got_d, d) and backend.words_equal(got_c, c)):
             raise TypeMismatch(
@@ -111,105 +110,31 @@ def identity_poly(backend: Backend, b: ObjectWord, b1: ObjectWord) -> PolyCombRe
 # ---------------------------------------------------------------------------
 
 def poly_extended_eval(
-    backend: Backend,
-    p: PolyCombRep,
-    fillers: Sequence[Any],
-    contexts: Sequence[tuple[ObjectWord, ObjectWord]],
+    backend: Backend, p: PolyCombRep, fillers: Sequence[Any], contexts: Sequence[Pair]
 ) -> Any:
     """Plug ``fillers[i] : C_i (x) A_i -> D_i (x) A_i'`` into every hole.
 
-    The result runs ``C_0 .. C_{n-1} (x) B -> D_0 .. D_{n-1} (x) B'``.
-    Context legs wait on the far left; each round moves one leg across,
-    applies the filler, parks its output leg, and runs the next segment.
-    For a single hole this is the one-hole extended evaluation, factor
-    for factor.
+    The result runs ``C_0 .. C_{n-1} (x) B -> D_0 .. D_{n-1} (x) B'``.  For
+    a single hole this is the one-hole extended evaluation, factor for
+    factor: both are :func:`~opticomb.comb.plug_chain`.
     """
-    n = len(p.holes)
-    if len(fillers) != n or len(contexts) != n:
-        raise HoleMismatch(f"expected {n} fillers and {n} contexts")
-    cs = [backend.normalize_word(c) for (c, _) in contexts]
-    ds = [backend.normalize_word(d) for (_, d) in contexts]
-    for i, lam in enumerate(fillers):
-        want_d = cs[i] @ p.holes[i][0]
-        want_c = ds[i] @ p.holes[i][1]
-        if not (
-            backend.words_equal(backend.dom(lam), want_d)
-            and backend.words_equal(backend.cod(lam), want_c)
-        ):
-            raise TypeMismatch(
-                f"filler {i} must be {want_d.pretty()} -> {want_c.pretty()}, got "
-                f"{backend.dom(lam).pretty()} -> {backend.cod(lam).pretty()}"
-            )
-    val = backend.tensor(backend.identity(_join(cs)), p.segments[0])
-    for i in range(n):
-        pending = _join(cs[i + 1 :])
-        parked = _join(ds[:i])
-        across = pending @ parked @ p.envs[i]
-        val = backend.compose(
-            val,
-            backend.tensor(
-                backend.symmetry(cs[i], across), backend.identity(p.holes[i][0])
-            ),
-        )
-        val = backend.compose(
-            val, backend.tensor(backend.identity(across), fillers[i])
-        )
-        val = backend.compose(
-            val,
-            backend.tensor(
-                backend.tensor(
-                    backend.identity(pending @ parked),
-                    backend.symmetry(p.envs[i], ds[i]),
-                ),
-                backend.identity(p.holes[i][1]),
-            ),
-        )
-        val = backend.compose(
-            val,
-            backend.tensor(
-                backend.identity(pending @ parked @ ds[i]), p.segments[i + 1]
-            ),
-        )
-    return val
+    return plug_chain(backend, p.holes, p.envs, p.segments, fillers, contexts)
 
 
 def poly_name(backend: Backend, p: PolyCombRep) -> Any:
     """The one-shot value ``B (x) A_0' .. A_{n-1}' -> A_0 .. A_{n-1} (x) B'``.
 
-    Feeds every hole output straight back in and parks each hole input on
-    the left as it appears.  Offered over compact closed backends, where
-    this value classifies representatives up to plugging behaviour.
+    Feeds every hole output straight back in: the chain's name
+    (:func:`~opticomb.comb.chain_name`, for one hole the braid value) with
+    the hole inputs moved to the left.  Plugging the swap filler
+    ``sigma(A_i', A_i)`` at context ``(A_i', A_i)`` into every hole gives
+    ``sigma(A_0' .. A_{n-1}', B) ; name``.
     """
-    if not backend.compact_closed:
-        raise NotCompactClosed(
-            f"name forms are only offered over compact closed backends, "
-            f"not {backend.name}"
-        )
-    n = len(p.holes)
-    rest = [p.holes[i][1] for i in range(n)]
-    val = backend.tensor(p.segments[0], backend.identity(_join(rest)))
-    parked: list[ObjectWord] = []
-    for i in range(n):
-        tail = _join(rest[i + 1 :])
-        val = backend.compose(
-            val,
-            backend.tensor(
-                backend.tensor(
-                    backend.identity(_join(parked)),
-                    backend.symmetry(p.envs[i], p.holes[i][0]),
-                ),
-                backend.identity(p.holes[i][1] @ tail),
-            ),
-        )
-        parked.append(p.holes[i][0])
-        val = backend.compose(
-            val,
-            backend.tensor(
-                backend.tensor(backend.identity(_join(parked)), p.segments[i + 1]),
-                backend.identity(tail),
-            ),
-        )
-    return val
+    outs = _join([b1 for (_, b1) in p.outers])
+    ins = _join([a for (a, _) in p.holes])
+    return backend.compose(
+        chain_name(backend, p.holes, p.envs, p.segments), backend.symmetry(outs, ins)
+    )
 
 
 @reports_tolerance
@@ -218,51 +143,52 @@ def poly_equiv(
 ) -> Decision:
     """Decide plugging equivalence of two poly representatives.
 
-    Over compact closed backends the name values classify completely.
-    Elsewhere a bounded family of trivial-context filler tuples can
-    refute, never confirm.
+    A one-hole, one-outer pair is a pair of combs, decided by
+    ``equiv_comb``.  Any other pair is compared by name first: differing
+    names refute on every backend.  Equal names confirm where the name is
+    complete, over compact closed backends and for hole-free pieces (whose
+    name is their segment).  Elsewhere a bounded family of trivial-context
+    filler tuples can refute, never confirm, on an enumerable backend, and
+    the verdict is otherwise unknown.
     """
     if p.holes != q.holes or p.outers != q.outers:
         raise HoleMismatch(f"representatives live on different shapes: {p!r} vs {q!r}")
-    if backend.compact_closed:
-        n1, n2 = poly_name(backend, p), poly_name(backend, q)
-        if backend.equal(n1, n2):
-            return Decision.equivalent("poly-name")
+    if len(p.holes) == len(p.outers) == 1:
+        return equiv_comb(backend, to_comb(backend, p), to_comb(backend, q), bound=bound)
+    n1, n2 = poly_name(backend, p), poly_name(backend, q)
+    if not backend.equal(n1, n2):
         witness = FactorWitness(
-            pieces={"left_name": n1, "right_name": n2},
-            note="name values differ",
+            pieces={"left_name": n1, "right_name": n2}, note="name values differ"
         )
         return Decision.distinct("poly-name", witness)
-    if backend.enumerable:
-        budget = Budget.of(bound)
-        unit = ObjectWord.unit()
-        ctx = [(unit, unit)] * len(p.holes)
-        hom_sets = [
-            backend.enumerate_hom(a, a1, budget.max_hom) for (a, a1) in p.holes
-        ]
-        hit, tried = probe_scan(
-            backend, p, q, itertools.product(*[hs.items for hs in hom_sets]),
-            lambda be, rep, combo: poly_extended_eval(be, rep, list(combo), ctx),
-        )
-        if hit is not None:
-            combo, v1, v2 = hit
-            witness = FactorWitness(
-                pieces={"fillers": combo, "left": v1, "right": v2},
-                note="a tuple of trivial-context fillers separates the "
-                     "representatives",
-            )
-            return Decision.distinct(
-                "poly-probes", witness, coverage={"filler_tuples_tried": tried}
-            )
+    if backend.compact_closed or not p.holes:
+        return Decision.equivalent("poly-name")
+    if not backend.enumerable:
         return Decision.unknown(
-            "poly-probes",
-            coverage={
-                "filler_tuples_tried": tried,
-                "hom_scans_complete": all(hs.complete for hs in hom_sets),
-            },
+            "poly-name", coverage={"names_agree": True, "conclusive": False}
         )
-    raise NotCompactClosed(
-        f"{backend.name} offers neither name forms nor enumerable fillers"
+    max_hom = Budget.of(bound).max_hom
+    hom_sets = [backend.enumerate_hom(a, a1, max_hom) for (a, a1) in p.holes]
+    ctx = [(ObjectWord.unit(), ObjectWord.unit())] * len(p.holes)
+    hit, tried = probe_scan(
+        backend, p, q, itertools.product(*[hs.items for hs in hom_sets]),
+        lambda be, rep, combo: poly_extended_eval(be, rep, list(combo), ctx),
+    )
+    if hit is not None:
+        combo, v1, v2 = hit
+        witness = FactorWitness(
+            pieces={"fillers": combo, "left": v1, "right": v2},
+            note="a tuple of trivial-context fillers separates the representatives",
+        )
+        return Decision.distinct(
+            "poly-probes", witness, coverage={"probes_tried": tried}
+        )
+    return Decision.unknown(
+        "poly-probes",
+        coverage={
+            "probes_tried": tried,
+            "hom_scans_complete": all(hs.complete for hs in hom_sets),
+        },
     )
 
 

@@ -9,6 +9,8 @@ import pytest
 
 import opticomb
 from opticomb.cli import main
+from opticomb.program import load_program, parse_program, run_program
+from opticomb.theory import load_theory
 
 ROOT = Path(__file__).resolve().parent.parent
 THEORIES = ROOT / "theories"
@@ -185,6 +187,37 @@ class TestBundledPairs:
         assert run_cli(*args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+def test_poly_equiv_agrees_with_comb_on_bundled_programs():
+    """Every ``equiv comb X Y`` of the bundled programs, asked again as
+    ``equiv poly X Y``, gets the same verdict and certified flag."""
+    asked = 0
+    for thy, prog in BUNDLED:
+        statements = load_program(str(THEORIES / prog))
+        pairs = [
+            line.split()[2:] for line in (THEORIES / prog).read_text().splitlines()
+            if line.startswith("equiv comb ")
+        ]
+        statements += parse_program("".join(f"equiv poly {x} {y}\n" for x, y in pairs))
+        reports = run_program(load_theory(str(THEORIES / thy)), statements)
+        answers = {r.query: r.payload for r in reports if r.kind == "decision"}
+        for x, y in pairs:
+            by_comb, by_poly = answers[f"equiv comb {x} {y}"], answers[f"equiv poly {x} {y}"]
+            assert by_poly["verdict"] == by_comb["verdict"], (prog, x, y)
+            assert by_poly["certified"] == by_comb["certified"], (prog, x, y)
+            asked += 1
+    assert asked == 6
+
+
+def test_hole_free_poly_is_certified(capsys, tmp_path):
+    prog = tmp_path / "p.prog"
+    prog.write_text("poly p holes=[] outers=[] envs=[] segs=[id(I)]\nequiv poly p p\n")
+    assert run_cli(
+        "run", str(THEORIES / "cartesian.thy"), str(prog), "--format", "json"
+    ) == 0
+    result = json.loads(capsys.readouterr().out)["queries"][1]["result"]
+    assert result == {"certified": True, "method": "poly-name", "verdict": "equivalent"}
 
 
 class TestExitCodes:

@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 
 from opticomb import (
+    AbsorbingPointedBackend,
     FactorWitness,
+    FinFunBackend,
     HoleMismatch,
+    IdempotentFreeBackend,
+    MatrixBackend,
     NotCompactClosed,
     ObjectWord,
+    PointedFreeBackend,
     TypeMismatch,
     UnsupportedShape,
     Verdict,
     braid_eval,
     comb,
     comb_compose,
+    equiv_comb,
     extended_eval,
     from_comb,
     identity_poly,
@@ -118,10 +124,68 @@ class TestEvaluation:
         rebuilt = cbe.compose(braid_eval(cbe, one_hole), cbe.symmetry(a1, b))
         assert cbe.equal(name, rebuilt)
 
-    def test_name_needs_compact_closure(self, ffb):
-        p = identity_poly(ffb, word("s"), word("s"))
-        with pytest.raises(NotCompactClosed):
-            poly_name(ffb, p)
+
+# bool matrices and four backends without a compact structure, each with an object
+NAME_BACKENDS = {
+    "bool": (lambda: MatrixBackend({"b": 2}, semiring="bool"), "b"),
+    "finfun": (lambda: FinFunBackend({"s": 2}), "s"),
+    "pointed": (PointedFreeBackend, "a"),
+    "idempotent": (IdempotentFreeBackend, "a"),
+    "absorbing": (AbsorbingPointedBackend, "a"),
+}
+
+
+def join(words):
+    return ObjectWord(tuple(f for w in words for f in w))
+
+
+def random_pieces(backend, o, n, rng, count):
+    """Up to ``count`` n-hole pieces with words drawn from I, o, o*o and
+    segments drawn from enumerated hom-sets; shapes with an empty hom-set
+    are skipped."""
+    words, envs = [U, o, o @ o], [U, o]
+    pieces = []
+    for _ in range(20 * count):
+        holes = [(words[rng.integers(3)], words[rng.integers(3)]) for _ in range(n)]
+        outers = [(words[rng.integers(3)], words[rng.integers(3)])
+                  for _ in range(rng.integers(3))]
+        ms = [envs[rng.integers(2)] for _ in range(n)]
+        ins, outs = join(a for a, _ in outers), join(b for _, b in outers)
+        ends = [ins] + [m @ h[1] for m, h in zip(ms, holes)]
+        starts = [m @ h[0] for m, h in zip(ms, holes)] + [outs]
+        segments = []
+        for d, c in zip(ends, starts):
+            if len(d) + len(c) > 4:
+                break
+            items = backend.enumerate_hom(d, c, 16).items
+            if not items:
+                break
+            segments.append(items[rng.integers(len(items))])
+        else:
+            pieces.append(poly(backend, holes, outers, ms, segments))
+        if len(pieces) == count:
+            break
+    return pieces
+
+
+@pytest.mark.parametrize("name", sorted(NAME_BACKENDS))
+def test_swap_fillers_give_the_name(name):
+    """Plugging ``sigma(A_i', A_i)`` at context ``(A_i', A_i)`` into every
+    hole gives ``sigma(A_0' .. A_{n-1}', B) ; poly_name``: the name is a
+    plugging value, so differing names refute on every backend."""
+    make, obj = NAME_BACKENDS[name]
+    backend = make()
+    rng = np.random.default_rng(20261018)
+    for n in (0, 1, 2):
+        pieces = random_pieces(backend, word(obj), n, rng, 8)
+        assert pieces
+        for p in pieces:
+            fillers = [backend.symmetry(a1, a) for (a, a1) in p.holes]
+            contexts = [(a1, a) for (a, a1) in p.holes]
+            plugged = poly_extended_eval(backend, p, fillers, contexts)
+            ins, outs = join(a for a, _ in p.outers), join(a1 for _, a1 in p.holes)
+            named = backend.compose(backend.symmetry(outs, ins), poly_name(backend, p))
+            assert backend.equal(plugged, named), (n, p)
 
 
 class TestEquivalence:
@@ -147,28 +211,66 @@ class TestEquivalence:
         with pytest.raises(HoleMismatch):
             poly_equiv(cbe, two_hole, identity_poly(cbe, word("x"), word("y")))
 
-    def test_probe_route_refutes_on_enumerable(self, idem):
+    def test_one_hole_pieces_are_combs(self, idem):
         a = word("a")
         f = idem.generator("f")
-        p = from_comb(idem, comb(idem, f, idem.identity(a), env=U))
-        q = from_comb(idem, comb(idem, f, f, env=U))
-        d = poly_equiv(idem, p, q)
+        fid = comb(idem, f, idem.identity(a), env=U)
+        for other in (comb(idem, f, f, env=U), comb(idem, idem.identity(a), f, env=U)):
+            d = poly_equiv(idem, from_comb(idem, fid), from_comb(idem, other))
+            assert d == equiv_comb(idem, fid, other)
+            assert d.method == "braid-value" and d.certified
+
+    def test_probe_route_refutes_on_enumerable(self):
+        """Equal names, told apart by the identity filler."""
+        ab = AbsorbingPointedBackend()
+        a = word("a")
+        bang = ab.generator("bang")
+        p, q = (poly(ab, [(a, a)], [], [U], [ab.generator(s), bang])
+                for s in ("psi", "phi"))
+        assert ab.equal(poly_name(ab, p), poly_name(ab, q))
+        d = poly_equiv(ab, p, q)
+        assert d.verdict is Verdict.DISTINCT and d.certified
         assert d.method == "poly-probes"
-        assert d.verdict in (Verdict.DISTINCT, Verdict.UNKNOWN)
+        assert d.coverage == {"probes_tried": 1}
+        assert ab.equal(d.witness.pieces["fillers"][0], ab.identity(a))
 
     def test_probe_route_cannot_confirm(self, idem):
         a = word("a")
-        f = idem.generator("f")
-        p = from_comb(idem, comb(idem, f, idem.identity(a), env=U))
-        q = from_comb(idem, comb(idem, idem.identity(a), f, env=U))
-        d = poly_equiv(idem, p, q)
-        assert d.verdict is Verdict.UNKNOWN
-        assert d.coverage["filler_tuples_tried"] >= 1
+        f, one = idem.generator("f"), idem.identity(a)
+        p = poly(idem, [(a, a), (a, a)], [(a, a)], [U, U], [f, one, f])
+        d = poly_equiv(idem, p, p)
+        assert d.verdict is Verdict.UNKNOWN and d.method == "poly-probes"
+        assert d.coverage == {"probes_tried": 4, "hom_scans_complete": True}
 
     def test_no_route_available(self, ube):
-        p = identity_poly(ube, word("q"), word("q"))
-        with pytest.raises(NotCompactClosed):
-            poly_equiv(ube, p, p)
+        q = word("q")
+        ident = identity_poly(ube, q, q)
+        d = poly_equiv(ube, ident, ident)
+        assert d.verdict is Verdict.EQUIVALENT and d.certified
+        assert d.method == "braid-value"
+        ube.add_generator("h", "q", "q", np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+        one, h = ube.identity(q), ube.generator("h")
+        p = poly(ube, [(q, q), (q, q)], [(q, q)], [U, U], [one, one, one])
+        d = poly_equiv(ube, p, p)
+        assert d.verdict is Verdict.UNKNOWN and d.method == "poly-name"
+        assert d.coverage == {"names_agree": True, "conclusive": False}
+        other = poly(ube, [(q, q), (q, q)], [(q, q)], [U, U], [one, h, one])
+        d = poly_equiv(ube, p, other)
+        assert d.verdict is Verdict.DISTINCT and d.certified
+        assert d.method == "poly-name"
+
+    def test_hole_free_pieces_are_decided_by_name(self, ffb):
+        s = word("s")
+        g, h = ffb.enumerate_hom(s, s, 4).items[:2]
+        p = poly(ffb, [], [(s, s)], [], [g])
+        d = poly_equiv(ffb, p, p)
+        assert d.verdict is Verdict.EQUIVALENT and d.certified
+        assert d.method == "poly-name"
+        d = poly_equiv(ffb, p, poly(ffb, [], [(s, s)], [], [h]))
+        assert d.verdict is Verdict.DISTINCT and d.certified
+        assert d.method == "poly-name"
+        closed = poly(ffb, [], [], [], [ffb.identity(U)])
+        assert poly_equiv(ffb, closed, closed).verdict is Verdict.EQUIVALENT
 
 
 class TestPlugging:

@@ -69,10 +69,9 @@ def applicable_deciders(backend):
     deciders = [equiv_sigma, equiv_comb, equiv_optic]
     if not backend.unitary_values:
         deciders.append(equiv_tau)
-    if backend.compact_closed or backend.enumerable:
-        deciders.append(
-            lambda be, c1, c2: poly_equiv(be, from_comb(be, c1), from_comb(be, c2))
-        )
+    deciders.append(
+        lambda be, c1, c2: poly_equiv(be, from_comb(be, c1), from_comb(be, c2))
+    )
     if backend.unitary_values:
         deciders.append(unitary_comb_factor)
     if getattr(backend, "semiring", None) == "complex":
@@ -90,6 +89,30 @@ def test_decisions_report_the_backend_tolerance(name):
         backend.tolerance = tolerance
         for decide in applicable_deciders(backend):
             assert decide(backend, c, c).tolerance == tolerance
+
+
+@pytest.mark.parametrize("name", sorted(AUTO_METHODS))
+def test_one_hole_poly_equiv_is_equiv_comb(name):
+    """A one-hole, one-outer pair gets ``equiv_comb``'s answer from ``poly_equiv``."""
+    make, obj, _, _ = AUTO_METHODS[name]
+    backend = make()
+    o = word(obj)
+    oo = o @ o
+    ident = identity_comb(backend, o, o)
+    # the swap sends the other wire through the hole
+    pairs = [
+        (ident, ident),
+        (comb(backend, backend.identity(oo), backend.identity(oo), o),
+         comb(backend, backend.symmetry(o, o), backend.identity(oo), o)),
+    ]
+    if "f" in backend.generator_names():
+        f = backend.generator("f")
+        pairs.append((comb(backend, f, backend.identity(o), word()),
+                      comb(backend, backend.identity(o), f, word())))
+    for c1, c2 in pairs:
+        d = equiv_comb(backend, c1, c2)
+        p = poly_equiv(backend, from_comb(backend, c1), from_comb(backend, c2))
+        assert (p.verdict, p.certified, p.method) == (d.verdict, d.certified, d.method)
 
 
 def test_strategies_come_from_the_tables():

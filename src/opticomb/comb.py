@@ -7,7 +7,8 @@ sharing an environment ``E`` that bypasses the hole.  Plugging a filler
 ``C (x) A -> D (x) A'``; two combs are extensionally equivalent when every
 filler yields the same value.  The evaluation and the braid value are
 built by ``plug_chain`` and ``chain_name``, which ``polycomb`` shares for
-any number of holes.
+any number of holes; ``plug_chain`` evaluates a whole stream of probes,
+and ``extended_eval`` is its one-probe stream.
 
 Three progressively cheaper relations are decidable here:
 
@@ -23,7 +24,7 @@ Three progressively cheaper relations are decidable here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -69,6 +70,10 @@ class CombRep:
 
     def boundary(self) -> tuple:
         return (self.source, self.target)
+
+    def chain(self) -> tuple:
+        """The one-hole chain ``(holes, envs, segments)`` of :func:`plug_chain`."""
+        return (self.target,), (self.env,), (self.f, self.g)
 
     def __repr__(self) -> str:
         return f"CombRep({_pp(self.source)} -> {_pp(self.target)} env {self.env.pretty()})"
@@ -149,51 +154,72 @@ def _join(words: Sequence[ObjectWord]) -> ObjectWord:
 
 def plug_chain(
     backend: Backend, holes: Sequence[Pair], envs: Sequence[ObjectWord],
-    segments: Sequence[Any], fillers: Sequence[Any], contexts: Sequence[Pair],
-) -> Any:
-    """Plug ``fillers[i] : C_i (x) A_i -> D_i (x) A_i'`` into hole ``i``.
+    segments: Sequence[Any], probes: Iterable[tuple[Sequence[Any], Sequence[Pair]]],
+) -> Iterator[Any]:
+    """Plug each probe's ``fillers[i] : C_i (x) A_i -> D_i (x) A_i'`` into
+    hole ``i`` at ``contexts[i] = (C_i, D_i)``, lazily.
 
     The chain runs ``segments[0] : B -> M_0 (x) A_0``, then
     ``segments[i] : M_{i-1} (x) A_{i-1}' -> M_i (x) A_i``, up to
     ``segments[n] : M_{n-1} (x) A_{n-1}' -> B'``, with ``holes[i] = (A_i,
-    A_i')`` and ``envs[i] = M_i``.  The result runs ``C_0 .. C_{n-1} (x) B
-    -> D_0 .. D_{n-1} (x) B'``.  Context legs wait on the far left; each
-    round moves one leg across, applies the filler, parks its output leg,
-    and runs the next segment.  When no leg waits, the environment swap
-    gets no identity on the unit word beside it, so one hole composes
-    ``(1_C (x) f) (sigma_{C,E} (x) 1_B) (1_E (x) filler) (sigma_{E,D} (x)
-    1_B') (1_D (x) g)`` and nothing else.
+    A_i')`` and ``envs[i] = M_i``; a value runs ``C_0 .. C_{n-1} (x) B ->
+    D_0 .. D_{n-1} (x) B'``.  Context legs wait on the far left.  The
+    stretch before filler ``j`` (or after the last) depends only on ``C_j
+    ..`` and ``.. D_{j-1}``, so it is built once per stream and a probe
+    costs one tensor and two composites per hole.  One hole composes
+    ``((1_C (x) f) (sigma_{C,E} (x) 1_B)) (1_E (x) filler) ((sigma_{E,D}
+    (x) 1_B') (1_D (x) g))``: no identity on the unit word sits by a swap.
     """
     n = len(holes)
-    if len(fillers) != n or len(contexts) != n:
-        raise HoleMismatch(f"expected {n} fillers and {n} contexts")
-    cs = [backend.normalize_word(c) for (c, _) in contexts]
-    ds = [backend.normalize_word(d) for (_, d) in contexts]
-    for i, lam in enumerate(fillers):
-        want_d, want_c = cs[i] @ holes[i][0], ds[i] @ holes[i][1]
-        if not (
-            backend.words_equal(backend.dom(lam), want_d)
-            and backend.words_equal(backend.cod(lam), want_c)
-        ):
-            raise TypeMismatch(
-                f"filler {i} must be {want_d.pretty()} -> {want_c.pretty()}, got "
-                f"{backend.dom(lam).pretty()} -> {backend.cod(lam).pretty()}"
-            )
-    val = backend.tensor(backend.identity(_join(cs)), segments[0])
-    for i, ((a, a1), e, lam) in enumerate(zip(holes, envs, fillers)):
-        waiting = cs[i + 1 :] + ds[:i]
-        across = _join(waiting + [e])
-        val = backend.compose(
-            val, backend.tensor(backend.symmetry(cs[i], across), backend.identity(a))
-        )
-        val = backend.compose(val, backend.tensor(backend.identity(across), lam))
-        swap = backend.symmetry(e, ds[i])
-        if waiting:
-            swap = backend.tensor(backend.identity(_join(waiting)), swap)
-        val = backend.compose(val, backend.tensor(swap, backend.identity(a1)))
-        beside = backend.identity(_join(waiting + [ds[i]]))
-        val = backend.compose(val, backend.tensor(beside, segments[i + 1]))
-    return val
+    built: dict[tuple, tuple[Any, Any]] = {}
+
+    def stretch(j: int, cs: tuple, ds: tuple) -> tuple[Any, Any]:
+        # from filler j - 1 (or B) to filler j (or B'), and the identity
+        # beside filler j
+        key = (j, cs[j:], ds[:j])
+        if key not in built:
+            val = backend.tensor(backend.identity(_join(cs[j:] + ds[:j])), segments[j])
+            if j:  # park the output leg of filler j - 1 past its environment
+                waiting = cs[j:] + ds[: j - 1]
+                swap = backend.symmetry(envs[j - 1], ds[j - 1])
+                if waiting:
+                    swap = backend.tensor(backend.identity(_join(waiting)), swap)
+                val = backend.compose(
+                    backend.tensor(swap, backend.identity(holes[j - 1][1])), val
+                )
+            beside = None
+            if j < n:
+                across = _join(cs[j + 1 :] + ds[:j] + (envs[j],))
+                val = backend.compose(val, backend.tensor(
+                    backend.symmetry(cs[j], across), backend.identity(holes[j][0])
+                ))
+                beside = backend.identity(across)
+            built[key] = val, beside
+        return built[key]
+
+    last = None
+    for fillers, contexts in probes:
+        if len(fillers) != n or len(contexts) != n:
+            raise HoleMismatch(f"expected {n} fillers and {n} contexts")
+        if contexts != last:
+            cs = tuple(backend.normalize_word(c) for (c, _) in contexts)
+            ds = tuple(backend.normalize_word(d) for (_, d) in contexts)
+            types = [(c @ a, d @ a1) for c, d, (a, a1) in zip(cs, ds, holes)]
+        for i, (lam, (want_d, want_c)) in enumerate(zip(fillers, types)):
+            if not (
+                backend.words_equal(backend.dom(lam), want_d)
+                and backend.words_equal(backend.cod(lam), want_c)
+            ):
+                raise TypeMismatch(
+                    f"filler {i} must be {want_d.pretty()} -> {want_c.pretty()}, got "
+                    f"{backend.dom(lam).pretty()} -> {backend.cod(lam).pretty()}"
+                )
+        if contexts != last:
+            last, path = contexts, [stretch(j, cs, ds) for j in range(n + 1)]
+        val = path[0][0]
+        for lam, (_, beside), (after, _) in zip(fillers, path, path[1:]):
+            val = backend.compose(backend.compose(val, backend.tensor(beside, lam)), after)
+        yield val
 
 
 def chain_name(
@@ -228,12 +254,10 @@ def extended_eval(
 ) -> Any:
     """Plug ``filler : C (x) B -> D (x) B'`` into the hole.
 
-    The result has type ``C (x) A -> D (x) A'``; the context legs C and D
-    ride past the environment with two symmetries.
+    The result has type ``C (x) A -> D (x) A'``: a one-probe stream of
+    :func:`plug_chain`, whose context legs ride past the environment.
     """
-    return plug_chain(
-        backend, (c.target,), (c.env,), (c.f, c.g), (filler,), ((c_word, d_word),)
-    )
+    return next(plug_chain(backend, *c.chain(), [((filler,), ((c_word, d_word),))]))
 
 
 def braid_eval(backend: Backend, c: CombRep) -> Any:
@@ -337,8 +361,9 @@ def filler_probes(
     words: Iterable[ObjectWord],
     max_hom: int,
     scans: list[bool],
-) -> Iterator[tuple[Any, ObjectWord, ObjectWord]]:
-    """Probes ``(filler, C, D)`` for every pair of context words, lazily.
+) -> Iterator[tuple[tuple[Any], tuple[Pair]]]:
+    """One-hole probes ``((filler,), ((C, D),))`` for every pair of context
+    words, lazily.
 
     Each hom-set ``C (x) B -> D (x) B'`` is enumerated only when the walk
     reaches it; its completeness flag is appended to ``scans``.
@@ -349,32 +374,33 @@ def filler_probes(
             homs = backend.enumerate_hom(cw @ b, dw @ b1, max_hom)
             scans.append(homs.complete)
             for lam in homs.items:
-                yield lam, cw, dw
+                yield (lam,), ((cw, dw),)
 
 
 def probe_scan(
     backend: Backend, rep1: Any, rep2: Any, probes: Iterable[Any],
-    evaluate: Callable[[Backend, Any, Any], Any] = (
-        lambda backend, c, probe: extended_eval(backend, c, *probe)
-    ),
 ) -> tuple[tuple[Any, Any, Any] | None, int]:
     """Evaluate both representatives on each probe, in order.
 
+    Each representative (a comb or a poly piece) is one :func:`plug_chain`
+    stream of its ``chain()`` over the probes, drawn once and lazily.
     Returns ``((probe, left, right), tried)`` for the first probe on which
-    they differ, or ``(None, tried)`` when every probe agrees.  Probes are
-    ``(filler, C, D)`` triples unless ``evaluate`` reads them otherwise.
+    they differ, or ``(None, tried)`` when every probe agrees.
     """
+    probes, p1, p2 = itertools.tee(probes, 3)
+    evals = zip(
+        probes, plug_chain(backend, *rep1.chain(), p1),
+        plug_chain(backend, *rep2.chain(), p2),
+    )
     tried = 0
-    for probe in probes:
-        tried += 1
-        v1, v2 = evaluate(backend, rep1, probe), evaluate(backend, rep2, probe)
+    for tried, (probe, v1, v2) in enumerate(evals, 1):
         if not backend.equal(v1, v2):
             return (probe, v1, v2), tried
     return None, tried
 
 
 def _probe_witness(backend: Backend, hit: tuple, note: str) -> ProbeWitness:
-    (lam, cw, dw), v1, v2 = hit
+    ((lam,), ((cw, dw),)), v1, v2 = hit
     return ProbeWitness(
         cw, dw, lam, left=v1, right=v2,
         probe_term=backend.value_to_term(lam), note=note,
@@ -462,16 +488,10 @@ def equiv_tau(backend: Backend, c1: CombRep, c2: CombRep, bound: int = 2) -> Dec
 
 
 def _braid_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decision:
-    witness = braid_refutation(backend, c1, c2)
-    if witness is not None:
-        # this witness shows the swap filler's own values, not the braid values
-        probe = (witness.probe, witness.c_word, witness.d_word)
-        witness = replace(
-            witness, left=extended_eval(backend, c1, *probe),
-            right=extended_eval(backend, c2, *probe),
-            note="the swap filler already separates the combs",
-        )
-        return Decision.distinct("braid-value", witness)
+    if not backend.equal(braid_eval(backend, c1), braid_eval(backend, c2)):
+        return Decision.distinct("braid-value", _swap_witness(
+            backend, c1, c2, "the swap filler already separates the combs"
+        ))
     if backend.braid_conclusive:
         return Decision.equivalent("braid-value", coverage={"conclusive": True})
     return Decision.unknown(
@@ -571,32 +591,6 @@ def equiv_comb(
 # Congruence search
 # ---------------------------------------------------------------------------
 
-def staged_evals(backend: Backend, c: CombRep, probes: Iterable[Any]) -> Iterator[Any]:
-    """``extended_eval(backend, c, *probe)`` for each probe of ``filler_probes``.
-
-    The prefix ``(1_C (x) f) ; (sigma_{C,E} (x) 1_B)`` and the suffix
-    ``(sigma_{E,D} (x) 1_B') ; (1_D (x) g)`` are rebuilt only when C or D
-    changes, so a probe costs one tensor and two composites.  The values are
-    composed in another order than ``extended_eval``'s, so they serve exact
-    comparisons by key only.
-    """
-    (b, b1), e = c.target, c.env
-    id_e = backend.identity(e)
-    c_word = d_word = prefix = suffix = None
-    for lam, cw, dw in probes:
-        if cw != c_word:
-            c_word, prefix = cw, backend.compose(
-                backend.tensor(backend.identity(cw), c.f),
-                backend.tensor(backend.symmetry(cw, e), backend.identity(b)),
-            )
-        if dw != d_word:
-            d_word, suffix = dw, backend.compose(
-                backend.tensor(backend.symmetry(e, dw), backend.identity(b1)),
-                backend.tensor(backend.identity(dw), c.g),
-            )
-        yield backend.compose(backend.compose(prefix, backend.tensor(id_e, lam)), suffix)
-
-
 def _fingerprinter(backend: Backend, probes: list) -> Callable[[CombRep], tuple]:
     """A comb's probe values as keys interned per probe index, computed once."""
     interned: list[dict[Any, int]] = [{} for _ in probes]
@@ -606,7 +600,7 @@ def _fingerprinter(backend: Backend, probes: list) -> Callable[[CombRep], tuple]
         if id(c) not in prints:
             prints[id(c)] = tuple(
                 table.setdefault(backend.canonical_key(v), len(table))
-                for table, v in zip(interned, staged_evals(backend, c, probes))
+                for table, v in zip(interned, plug_chain(backend, *c.chain(), probes))
             )
         return prints[id(c)]
 
@@ -640,11 +634,12 @@ def sigma_congruence_search(
     braid-equal pair ``(psi, bang)``, ``(phi, bang)``.
 
     Each comb is evaluated on the probe list once, when a pair first
-    reaches it (:func:`staged_evals`), and its fingerprint is the tuple of
-    its values' keys, interned per probe index.  Keys agree exactly when
-    values are ``equal``, so a pair differs exactly when the fingerprints
-    do; the first differing probe is replayed through :func:`probe_scan`,
-    so the pairs, the ``max_pairs`` cut and the witness are those of a
+    reaches it, as one :func:`plug_chain` stream (the evaluator of every
+    probe scan), and its fingerprint is the tuple of its values' keys,
+    interned per probe index.  Keys agree exactly when values are
+    ``equal``, so a pair differs exactly when the fingerprints do; the
+    first differing probe is replayed through :func:`probe_scan`, so the
+    pairs, the ``max_pairs`` cut and the witness are those of a
     pair-by-pair scan.
     """
     from .sampling import enumerate_combs

@@ -284,5 +284,5 @@ def equiv_optic(
 def check_probe_witness(backend: Backend, o1: CombRep, o2: CombRep,
                         witness: ProbeWitness) -> bool:
     """Re-run a probe witness: do the two combs really disagree on it?"""
-    probe = (witness.probe, witness.c_word, witness.d_word)
+    probe = ((witness.probe,), ((witness.c_word, witness.d_word),))
     return probe_scan(backend, o1, o2, [probe])[0] is not None

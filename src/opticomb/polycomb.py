@@ -9,10 +9,10 @@ the top segment turns the last hole's output into the outer outputs.
 Plugging fillers and the name run through ``comb.plug_chain`` and
 ``comb.chain_name``, the bodies of the one-hole evaluation and braid value.
 
-``poly_equiv`` hands a one-hole, one-outer pair to ``equiv_comb``.  It
-refutes any other pair by name on every backend, and confirms by name
-where the name is complete: over compact closed backends, and for
-hole-free pieces.
+A one-hole piece is the comb on its joined outer words, so ``poly_equiv``
+hands every one-hole pair to ``equiv_comb``.  It refutes any other pair
+by name on every backend, and confirms by name where the name is
+complete: over compact closed backends, and for hole-free pieces.
 
 Composition plugs one representative into a hole of another.  Two shapes
 are supported: an inner piece with exactly one outer pair splices its
@@ -52,6 +52,10 @@ class PolyCombRep:
     outers: tuple[Pair, ...]
     envs: tuple[ObjectWord, ...]
     segments: tuple[Any, ...]
+
+    def chain(self) -> tuple:
+        """The chain ``(holes, envs, segments)`` of :func:`~opticomb.comb.plug_chain`."""
+        return self.holes, self.envs, self.segments
 
     def __repr__(self) -> str:
         hs = ", ".join(_pp(p) for p in self.holes)
@@ -96,9 +100,11 @@ def from_comb(backend: Backend, c: CombRep) -> PolyCombRep:
 
 
 def to_comb(backend: Backend, p: PolyCombRep) -> CombRep:
-    if len(p.holes) != 1 or len(p.outers) != 1:
-        raise UnsupportedShape("only one-hole, one-outer representatives are combs")
-    return CombRep(p.outers[0], p.holes[0], p.envs[0], p.segments[0], p.segments[1])
+    """A one-hole piece as the comb on its joined outer words."""
+    if len(p.holes) != 1:
+        raise UnsupportedShape("only one-hole representatives are combs")
+    source = (_join([a for a, _ in p.outers]), _join([a1 for _, a1 in p.outers]))
+    return CombRep(source, p.holes[0], p.envs[0], p.segments[0], p.segments[1])
 
 
 def identity_poly(backend: Backend, b: ObjectWord, b1: ObjectWord) -> PolyCombRep:
@@ -116,9 +122,9 @@ def poly_extended_eval(
 
     The result runs ``C_0 .. C_{n-1} (x) B -> D_0 .. D_{n-1} (x) B'``.  For
     a single hole this is the one-hole extended evaluation, factor for
-    factor: both are :func:`~opticomb.comb.plug_chain`.
+    factor: both are one-probe streams of :func:`~opticomb.comb.plug_chain`.
     """
-    return plug_chain(backend, p.holes, p.envs, p.segments, fillers, contexts)
+    return next(plug_chain(backend, *p.chain(), [(fillers, contexts)]))
 
 
 def poly_name(backend: Backend, p: PolyCombRep) -> Any:
@@ -143,8 +149,8 @@ def poly_equiv(
 ) -> Decision:
     """Decide plugging equivalence of two poly representatives.
 
-    A one-hole, one-outer pair is a pair of combs, decided by
-    ``equiv_comb``.  Any other pair is compared by name first: differing
+    A one-hole pair is a pair of combs on the joined outer words, decided
+    by ``equiv_comb``.  Any other pair is compared by name first: differing
     names refute on every backend.  Equal names confirm where the name is
     complete, over compact closed backends and for hole-free pieces (whose
     name is their segment).  Elsewhere a bounded family of trivial-context
@@ -153,7 +159,7 @@ def poly_equiv(
     """
     if p.holes != q.holes or p.outers != q.outers:
         raise HoleMismatch(f"representatives live on different shapes: {p!r} vs {q!r}")
-    if len(p.holes) == len(p.outers) == 1:
+    if len(p.holes) == 1:
         return equiv_comb(backend, to_comb(backend, p), to_comb(backend, q), bound=bound)
     n1, n2 = poly_name(backend, p), poly_name(backend, q)
     if not backend.equal(n1, n2):
@@ -170,12 +176,10 @@ def poly_equiv(
     max_hom = Budget.of(bound).max_hom
     hom_sets = [backend.enumerate_hom(a, a1, max_hom) for (a, a1) in p.holes]
     ctx = [(ObjectWord.unit(), ObjectWord.unit())] * len(p.holes)
-    hit, tried = probe_scan(
-        backend, p, q, itertools.product(*[hs.items for hs in hom_sets]),
-        lambda be, rep, combo: poly_extended_eval(be, rep, list(combo), ctx),
-    )
+    combos = itertools.product(*[hs.items for hs in hom_sets])
+    hit, tried = probe_scan(backend, p, q, ((combo, ctx) for combo in combos))
     if hit is not None:
-        combo, v1, v2 = hit
+        (combo, _), v1, v2 = hit
         witness = FactorWitness(
             pieces={"fillers": combo, "left": v1, "right": v2},
             note="a tuple of trivial-context fillers separates the representatives",

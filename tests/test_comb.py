@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from opticomb import (
@@ -32,13 +33,15 @@ from opticomb import (
     identity_comb,
     lens_pair,
     lift_functor,
+    poly,
+    poly_extended_eval,
     sigma_congruence_search,
     swap_probe,
 )
-from opticomb.comb import _ordered, filler_probes, probe_scan, staged_evals
+from opticomb.comb import _ordered, filler_probes, plug_chain, probe_scan
 from opticomb.program import witness_json
 
-from conftest import rand_mat, word
+from conftest import NAME_BACKENDS, rand_mat, random_pieces, word
 
 
 @pytest.fixture
@@ -351,7 +354,7 @@ def reference_search(backend, boundaries, bound, max_pairs):
                     return None, pairs
                 hit, _ = probe_scan(backend, c1, c2, probes)
                 if hit is not None:
-                    (lam, cw, dw), v1, v2 = hit
+                    ((lam,), ((cw, dw),)), v1, v2 = hit
                     return ProbeWitness(
                         cw, dw, lam, left=v1, right=v2,
                         probe_term=backend.value_to_term(lam),
@@ -375,21 +378,86 @@ def _same_witness(w1, w2):
     return json.dumps(witness_json(w1)) == json.dumps(witness_json(w2))
 
 
-class TestCongruenceSearch:
-    @pytest.mark.parametrize(
-        "backend,boundaries", SEARCHES, ids=[be.name for be, _ in SEARCHES]
-    )
-    def test_staged_evals_match_extended_eval(self, backend, boundaries):
-        for (a, a1, b, b1) in boundaries:
-            combs = list(enumerate_combs(backend, (a, a1), (b, b1), 2))
-            probes = _probes(backend, b, b1)
-            for c in combs[:: max(1, len(combs) // 6)]:
-                staged = list(staged_evals(backend, c, probes))
-                assert len(staged) == len(probes)
-                for v, probe in zip(staged, probes):
-                    expected = extended_eval(backend, c, *probe)
-                    assert backend.canonical_key(v) == backend.canonical_key(expected)
+STREAM_BACKENDS = {
+    **NAME_BACKENDS,
+    "complex": (lambda: MatrixBackend({"x": 2, "y": 3}, semiring="complex"), "x"),
+}
 
+
+def _complex_pieces(backend, rng):
+    x, y = word("x"), word("y")
+
+    def seg(d, c):
+        return rand_mat(backend, rng, d, c)
+
+    return [
+        poly(backend, [], [(x, y)], [], [seg(x, y)]),
+        poly(backend, [(y, x)], [(x, y)], [x], [seg(x, x @ y), seg(x @ x, y)]),
+        poly(backend, [(y, x), (x, y)], [(x, y)], [x, y],
+             [seg(x, x @ y), seg(x @ x, y @ x), seg(y @ y, y)]),
+    ]
+
+
+def _walk(backend, rng, p, words):
+    """Probes for every choice of hole contexts from ``words``: first with
+    the C words outer and the D words inner, then the other way round, so
+    contexts change and come back.  Fillers are drawn afresh per probe;
+    context choices with an empty hom-set are skipped."""
+    choices = list(itertools.product(words, repeat=len(p.holes)))
+    order = [(cs, ds) for cs in choices for ds in choices]
+    order += [(cs, ds) for ds in choices for cs in choices]
+    probes = []
+    for cs, ds in order:
+        contexts = tuple(zip(cs, ds))
+        fillers = []
+        for (c, d), (a, a1) in zip(contexts, p.holes):
+            if not backend.enumerable:
+                fillers.append(rand_mat(backend, rng, c @ a, d @ a1))
+                continue
+            items = backend.enumerate_hom(c @ a, d @ a1, 16).items
+            if not items:
+                break
+            fillers.append(items[rng.integers(len(items))])
+        else:
+            probes.append((tuple(fillers), contexts))
+    return probes
+
+
+class TestProbeStreams:
+    @pytest.mark.parametrize("name", sorted(STREAM_BACKENDS))
+    def test_stream_values_match_one_probe_values(self, name):
+        """A stream builds the chain between fillers once per context slice;
+        its values must be the one-probe values on every probe."""
+        make, obj = STREAM_BACKENDS[name]
+        backend, o = make(), word(obj)
+        rng = np.random.default_rng(20261018)
+        if backend.enumerable:
+            pieces = [p for n in (0, 1, 2) for p in random_pieces(backend, o, n, rng, 4)]
+        else:
+            pieces = _complex_pieces(backend, rng)
+        assert {len(p.holes) for p in pieces} == {0, 1, 2}
+        for p in pieces:
+            probes = _walk(backend, rng, p, [word(), o])
+            assert probes
+            values = list(plug_chain(backend, *p.chain(), probes))
+            assert len(values) == len(probes)
+            for v, (fillers, contexts) in zip(values, probes):
+                one = poly_extended_eval(backend, p, fillers, contexts)
+                if backend.enumerable:
+                    assert backend.canonical_key(v) == backend.canonical_key(one)
+                else:
+                    assert backend.equal(v, one)
+            if p.holes:
+                # a wrongly typed filler at the contexts the stream last built
+                fillers, contexts = probes[-1]
+                (c, _), (a, _) = contexts[-1], p.holes[-1]
+                bad = fillers[:-1] + (backend.identity(c @ a @ o),)
+                stream = plug_chain(backend, *p.chain(), probes + [(bad, contexts)])
+                with pytest.raises(TypeMismatch, match=f"filler {len(p.holes) - 1} must"):
+                    list(stream)
+
+
+class TestCongruenceSearch:
     def test_absorbing_witness_and_cut_match_reference(self):
         backend, boundaries = SEARCHES[-1]
         expected, pairs = reference_search(backend, boundaries, 2, 200)

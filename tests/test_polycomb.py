@@ -6,11 +6,8 @@ from opticomb import (
     FactorWitness,
     FinFunBackend,
     HoleMismatch,
-    IdempotentFreeBackend,
-    MatrixBackend,
     NotCompactClosed,
     ObjectWord,
-    PointedFreeBackend,
     TypeMismatch,
     UnsupportedShape,
     Verdict,
@@ -31,7 +28,7 @@ from opticomb import (
     to_comb,
 )
 
-from conftest import rand_mat, word
+from conftest import NAME_BACKENDS, join, rand_mat, random_pieces, word
 
 U = ObjectWord.unit()
 
@@ -125,49 +122,6 @@ class TestEvaluation:
         assert cbe.equal(name, rebuilt)
 
 
-# bool matrices and four backends without a compact structure, each with an object
-NAME_BACKENDS = {
-    "bool": (lambda: MatrixBackend({"b": 2}, semiring="bool"), "b"),
-    "finfun": (lambda: FinFunBackend({"s": 2}), "s"),
-    "pointed": (PointedFreeBackend, "a"),
-    "idempotent": (IdempotentFreeBackend, "a"),
-    "absorbing": (AbsorbingPointedBackend, "a"),
-}
-
-
-def join(words):
-    return ObjectWord(tuple(f for w in words for f in w))
-
-
-def random_pieces(backend, o, n, rng, count):
-    """Up to ``count`` n-hole pieces with words drawn from I, o, o*o and
-    segments drawn from enumerated hom-sets; shapes with an empty hom-set
-    are skipped."""
-    words, envs = [U, o, o @ o], [U, o]
-    pieces = []
-    for _ in range(20 * count):
-        holes = [(words[rng.integers(3)], words[rng.integers(3)]) for _ in range(n)]
-        outers = [(words[rng.integers(3)], words[rng.integers(3)])
-                  for _ in range(rng.integers(3))]
-        ms = [envs[rng.integers(2)] for _ in range(n)]
-        ins, outs = join(a for a, _ in outers), join(b for _, b in outers)
-        ends = [ins] + [m @ h[1] for m, h in zip(ms, holes)]
-        starts = [m @ h[0] for m, h in zip(ms, holes)] + [outs]
-        segments = []
-        for d, c in zip(ends, starts):
-            if len(d) + len(c) > 4:
-                break
-            items = backend.enumerate_hom(d, c, 16).items
-            if not items:
-                break
-            segments.append(items[rng.integers(len(items))])
-        else:
-            pieces.append(poly(backend, holes, outers, ms, segments))
-        if len(pieces) == count:
-            break
-    return pieces
-
-
 @pytest.mark.parametrize("name", sorted(NAME_BACKENDS))
 def test_swap_fillers_give_the_name(name):
     """Plugging ``sigma(A_i', A_i)`` at context ``(A_i', A_i)`` into every
@@ -220,13 +174,36 @@ class TestEquivalence:
             assert d == equiv_comb(idem, fid, other)
             assert d.method == "braid-value" and d.certified
 
+    def test_outer_words_are_joined(self):
+        """A one-hole piece with no outer pair, or with two, is the comb on
+        its joined outer words."""
+        ff = FinFunBackend({"s": 2})
+        s = word("s")
+        point, delete = ff.enumerate_hom(U, s, 4).items[0], ff.enumerate_hom(s, U, 4).items[0]
+        p = poly(ff, [(s, s)], [], [U], [point, delete])
+        one = ff.identity(s)
+        q = poly(ff, [(s, s)], [(s, U), (U, s)], [U], [one, one])
+        for piece, source in ((p, (U, U)), (q, (s, s))):
+            assert to_comb(ff, piece).source == source
+            d = poly_equiv(ff, piece, piece)
+            assert d.verdict is Verdict.EQUIVALENT and d.certified
+            assert d.method == "braid-value"
+
     def test_probe_route_refutes_on_enumerable(self):
         """Equal names, told apart by the identity filler."""
         ab = AbsorbingPointedBackend()
         a = word("a")
-        bang = ab.generator("bang")
-        p, q = (poly(ab, [(a, a)], [], [U], [ab.generator(s), bang])
-                for s in ("psi", "phi"))
+        psi, phi, bang = (ab.generator(g) for g in ("psi", "phi", "bang"))
+        # one hole: the comb on the unit outer words, refuted by equiv_comb
+        p, q = (poly(ab, [(a, a)], [], [U], [s, bang]) for s in (psi, phi))
+        assert ab.equal(poly_name(ab, p), poly_name(ab, q))
+        d = poly_equiv(ab, p, q)
+        assert d.verdict is Verdict.DISTINCT and d.certified
+        assert d.method == "enumerated-probes"
+        assert d == equiv_comb(ab, to_comb(ab, p), to_comb(ab, q))
+        # two holes: the trivial-context tuple scan
+        p, q = (poly(ab, [(a, a), (U, U)], [], [U, U], [s, bang, ab.identity(U)])
+                for s in (psi, phi))
         assert ab.equal(poly_name(ab, p), poly_name(ab, q))
         d = poly_equiv(ab, p, q)
         assert d.verdict is Verdict.DISTINCT and d.certified

@@ -63,6 +63,7 @@ class FinFunBackend(Backend):
         cw = cod if isinstance(cod, ObjectWord) else ObjectWord.parse(cod)
         m = self.fun(dw, cw, table)
         self._gens[gname] = m
+        self.slide_indexes.clear()
         return m
 
     def fun(self, dom: ObjectWord, cod: ObjectWord, table: Any) -> FinMap:

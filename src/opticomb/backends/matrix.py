@@ -119,6 +119,7 @@ class MatrixBackend(Backend):
         cw = cod if isinstance(cod, ObjectWord) else ObjectWord.parse(cod)
         m = self.mat(dw, cw, entries)
         self._gens[gname] = m
+        self.slide_indexes.clear()
         return m
 
     def coerce(self, data: Any) -> np.ndarray:
@@ -218,7 +219,7 @@ class MatrixBackend(Backend):
         cells = dd * dc
         if cells == 0:
             empty = self.mat(dom, cod, np.zeros((dc, dd), dtype=np.int64))
-            return HomSet((empty,), complete=True)
+            return HomSet((_frozen(empty),), complete=True)
         total = 2 ** cells if cells < 63 else None
         count = total if total is not None and total <= budget else budget
         items = []
@@ -227,7 +228,7 @@ class MatrixBackend(Backend):
             for bit in range(cells):
                 if (k >> bit) & 1:
                     arr[bit] = 1
-            items.append(self.mat(dom, cod, arr.reshape(dc, dd)))
+            items.append(_frozen(self.mat(dom, cod, arr.reshape(dc, dd))))
         complete = (
             self.semiring == "bool" and total is not None and total <= budget
         )

@@ -309,6 +309,11 @@ class Backend(ABC):
     #: comparison tolerance for approximate backends, None when equality is exact
     tolerance: float | None = None
 
+    @functools.cached_property
+    def slide_indexes(self) -> dict[tuple, dict]:
+        """The slide search's move indexes, shared by its queries on this backend."""
+        return {}
+
     # -- signature ----------------------------------------------------------
 
     @abstractmethod

@@ -16,7 +16,9 @@ representative decides membership.  A reached representative yields a
 certified yes with the move chain as witness; exhausting the component
 yields a certified no only when the backend pins all environment shapes
 and every hom-set scan along the way was complete.  Moves are found by key
-lookup in per-query indexes, built once per environment pair (E0, E).
+lookup in indexes built once per backend, boundary and environment pair
+(E0, E) and kept on the backend; their entries carry v already whiskered
+for the side it moves into.
 
 On structured backends (``OPTIC_ROUTES``) the search is bypassed:
 environment-rotation factoring classifies optics over unitary backends,
@@ -89,6 +91,9 @@ def _state_key(backend: Backend, e: ObjectWord, f: Any, g: Any):
 
 #: the slide search stops adding states to its frontier at this many
 MAX_SLIDE_STATES = 4096
+#: a slide search whose backend already holds this many move indexes keeps its
+#: own for itself, so a table holds at most this many plus one search's
+MAX_SLIDE_INDEXES = 256
 
 
 def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
@@ -113,20 +118,25 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
             hom_cache[dom, cod] = hs.items
         return hom_cache[dom, cod]
 
-    indexes: dict[tuple, dict] = {}
+    indexes = backend.slide_indexes if len(backend.slide_indexes) < MAX_SLIDE_INDEXES else {}
 
     def moves(step, e0, e, side_key):
-        """The ``(v, piece)`` of ``step`` between E0 and E whose recomposed side has
-        ``side_key``, v then piece in hom order; pieces are scanned only if a v exists."""
-        if (step, e0, e) not in indexes:
-            index = indexes[step, e0, e] = {}
-            down = step == "push_down"
-            for v in hom(e0, e) if down else hom(e, e0):
-                for piece in hom(a, e0 @ b) if down else hom(e0 @ b1, a1):
-                    side = (backend.compose(piece, backend.tensor(v, id_b)) if down
-                            else backend.compose(backend.tensor(v, id_b1), piece))
-                    index.setdefault(backend.canonical_key(side), []).append((v, piece))
-        return indexes[step, e0, e].get(side_key, ())
+        """The ``(v, piece, v (x) 1)`` of ``step`` between E0 and E whose recomposed
+        side has ``side_key``, in hom order, with v whiskered for the side it moves
+        into.  Hom-sets are scanned per query, pieces only if a v exists."""
+        down = step == "push_down"
+        vs = hom(e0, e) if down else hom(e, e0)
+        pieces = (hom(a, e0 @ b) if down else hom(e0 @ b1, a1)) if vs else ()
+        key = (step, e0, e, a, a1, b, b1, budget.max_hom)
+        if key not in indexes:
+            index = indexes[key] = {}
+            for v in vs:
+                v_b, v_b1 = backend.tensor(v, id_b), backend.tensor(v, id_b1)
+                for piece in pieces:
+                    side = backend.compose(piece, v_b) if down else backend.compose(v_b1, piece)
+                    index.setdefault(backend.canonical_key(side), []).append(
+                        (v, piece, v_b1 if down else v_b))
+        return indexes[key].get(side_key, ())
 
     start = (o1.env, o1.f, o1.g)
     goal_key = _state_key(backend, o2.env, o2.f, o2.g)
@@ -150,13 +160,13 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
         neighbors = []
         for e0 in env_list:
             # push_down: f = (v (x) 1_B) . f0 moves v out of the bottom
-            for v, f0 in moves("push_down", e0, e, cur_key[1]):
-                g0 = backend.compose(backend.tensor(v, id_b1), g)
-                neighbors.append(((e0, f0, g0), SlideStep("push_down", v, e0)))
+            for v, f0, v_b1 in moves("push_down", e0, e, cur_key[1]):
+                neighbors.append(((e0, f0, backend.compose(v_b1, g)),
+                                  SlideStep("push_down", v, e0)))
             # push_up: g = g0 . (v (x) 1_B') moves v out of the top
-            for v, g0 in moves("push_up", e0, e, cur_key[2]):
-                f1 = backend.compose(f, backend.tensor(v, id_b))
-                neighbors.append(((e0, f1, g0), SlideStep("push_up", v, e0)))
+            for v, g0, v_b in moves("push_up", e0, e, cur_key[2]):
+                neighbors.append(((e0, backend.compose(f, v_b), g0),
+                                  SlideStep("push_up", v, e0)))
         for (state, step) in neighbors:
             key = _state_key(backend, *state)
             if key in parents:

@@ -8,8 +8,10 @@ from opticomb import (
     BoundaryMismatch,
     ExhaustionWitness,
     FactorWitness,
+    FinFunBackend,
     IdempotentFreeBackend,
     IncompatibleStrategy,
+    MatrixBackend,
     NonComposableMove,
     ObjectWord,
     PointedFreeBackend,
@@ -353,3 +355,99 @@ def test_indexed_zigzag_matches_double_loop(backend, o1, o2, bound, monkeypatch)
     assert got.witness == want.witness
     if isinstance(want.witness, SlidePathWitness):
         assert got.witness.steps == want.witness.steps
+
+
+def zigzag_answer(backend, o1, o2, bound):
+    """A slide search's decision, its path spelled out move by move."""
+    d = equiv_optic(backend, o1, o2, strategy="zigzag", bound=bound)
+    if not isinstance(d.witness, SlidePathWitness):
+        return (d.verdict, d.certified, d.method, d.coverage, d.witness)
+    steps = [(s.direction, s.residual, backend.canonical_key(s.v))
+             for s in d.witness.steps]
+    return (d.verdict, d.certified, d.method, d.coverage, steps)
+
+
+def cold_zigzag_answer(backend, o1, o2, bound):
+    backend.slide_indexes.clear()
+    return zigzag_answer(backend, o1, o2, bound)
+
+
+def bool_slide_pair():
+    """Slide-related on bool ``{x:2, y:2}``, with hole words B = y and B' = I
+    apart, so a whisker on the wrong side does not compose."""
+    bb = MatrixBackend({"x": 2, "y": 2}, semiring="bool")
+    x, y = word("x"), word("y")
+    f = bb.mat(x, x @ y, [[1, 0], [0, 1], [1, 1], [0, 0]])
+    v = bb.mat(x, x, [[0, 1], [1, 0]])
+    g = bb.mat(x, y, [[1, 1], [0, 1]])
+    return (bb, *slide_related(bb, f, v, g))
+
+
+def finfun_slide_pair():
+    ff = FinFunBackend({"s": 2})
+    s = word("s")
+    f, v, g = (ff.fun(s, s, t) for t in ((1, 1), (1, 0), (0, 1)))
+    return (ff, *slide_related(ff, f, v, g))
+
+
+class TestSharedSlideIndexes:
+    """The move indexes live on the backend and serve all its queries: a warm
+    table answers as a cold one, with the same decision and the same path."""
+
+    def test_same_pair_twice(self):
+        for _, backend, o1, o2, bound in SLIDE_CONFIGURATIONS[1::5]:
+            cold = cold_zigzag_answer(backend, o1, o2, bound)
+            assert backend.slide_indexes or o1 is o2
+            assert zigzag_answer(backend, o1, o2, bound) == cold
+
+    def test_bound_one_then_two(self):
+        pt = PointedFreeBackend()
+        wide = list(enumerate_combs(pt, (word("a"),) * 2, (word("a"),) * 2, bound=1))
+        for c in wide[1::6] + [wide[18]]:
+            assert zigzag_answer(pt, wide[0], c, 1) == cold_zigzag_answer(
+                pt, wide[0], c, 1)
+            warm = zigzag_answer(pt, wide[0], c, 2)
+            assert {key[-1] for key in pt.slide_indexes} == {4, 16}
+            assert warm == cold_zigzag_answer(pt, wide[0], c, 2)
+
+    def test_two_boundaries(self):
+        pt = PointedFreeBackend()
+        a, unit = word("a"), word()
+        small = list(enumerate_combs(pt, (unit, unit), (a, a), bound=1))
+        wide = list(enumerate_combs(pt, (a, a), (a, a), bound=1))
+        queries = [(small[0], small[2], 3), (wide[0], wide[18], 2),
+                   (small[1], small[0], 3), (wide[3], wide[1], 2)]
+        answers = [zigzag_answer(pt, *q) for q in queries]
+        assert {key[3:7] for key in pt.slide_indexes} == {
+            (unit, unit, a, a), (a, a, a, a)}
+        assert answers == [cold_zigzag_answer(pt, *q) for q in queries]
+
+    def test_cap_zero_stores_nothing(self, monkeypatch):
+        _, backend, o1, o2, bound = SLIDE_CONFIGURATIONS[2]
+        want = cold_zigzag_answer(backend, o1, o2, bound)
+        backend.slide_indexes.clear()
+        monkeypatch.setattr(optic, "MAX_SLIDE_INDEXES", 0)
+        assert zigzag_answer(backend, o1, o2, bound) == want
+        assert backend.slide_indexes == {}
+
+    @pytest.mark.parametrize("make,generator", [
+        (bool_slide_pair, ("x", "I", [[1, 1]])),
+        (finfun_slide_pair, ("s", "I", (0, 0))),
+    ])
+    def test_add_generator_empties_the_table(self, make, generator):
+        backend, o1, o2 = make()
+        before = zigzag_answer(backend, o1, o2, 2)
+        assert before[0] is Verdict.EQUIVALENT and backend.slide_indexes
+        backend.add_generator("h", *generator)
+        assert backend.slide_indexes == {}
+        assert zigzag_answer(backend, o1, o2, 2) == before
+
+    def test_shared_values_are_read_only(self):
+        bb, x = MatrixBackend({"x": 2}, semiring="bool"), word("x")
+        f, v, g = (bb.mat(x, x, m) for m in ([[1, 0], [1, 1]], [[0, 1], [1, 0]],
+                                              [[1, 1], [0, 1]]))
+        d = equiv_optic(bb, *slide_related(bb, f, v, g), strategy="zigzag", bound=2)
+        assert d.verdict is Verdict.EQUIVALENT and d.witness.steps
+        for step in d.witness.steps:
+            with pytest.raises(ValueError):
+                step.v.array[0, 0] = 1 - step.v.array[0, 0]

@@ -10,11 +10,13 @@ nose.
 The boolean semiring is exact and fully enumerable, so it is the workhorse
 for certified searches; the complex backend carries a tolerance and hosts
 the positive-map constructions; the rational backend is exact arithmetic
-for cross-checking numeric results.  :func:`close` and
+for cross-checking numeric results, and multiplies Python-int numerators over
+a common denominator before normalising back to ``Fraction``s.  :func:`close` and
 :func:`residual_tolerance` are the tolerance policy of every numeric check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Hashable, Mapping
@@ -66,14 +68,23 @@ def _frozen(m: Mat) -> Mat:
     return m
 
 
-def _as_fraction_array(data: Any) -> np.ndarray:
-    arr = np.asarray(data, dtype=object)
-    out = np.empty(arr.shape, dtype=object)
-    flat_in = arr.reshape(-1)
-    flat_out = out.reshape(-1)
-    for idx, x in enumerate(flat_in):
-        flat_out[idx] = x if isinstance(x, Fraction) else Fraction(x)
-    return out
+#: entrywise ``Fraction(n, d)``; rational ``x`` over ``d``, a multiple of its denominator
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
+_NUMERATOR = np.frompyfunc(lambda x, d: x.numerator * (d // x.denominator), 2, 1)
+
+
+def _fractions(nums: Any, den: int = 1) -> np.ndarray:
+    """``nums / den`` as an object array of ``Fraction``s in lowest terms."""
+    arr = np.asarray(nums, dtype=object)
+    out = np.empty(arr.shape, dtype=object)  # so a 0-d result stays an array
+    return _FRACTION(arr, None if den == 1 else den, out=out)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the Kronecker product by broadcasting, several times faster than
+    # np.kron on these small matrices
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 class MatrixBackend(Backend):
@@ -126,7 +137,7 @@ class MatrixBackend(Backend):
         if self.semiring == "bool":
             return (np.asarray(data) != 0).astype(np.int64)
         if self.semiring == "rational":
-            return _as_fraction_array(data)
+            return _fractions(data)
         arr = np.asarray(data, dtype=np.complex128)
         if arr.ndim == 3 and arr.shape[-1] == 2:
             # [re, im] pair entries, the wire format for complex literals
@@ -158,19 +169,10 @@ class MatrixBackend(Backend):
 
     # -- structure --------------------------------------------------------------
 
-    def _eye(self, d: int) -> np.ndarray:
-        if self.semiring == "bool":
-            return np.eye(d, dtype=np.int64)
-        if self.semiring == "rational":
-            out = np.full((d, d), Fraction(0), dtype=object)
-            for i in range(d):
-                out[i, i] = Fraction(1)
-            return out
-        return np.eye(d, dtype=np.complex128)
-
     def identity(self, word: ObjectWord) -> Mat:
         if word not in self._identities:
-            self._identities[word] = _frozen(Mat(word, word, self._eye(self.dim(word))))
+            arr = self.coerce(np.eye(self.dim(word), dtype=np.int64))
+            self._identities[word] = _frozen(Mat(word, word, arr))
         return self._identities[word]
 
     def symmetry(self, left: ObjectWord, right: ObjectWord) -> Mat:
@@ -182,19 +184,26 @@ class MatrixBackend(Backend):
             self._symmetries[(left, right)] = _frozen(Mat(left @ right, right @ left, arr))
         return self._symmetries[(left, right)]
 
+    def _product(self, op: Any, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``op(a, b)`` for a bilinear ``op``; rational entries are multiplied as
+        Python-int numerators (never int64, which would wrap) over each
+        operand's common denominator."""
+        if self.semiring != "rational":
+            return op(a, b)
+        da = math.lcm(*[x.denominator for x in a.flat])
+        db = math.lcm(*[x.denominator for x in b.flat])
+        return _fractions(op(_NUMERATOR(a, da), _NUMERATOR(b, db)), da * db)
+
     def compose(self, first: Mat, then: Mat) -> Mat:
         self._require_composable(first, then)
-        prod = np.dot(then.array, first.array)
+        prod = self._product(np.dot, then.array, first.array)
         if self.semiring == "bool":
             prod = (prod > 0).astype(np.int64)
         return Mat(first.dom, then.cod, prod)
 
     def tensor(self, left: Mat, right: Mat) -> Mat:
-        # the Kronecker product by broadcasting, several times faster than
-        # np.kron on these small matrices; object entries stay exact
-        (m, n), (p, q) = left.array.shape, right.array.shape
-        prod = left.array[:, None, :, None] * right.array[None, :, None, :]
-        return Mat(left.dom @ right.dom, left.cod @ right.cod, prod.reshape(m * p, n * q))
+        prod = self._product(_kron, left.array, right.array)
+        return Mat(left.dom @ right.dom, left.cod @ right.cod, prod)
 
     def equal(self, m1: Mat, m2: Mat) -> bool:
         if m1.dom != m2.dom or m1.cod != m2.cod:
@@ -222,13 +231,8 @@ class MatrixBackend(Backend):
             return HomSet((_frozen(empty),), complete=True)
         total = 2 ** cells if cells < 63 else None
         count = total if total is not None and total <= budget else budget
-        items = []
-        for k in range(count):
-            arr = np.zeros(cells, dtype=np.int64)
-            for bit in range(cells):
-                if (k >> bit) & 1:
-                    arr[bit] = 1
-            items.append(_frozen(self.mat(dom, cod, arr.reshape(dc, dd))))
+        bits = (np.arange(count)[:, None] >> np.arange(cells)) & 1
+        items = [_frozen(self.mat(dom, cod, b.reshape(dc, dd))) for b in bits]
         complete = (
             self.semiring == "bool" and total is not None and total <= budget
         )
@@ -241,17 +245,13 @@ class MatrixBackend(Backend):
 
     def cup(self, word: ObjectWord) -> Mat:
         d = self.dim(word)
-        arr = np.zeros((d * d, 1), dtype=np.int64)
-        for i in range(d):
-            arr[i * d + i, 0] = 1
-        return Mat(ObjectWord.unit(), self.dual(word) @ word, self.coerce(arr))
+        arr = self.coerce(np.eye(d, dtype=np.int64).reshape(d * d, 1))
+        return Mat(ObjectWord.unit(), self.dual(word) @ word, arr)
 
     def cap(self, word: ObjectWord) -> Mat:
         d = self.dim(word)
-        arr = np.zeros((1, d * d), dtype=np.int64)
-        for i in range(d):
-            arr[0, i * d + i] = 1
-        return Mat(word @ self.dual(word), ObjectWord.unit(), self.coerce(arr))
+        arr = self.coerce(np.eye(d, dtype=np.int64).reshape(1, d * d))
+        return Mat(word @ self.dual(word), ObjectWord.unit(), arr)
 
     # -- dagger ------------------------------------------------------------------------
 

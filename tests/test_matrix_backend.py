@@ -106,13 +106,38 @@ class TestSemirings:
         t = qbe.tensor(m, m)
         assert t.array[0, 0] == Fraction(1, 9)
 
+    def test_rational_products_exact_past_int64(self, qbe):
+        # entries near 2**40 over coprime denominators: products of their
+        # numerators pass 2**63, and must not wrap
+        big = 2 ** 40
+        f = qbe.mat(word("x"), word("y"), [[Fraction(big + 1, 3), Fraction(-big, 7)],
+                                           [Fraction(5, 11), Fraction(big - 3, 13)]])
+        g = qbe.mat(word("y"), word("x"), [[Fraction(big, 17), Fraction(1, 2)],
+                                           [Fraction(-big - 7, 19), Fraction(big, 23)]])
+        c = qbe.compose(f, g)
+        ref = [[sum(g.array[i, k] * f.array[k, j] for k in range(2)) for j in range(2)]
+               for i in range(2)]
+        assert c.array.tolist() == ref
+        assert abs(c.array[0, 0].numerator) > 2 ** 63
+        t = qbe.tensor(f, g)
+        assert np.array_equal(t.array, np.kron(f.array, g.array))
+        assert all(isinstance(v, Fraction) for v in (*c.array.flat, *t.array.flat))
+
 
 def _entries(semiring, rng, shape):
     if semiring == "bool":
         return rng.integers(0, 2, size=shape)
     if semiring == "rational":
-        return rng.integers(-4, 5, size=shape).astype(object) / Fraction(3)
+        # mixed denominators, so operands have common denominators other than 1
+        values = [Fraction(1, 2), Fraction(1, 3), Fraction(-2, 7), Fraction(0), Fraction(-3)]
+        return np.array(values, dtype=object)[rng.integers(0, len(values), size=shape)]
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _assert_exact_entries(semiring, arr):
+    # program.value_json and canonical_key read rational entries as Fractions
+    if semiring == "rational":
+        assert all(isinstance(v, Fraction) for v in arr.flat)
 
 
 class TestCachedStructureAndTensor:
@@ -131,6 +156,25 @@ class TestCachedStructureAndTensor:
             assert (t.dom, t.cod) == (d1 @ d2, c1 @ c2)
             assert t.array.dtype == ref.dtype and t.array.shape == ref.shape
             assert np.array_equal(t.array, ref)
+            _assert_exact_entries(semiring, t.array)
+
+    @pytest.mark.parametrize("semiring", ["bool", "complex", "rational"])
+    def test_compose_equals_dot(self, semiring, rng):
+        be = MatrixBackend({"x": 2, "y": 3, "z": 0}, semiring=semiring)
+        x, y, z, i = word("x"), word("y"), word("z"), word()
+        for d, m, c in [
+            (x, y, x @ x), (z, x, y), (x, z, y), (y, x, z), (i, x, i), (x, i, y), (i, i, i),
+        ]:
+            first = be.mat(d, m, _entries(semiring, rng, (be.dim(m), be.dim(d))))
+            then = be.mat(m, c, _entries(semiring, rng, (be.dim(c), be.dim(m))))
+            got = be.compose(first, then)
+            ref = np.dot(then.array, first.array)
+            if semiring == "bool":
+                ref = (ref > 0).astype(np.int64)
+            assert (got.dom, got.cod) == (d, c)
+            assert got.array.dtype == ref.dtype and got.array.shape == ref.shape
+            assert np.array_equal(got.array, ref)
+            _assert_exact_entries(semiring, got.array)
 
     @pytest.mark.parametrize("semiring", ["bool", "complex", "rational"])
     def test_cached_structure_maps_reject_writes(self, semiring):
@@ -154,6 +198,19 @@ class TestEnumeration:
     def test_bool_hom_truncated(self, bbe):
         hs = bbe.enumerate_hom(word("b"), word("b"), 7)
         assert not hs.complete and len(hs.items) == 7
+
+    @pytest.mark.parametrize("semiring", ["bool", "complex", "rational"])
+    def test_hom_order_is_binary_counting(self, semiring):
+        # item k holds bit b of k in row-major cell b
+        be = MatrixBackend({"x": 2, "y": 3}, semiring=semiring)
+        for budget in (64, 20):
+            items = be.enumerate_hom(word("x"), word("y"), budget).items
+            assert len(items) == budget
+            for k, m in enumerate(items):
+                bits = [[(k >> (r * 2 + col)) & 1 for col in range(2)] for r in range(3)]
+                assert m.array.dtype == be.coerce(bits).dtype
+                assert m.array.tolist() == bits
+                _assert_exact_entries(semiring, m.array)
 
     def test_unit_hom(self, bbe):
         hs = bbe.enumerate_hom(word(), word(), 4)

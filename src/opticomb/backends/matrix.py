@@ -13,13 +13,17 @@ the positive-map constructions; the rational backend is exact arithmetic
 for cross-checking numeric results, and multiplies Python-int numerators over
 a common denominator before normalising back to ``Fraction``s.  :func:`close` and
 :func:`residual_tolerance` are the tolerance policy of every numeric check.
+
+Filler evaluation is batched: :meth:`MatrixBackend.plug` stacks a block of
+fillers of one type and plugs them all with one broadcast Kronecker product
+and two matmuls, one body for all three semirings.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Hashable, Mapping
+from typing import Any, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -81,10 +85,12 @@ def _fractions(nums: Any, den: int = 1) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # the Kronecker product by broadcasting, several times faster than
-    # np.kron on these small matrices
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    """The Kronecker product of a matrix ``a`` with each matrix of ``b``, a
+    matrix or a stack of them (leading axes); by broadcasting, several times
+    faster than np.kron on these small matrices."""
+    (m, n), (p, q) = a.shape, b.shape[-2:]
+    prod = a[:, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(b.shape[:-2] + (m * p, n * q))
 
 
 class MatrixBackend(Backend):
@@ -204,6 +210,23 @@ class MatrixBackend(Backend):
     def tensor(self, left: Mat, right: Mat) -> Mat:
         prod = self._product(_kron, left.array, right.array)
         return Mat(left.dom @ right.dom, left.cod @ right.cod, prod)
+
+    def plug(
+        self, before: Mat, beside: Mat, fillers: Sequence[Mat], after: Mat
+    ) -> list[Mat]:
+        # the block as one stack: one broadcast Kronecker product and two
+        # matmuls; the support of a product of 0/1 matrices is exact, so the
+        # boolean threshold is taken once, at the end
+        lam = fillers[0]
+        middle = Mat(beside.dom @ lam.dom, beside.cod @ lam.cod, None)  # its type only
+        self._require_composable(before, middle)
+        self._require_composable(middle, after)
+        prod = self._product(_kron, beside.array, np.array([f.array for f in fillers]))
+        prod = self._product(np.matmul, prod, before.array)
+        prod = self._product(np.matmul, after.array, prod)
+        if self.semiring == "bool":
+            prod = (prod > 0).astype(np.int64)
+        return [Mat(before.dom, after.cod, arr) for arr in prod]
 
     def equal(self, m1: Mat, m2: Mat) -> bool:
         if m1.dom != m2.dom or m1.cod != m2.cod:

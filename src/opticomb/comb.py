@@ -166,10 +166,28 @@ def plug_chain(
     D_0 .. D_{n-1} (x) B'``.  Context legs wait on the far left.  The
     stretch before filler ``j`` (or after the last) depends only on ``C_j
     ..`` and ``.. D_{j-1}``, so it is built once per stream and a probe
-    costs one tensor and two composites per hole.  One hole composes
-    ``((1_C (x) f) (sigma_{C,E} (x) 1_B)) (1_E (x) filler) ((sigma_{E,D}
-    (x) 1_B') (1_D (x) g))``: no identity on the unit word sits by a swap.
+    costs one call of the backend's ``plug`` kernel per hole.  One hole
+    composes ``((1_C (x) f) (sigma_{C,E} (x) 1_B)) (1_E (x) filler)
+    ((sigma_{E,D} (x) 1_B') (1_D (x) g))``: no identity on the unit word
+    sits by a swap.
+
+    Each probe is a context block of one; :func:`_plug_blocks` evaluates
+    longer blocks, all the fillers of one context in one kernel call.
     """
+    for (value,) in _plug_blocks(
+        backend, holes, envs, segments, (((f,), c) for f, c in probes)
+    ):
+        yield value
+
+
+def _plug_blocks(
+    backend: Backend, holes: Sequence[Pair], envs: Sequence[ObjectWord],
+    segments: Sequence[Any],
+    blocks: Iterable[tuple[Sequence[Sequence[Any]], Sequence[Pair]]],
+) -> Iterator[list]:
+    """:func:`plug_chain` on blocks ``(fillers of several probes, contexts)``
+    of probes that share their contexts: one list of values per block.  The
+    first hole plugs the whole block through one ``plug`` call."""
     n = len(holes)
     built: dict[tuple, tuple[Any, Any]] = {}
 
@@ -198,28 +216,33 @@ def plug_chain(
         return built[key]
 
     last = None
-    for fillers, contexts in probes:
-        if len(fillers) != n or len(contexts) != n:
+    for block, contexts in blocks:
+        if len(contexts) != n or any(len(fillers) != n for fillers in block):
             raise HoleMismatch(f"expected {n} fillers and {n} contexts")
         if contexts != last:
             cs = tuple(backend.normalize_word(c) for (c, _) in contexts)
             ds = tuple(backend.normalize_word(d) for (_, d) in contexts)
             types = [(c @ a, d @ a1) for c, d, (a, a1) in zip(cs, ds, holes)]
-        for i, (lam, (want_d, want_c)) in enumerate(zip(fillers, types)):
-            if not (
-                backend.words_equal(backend.dom(lam), want_d)
-                and backend.words_equal(backend.cod(lam), want_c)
-            ):
-                raise TypeMismatch(
-                    f"filler {i} must be {want_d.pretty()} -> {want_c.pretty()}, got "
-                    f"{backend.dom(lam).pretty()} -> {backend.cod(lam).pretty()}"
-                )
+        for fillers in block:
+            for i, (lam, (want_d, want_c)) in enumerate(zip(fillers, types)):
+                if not (
+                    backend.words_equal(backend.dom(lam), want_d)
+                    and backend.words_equal(backend.cod(lam), want_c)
+                ):
+                    raise TypeMismatch(
+                        f"filler {i} must be {want_d.pretty()} -> {want_c.pretty()}, got "
+                        f"{backend.dom(lam).pretty()} -> {backend.cod(lam).pretty()}"
+                    )
         if contexts != last:
             last, path = contexts, [stretch(j, cs, ds) for j in range(n + 1)]
-        val = path[0][0]
-        for lam, (_, beside), (after, _) in zip(fillers, path, path[1:]):
-            val = backend.compose(backend.compose(val, backend.tensor(beside, lam)), after)
-        yield val
+        vals = [path[0][0]] * len(block)
+        for i, ((_, beside), (after, _)) in enumerate(zip(path, path[1:])):
+            lams = [fillers[i] for fillers in block]
+            if i == 0:  # one stretch leads to the first hole: the block in one call
+                vals = backend.plug(vals[0], beside, lams, after)
+            else:
+                vals = [backend.plug(v, beside, (lam,), after)[0] for v, lam in zip(vals, lams)]
+        yield vals
 
 
 def chain_name(
@@ -592,15 +615,23 @@ def equiv_comb(
 # ---------------------------------------------------------------------------
 
 def _fingerprinter(backend: Backend, probes: list) -> Callable[[CombRep], tuple]:
-    """A comb's probe values as keys interned per probe index, computed once."""
+    """A comb's probe values as keys interned per probe index, computed once,
+    one context block (a maximal run of probes with equal contexts) at a time."""
     interned: list[dict[Any, int]] = [{} for _ in probes]
     prints: dict[int, tuple[int, ...]] = {}
+    blocks = [
+        ([fillers for fillers, _ in run], contexts)
+        for contexts, run in itertools.groupby(probes, key=lambda probe: probe[1])
+    ]
 
     def fingerprint(c: CombRep) -> tuple[int, ...]:
         if id(c) not in prints:
+            values = itertools.chain.from_iterable(
+                _plug_blocks(backend, *c.chain(), blocks)
+            )
             prints[id(c)] = tuple(
                 table.setdefault(backend.canonical_key(v), len(table))
-                for table, v in zip(interned, plug_chain(backend, *c.chain(), probes))
+                for table, v in zip(interned, values)
             )
         return prints[id(c)]
 
@@ -634,24 +665,25 @@ def sigma_congruence_search(
     braid-equal pair ``(psi, bang)``, ``(phi, bang)``.
 
     Each comb is evaluated on the probe list once, when a pair first
-    reaches it, as one :func:`plug_chain` stream (the evaluator of every
-    probe scan), and its fingerprint is the tuple of its values' keys,
-    interned per probe index.  Keys agree exactly when values are
-    ``equal``, so a pair differs exactly when the fingerprints do; the
-    first differing probe is replayed through :func:`probe_scan`, so the
-    pairs, the ``max_pairs`` cut and the witness are those of a
-    pair-by-pair scan.
+    reaches it, by context block: the fillers of one context pair go
+    through one call of the backend's ``plug`` kernel, after the stretches
+    that :func:`plug_chain` (the evaluator of every probe scan) builds.
+    Its fingerprint is the tuple of its values' keys, interned per probe
+    index.  Keys agree exactly when values are ``equal``, so a pair
+    differs exactly when the fingerprints do; the first differing probe is
+    replayed through :func:`probe_scan`, so the pairs, the ``max_pairs``
+    cut and the witness are those of a pair-by-pair scan.
     """
     from .sampling import enumerate_combs
 
     budget = Budget.of(bound)
+    words = backend.enumerate_objects(budget.max_word_len)
     pairs_checked = 0
     for (a, a1, b, b1) in boundaries:
         groups: dict[Any, list[CombRep]] = {}
         for c in enumerate_combs(backend, (a, a1), (b, b1), bound):
             key = backend.canonical_key(braid_eval(backend, c))
             groups.setdefault(key, []).append(c)
-        words = backend.enumerate_objects(budget.max_word_len)
         probes = list(filler_probes(backend, (b, b1), words, budget.max_hom, []))
         fingerprint = _fingerprinter(backend, probes)
         for _, members in sorted(groups.items(), key=lambda kv: repr(_ordered(kv[0]))):

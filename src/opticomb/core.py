@@ -11,8 +11,9 @@ This module defines the pieces every other module builds on:
   generic deciders: six methods (``object_names``, ``identity``,
   ``symmetry``, ``compose``, ``tensor``, ``equal``) and the ``_gens`` table
   of generator values.  Values carry their own ``dom`` / ``cod``; the rest
-  (word normal forms, enumeration, cartesian structure, duals, a dagger,
-  certification hooks, canonical keys) are optional hooks.
+  (word normal forms, the batched filler kernel ``plug``, enumeration,
+  cartesian structure, duals, a dagger, certification hooks, canonical
+  keys) are optional hooks.
 * :class:`Decision` -- the three-valued answer type used by every
   equivalence procedure, together with its witness payloads.
 
@@ -368,6 +369,19 @@ class Backend(ABC):
     @abstractmethod
     def equal(self, m1: Any, m2: Any) -> bool:
         """Semantic equality at the backend's tolerance; same-boundary values only."""
+
+    def plug(self, before: Any, beside: Any, fillers: Sequence[Any], after: Any) -> list:
+        """``before ; (beside (x) filler) ; after`` for each filler of a
+        non-empty block of fillers that share one type.
+
+        The filler evaluation kernel of ``comb.plug_chain``.  By default one
+        tensor and two composites per filler; a backend whose values batch
+        may evaluate the whole block at once.
+        """
+        return [
+            self.compose(self.compose(before, self.tensor(beside, lam)), after)
+            for lam in fillers
+        ]
 
     def _require_composable(self, first: Any, then: Any) -> None:
         if not self.words_equal(self.cod(first), self.dom(then)):

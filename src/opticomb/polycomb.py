@@ -254,10 +254,7 @@ def _splice(
     id_mj = backend.identity(m_j)
     segs = list(outer.segments)
     if k == 0:
-        merged = backend.compose(
-            backend.compose(segs[j], backend.tensor(id_mj, inner.segments[0])),
-            segs[j + 1],
-        )
+        merged = backend.plug(segs[j], id_mj, (inner.segments[0],), segs[j + 1])[0]
         return poly(
             backend,
             outer.holes[:j] + outer.holes[j + 1 :],

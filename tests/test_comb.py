@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,7 +39,10 @@ from opticomb import (
     sigma_congruence_search,
     swap_probe,
 )
-from opticomb.comb import _ordered, filler_probes, plug_chain, probe_scan
+from opticomb.comb import (
+    _fingerprinter, _ordered, _plug_blocks, filler_probes, plug_chain, probe_scan,
+)
+from opticomb.core import Backend
 from opticomb.program import witness_json
 
 from conftest import NAME_BACKENDS, rand_mat, random_pieces, word
@@ -384,11 +388,11 @@ STREAM_BACKENDS = {
 }
 
 
-def _complex_pieces(backend, rng):
+def _complex_pieces(backend, rng, make=rand_mat):
     x, y = word("x"), word("y")
 
     def seg(d, c):
-        return rand_mat(backend, rng, d, c)
+        return make(backend, rng, d, c)
 
     return [
         poly(backend, [], [(x, y)], [], [seg(x, y)]),
@@ -398,29 +402,88 @@ def _complex_pieces(backend, rng):
     ]
 
 
-def _walk(backend, rng, p, words):
+def _walk(backend, rng, p, words, repeat=1, make=rand_mat):
     """Probes for every choice of hole contexts from ``words``: first with
     the C words outer and the D words inner, then the other way round, so
-    contexts change and come back.  Fillers are drawn afresh per probe;
-    context choices with an empty hom-set are skipped."""
+    contexts change and come back.  Fillers are drawn afresh per probe,
+    ``repeat`` probes per choice; context choices with an empty hom-set are
+    skipped."""
     choices = list(itertools.product(words, repeat=len(p.holes)))
     order = [(cs, ds) for cs in choices for ds in choices]
     order += [(cs, ds) for ds in choices for cs in choices]
     probes = []
     for cs, ds in order:
         contexts = tuple(zip(cs, ds))
-        fillers = []
-        for (c, d), (a, a1) in zip(contexts, p.holes):
-            if not backend.enumerable:
-                fillers.append(rand_mat(backend, rng, c @ a, d @ a1))
-                continue
-            items = backend.enumerate_hom(c @ a, d @ a1, 16).items
-            if not items:
-                break
-            fillers.append(items[rng.integers(len(items))])
-        else:
-            probes.append((tuple(fillers), contexts))
+        for _ in range(repeat):
+            fillers = []
+            for (c, d), (a, a1) in zip(contexts, p.holes):
+                if not backend.enumerable:
+                    fillers.append(make(backend, rng, c @ a, d @ a1))
+                    continue
+                items = backend.enumerate_hom(c @ a, d @ a1, 16).items
+                if not items:
+                    break
+                fillers.append(items[rng.integers(len(items))])
+            else:
+                probes.append((tuple(fillers), contexts))
     return probes
+
+
+def _rational_mat(backend, rng, dom, cod, big=False):
+    """Rational entries with mixed denominators; near 2**40 when ``big``."""
+    shape = (backend.dim(cod), backend.dim(dom))
+    nums = rng.integers(-9, 10, size=shape).tolist()
+    dens = rng.integers(1, 8, size=shape).tolist()
+    base = 2 ** 40 if big else 0
+    return backend.mat(dom, cod, [
+        [Fraction(base + n, d) for n, d in zip(row_n, row_d)]
+        for row_n, row_d in zip(nums, dens)
+    ])
+
+
+def _big_rational_mat(backend, rng, dom, cod):
+    return _rational_mat(backend, rng, dom, cod, big=True)
+
+
+def _blocks(probes):
+    """Maximal runs of probes with equal contexts, as ``_plug_blocks`` takes them."""
+    return [
+        ([fillers for fillers, _ in run], contexts)
+        for contexts, run in itertools.groupby(probes, key=lambda probe: probe[1])
+    ]
+
+
+def _same_value(backend, v1, v2):
+    if getattr(backend, "semiring", None) == "complex":
+        return backend.equal(v1, v2)
+    return backend.canonical_key(v1) == backend.canonical_key(v2)
+
+
+KERNEL_BACKENDS = {
+    **STREAM_BACKENDS,
+    "rational": (lambda: MatrixBackend({"x": 2, "y": 3}, semiring="rational"), "x"),
+    "rational-2**40": (lambda: MatrixBackend({"x": 2, "y": 3}, semiring="rational"), "x"),
+}
+KERNEL_FILLS = {"rational": _rational_mat, "rational-2**40": _big_rational_mat}
+
+
+def _recording(backend):
+    """Wrap the backend's primitives on the instance; each outermost call is
+    recorded as ``[name, args, result]``."""
+    calls, depth = [], [0]
+    for name in ("compose", "tensor", "identity", "symmetry"):
+        def wrapped(*args, _name=name, _fn=getattr(backend, name)):
+            call = [_name, args, None]
+            if not depth[0]:
+                calls.append(call)
+            depth[0] += 1
+            try:
+                call[2] = _fn(*args)
+            finally:
+                depth[0] -= 1
+            return call[2]
+        setattr(backend, name, wrapped)
+    return calls
 
 
 class TestProbeStreams:
@@ -457,6 +520,130 @@ class TestProbeStreams:
                     list(stream)
 
 
+class TestPlugKernel:
+    """``Backend.plug`` evaluates a block of fillers of one type; the matrix
+    kernel stacks the block, the default one plugs filler by filler."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_BACKENDS))
+    def test_block_values_match_one_probe_values(self, name):
+        make, obj = KERNEL_BACKENDS[name]
+        backend, o = make(), word(obj)
+        rng = np.random.default_rng(20261018)
+        fill = KERNEL_FILLS.get(name, rand_mat)
+        if backend.enumerable:
+            pieces = [p for n in (0, 1, 2) for p in random_pieces(backend, o, n, rng, 4)]
+        else:
+            pieces = _complex_pieces(backend, rng, fill)
+        assert {len(p.holes) for p in pieces} == {0, 1, 2}
+        for p in pieces:
+            probes = _walk(backend, rng, p, [word(), o], repeat=3, make=fill)
+            blocks = _blocks(probes)
+            assert max(len(fillers) for fillers, _ in blocks) >= 3
+            values = list(itertools.chain.from_iterable(
+                _plug_blocks(backend, *p.chain(), blocks)
+            ))
+            assert len(values) == len(probes)
+            for v, probe in zip(values, probes):
+                assert _same_value(backend, v, next(plug_chain(backend, *p.chain(), [probe])))
+                if name.startswith("rational"):
+                    assert all(type(x) is Fraction for x in v.array.flat)
+
+    @pytest.mark.parametrize("name", ["bool", "complex", "rational", "rational-2**40"])
+    def test_matrix_kernel_matches_the_default_kernel(self, name):
+        """Random ``before``, ``beside`` and ``after`` around a block, through
+        the stacked kernel and through one tensor and two composites each."""
+        make, obj = KERNEL_BACKENDS[name]
+        backend, o = make(), word(obj)
+        rng = np.random.default_rng(20261020)
+        fill = KERNEL_FILLS.get(name, rand_mat)
+
+        def pick(dom, cod):
+            if not backend.enumerable:
+                return fill(backend, rng, dom, cod)
+            items = backend.enumerate_hom(dom, cod, 64).items
+            return items[rng.integers(len(items))]
+
+        for w, w1, a, a1 in itertools.product([word(), o], repeat=4):
+            before, beside, after = pick(o, w @ a), pick(w, w1), pick(w1 @ a1, o)
+            fillers = [pick(a, a1) for _ in range(5)]
+            got = backend.plug(before, beside, fillers, after)
+            want = Backend.plug(backend, before, beside, fillers, after)
+            assert len(got) == len(want) == 5
+            for v, u in zip(got, want):
+                assert (v.dom, v.cod) == (u.dom, u.cod) == (o, o)
+                assert _same_value(backend, v, u)
+                if name.startswith("rational"):
+                    assert all(type(x) is Fraction for x in v.array.flat)
+
+    def test_bool_block_sums_above_one(self):
+        """Products of 0/1 matrices count paths; the kernel thresholds once."""
+        backend = MatrixBackend({"b": 2}, semiring="bool")
+        b = word("b")
+        before = backend.mat(b, b @ b, np.ones((4, 2)))
+        after = backend.mat(b @ b, b, np.ones((2, 4)))
+        beside = backend.identity(b)
+        fillers = list(backend.enumerate_hom(b, b, 16).items)
+        raw = [after.array @ np.kron(beside.array, f.array) @ before.array for f in fillers]
+        assert max(int(r.max()) for r in raw) > 1
+        got = backend.plug(before, beside, fillers, after)
+        want = Backend.plug(backend, before, beside, fillers, after)
+        assert [backend.canonical_key(v) for v in got] == [backend.canonical_key(v) for v in want]
+        for v, r in zip(got, raw):
+            assert np.array_equal(v.array, (r > 0).astype(np.int64))
+
+    @pytest.mark.parametrize("semiring", ["bool", "rational", "complex"])
+    def test_zero_dimension_object(self, semiring):
+        backend = MatrixBackend({"x": 2, "z": 0}, semiring=semiring)
+        x, z = word("x"), word("z")
+        before = backend.mat(x, x @ z, np.zeros((0, 2)))
+        after = backend.mat(x @ z, x, np.zeros((2, 0)))
+        fillers = [backend.mat(z, z, np.zeros((0, 0)))] * 3
+        got = backend.plug(before, backend.identity(x), fillers, after)
+        want = Backend.plug(backend, before, backend.identity(x), fillers, after)
+        for v, u in zip(got, want, strict=True):
+            assert v.array.shape == (2, 2)
+            assert backend.equal(v, u)
+            if semiring == "rational":
+                assert all(type(e) is Fraction for e in v.array.flat)
+
+    def test_matrix_kernel_checks_the_block_type(self):
+        backend = MatrixBackend({"b": 2}, semiring="bool")
+        one = backend.identity(word("b"))
+        with pytest.raises(TypeMismatch, match="cannot compose b into b\\*b"):
+            backend.plug(one, one, [one], backend.identity(word("b", "b")))
+        with pytest.raises(TypeMismatch, match="cannot compose b\\*b into b"):
+            backend.plug(backend.identity(word("b", "b")), one, [one], one)
+
+    @pytest.mark.parametrize("name", ["finfun", "pointed"])
+    def test_default_kernel_keeps_the_call_sequence(self, name):
+        """Per filler one tensor and two composites, in that order; and a
+        block makes the calls of the per-probe stream over its probes."""
+        make, obj = NAME_BACKENDS[name]
+        backend, o = make(), word(obj)
+        before, beside, after = backend.identity(o @ o), backend.identity(o), backend.identity(o @ o)
+        fillers = list(backend.enumerate_hom(o, o, 16).items)
+        calls = _recording(backend)
+        values = backend.plug(before, beside, fillers, after)
+        assert len(calls) == 3 * len(fillers)
+        for (t, comp, last), lam, v in zip(zip(*[iter(calls)] * 3), fillers, values):
+            assert t[0] == "tensor" and t[1][0] is beside and t[1][1] is lam
+            assert comp[0] == "compose" and comp[1][0] is before and comp[1][1] is t[2]
+            assert last[0] == "compose" and last[1][0] is comp[2] and last[1][1] is after
+            assert last[2] is v
+
+        rng = np.random.default_rng(20261021)
+        for p in random_pieces(make(), o, 1, rng, 4):
+            probes = _walk(backend, rng, p, [word(), o], repeat=3)
+            seqs = []
+            for blocks in (_blocks(probes), [((f,), c) for f, c in probes]):
+                calls = _recording(other := make())
+                list(_plug_blocks(other, *p.chain(), blocks))
+                seqs.append([(op, [(backend.dom(a), backend.cod(a)) if not isinstance(a, ObjectWord)
+                                   else a for a in args]) for op, args, _ in calls])
+            assert seqs[0] == seqs[1]
+            assert [op for op, _ in seqs[0]].count("tensor") >= len(probes)
+
+
 class TestCongruenceSearch:
     def test_absorbing_witness_and_cut_match_reference(self):
         backend, boundaries = SEARCHES[-1]
@@ -471,3 +658,44 @@ class TestCongruenceSearch:
         expected, _ = reference_search(backend, boundaries, 2, 20)
         found = sigma_congruence_search(backend, boundaries, 2, 20)
         assert _same_witness(found, expected)
+
+
+def _reached(backend, source, target, bound):
+    """The combs on a boundary in the order the search's pairs reach them."""
+    groups = {}
+    for c in enumerate_combs(backend, source, target, bound):
+        groups.setdefault(backend.canonical_key(braid_eval(backend, c)), []).append(c)
+    order = {}
+    for _, members in sorted(groups.items(), key=lambda kv: repr(_ordered(kv[0]))):
+        for pair in itertools.combinations(members, 2):
+            for c in pair:
+                order.setdefault(id(c), c)
+    return list(order.values())
+
+
+class TestBlockFingerprints:
+    def test_bool_fingerprints_match_per_probe_keys(self):
+        """Criterion 05's bool entry: fingerprints taken block by block equal
+        the keys of per-probe streams, interned the same way; also on a walk
+        whose first contexts come back after the others.
+
+        The first 60 combs reached share one braid class, so every probe
+        interns them alike; one comb of each class follows them, so that
+        values moved to another probe index would show."""
+        backend, boundaries = SEARCHES[2]
+        a, a1, b, b1 = boundaries[0]
+        reached = _reached(backend, (a, a1), (b, b1), 2)
+        classes = {}
+        for c in reached:
+            classes.setdefault(backend.canonical_key(braid_eval(backend, c)), c)
+        combs = reached[:60] + list(classes.values())
+        assert len(classes) == 46
+        probes = _probes(backend, b, b1)
+        assert len(probes) == 144
+        for walk in (probes, probes + probes[:40]):
+            fingerprint = _fingerprinter(backend, walk)
+            interned = [{} for _ in walk]
+            for c in combs:
+                keys = [backend.canonical_key(v) for v in plug_chain(backend, *c.chain(), walk)]
+                expect = tuple(t.setdefault(k, len(t)) for t, k in zip(interned, keys))
+                assert fingerprint(c) == expect

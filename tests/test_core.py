@@ -132,6 +132,13 @@ class TestBackendContract:
             eval_term(bad, be)
         assert err.value.offender is bad
 
+    def test_minimal_backend_plugs_through_the_default_kernel(self):
+        be = CostBackend()
+        x = ObjectWord.of("x")
+        f, g = be.generator("f"), be.generator("g")
+        out = be.plug(g, be.identity(x), [f, be.identity(x)], be.tensor(f, f))
+        assert [(v.dom, v.cod, v.weight) for v in out] == [(x, x @ x, 5), (x, x @ x, 4)]
+
     def test_minimal_backend_answers_sigma(self):
         be = CostBackend()
         f, unit = be.generator("f"), ObjectWord.unit()

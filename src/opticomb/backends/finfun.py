@@ -33,6 +33,10 @@ class FinMap:
     def __repr__(self) -> str:
         return f"FinMap({self.dom.pretty()} -> {self.cod.pretty()}, {self.table})"
 
+    def to_json(self) -> dict:
+        """The boundary words and the lookup table, as JSON data."""
+        return {"dom": self.dom.pretty(), "cod": self.cod.pretty(), "table": list(self.table)}
+
 
 class FinFunBackend(Backend):
     cartesian = True

@@ -81,6 +81,11 @@ class StrandMor:
         body = "*".join("f" if x else "1" for x in self.flags) or "1"
         return f"StrandMor({self.word.pretty()}, {body})"
 
+    def to_json(self) -> dict:
+        """The word and the endo flags, as JSON data."""
+        flags = list(self.flags)
+        return {"word": self.word.pretty(), "flags": flags, "touched": self.touched()}
+
 
 class IdempotentFreeBackend(_OneObjectBackend):
     """Free commutative strand category on one idempotent endomorphism."""
@@ -215,6 +220,17 @@ class WiringMor:
             parts.append("scalars " + str(list(self.scalars)))
         body = "; ".join(parts) or "empty"
         return f"WiringMor({self.dom.pretty()} -> {self.cod.pretty()}: {body})"
+
+    def to_json(self) -> dict:
+        """The boundary words and the sorted wiring, as JSON data."""
+        return {
+            "dom": self.dom.pretty(),
+            "cod": self.cod.pretty(),
+            "matching": sorted(list(p) for p in self.matching),
+            "caps": sorted((i, e) for i, e in self.caps),
+            "seeds": sorted((j, s) for j, s in self.seeds),
+            "scalars": [list(p) for p in self.scalars],
+        }
 
 
 class PointedFreeBackend(_OneObjectBackend):

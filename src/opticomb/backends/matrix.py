@@ -34,6 +34,7 @@ from ..core import (
     ObjectWord,
     TypeMismatch,
     UnknownGenerator,
+    value_json,
 )
 
 SEMIRINGS = ("bool", "complex", "rational")
@@ -64,6 +65,11 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.dom.pretty()} -> {self.cod.pretty()})"
+
+    def to_json(self) -> dict:
+        """The boundary words and the entries row by row, as JSON data."""
+        entries = value_json(self.array)
+        return {"dom": self.dom.pretty(), "cod": self.cod.pretty(), "entries": entries}
 
 
 def _frozen(m: Mat) -> Mat:

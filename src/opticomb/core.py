@@ -16,6 +16,10 @@ This module defines the pieces every other module builds on:
   keys) are optional hooks.
 * :class:`Decision` -- the three-valued answer type used by every
   equivalence procedure, together with its witness payloads.
+* JSON data -- :func:`value_json`, :func:`witness_json` and
+  :func:`decision_json`.  Backend values and witnesses serialize
+  themselves through ``to_json``; numbers, arrays, words, terms (in
+  program syntax, :func:`term_text`) and containers are handled here.
 
 Everything here is immutable and all operations are pure functions, so
 values can be shared freely.
@@ -29,9 +33,11 @@ ObjectWord.parse('a*a')
 from __future__ import annotations
 
 import functools
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 # ---------------------------------------------------------------------------
@@ -245,6 +251,27 @@ def _eval(term: MorTerm, backend: "Backend") -> Any:
     if isinstance(term, Tensor):
         return backend.tensor(_eval(term.left, backend), _eval(term.right, backend))
     raise TypeError(f"not a morphism term: {term!r}")
+
+
+def term_text(term: MorTerm) -> str:
+    """Render a term back to program syntax."""
+    if isinstance(term, Generator):
+        return term.name
+    if isinstance(term, Identity):
+        return f"id({term.word.pretty()})"
+    if isinstance(term, Symmetry):
+        return f"sym({term.left.pretty()},{term.right.pretty()})"
+    if isinstance(term, Compose):
+        return f"{term_text(term.first)} ; {term_text(term.then)}"
+    if isinstance(term, Tensor):
+        left = term_text(term.left)
+        right = term_text(term.right)
+        if isinstance(term.left, Compose):
+            left = f"({left})"
+        if isinstance(term.right, Compose):
+            right = f"({right})"
+        return f"{left} * {right}"
+    raise TypeError(f"not a term: {term!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +577,21 @@ class ProbeWitness:
     probe_term: MorTerm | None = None
     note: str = ""
 
+    def to_json(self) -> dict:
+        data = {
+            "type": "probe",
+            "context_in": self.c_word.pretty(),
+            "context_out": self.d_word.pretty(),
+            "probe": value_json(self.probe),
+            "left": value_json(self.left),
+            "right": value_json(self.right),
+        }
+        if self.probe_term is not None:
+            data["probe_term"] = term_text(self.probe_term)
+        if self.note:
+            data["note"] = self.note
+        return data
+
 
 @dataclass(frozen=True)
 class SlideStep:
@@ -557,12 +599,22 @@ class SlideStep:
     v: Any
     residual: Any
 
+    def to_json(self) -> dict:
+        return {
+            "direction": self.direction,
+            "slide": value_json(self.v),
+            "environment": value_json(self.residual),
+        }
+
 
 @dataclass(frozen=True)
 class SlidePathWitness:
     """A chain of slide moves connecting two representatives."""
 
     steps: tuple[SlideStep, ...]
+
+    def to_json(self) -> dict:
+        return {"type": "slide-path", "steps": value_json(self.steps)}
 
 
 @dataclass(frozen=True)
@@ -573,6 +625,14 @@ class ExhaustionWitness:
     environments: tuple[ObjectWord, ...]
     note: str = ""
 
+    def to_json(self) -> dict:
+        return {
+            "type": "exhaustion",
+            "states_explored": self.states_explored,
+            "environments": [w.pretty() for w in self.environments],
+            "note": self.note,
+        }
+
 
 @dataclass(frozen=True)
 class FactorWitness:
@@ -580,6 +640,13 @@ class FactorWitness:
 
     pieces: Mapping[str, Any]
     note: str = ""
+
+    def to_json(self) -> dict:
+        return {
+            "type": "factor",
+            "pieces": {k: value_json(v) for k, v in sorted(self.pieces.items())},
+            "note": self.note,
+        }
 
 
 @dataclass(frozen=True)
@@ -642,3 +709,60 @@ def reports_tolerance(decide: Callable[..., Decision]) -> Callable[..., Decision
         )
 
     return stamped
+
+
+# ---------------------------------------------------------------------------
+# JSON data
+# ---------------------------------------------------------------------------
+
+def value_json(value: Any) -> Any:
+    """Serialize a value to JSON data: a backend value or witness through
+    its ``to_json``; a number, array, word, term, decision or container here."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    # numpy is imported only where a matrix value is built: until then no
+    # value is a numpy array or number, and serializing loads nothing
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray):
+        return value_json(np.atleast_2d(value).tolist())
+    if np is not None and isinstance(value, np.generic):
+        value = value.item()  # the Python scalar of a numpy scalar
+    if isinstance(value, ObjectWord):
+        return value.pretty()
+    if isinstance(value, MorTerm):
+        return term_text(value)
+    if isinstance(value, Decision):
+        return decision_json(value)
+    if isinstance(value, (tuple, list)):
+        return [value_json(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): value_json(v) for k, v in sorted(value.items())}
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (int, float, str, bool)) or value is None:
+        return value
+    return repr(value)
+
+
+def witness_json(witness: Any) -> dict:
+    """A witness's own JSON data; one without ``to_json`` shows its repr."""
+    if hasattr(witness, "to_json"):
+        return witness.to_json()
+    return {"type": "opaque", "repr": repr(witness)}
+
+
+def decision_json(decision: Decision) -> dict:
+    data: dict[str, Any] = {
+        "verdict": decision.verdict.value,
+        "method": decision.method,
+        "certified": decision.certified,
+    }
+    if decision.tolerance is not None:
+        data["tolerance"] = decision.tolerance
+    if decision.coverage:
+        data["coverage"] = value_json(dict(decision.coverage))
+    if decision.witness is not None:
+        data["witness"] = witness_json(decision.witness)
+    return data

@@ -217,8 +217,10 @@ def poly_compose_at(
     n = len(outer.holes)
     if not 0 <= hole_index < n:
         raise HoleMismatch(f"no hole {hole_index} in a {n}-hole representative")
+    if inner_port is not None and not 0 <= inner_port < len(inner.outers):
+        raise HoleMismatch(f"inner has no port {inner_port}")
     pair = outer.holes[hole_index]
-    if len(inner.outers) == 1 and inner_port in (None, 0):
+    if len(inner.outers) == 1:
         if inner.outers[0] != pair:
             raise HoleMismatch(
                 f"inner boundary {_pp(inner.outers[0])} does not fit hole {_pp(pair)}"
@@ -226,8 +228,6 @@ def poly_compose_at(
         return _splice(backend, outer, inner, hole_index)
     if len(inner.holes) == 0:
         if inner_port is not None:
-            if not 0 <= inner_port < len(inner.outers):
-                raise HoleMismatch(f"inner has no port {inner_port}")
             if inner.outers[inner_port] != pair:
                 raise HoleMismatch(
                     f"port {inner_port} is {_pp(inner.outers[inner_port])}, "

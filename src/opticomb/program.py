@@ -1,6 +1,8 @@
 """Program files: morphism terms, bindings, and queries over a theory.
 
-A program is line oriented, with ``#`` comments.  Bindings:
+A program is line oriented, with ``#`` comments.  Each line starts with
+a head, and ``STATEMENTS`` maps the head to the statement class that
+parses the rest of the line and runs it.  Bindings:
 
     comb c1 = (f, g) env e
     dagger_comb d1 = v env e
@@ -17,6 +19,10 @@ word is ``I`` or factor names joined by ``*``.  Queries:
     lens c1
     cpm d1
 
+Every name a statement binds is one ``\\w+`` word.  Each statement
+reports a result of one kind (``comb``, ``poly``, ``decision``, ``lens``
+or ``cpm``), and ``REPORT_TEXT`` holds the text of each kind.
+
 Query results serialize to text or to deterministic JSON: keys are
 sorted and nothing environment-dependent (timestamps, durations,
 addresses) is ever included, so identical runs give identical bytes.
@@ -25,26 +31,24 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import TYPE_CHECKING, Any
 
+# value, witness and decision JSON and term_text live in core, beside the
+# classes they serialize; they are imported here for this module's callers too
 from .core import (
     Backend,
     Compose,
-    Decision,
-    ExhaustionWitness,
-    FactorWitness,
     Generator,
     Identity,
     MorTerm,
     ObjectWord,
-    ProbeWitness,
-    SlidePathWitness,
     Symmetry,
     Tensor,
+    decision_json,
     eval_term,
+    term_text,
+    value_json,
+    witness_json,
 )
 from .comb import (
     COMB_STRATEGIES,
@@ -59,15 +63,6 @@ from .comb import (
 )
 from .optic import OPTIC_STRATEGIES, equiv_optic
 from .polycomb import PolyCombRep, from_comb, poly, poly_compose_at, poly_equiv
-from .backends.finfun import FinMap
-from .backends.free import StrandMor, WiringMor
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .cpm import CpmMorphism
-
-RELATIONS = ("sigma", "tau", "comb", "optic", "cpm", "cpinf", "poly")
 
 
 class ProgramError(Exception):
@@ -87,13 +82,9 @@ class ProgramError(Exception):
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[();,*]|\S")
 
 
-def _tokenize(text: str) -> list[str]:
-    return _TOKEN.findall(text)
-
-
 class _TermParser:
     def __init__(self, text: str, line_no: int | None = None):
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
         self.line_no = line_no
         self.text = text
@@ -177,27 +168,6 @@ def parse_term(text: str, line_no: int | None = None) -> MorTerm:
     return _TermParser(text, line_no).parse()
 
 
-def term_text(term: MorTerm) -> str:
-    """Render a term back to program syntax."""
-    if isinstance(term, Generator):
-        return term.name
-    if isinstance(term, Identity):
-        return f"id({term.word.pretty()})"
-    if isinstance(term, Symmetry):
-        return f"sym({term.left.pretty()},{term.right.pretty()})"
-    if isinstance(term, Compose):
-        return f"{term_text(term.first)} ; {term_text(term.then)}"
-    if isinstance(term, Tensor):
-        left = term_text(term.left)
-        right = term_text(term.right)
-        if isinstance(term.left, Compose):
-            left = f"({left})"
-        if isinstance(term.right, Compose):
-            right = f"({right})"
-        return f"{left} * {right}"
-    raise TypeError(f"not a term: {term!r}")
-
-
 def _split_top(text: str, sep: str, line_no: int | None = None) -> list[str]:
     """Split on ``sep`` at parenthesis depth zero."""
     parts, depth, start = [], 0, 0
@@ -218,76 +188,97 @@ def _split_top(text: str, sep: str, line_no: int | None = None) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Running
+# ---------------------------------------------------------------------------
+
+def _channels():
+    """The channel module: it needs numpy, so the first channel statement loads it."""
+    from . import cpm
+
+    return cpm
+
+
+#: each relation of ``equiv``, with its decider given the run context and two operands
+_DECIDERS = {
+    "sigma": lambda ctx, a, b: equiv_sigma(ctx.backend, a, b),
+    "tau": lambda ctx, a, b: equiv_tau(ctx.backend, a, b, bound=ctx.bound),
+    "comb": lambda ctx, a, b: equiv_comb(
+        ctx.backend, a, b, strategy=ctx.comb_strategy, bound=ctx.bound),
+    "optic": lambda ctx, a, b: equiv_optic(
+        ctx.backend, a, b, strategy=ctx.optic_strategy, bound=ctx.bound),
+    "cpm": lambda ctx, a, b: _channels().cpm_equiv(ctx.backend, a, b),
+    "cpinf": lambda ctx, a, b: _channels().cpinf_equiv(ctx.backend, a, b),
+    "poly": lambda ctx, a, b: poly_equiv(ctx.backend, a, b, bound=ctx.bound),
+}
+RELATIONS = tuple(_DECIDERS)
+
+
+class _Run:
+    """What the statements of one run share: the backend, the options and
+    the names bound so far."""
+
+    def __init__(self, backend: Backend, strategy: str, bound: int):
+        known = set(COMB_STRATEGIES) | set(OPTIC_STRATEGIES)
+        self.comb_strategy, self.optic_strategy = (
+            strategy if strategy in names or strategy not in known else "auto"
+            for names in (COMB_STRATEGIES, OPTIC_STRATEGIES)
+        )
+        self.backend, self.bound = backend, bound
+        self.combs: dict[str, CombRep] = {}
+        self.polys: dict[str, PolyCombRep] = {}
+
+    def get_comb(self, name: str) -> CombRep:
+        if name not in self.combs:
+            raise ProgramError(f"no comb named {name!r}")
+        return self.combs[name]
+
+    def get_poly(self, name: str) -> PolyCombRep:
+        if name in self.polys:
+            return self.polys[name]
+        if name in self.combs:
+            return from_comb(self.backend, self.combs[name])
+        raise ProgramError(f"no poly or comb named {name!r}")
+
+    def bind_comb(self, name: str, c: CombRep) -> tuple[str, dict]:
+        """Bind ``c`` to ``name`` and report its boundary."""
+        self.combs[name] = c
+        return "comb", {
+            "source": [c.source[0].pretty(), c.source[1].pretty()],
+            "hole": [c.target[0].pretty(), c.target[1].pretty()],
+            "env": c.env.pretty(),
+        }
+
+    def bind_poly(self, name: str, p: PolyCombRep) -> tuple[str, dict]:
+        """Bind ``p`` to ``name`` and report its shape."""
+        self.polys[name] = p
+        return "poly", {
+            "holes": [[a.pretty(), b.pretty()] for a, b in p.holes],
+            "outers": [[a.pretty(), b.pretty()] for a, b in p.outers],
+            "envs": [e.pretty() for e in p.envs],
+        }
+
+
+# ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CombDecl:
-    name: str
-    f_term: MorTerm
-    g_term: MorTerm
-    env: ObjectWord
-    line: str
+def _name(head: str, name: str, line_no: int) -> str:
+    """``name``, which the statement binds, if it is one ``\\w+`` word."""
+    if not re.fullmatch(r"\w+", name):
+        raise ProgramError(f"{head} name must be one \\w+ word, got {name!r}", line_no)
+    return name
 
 
-@dataclass(frozen=True)
-class DaggerDecl:
-    name: str
-    f_term: MorTerm
-    env: ObjectWord
-    line: str
-
-
-@dataclass(frozen=True)
-class PolyDecl:
-    name: str
-    holes: tuple[tuple[ObjectWord, ObjectWord], ...]
-    outers: tuple[tuple[ObjectWord, ObjectWord], ...]
-    envs: tuple[ObjectWord, ...]
-    seg_terms: tuple[MorTerm, ...]
-    line: str
-
-
-@dataclass(frozen=True)
-class EquivQuery:
-    relation: str
-    left: str
-    right: str
-    line: str
-
-
-@dataclass(frozen=True)
-class ComposeQuery:
-    inner: str
-    outer: str
-    name: str
-    op: str  # "compose" | "tensor"
-    line: str
-
-
-@dataclass(frozen=True)
-class PlugQuery:
-    outer: str
-    hole: int
-    inner: str
-    name: str
-    port: int | None
-    line: str
-
-
-@dataclass(frozen=True)
-class LensQuery:
-    name: str
-    line: str
-
-
-@dataclass(frozen=True)
-class CpmQuery:
-    name: str
-    line: str
-
-
-Statement = Any
+def _split_decl(head: str, rest: str, body_syntax: str, line_no: int):
+    """``NAME = BODY env WORD`` as its three parts."""
+    name, eq, body = rest.partition("=")
+    if not eq:
+        raise ProgramError(f"{head} syntax: name = {body_syntax} env WORD", line_no)
+    name = _name(head, name.strip(), line_no)
+    body, sep, env_text = body.rpartition(" env ")
+    if not sep:
+        raise ProgramError(f"{head} needs a trailing 'env WORD'", line_no)
+    return name, body.strip(), env_text
 
 
 def _parse_pairs(
@@ -314,18 +305,205 @@ _POLY_RE = re.compile(
 )
 
 
-def _split_decl(head: str, rest: str, body_syntax: str, line_no: int):
-    """``NAME = BODY env WORD`` as its three parts; NAME must be one ``\\w+``."""
-    name, eq, body = rest.partition("=")
-    if not eq:
-        raise ProgramError(f"{head} syntax: name = {body_syntax} env WORD", line_no)
-    name = name.strip()
-    if not re.fullmatch(r"\w+", name):
-        raise ProgramError(f"{head} name must be one \\w+ word, got {name!r}", line_no)
-    body, sep, env_text = body.rpartition(" env ")
-    if not sep:
-        raise ProgramError(f"{head} needs a trailing 'env WORD'", line_no)
-    return name, body.strip(), env_text
+@dataclass(frozen=True)
+class Statement:
+    """One program line, without its comment; ``line_no`` places the
+    statement's run-time errors.  ``parse`` reads a subclass's own fields
+    from the rest of the line, and ``run`` runs the statement and returns
+    its report's kind and payload."""
+
+    line: str = field(kw_only=True)
+    line_no: int | None = field(default=None, kw_only=True)
+
+    @classmethod
+    def parse(cls, head: str, rest: str, line_no: int) -> tuple:
+        """The words of ``rest`` read against ``cls.syntax``, where a capital
+        letter stands for any one word, ``(x|y)`` for one of the words
+        listed and ``[...]`` for an optional part (None when left out)."""
+        pattern = re.sub(r"\b[A-Z]\b", r"(\\S+)", cls.syntax)
+        pattern = pattern.replace(" [", "(?: ").replace("]", ")?").replace(" ", r"\s+")
+        m = re.fullmatch(pattern, rest)
+        if m is None:
+            raise ProgramError(f"{head} syntax: {head} {cls.syntax}", line_no)
+        return m.groups()
+
+
+@dataclass(frozen=True)
+class CombDecl(Statement):
+    name: str
+    f_term: MorTerm
+    g_term: MorTerm
+    env: ObjectWord
+
+    @classmethod
+    def parse(cls, head: str, rest: str, line_no: int) -> tuple:
+        name, body, env_text = _split_decl(head, rest, "(f, g)", line_no)
+        if not (body.startswith("(") and body.endswith(")")):
+            raise ProgramError("comb body must be (f, g)", line_no)
+        halves = _split_top(body[1:-1], ",", line_no)
+        if len(halves) != 2:
+            raise ProgramError("comb body must hold two terms", line_no)
+        f_term, g_term = (parse_term(t, line_no) for t in halves)
+        return name, f_term, g_term, ObjectWord.parse(env_text)
+
+    def run(self, ctx: _Run) -> tuple[str, dict]:
+        f, g = (eval_term(t, ctx.backend) for t in (self.f_term, self.g_term))
+        return ctx.bind_comb(self.name, comb(ctx.backend, f, g, env=self.env))
+
+
+@dataclass(frozen=True)
+class DaggerDecl(Statement):
+    name: str
+    f_term: MorTerm
+    env: ObjectWord
+
+    @classmethod
+    def parse(cls, head: str, rest: str, line_no: int) -> tuple:
+        name, body, env_text = _split_decl(head, rest, "f", line_no)
+        return name, parse_term(body, line_no), ObjectWord.parse(env_text)
+
+    def run(self, ctx: _Run) -> tuple[str, dict]:
+        c = _channels().dagger_comb(
+            ctx.backend, eval_term(self.f_term, ctx.backend), env=self.env)
+        return ctx.bind_comb(self.name, c)
+
+
+@dataclass(frozen=True)
+class PolyDecl(Statement):
+    name: str
+    holes: tuple[tuple[ObjectWord, ObjectWord], ...]
+    outers: tuple[tuple[ObjectWord, ObjectWord], ...]
+    envs: tuple[ObjectWord, ...]
+    seg_terms: tuple[MorTerm, ...]
+
+    @classmethod
+    def parse(cls, head: str, rest: str, line_no: int) -> tuple:
+        m = _POLY_RE.match(rest)
+        if not m:
+            raise ProgramError(
+                "poly syntax: name holes=[...] outers=[...] envs=[...] "
+                "segs=[t | t | ...]",
+                line_no,
+            )
+        envs_text = m.group("envs").strip()
+        envs = tuple(
+            ObjectWord.parse(w)
+            for w in (envs_text.split(",") if envs_text else [])
+        )
+        segs = tuple(
+            parse_term(s, line_no) for s in m.group("segs").split("|")
+        )
+        holes = _parse_pairs(m.group("holes"), line_no)
+        return m.group("name"), holes, _parse_pairs(m.group("outers"), line_no), envs, segs
+
+    def run(self, ctx: _Run) -> tuple[str, dict]:
+        segs = [eval_term(t, ctx.backend) for t in self.seg_terms]
+        p = poly(ctx.backend, self.holes, self.outers, self.envs, segs)
+        return ctx.bind_poly(self.name, p)
+
+
+@dataclass(frozen=True)
+class EquivQuery(Statement):
+    relation: str
+    left: str
+    right: str
+
+    syntax = f"({'|'.join(RELATIONS)}) A B"
+
+    def run(self, ctx: _Run) -> tuple[str, dict]:
+        get = ctx.get_poly if self.relation == "poly" else ctx.get_comb
+        decision = _DECIDERS[self.relation](ctx, get(self.left), get(self.right))
+        return "decision", decision_json(decision)
+
+
+@dataclass(frozen=True)
+class ComposeQuery(Statement):
+    inner: str
+    outer: str
+    name: str
+    op: str  # "compose" | "tensor"
+
+    syntax = "A B as C"
+
+    @classmethod
+    def parse(cls, head: str, rest: str, line_no: int) -> tuple:
+        inner, outer, name = super().parse(head, rest, line_no)
+        return inner, outer, _name(head, name, line_no), head
+
+    def run(self, ctx: _Run) -> tuple[str, dict]:
+        make = comb_compose if self.op == "compose" else comb_tensor
+        c1, c2 = ctx.get_comb(self.inner), ctx.get_comb(self.outer)
+        return ctx.bind_comb(self.name, make(ctx.backend, c1, c2))
+
+
+@dataclass(frozen=True)
+class PlugQuery(Statement):
+    outer: str
+    hole: int
+    inner: str
+    name: str
+    port: int | None
+
+    syntax = "A at J with B [port P] as C"
+
+    @classmethod
+    def parse(cls, head: str, rest: str, line_no: int) -> tuple:
+        outer, hole, inner, port, name = super().parse(head, rest, line_no)
+        try:
+            hole, port = int(hole), None if port is None else int(port)
+        except ValueError:
+            raise ProgramError("hole and port must be integers", line_no) from None
+        return outer, hole, inner, _name(head, name, line_no), port
+
+    def run(self, ctx: _Run) -> tuple[str, dict]:
+        outer, inner = ctx.get_poly(self.outer), ctx.get_poly(self.inner)
+        p = poly_compose_at(ctx.backend, outer, inner, self.hole, inner_port=self.port)
+        return ctx.bind_poly(self.name, p)
+
+
+@dataclass(frozen=True)
+class LensQuery(Statement):
+    name: str
+
+    syntax = "A"
+
+    def run(self, ctx: _Run) -> tuple[str, dict]:
+        get, put = lens_pair(ctx.backend, ctx.get_comb(self.name))
+        return "lens", {"get": value_json(get), "put": value_json(put)}
+
+
+@dataclass(frozen=True)
+class CpmQuery(Statement):
+    name: str
+
+    syntax = "A"
+
+    def run(self, ctx: _Run) -> tuple[str, dict]:
+        c = ctx.get_comb(self.name)
+        m = _channels().to_cpm(ctx.backend, c)
+        return "cpm", {
+            "in": m.in_word.pretty(),
+            "out": m.out_word.pretty(),
+            "kraus_count": len(m.kraus),
+            "transfer": value_json(m.transfer),
+            "choi": value_json(m.choi()),
+            "completely_positive": m.is_completely_positive(),
+            "trace_preserving": m.is_trace_preserving(),
+        }
+
+
+#: each statement head, with the class that parses and runs its lines
+STATEMENTS = {
+    "comb": CombDecl,
+    "dagger_comb": DaggerDecl,
+    "poly": PolyDecl,
+    "equiv": EquivQuery,
+    "compose": ComposeQuery,
+    "tensor": ComposeQuery,
+    "plug": PlugQuery,
+    "lens": LensQuery,
+    "cpm": CpmQuery,
+}
 
 
 def parse_program(text: str) -> list[Statement]:
@@ -335,100 +513,11 @@ def parse_program(text: str) -> list[Statement]:
         if not line:
             continue
         head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "comb":
-            name, body, env_text = _split_decl(head, rest, "(f, g)", line_no)
-            if not (body.startswith("(") and body.endswith(")")):
-                raise ProgramError("comb body must be (f, g)", line_no)
-            halves = _split_top(body[1:-1], ",", line_no)
-            if len(halves) != 2:
-                raise ProgramError("comb body must hold two terms", line_no)
-            statements.append(CombDecl(
-                name,
-                parse_term(halves[0], line_no),
-                parse_term(halves[1], line_no),
-                ObjectWord.parse(env_text),
-                line,
-            ))
-        elif head == "dagger_comb":
-            name, body, env_text = _split_decl(head, rest, "f", line_no)
-            statements.append(DaggerDecl(
-                name, parse_term(body, line_no), ObjectWord.parse(env_text), line,
-            ))
-        elif head == "poly":
-            m = _POLY_RE.match(rest)
-            if not m:
-                raise ProgramError(
-                    "poly syntax: name holes=[...] outers=[...] envs=[...] "
-                    "segs=[t | t | ...]",
-                    line_no,
-                )
-            envs_text = m.group("envs").strip()
-            envs = tuple(
-                ObjectWord.parse(w)
-                for w in (envs_text.split(",") if envs_text else [])
-            )
-            segs = tuple(
-                parse_term(s, line_no) for s in m.group("segs").split("|")
-            )
-            statements.append(PolyDecl(
-                m.group("name"),
-                _parse_pairs(m.group("holes"), line_no),
-                _parse_pairs(m.group("outers"), line_no),
-                envs,
-                segs,
-                line,
-            ))
-        elif head == "equiv":
-            parts = rest.split()
-            if len(parts) != 3 or parts[0] not in RELATIONS:
-                raise ProgramError(
-                    f"equiv syntax: equiv ({'|'.join(RELATIONS)}) A B", line_no
-                )
-            statements.append(EquivQuery(parts[0], parts[1], parts[2], line))
-        elif head in ("compose", "tensor"):
-            parts = rest.split()
-            if len(parts) != 4 or parts[2] != "as":
-                raise ProgramError(f"{head} syntax: {head} A B as C", line_no)
-            statements.append(
-                ComposeQuery(parts[0], parts[1], parts[3], head, line)
-            )
-        elif head == "plug":
-            parts = rest.split()
-            port: int | None = None
-            # plug A at J with B [port P] as C
-            ok = (
-                len(parts) in (7, 9)
-                and parts[1] == "at" and parts[3] == "with"
-                and parts[-2] == "as"
-            )
-            if ok and len(parts) == 9:
-                ok = parts[5] == "port"
-            if not ok:
-                raise ProgramError(
-                    "plug syntax: plug A at J with B [port P] as C", line_no
-                )
-            try:
-                hole = int(parts[2])
-                if len(parts) == 9:
-                    port = int(parts[6])
-            except ValueError:
-                raise ProgramError("hole and port must be integers", line_no) from None
-            statements.append(
-                PlugQuery(parts[0], hole, parts[4], parts[-1], port, line)
-            )
-        elif head == "lens":
-            parts = rest.split()
-            if len(parts) != 1:
-                raise ProgramError("lens syntax: lens A", line_no)
-            statements.append(LensQuery(parts[0], line))
-        elif head == "cpm":
-            parts = rest.split()
-            if len(parts) != 1:
-                raise ProgramError("cpm syntax: cpm A", line_no)
-            statements.append(CpmQuery(parts[0], line))
-        else:
+        kind = STATEMENTS.get(head)
+        if kind is None:
             raise ProgramError(f"unknown statement {head!r}", line_no)
+        fields = kind.parse(head, rest.strip(), line_no)
+        statements.append(kind(*fields, line=line, line_no=line_no))
     return statements
 
 
@@ -437,210 +526,11 @@ def load_program(path: str) -> list[Statement]:
         return parse_program(handle.read())
 
 
-# ---------------------------------------------------------------------------
-# Value serialization
-# ---------------------------------------------------------------------------
-
-def _num_json(x: Any) -> Any:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, complex):
-        return [float(x.real), float(x.imag)]
-    # numpy is imported only where a matrix value is built: until then no
-    # value is a numpy number, array or Mat, and serializing loads nothing
-    np = sys.modules.get("numpy")
-    if np is None:
-        return x
-    if isinstance(x, (np.complexfloating,)):
-        return [float(x.real), float(x.imag)]
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    return x
-
-
-def _array_json(arr: np.ndarray) -> list:
-    return [[_num_json(x) for x in row] for row in sys.modules["numpy"].atleast_2d(arr)]
-
-
-def value_json(value: Any) -> Any:
-    """Serialize a backend value (or number, word, tuple) to JSON data."""
-    np = sys.modules.get("numpy")  # see _num_json
-    if np is not None:
-        from .backends.matrix import Mat
-
-        if isinstance(value, Mat):
-            return {
-                "dom": value.dom.pretty(),
-                "cod": value.cod.pretty(),
-                "entries": _array_json(value.array),
-            }
-        if isinstance(value, np.ndarray):
-            return _array_json(value)
-    if isinstance(value, FinMap):
-        return {
-            "dom": value.dom.pretty(),
-            "cod": value.cod.pretty(),
-            "table": list(value.table),
-        }
-    if isinstance(value, StrandMor):
-        return {
-            "word": value.word.pretty(),
-            "flags": list(value.flags),
-            "touched": value.touched(),
-        }
-    if isinstance(value, WiringMor):
-        return {
-            "dom": value.dom.pretty(),
-            "cod": value.cod.pretty(),
-            "matching": sorted(list(p) for p in value.matching),
-            "caps": sorted((i, e) for i, e in value.caps),
-            "seeds": sorted((j, s) for j, s in value.seeds),
-            "scalars": [list(p) for p in value.scalars],
-        }
-    if isinstance(value, ObjectWord):
-        return value.pretty()
-    if isinstance(value, MorTerm):
-        return term_text(value)
-    if isinstance(value, Decision):
-        return decision_json(value)
-    if isinstance(value, (tuple, list)):
-        return [value_json(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): value_json(v) for k, v in sorted(value.items())}
-    out = _num_json(value)
-    if isinstance(out, (int, float, str, bool, list)) or out is None:
-        return out
-    return repr(out)
-
-
-def witness_json(witness: Any) -> dict:
-    if isinstance(witness, ProbeWitness):
-        data = {
-            "type": "probe",
-            "context_in": witness.c_word.pretty(),
-            "context_out": witness.d_word.pretty(),
-            "probe": value_json(witness.probe),
-            "left": value_json(witness.left),
-            "right": value_json(witness.right),
-        }
-        if witness.probe_term is not None:
-            data["probe_term"] = term_text(witness.probe_term)
-        if witness.note:
-            data["note"] = witness.note
-        return data
-    if isinstance(witness, SlidePathWitness):
-        return {
-            "type": "slide-path",
-            "steps": [
-                {
-                    "direction": s.direction,
-                    "slide": value_json(s.v),
-                    "environment": value_json(s.residual),
-                }
-                for s in witness.steps
-            ],
-        }
-    if isinstance(witness, ExhaustionWitness):
-        return {
-            "type": "exhaustion",
-            "states_explored": witness.states_explored,
-            "environments": [w.pretty() for w in witness.environments],
-            "note": witness.note,
-        }
-    if isinstance(witness, FactorWitness):
-        return {
-            "type": "factor",
-            "pieces": {k: value_json(v) for k, v in sorted(witness.pieces.items())},
-            "note": witness.note,
-        }
-    return {"type": "opaque", "repr": repr(witness)}
-
-
-def decision_json(decision: Decision) -> dict:
-    data: dict[str, Any] = {
-        "verdict": decision.verdict.value,
-        "method": decision.method,
-        "certified": decision.certified,
-    }
-    if decision.tolerance is not None:
-        data["tolerance"] = decision.tolerance
-    if decision.coverage:
-        data["coverage"] = value_json(dict(decision.coverage))
-    if decision.witness is not None:
-        data["witness"] = witness_json(decision.witness)
-    return data
-
-
-# ---------------------------------------------------------------------------
-# Execution
-# ---------------------------------------------------------------------------
-
 @dataclass
 class QueryReport:
     query: str
     kind: str
     payload: dict = field(default_factory=dict)
-
-
-def _comb_summary(c: CombRep) -> dict:
-    return {
-        "source": [c.source[0].pretty(), c.source[1].pretty()],
-        "hole": [c.target[0].pretty(), c.target[1].pretty()],
-        "env": c.env.pretty(),
-    }
-
-
-def _poly_summary(p: PolyCombRep) -> dict:
-    return {
-        "holes": [[a.pretty(), b.pretty()] for a, b in p.holes],
-        "outers": [[a.pretty(), b.pretty()] for a, b in p.outers],
-        "envs": [e.pretty() for e in p.envs],
-    }
-
-
-def _cpm_summary(m: CpmMorphism) -> dict:
-    return {
-        "in": m.in_word.pretty(),
-        "out": m.out_word.pretty(),
-        "kraus_count": len(m.kraus),
-        "transfer": _array_json(m.transfer),
-        "choi": _array_json(m.choi()),
-        "completely_positive": m.is_completely_positive(),
-        "trace_preserving": m.is_trace_preserving(),
-    }
-
-
-def _channels():
-    """The channel module: it needs numpy, so the first channel statement loads it."""
-    from . import cpm
-
-    return cpm
-
-
-class _Bindings:
-    def __init__(self) -> None:
-        self.combs: dict[str, CombRep] = {}
-        self.polys: dict[str, PolyCombRep] = {}
-
-    def bind_comb(self, name: str, c: CombRep) -> None:
-        self.combs[name] = c
-
-    def bind_poly(self, name: str, p: PolyCombRep) -> None:
-        self.polys[name] = p
-
-    def get_comb(self, name: str) -> CombRep:
-        if name not in self.combs:
-            raise ProgramError(f"no comb named {name!r}")
-        return self.combs[name]
-
-    def get_poly(self, backend: Backend, name: str) -> PolyCombRep:
-        if name in self.polys:
-            return self.polys[name]
-        if name in self.combs:
-            return from_comb(backend, self.combs[name])
-        raise ProgramError(f"no poly or comb named {name!r}")
 
 
 def run_program(
@@ -651,90 +541,14 @@ def run_program(
 ) -> list[QueryReport]:
     """Run every statement; ``strategy`` applies to each of ``equiv comb`` /
     ``equiv optic`` that lists it, the other runs auto."""
-    known = set(COMB_STRATEGIES) | set(OPTIC_STRATEGIES)
-    comb_strategy, optic_strategy = (
-        strategy if strategy in names or strategy not in known else "auto"
-        for names in (COMB_STRATEGIES, OPTIC_STRATEGIES)
-    )
-    deciders = {
-        "sigma": lambda c1, c2: equiv_sigma(backend, c1, c2),
-        "tau": lambda c1, c2: equiv_tau(backend, c1, c2, bound=bound),
-        "comb": lambda c1, c2: equiv_comb(
-            backend, c1, c2, strategy=comb_strategy, bound=bound),
-        "optic": lambda c1, c2: equiv_optic(
-            backend, c1, c2, strategy=optic_strategy, bound=bound),
-        "cpm": lambda c1, c2: _channels().cpm_equiv(backend, c1, c2),
-        "cpinf": lambda c1, c2: _channels().cpinf_equiv(backend, c1, c2),
-        "poly": lambda p1, p2: poly_equiv(backend, p1, p2, bound=bound),
-    }
-    env = _Bindings()
+    ctx = _Run(backend, strategy, bound)
     reports: list[QueryReport] = []
     for stmt in statements:
-        if isinstance(stmt, CombDecl):
-            c = comb(
-                backend,
-                eval_term(stmt.f_term, backend),
-                eval_term(stmt.g_term, backend),
-                env=stmt.env,
-            )
-            env.bind_comb(stmt.name, c)
-            reports.append(QueryReport(stmt.line, "comb", _comb_summary(c)))
-        elif isinstance(stmt, DaggerDecl):
-            c = _channels().dagger_comb(
-                backend, eval_term(stmt.f_term, backend), env=stmt.env)
-            env.bind_comb(stmt.name, c)
-            reports.append(QueryReport(stmt.line, "comb", _comb_summary(c)))
-        elif isinstance(stmt, PolyDecl):
-            p = poly(
-                backend,
-                stmt.holes,
-                stmt.outers,
-                stmt.envs,
-                [eval_term(t, backend) for t in stmt.seg_terms],
-            )
-            env.bind_poly(stmt.name, p)
-            reports.append(QueryReport(stmt.line, "poly", _poly_summary(p)))
-        elif isinstance(stmt, EquivQuery):
-            if stmt.relation == "poly":
-                reps = (env.get_poly(backend, stmt.left), env.get_poly(backend, stmt.right))
-            else:
-                reps = (env.get_comb(stmt.left), env.get_comb(stmt.right))
-            decision = deciders[stmt.relation](*reps)
-            reports.append(
-                QueryReport(stmt.line, "decision", decision_json(decision))
-            )
-        elif isinstance(stmt, ComposeQuery):
-            c1 = env.get_comb(stmt.inner)
-            c2 = env.get_comb(stmt.outer)
-            made = (
-                comb_compose(backend, c1, c2)
-                if stmt.op == "compose"
-                else comb_tensor(backend, c1, c2)
-            )
-            env.bind_comb(stmt.name, made)
-            reports.append(QueryReport(stmt.line, "comb", _comb_summary(made)))
-        elif isinstance(stmt, PlugQuery):
-            outer = env.get_poly(backend, stmt.outer)
-            inner = env.get_poly(backend, stmt.inner)
-            made_p = poly_compose_at(
-                backend, outer, inner, stmt.hole, inner_port=stmt.port
-            )
-            env.bind_poly(stmt.name, made_p)
-            reports.append(QueryReport(stmt.line, "poly", _poly_summary(made_p)))
-        elif isinstance(stmt, LensQuery):
-            c = env.get_comb(stmt.name)
-            get, put = lens_pair(backend, c)
-            reports.append(QueryReport(
-                stmt.line, "lens",
-                {"get": value_json(get), "put": value_json(put)},
-            ))
-        elif isinstance(stmt, CpmQuery):
-            c = env.get_comb(stmt.name)
-            reports.append(QueryReport(
-                stmt.line, "cpm", _cpm_summary(_channels().to_cpm(backend, c))
-            ))
-        else:
-            raise ProgramError(f"cannot execute {stmt!r}")
+        try:
+            kind, payload = stmt.run(ctx)
+        except ProgramError as exc:
+            raise ProgramError(str(exc), stmt.line_no) from None
+        reports.append(QueryReport(stmt.line, kind, payload))
     return reports
 
 
@@ -753,65 +567,68 @@ def render_json(reports: list[QueryReport]) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _text_block(report: QueryReport) -> list[str]:
-    lines = [f"== {report.query}"]
-    if report.kind == "decision":
-        payload = report.payload
-        lines.append(f"   verdict: {payload['verdict']}")
-        lines.append(f"   method: {payload['method']}")
-        lines.append(f"   certified: {'yes' if payload['certified'] else 'no'}")
-        if "coverage" in payload:
-            cov = ", ".join(f"{k}={v}" for k, v in sorted(payload["coverage"].items()))
-            lines.append(f"   coverage: {cov}")
-        witness = payload.get("witness")
-        if witness:
-            lines.append(f"   witness: {witness['type']}")
-            if witness["type"] == "probe":
-                lines.append(
-                    f"     context: ({witness['context_in']}, "
-                    f"{witness['context_out']})"
-                )
-                if "probe_term" in witness:
-                    lines.append(f"     probe: {witness['probe_term']}")
-            elif witness["type"] == "slide-path":
-                lines.append(f"     steps: {len(witness['steps'])}")
-            elif witness["type"] == "exhaustion":
-                lines.append(
-                    f"     states: {witness['states_explored']}, "
-                    f"environments: {', '.join(witness['environments']) or '(none)'}"
-                )
-            elif witness["type"] == "factor":
-                lines.append(f"     pieces: {', '.join(sorted(witness['pieces']))}")
-            note = witness.get("note")
-            if note:
-                lines.append(f"     note: {note}")
-    elif report.kind == "comb":
-        payload = report.payload
-        lines.append(
-            f"   source ({payload['source'][0]}, {payload['source'][1]}), "
-            f"hole ({payload['hole'][0]}, {payload['hole'][1]}), "
-            f"env {payload['env']}"
-        )
-    elif report.kind == "poly":
-        payload = report.payload
-        holes = " ".join(f"({a},{b})" for a, b in payload["holes"]) or "(none)"
-        outers = " ".join(f"({a},{b})" for a, b in payload["outers"]) or "(none)"
-        lines.append(f"   holes {holes}; outers {outers}")
-    elif report.kind == "cpm":
-        payload = report.payload
-        lines.append(
-            f"   {payload['in']} -> {payload['out']}, "
-            f"kraus {payload['kraus_count']}, "
-            f"CP {'yes' if payload['completely_positive'] else 'no'}, "
-            f"TP {'yes' if payload['trace_preserving'] else 'no'}"
-        )
-    elif report.kind == "lens":
-        lines.append("   get/put pair computed")
+def _probe_text(w: dict) -> list[str]:
+    lines = [f"     context: ({w['context_in']}, {w['context_out']})"]
+    if "probe_term" in w:
+        lines.append(f"     probe: {w['probe_term']}")
     return lines
+
+
+#: the lines each witness type adds under its decision's ``witness:`` line
+_WITNESS_TEXT = {
+    "probe": _probe_text,
+    "slide-path": lambda w: [f"     steps: {len(w['steps'])}"],
+    "exhaustion": lambda w: [
+        f"     states: {w['states_explored']}, "
+        f"environments: {', '.join(w['environments']) or '(none)'}"
+    ],
+    "factor": lambda w: [f"     pieces: {', '.join(sorted(w['pieces']))}"],
+}
+
+
+def _decision_text(d: dict) -> list[str]:
+    lines = [
+        f"   verdict: {d['verdict']}",
+        f"   method: {d['method']}",
+        f"   certified: {'yes' if d['certified'] else 'no'}",
+    ]
+    if "coverage" in d:
+        cov = ", ".join(f"{k}={v}" for k, v in sorted(d["coverage"].items()))
+        lines.append(f"   coverage: {cov}")
+    witness = d.get("witness")
+    if witness:
+        lines.append(f"   witness: {witness['type']}")
+        lines += _WITNESS_TEXT.get(witness["type"], lambda w: [])(witness)
+        if witness.get("note"):
+            lines.append(f"     note: {witness['note']}")
+    return lines
+
+
+def _pairs_text(pairs: list) -> str:
+    return " ".join(f"({a},{b})" for a, b in pairs) or "(none)"
+
+
+#: each report kind, with the lines of its text under the ``== query`` line
+REPORT_TEXT = {
+    "decision": _decision_text,
+    "comb": lambda p: [
+        f"   source ({p['source'][0]}, {p['source'][1]}), "
+        f"hole ({p['hole'][0]}, {p['hole'][1]}), env {p['env']}"
+    ],
+    "poly": lambda p: [
+        f"   holes {_pairs_text(p['holes'])}; outers {_pairs_text(p['outers'])}"
+    ],
+    "cpm": lambda p: [
+        f"   {p['in']} -> {p['out']}, kraus {p['kraus_count']}, "
+        f"CP {'yes' if p['completely_positive'] else 'no'}, "
+        f"TP {'yes' if p['trace_preserving'] else 'no'}"
+    ],
+    "lens": lambda p: ["   get/put pair computed"],
+}
 
 
 def render_text(reports: list[QueryReport]) -> str:
     lines: list[str] = []
     for report in reports:
-        lines.extend(_text_block(report))
+        lines += [f"== {report.query}", *REPORT_TEXT[report.kind](report.payload)]
     return "\n".join(lines) + "\n"

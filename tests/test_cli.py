@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -87,6 +88,10 @@ MALFORMED_PROGRAMS = {
     "dagger-no-env": "dagger_comb d = top\n",
     "compose-no-name": C + "compose c c\n",
     "plug-no-filler": C + "plug c at 0\n",
+    # bound names that are not one \w+ word
+    "compose-bad-name": C + "compose c c as 1-bad\n",
+    "tensor-bad-name": C + "tensor c c as c.2\n",
+    "plug-bad-name": P1 + "plug p1 at 0 with p1 as p-3\n",
 }
 
 # channel statements against a theory without channels: they reach the channel
@@ -177,6 +182,14 @@ class TestBundledPairs:
         golden = GOLDEN / prog.replace(".prog", ".json")
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("thy,prog", BUNDLED)
+    def test_text_matches_golden_copy(self, thy, prog, capsys):
+        # the .txt beside each .json holds the expected text output
+        code = run_cli("run", str(THEORIES / thy), str(THEORIES / prog))
+        assert code == 0
+        golden = GOLDEN / prog.replace(".prog", ".txt")
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_json_reruns_byte_identical(self, capsys):
         args = (
             "run", str(THEORIES / "pointed.thy"), str(THEORIES / "pointed.prog"),
@@ -248,6 +261,12 @@ class TestExitCodes:
         code = run_cli("run", str(THEORIES / "idempotent.thy"), str(prog))
         assert code == 2
         assert "ghost" in capsys.readouterr().err
+
+    def test_runtime_name_error_names_its_line(self, capsys, tmp_path):
+        prog = tmp_path / "p.prog"
+        prog.write_text("comb c = (top, lower) env I\n# unbound below\nequiv comb c ghost\n")
+        assert run_cli("run", str(THEORIES / "bool2.thy"), str(prog)) == 2
+        assert capsys.readouterr().err == "program error: line 3: no comb named 'ghost'\n"
 
     def test_inapplicable_strategy(self, capsys):
         code = run_cli(
@@ -449,6 +468,19 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
         assert proc.stderr.strip().splitlines()[-1] == "False"
+
+    def test_program_imports_no_backend(self):
+        # values and witnesses serialize themselves, so the program layer
+        # needs no backend module
+        tree = ast.parse((ROOT / "src" / "opticomb" / "program.py").read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["opticomb" if node.level else "", node.module]))
+                imported += [f"{base}.{alias.name}" for alias in node.names]
+        assert imported and not [m for m in imported if m.startswith("opticomb.backends")]
 
     def test_public_names_are_their_modules_objects(self):
         for module, names in PUBLIC_NAMES.items():

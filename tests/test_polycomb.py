@@ -351,6 +351,17 @@ class TestPlugging:
         with pytest.raises(UnsupportedShape):
             poly_compose_at(cbe, two_hole, hole_and_ports, 0)
 
+    @pytest.mark.parametrize("port", [7, -1])
+    def test_port_out_of_range_is_named(self, cbe, rng, two_hole, port):
+        """A port outside the inner's outer pairs is refused as such, also
+        when the inner has one outer pair and holes of its own."""
+        y, x = word("y"), word("x")
+        inner = from_comb(cbe, comb(
+            cbe, rand_mat(cbe, rng, y, y @ y), rand_mat(cbe, rng, y @ x, x), env=y,
+        ))  # boundary (y, x), hole (y, x)
+        with pytest.raises(HoleMismatch, match=f"inner has no port {port}"):
+            poly_compose_at(cbe, two_hole, inner, 0, inner_port=port)
+
 
 class TestStars:
     def test_shapes(self, cbe):

@@ -146,10 +146,25 @@ def cpm_equal(m1: CpmMorphism, m2: CpmMorphism, tolerance: float) -> bool:
     return close(m1.transfer, m2.transfer, tolerance)
 
 
+def _boundary_check(m1: CpmMorphism, m2: CpmMorphism, method: str) -> Decision | None:
+    """The certified DISTINCT of two channels with different boundaries, or
+    None when their boundaries agree."""
+    if (m1.in_word, m1.out_word) == (m2.in_word, m2.out_word):
+        return None
+    witness = FactorWitness(
+        pieces={"left": (m1.in_word, m1.out_word), "right": (m2.in_word, m2.out_word)},
+        note="channel boundaries differ",
+    )
+    return Decision.distinct(method, witness)
+
+
 @reports_tolerance
 def cpm_equiv(backend: MatrixBackend, c1: CombRep, c2: CombRep) -> Decision:
     """Transfer-matrix comparison of the channels of two dagger combs."""
     m1, m2 = to_cpm(backend, c1), to_cpm(backend, c2)
+    differ = _boundary_check(m1, m2, "transfer-compare")
+    if differ is not None:
+        return differ
     if cpm_equal(m1, m2, backend.tolerance):
         return Decision.equivalent("transfer-compare")
     diff = np.abs(m1.transfer - m2.transfer)
@@ -192,12 +207,9 @@ def cpinf_equiv(backend: MatrixBackend, c1: CombRep, c2: CombRep) -> Decision:
     frame spans hermitian inputs and the channels act linearly.
     """
     m1, m2 = to_cpm(backend, c1), to_cpm(backend, c2)
-    if (m1.in_word, m1.out_word) != (m2.in_word, m2.out_word):
-        witness = FactorWitness(
-            pieces={"left": (m1.in_word, m1.out_word), "right": (m2.in_word, m2.out_word)},
-            note="channel boundaries differ",
-        )
-        return Decision.distinct("positive-probes", witness)
+    differ = _boundary_check(m1, m2, "positive-probes")
+    if differ is not None:
+        return differ
     tried = 0
     for rho in positive_probe_frame(m1.in_dim):
         tried += 1

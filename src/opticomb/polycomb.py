@@ -15,11 +15,15 @@ by name on every backend, and confirms by name where the name is
 complete: over compact closed backends, and for hole-free pieces.
 
 Composition plugs one representative into a hole of another.  Two shapes
-are supported: an inner piece with exactly one outer pair splices its
-hole chain into place, and a hole-free inner piece (a single segment)
-plugs one of its ports into the hole while its remaining ports join the
-host's outer boundary.  Together these cover unit/counit plugging and
-the yanking identities.
+are supported: an inner piece with holes and exactly one outer pair
+splices its hole chain into place, and a hole-free inner piece (a single
+segment, one-port pieces included) plugs one of its ports into the hole.
+Its remaining ports ride as luggage beside the environments: their
+inputs through every segment below the hole, their outputs through every
+segment above it, to join the host's outer boundary.  At the hole the
+reordered inner segment is a filler, plugged by one ``Backend.plug``
+call.  Together these cover unit/counit plugging and the yanking
+identities.
 """
 from __future__ import annotations
 
@@ -209,10 +213,10 @@ def poly_compose_at(
 ) -> PolyCombRep:
     """Plug ``inner`` into hole ``hole_index`` of ``outer``.
 
-    Supported shapes: an inner with exactly one outer pair (its hole chain
-    is spliced into the host), or an inner with no holes (one chosen port
-    fills the host hole, the remaining ports are appended to the host's
-    outer boundary).
+    Supported shapes: an inner with no holes (one chosen port fills the
+    host hole, the remaining ports are appended to the host's outer
+    boundary), or an inner with exactly one outer pair (its hole chain is
+    spliced into the host).
     """
     n = len(outer.holes)
     if not 0 <= hole_index < n:
@@ -220,26 +224,24 @@ def poly_compose_at(
     if inner_port is not None and not 0 <= inner_port < len(inner.outers):
         raise HoleMismatch(f"inner has no port {inner_port}")
     pair = outer.holes[hole_index]
-    if len(inner.outers) == 1:
-        if inner.outers[0] != pair:
-            raise HoleMismatch(
-                f"inner boundary {_pp(inner.outers[0])} does not fit hole {_pp(pair)}"
-            )
-        return _splice(backend, outer, inner, hole_index)
-    if len(inner.holes) == 0:
-        if inner_port is not None:
-            if inner.outers[inner_port] != pair:
-                raise HoleMismatch(
-                    f"port {inner_port} is {_pp(inner.outers[inner_port])}, "
-                    f"hole is {_pp(pair)}"
-                )
-            port = inner_port
-        else:
+    if len(inner.outers) == 1 and inner.outers[0] != pair:
+        raise HoleMismatch(
+            f"inner boundary {_pp(inner.outers[0])} does not fit hole {_pp(pair)}"
+        )
+    if not inner.holes:
+        port = inner_port
+        if port is None:
             fits = [l for l, pr in enumerate(inner.outers) if pr == pair]
             if not fits:
                 raise HoleMismatch(f"no port of the inner piece fits hole {_pp(pair)}")
             port = fits[0]
+        elif inner.outers[port] != pair:
+            raise HoleMismatch(
+                f"port {port} is {_pp(inner.outers[port])}, hole is {_pp(pair)}"
+            )
         return _plug_segment(backend, outer, inner, hole_index, port)
+    if len(inner.outers) == 1:
+        return _splice(backend, outer, inner, hole_index)
     raise UnsupportedShape(
         "plugging supports a one-outer inner or a hole-free inner only"
     )
@@ -248,20 +250,12 @@ def poly_compose_at(
 def _splice(
     backend: Backend, outer: PolyCombRep, inner: PolyCombRep, j: int
 ) -> PolyCombRep:
-    """Case one: the inner piece has a single outer pair matching the hole."""
+    """Case one: the inner piece has holes and a single outer pair matching
+    the hole; its chain runs beside the host environment ``M_j``."""
     k = len(inner.holes)
     m_j = outer.envs[j]
     id_mj = backend.identity(m_j)
     segs = list(outer.segments)
-    if k == 0:
-        merged = backend.plug(segs[j], id_mj, (inner.segments[0],), segs[j + 1])[0]
-        return poly(
-            backend,
-            outer.holes[:j] + outer.holes[j + 1 :],
-            outer.outers,
-            outer.envs[:j] + outer.envs[j + 1 :],
-            segs[:j] + [merged] + segs[j + 2 :],
-        )
     first = backend.compose(segs[j], backend.tensor(id_mj, inner.segments[0]))
     middle = [backend.tensor(id_mj, inner.segments[i]) for i in range(1, k)]
     last = backend.compose(backend.tensor(id_mj, inner.segments[k]), segs[j + 1])
@@ -277,124 +271,52 @@ def _splice(
 def _plug_segment(
     backend: Backend, outer: PolyCombRep, inner: PolyCombRep, j: int, port: int
 ) -> PolyCombRep:
-    """Case two: a hole-free inner piece with spare ports.
+    """Case two: a hole-free inner piece, one of whose ports fills hole ``j``.
 
-    The spare port inputs ride in the environment up to the plugged hole,
-    the inner segment runs there, and the spare outputs ride in the
-    environment from the hole on, leaving with the top segment.
+    The spare port inputs ``L_in`` ride as luggage beside the environment
+    up to hole ``j``.  There the inner segment, with its ports reordered,
+    is the filler ``A_j (x) L_in -> A_j' (x) L_out`` plugged into the hole,
+    and the spare outputs ``L_out`` ride on to leave with the top segment.
+    A one-port piece carries empty luggage.
     """
-    m = len(inner.outers)
-    x_in = [pr[0] for pr in inner.outers]
-    x_out = [pr[1] for pr in inner.outers]
-    others = [l for l in range(m) if l != port]
-    l_in = _join([x_in[l] for l in others])
-    l_out = _join([x_out[l] for l in others])
-    n = len(outer.holes)
-    segs = outer.segments
+    segs, n = outer.segments, len(outer.holes)
+    others = [l for l in range(len(inner.outers)) if l != port]
+    order = [port] + others
+    x_in, x_out = ([pr[k] for pr in inner.outers] for k in (0, 1))
+    l_in, l_out = _join([x_in[l] for l in others]), _join([x_out[l] for l in others])
 
-    def carry(seg: Any, env_in: ObjectWord, hole_out: ObjectWord,
-              env_out: ObjectWord, produced: ObjectWord,
-              luggage: ObjectWord, last: bool) -> Any:
-        # env_in (x) luggage (x) hole_out -> env_out (x) luggage (x) produced
-        val = backend.tensor(
-            backend.identity(env_in), backend.symmetry(luggage, hole_out)
-        )
-        val = backend.compose(val, backend.tensor(seg, backend.identity(luggage)))
-        if not last:
+    def carry(i: int, luggage: ObjectWord) -> Any:
+        # segment i beside the luggage, which rides left of the hole wires,
+        # except where the filler of hole j takes or gives it
+        val = backend.tensor(segs[i], backend.identity(luggage))
+        if i not in (0, j + 1):
+            swap = backend.symmetry(luggage, outer.holes[i - 1][1])
             val = backend.compose(
-                val,
-                backend.tensor(
-                    backend.identity(env_out), backend.symmetry(produced, luggage)
-                ),
+                backend.tensor(backend.identity(outer.envs[i - 1]), swap), val
+            )
+        if i not in (n, j):
+            swap = backend.symmetry(outer.holes[i][0], luggage)
+            val = backend.compose(
+                val, backend.tensor(backend.identity(outer.envs[i]), swap)
             )
         return val
 
-    new_segments: list[Any] = []
-    new_envs: list[ObjectWord] = []
-
-    # below the plugged hole: luggage is the spare inputs
-    if j > 0:
-        s0 = backend.tensor(segs[0], backend.identity(l_in))
-        s0 = backend.compose(
-            s0,
-            backend.tensor(
-                backend.identity(outer.envs[0]),
-                backend.symmetry(outer.holes[0][0], l_in),
-            ),
-        )
-        new_segments.append(s0)
-        new_envs.append(outer.envs[0] @ l_in)
-        for i in range(1, j):
-            new_segments.append(
-                carry(
-                    segs[i], outer.envs[i - 1], outer.holes[i - 1][1],
-                    outer.envs[i], outer.holes[i][0], l_in, last=False,
-                )
-            )
-            new_envs.append(outer.envs[i] @ l_in)
-
-    # the merged segment at the plugged hole
-    m_j = outer.envs[j]
-    id_mj = backend.identity(m_j)
-    if j == 0:
-        merged = backend.tensor(segs[0], backend.identity(l_in))
-    else:
-        merged = backend.tensor(
-            backend.identity(outer.envs[j - 1]),
-            backend.symmetry(l_in, outer.holes[j - 1][1]),
-        )
-        merged = backend.compose(
-            merged, backend.tensor(segs[j], backend.identity(l_in))
-        )
-    # now at M_j (x) A_j (x) L_in; gather the inner segment's inputs
-    lst = [port] + others
-    assemble = block_permutation(
-        backend,
-        [x_in[l] for l in lst],
-        [lst.index(q) for q in range(m)],
+    gather = block_permutation(
+        backend, [x_in[l] for l in order], [order.index(l) for l in range(len(order))]
     )
-    merged = backend.compose(merged, backend.tensor(id_mj, assemble))
-    merged = backend.compose(merged, backend.tensor(id_mj, inner.segments[0]))
-    scatter = block_permutation(backend, x_out, others + [port])
-    merged = backend.compose(merged, backend.tensor(id_mj, scatter))
-    # now at M_j (x) L_out (x) A_j'; hand the hole output to the next segment
-    merged = backend.compose(
-        merged,
-        backend.tensor(id_mj, backend.symmetry(l_out, outer.holes[j][1])),
-    )
-    merged = backend.compose(
-        merged, backend.tensor(segs[j + 1], backend.identity(l_out))
-    )
-    if j < n - 1:
-        merged = backend.compose(
-            merged,
-            backend.tensor(
-                backend.identity(outer.envs[j + 1]),
-                backend.symmetry(outer.holes[j + 1][0], l_out),
-            ),
-        )
-        new_envs.append(outer.envs[j + 1] @ l_out)
-    new_segments.append(merged)
-
-    # above the plugged hole: luggage is the spare outputs
-    for i in range(j + 2, n + 1):
-        new_segments.append(
-            carry(
-                segs[i], outer.envs[i - 1], outer.holes[i - 1][1],
-                outer.envs[i] if i < n else ObjectWord.unit(),
-                outer.holes[i][0] if i < n else ObjectWord.unit(),
-                l_out, last=(i == n),
-            )
-        )
-        if i < n:
-            new_envs.append(outer.envs[i] @ l_out)
-
+    scatter = block_permutation(backend, x_out, order)
+    filler = backend.compose(backend.compose(gather, inner.segments[0]), scatter)
+    merged = backend.plug(
+        carry(j, l_in), backend.identity(outer.envs[j]), (filler,), carry(j + 1, l_out)
+    )[0]
     return poly(
         backend,
         outer.holes[:j] + outer.holes[j + 1 :],
         outer.outers + tuple(inner.outers[l] for l in others),
-        new_envs,
-        new_segments,
+        [m @ l_in for m in outer.envs[:j]] + [m @ l_out for m in outer.envs[j + 1 :]],
+        [carry(i, l_in) for i in range(j)]
+        + [merged]
+        + [carry(i, l_out) for i in range(j + 2, n + 1)],
     )
 
 

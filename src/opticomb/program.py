@@ -106,13 +106,13 @@ class _TermParser:
                 f"expected {tok!r}, got {got!r} in {self.text!r}", self.line_no
             )
 
-    def parse(self) -> MorTerm:
-        term = self.seq()
+    def done(self, result):
+        """``result``, read from the whole text."""
         if self.peek() is not None:
             raise ProgramError(
                 f"trailing input {self.peek()!r} in {self.text!r}", self.line_no
             )
-        return term
+        return result
 
     def seq(self) -> MorTerm:
         left = self.tens()
@@ -129,17 +129,22 @@ class _TermParser:
         return left
 
     def word(self) -> ObjectWord:
-        names = [self.take()]
-        if not names[0].isidentifier():
-            raise ProgramError(
-                f"expected an object name, got {names[0]!r}", self.line_no
-            )
-        if names[0] == "I":
-            return ObjectWord.unit()
+        """``I`` alone, or object names joined by ``*``."""
+        names = [self.object_name()]
         while self.peek() == "*":
             self.take()
-            names.append(self.take())
+            names.append(self.object_name())
+        if names == ["I"]:
+            return ObjectWord.unit()
+        if "I" in names:
+            raise ProgramError(f"I stands alone, not in {'*'.join(names)!r}", self.line_no)
         return ObjectWord.of(*names)
+
+    def object_name(self) -> str:
+        tok = self.take()
+        if not tok.isidentifier():
+            raise ProgramError(f"expected an object name, got {tok!r}", self.line_no)
+        return tok
 
     def atom(self) -> MorTerm:
         tok = self.take()
@@ -165,7 +170,14 @@ class _TermParser:
 
 
 def parse_term(text: str, line_no: int | None = None) -> MorTerm:
-    return _TermParser(text, line_no).parse()
+    parser = _TermParser(text, line_no)
+    return parser.done(parser.seq())
+
+
+def parse_word(text: str, line_no: int | None = None) -> ObjectWord:
+    """An object word, read as the words of ``id(...)`` and ``sym(...)`` are."""
+    parser = _TermParser(text, line_no)
+    return parser.done(parser.word())
 
 
 def _split_top(text: str, sep: str, line_no: int | None = None) -> list[str]:
@@ -295,7 +307,7 @@ def _parse_pairs(
         inner = piece[1:-1].split(",")
         if len(inner) != 2:
             raise ProgramError(f"expected two words in {piece!r}", line_no)
-        pairs.append((ObjectWord.parse(inner[0]), ObjectWord.parse(inner[1])))
+        pairs.append((parse_word(inner[0], line_no), parse_word(inner[1], line_no)))
     return tuple(pairs)
 
 
@@ -344,7 +356,7 @@ class CombDecl(Statement):
         if len(halves) != 2:
             raise ProgramError("comb body must hold two terms", line_no)
         f_term, g_term = (parse_term(t, line_no) for t in halves)
-        return name, f_term, g_term, ObjectWord.parse(env_text)
+        return name, f_term, g_term, parse_word(env_text, line_no)
 
     def run(self, ctx: _Run) -> tuple[str, dict]:
         f, g = (eval_term(t, ctx.backend) for t in (self.f_term, self.g_term))
@@ -360,7 +372,7 @@ class DaggerDecl(Statement):
     @classmethod
     def parse(cls, head: str, rest: str, line_no: int) -> tuple:
         name, body, env_text = _split_decl(head, rest, "f", line_no)
-        return name, parse_term(body, line_no), ObjectWord.parse(env_text)
+        return name, parse_term(body, line_no), parse_word(env_text, line_no)
 
     def run(self, ctx: _Run) -> tuple[str, dict]:
         c = _channels().dagger_comb(
@@ -387,8 +399,7 @@ class PolyDecl(Statement):
             )
         envs_text = m.group("envs").strip()
         envs = tuple(
-            ObjectWord.parse(w)
-            for w in (envs_text.split(",") if envs_text else [])
+            parse_word(w, line_no) for w in (envs_text.split(",") if envs_text else [])
         )
         segs = tuple(
             parse_term(s, line_no) for s in m.group("segs").split("|")

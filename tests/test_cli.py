@@ -65,6 +65,16 @@ P1 = "poly p1 holes=[(b,b)] outers=[(b,b)] envs=[I] segs=[top | lower]\n"
 C = "comb c = (top, lower) env I\n"
 # programs over bool2.thy the parser or the runner refuses; each must exit 2
 # or 3 with a message
+# object words that do not read like the words of terms: each must exit 2
+MALFORMED_WORDS = {
+    "env-word-with-space": "comb c = (top, lower) env b c\n",
+    "hole-word-with-space": "poly p holes=[(b c,b)] outers=[(b,b)] envs=[I] segs=[top | lower]\n",
+    "envs-word-with-space": "poly p holes=[(b,b)] outers=[(b,b)] envs=[b b] segs=[top | lower]\n",
+    "id-word-bad-factor": "comb c = (id(b*;), lower) env I\n",
+    "env-word-trailing-star": "comb c = (top, lower) env b*\n",
+    "env-word-unit-factor": "comb c = (top, lower) env I*b\n",
+}
+
 MALFORMED_PROGRAMS = {
     "empty-comb-name": "comb = (top, lower) env I\n",
     "comb-name-with-space": "comb a b = (top, lower) env I\n",
@@ -92,6 +102,7 @@ MALFORMED_PROGRAMS = {
     "compose-bad-name": C + "compose c c as 1-bad\n",
     "tensor-bad-name": C + "tensor c c as c.2\n",
     "plug-bad-name": P1 + "plug p1 at 0 with p1 as p-3\n",
+    **MALFORMED_WORDS,
 }
 
 # channel statements against a theory without channels: they reach the channel
@@ -343,6 +354,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(("program error: ", "error: ")) and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text", MALFORMED_WORDS.values(), ids=MALFORMED_WORDS.keys()
+    )
+    def test_malformed_word_is_a_parse_error(self, text, capsys, tmp_path):
+        prog = tmp_path / "p.prog"
+        prog.write_text(text)
+        assert run_cli("run", str(THEORIES / "bool2.thy"), str(prog)) == 2
+        assert capsys.readouterr().err.startswith("program error: line 1: ")
+
+    def test_channels_on_different_boundaries_are_distinct(self, capsys, tmp_path):
+        thy = tmp_path / "t.thy"
+        thy.write_text(
+            "backend matrix semiring=complex\n"
+            "object q dim=2\n"
+            "object r dim=3\n"
+            "morphism copy : q -> q*q = [[1,0],[0,0],[0,0],[0,1]]\n"
+            "morphism cycle : r -> r = [[0,1,0],[0,0,1],[1,0,0]]\n"
+        )
+        prog = tmp_path / "p.prog"
+        prog.write_text(
+            "dagger_comb d1 = copy env q\n"
+            "dagger_comb d2 = cycle env I\n"
+            "equiv cpm d1 d2\n"
+            "equiv cpinf d1 d2\n"
+        )
+        assert run_cli("run", str(thy), str(prog), "--format", "json") == 0
+        queries = json.loads(capsys.readouterr().out)["queries"]
+        for q in queries[2:]:
+            assert q["result"]["verdict"] == "distinct" and q["result"]["certified"]
+            assert q["result"]["witness"]["note"] == "channel boundaries differ"
+
     @pytest.mark.parametrize("statement,message", [
         ("compose c1 c1 as c3",
          "inner boundary (a,a) does not match outer source (I,I)"),
@@ -438,6 +480,25 @@ class TestFlags:
             _, equiv, summary = json.loads(capsys.readouterr().out)["queries"]
             assert equiv["result"]["tolerance"] == float(tolerance or 1e-9)
             assert summary["result"]["trace_preserving"] is preserving
+
+
+class TestScripts:
+    """The two experiment scripts run end to end."""
+
+    def test_agreement_stats(self):
+        done = run_child("scripts/agreement_stats.py")
+        assert done.returncode == 0, done.stderr
+
+    def test_sigma_congruence_search(self):
+        done = run_child("scripts/search_sigma_congruence.py")
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        for name in ("free-commutative", "free-pointed", "matrix[bool]", "finfun"):
+            assert f"{name}: no separating filler" in lines
+        assert any(
+            line.startswith("free-pointed-absorbing: separating filler found")
+            for line in lines
+        )
 
 
 class TestModuleEntry:

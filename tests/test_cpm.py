@@ -158,6 +158,19 @@ class TestEquivalenceRoutes:
         assert np.allclose(rho, rho.conj().T)
         assert np.linalg.eigvalsh(rho).min() >= -TOL
 
+    def test_routes_refute_channels_on_different_boundaries(self, q):
+        """A q channel against an r channel: both routes answer DISTINCT
+        with the boundary witness, before any transfer matrix is compared."""
+        be = MatrixBackend({"q": 2, "r": 3}, semiring="complex", tolerance=TOL)
+        r = word("r")
+        c1 = copy_comb(be, q)
+        c2 = dagger_comb(be, be.identity(r), env=ObjectWord.unit())
+        for decide, method in ((cpm_equiv, "transfer-compare"), (cpinf_equiv, "positive-probes")):
+            d = decide(be, c1, c2)
+            assert d.verdict is Verdict.DISTINCT and d.certified and d.method == method
+            assert d.witness.note == "channel boundaries differ"
+            assert d.witness.pieces == {"left": (q, q), "right": (r, r)}
+
     def test_probe_route_never_builds_transfers(self, qb, q):
         """The probe route sees outputs only; its witness carries states."""
         c1 = copy_comb(qb, q)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -329,6 +331,51 @@ class TestPlugging:
             cbe.compose(cbe.symmetry(ins, l_in), ctx), cbe.symmetry(l_out, outs)
         )
         assert cbe.equal(direct, rebuilt)
+
+    @pytest.mark.parametrize("n,j", [(n, j) for n in (3, 4) for j in range(n)])
+    def test_plug_hole_free_into_many_hole_hosts(self, qbe, rng, n, j):
+        """Spare ports on both sides of the plugged one ride past every other
+        hole of the host: exact rational values, every hole index."""
+        x, y = word("x"), word("y")
+
+        def rand_q(dom, cod):
+            return qbe.mat(dom, cod, [
+                [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+                 for _ in range(qbe.dim(dom))]
+                for _ in range(qbe.dim(cod))
+            ])
+
+        holes = [(x, y), (y, x @ y), (U, x), (y, y)][:n]
+        envs = [y, U, x, x][:n]
+        b, b1 = x, y
+        ends = [b] + [m @ a1 for m, (_, a1) in zip(envs, holes)]
+        starts = [m @ a for m, (a, _) in zip(envs, holes)] + [b1]
+        host = poly(qbe, holes, [(b, b1)], envs,
+                    [rand_q(d, c) for d, c in zip(ends, starts)])
+        a, a1 = holes[j]
+        ports = [(x, y), (a, a1), (y, x)]  # the plugged port sits between two spares
+        m = rand_q(join(p[0] for p in ports), join(p[1] for p in ports))
+        inner = poly(qbe, [], ports, [], [m])
+        plugged = poly_compose_at(qbe, host, inner, j, inner_port=1)
+        assert plugged.holes == tuple(holes[:j] + holes[j + 1:])
+        assert plugged.outers == ((b, b1), (x, y), (y, x))
+        lams = [rand_q(h, h1) for h, h1 in holes]
+        direct = poly_extended_eval(
+            qbe, plugged, lams[:j] + lams[j + 1:], [(U, U)] * (n - 1)
+        )
+        # the same plug via a context-shaped filler at hole j
+        l_in, l_out = x @ y, y @ x
+        fill = qbe.compose(
+            qbe.compose(qbe.tensor(qbe.identity(x), qbe.symmetry(y, a)), m),
+            qbe.tensor(qbe.identity(y), qbe.symmetry(a1, x)),
+        )
+        ctx = [(U, U)] * n
+        ctx[j] = (l_in, l_out)
+        staged = poly_extended_eval(qbe, host, lams[:j] + [fill] + lams[j + 1:], ctx)
+        rebuilt = qbe.compose(
+            qbe.compose(qbe.symmetry(b, l_in), staged), qbe.symmetry(l_out, b1)
+        )
+        assert qbe.equal(direct, rebuilt)
 
     def test_plug_errors(self, cbe, rng, two_hole):
         y, x = word("y"), word("x")

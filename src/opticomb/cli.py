@@ -10,19 +10,14 @@ import argparse
 import sys
 
 from .core import CategoryError
-from .comb import COMB_STRATEGIES
-from .optic import OPTIC_STRATEGIES
 from .theory import TheoryError, load_theory, parse_tolerance
 from .program import (
+    STRATEGIES,
     ProgramError,
     load_program,
     render_json,
     render_text,
     run_program,
-)
-
-_STRATEGIES = tuple(
-    sorted(set(COMB_STRATEGIES) | set(OPTIC_STRATEGIES))
 )
 
 
@@ -49,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("theory", help="path to a theory file")
     run.add_argument("program", help="path to a program file")
     run.add_argument(
-        "--strategy", default="auto", choices=_STRATEGIES,
-        help="decision strategy for each of equiv comb / equiv optic that "
-             "offers it; the other runs auto",
+        "--strategy", default="auto", choices=STRATEGIES,
+        help="decision strategy for each equiv relation that offers it; "
+             "the others run auto",
     )
     run.add_argument(
         "--bound", type=_bound, default=2,

@@ -24,7 +24,8 @@ Three progressively cheaper relations are decidable here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -42,7 +43,6 @@ from .core import (
     ProbeWitness,
     Symmetry,
     TypeMismatch,
-    reports_tolerance,
 )
 
 
@@ -327,7 +327,7 @@ def lens_pair(backend: Backend, c: CombRep) -> tuple[Any, Any]:
 
 
 # ---------------------------------------------------------------------------
-# The decision core: one braid refuter, one probe scanner, route tables
+# The decision core: one braid refuter, one probe scanner, relations, ``decide``
 # ---------------------------------------------------------------------------
 
 def _check_same_boundary(c1: CombRep, c2: CombRep) -> None:
@@ -369,9 +369,7 @@ def braid_refutation(backend: Backend, c1: CombRep, c2: CombRep) -> ProbeWitness
     )
 
 
-def _braid_compare(
-    backend: Backend, c1: CombRep, c2: CombRep, method: str
-) -> Decision:
+def _braid_compare(method: str, backend: Backend, c1: CombRep, c2: CombRep, *_) -> Decision:
     witness = braid_refutation(backend, c1, c2)
     if witness is None:
         return Decision.equivalent(method)
@@ -437,7 +435,9 @@ class Route:
     ``applicable`` says whether the backend supports the route; naming a
     route that does not apply raises ``IncompatibleStrategy`` with
     ``needs``.  ``strategy="auto"`` takes the first route of the table whose
-    ``auto`` test (by default ``applicable``) holds, else the last route.
+    ``auto`` test (by default ``applicable``) holds, else the last route,
+    and runs that route's ``screens`` before it: routes gated by their own
+    ``applicable``, of which only a DISTINCT answer decides.
     """
 
     name: str
@@ -445,47 +445,53 @@ class Route:
     applicable: Callable[[Backend], bool] = lambda backend: True
     needs: str = ""
     auto: Callable[[Backend], bool] | None = None
+    screens: tuple[Route, ...] = ()
 
 
-def pick_route(routes: tuple[Route, ...], strategy: str, backend: Backend) -> Route:
-    """The route of ``routes`` that ``strategy`` names, or the one auto picks."""
+@dataclass(frozen=True)
+class Relation:
+    """A relation as its table of routes, decided by :func:`decide`; ``check``
+    raises on operands the relation cannot compare.  A relation with one fixed
+    comparison names its one route ``auto``, so it offers no other strategy."""
+
+    routes: tuple[Route, ...]
+    check: Callable[[Any, Any], None] = lambda x, y: None
+
+    @property
+    def strategies(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(("auto", *(r.name for r in self.routes))))
+
+
+def decide(relation: Relation, backend: Backend, x: Any, y: Any,
+           strategy: str = "auto", bound: int = 2) -> Decision:
+    """Decide ``relation`` on ``x`` and ``y`` by the route ``strategy`` names,
+    or by the one ``auto`` picks, after its screens; the answer reports the
+    backend's tolerance.  A negative bound is refused before any route runs."""
+    relation.check(x, y)
+    Budget.of(bound)
+    routes = relation.routes
     if strategy == "auto":
-        route = next(
-            (r for r in routes if (r.auto or r.applicable)(backend)), routes[-1]
-        )
+        route = next((r for r in routes if (r.auto or r.applicable)(backend)), routes[-1])
+    elif strategy in relation.strategies:
+        route = next(r for r in routes if r.name == strategy)
     else:
-        route = next((r for r in routes if r.name == strategy), None)
-        if route is None:
-            names = ("auto",) + tuple(r.name for r in routes)
-            raise IncompatibleStrategy(
-                f"unknown strategy {strategy!r}, expected one of {names}"
-            )
+        raise IncompatibleStrategy(f"unknown strategy {strategy!r}, "
+                                   f"expected one of {relation.strategies}")
     if not route.applicable(backend):
         raise IncompatibleStrategy(f"{route.needs}, not {backend.name}")
-    return route
+    for screen in route.screens if strategy == "auto" else ():
+        if screen.applicable(backend) and (d := screen.run(backend, x, y, bound)).is_distinct():
+            break
+    else:
+        d = route.run(backend, x, y, bound)
+    return replace(d, tolerance=backend.tolerance)
 
 
 # ---------------------------------------------------------------------------
 # Equivalence deciders
 # ---------------------------------------------------------------------------
 
-@reports_tolerance
-def equiv_sigma(backend: Backend, c1: CombRep, c2: CombRep) -> Decision:
-    """Decide braid-value equality.  Always certified: it is a direct compare."""
-    _check_same_boundary(c1, c2)
-    return _braid_compare(backend, c1, c2, "braid-compare")
-
-
-@reports_tolerance
-def equiv_tau(backend: Backend, c1: CombRep, c2: CombRep, bound: int = 2) -> Decision:
-    """Screen with trivial-context fillers ``B -> B'`` only.
-
-    A disagreement certifies genuine inextensibility; agreement certifies
-    equivalence only when the hom-set scan was complete and the backend
-    pins the conclusive context size at zero.  Otherwise the verdict is
-    unknown, with coverage counts.
-    """
-    _check_same_boundary(c1, c2)
+def _tau_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decision:
     scans: list[bool] = []
     probes = filler_probes(
         backend, c1.target, (ObjectWord.unit(),), Budget.of(bound).max_hom, scans
@@ -578,19 +584,38 @@ def _enumerate_route(
     return Decision.unknown("enumerated-probes", coverage=coverage)
 
 
-#: The routes of ``equiv_comb``, in the order ``auto`` tries them.
-COMB_ROUTES = (
+#: braid-value equality: the swap filler's one probe
+SIGMA = Relation((Route("auto", partial(_braid_compare, "braid-compare")),), _check_same_boundary)
+#: agreement on the fillers of trivial context
+TAU = Relation((Route("auto", _tau_route),), _check_same_boundary)
+#: filler agreement, with its routes in the order ``auto`` tries them
+COMB = Relation((
     Route("braid", _braid_route,
           auto=lambda b: b.braid_conclusive or not (b.cartesian or b.enumerable)),
     Route("lens", _lens_route, lambda b: b.cartesian,
           "lens strategy needs a cartesian backend"),
     Route("enumerate", _enumerate_route, lambda b: b.enumerable,
           "enumerate strategy needs an enumerable backend"),
-)
-COMB_STRATEGIES = ("auto",) + tuple(r.name for r in COMB_ROUTES)
+), _check_same_boundary)
+COMB_ROUTES, COMB_STRATEGIES = COMB.routes, COMB.strategies
 
 
-@reports_tolerance
+def equiv_sigma(backend: Backend, c1: CombRep, c2: CombRep) -> Decision:
+    """Decide braid-value equality.  Always certified: it is a direct compare."""
+    return decide(SIGMA, backend, c1, c2)
+
+
+def equiv_tau(backend: Backend, c1: CombRep, c2: CombRep, bound: int = 2) -> Decision:
+    """Screen with trivial-context fillers ``B -> B'`` only.
+
+    A disagreement certifies genuine inextensibility; agreement certifies
+    equivalence only when the hom-set scan was complete and the backend
+    pins the conclusive context size at zero.  Otherwise the verdict is
+    unknown, with coverage counts.
+    """
+    return decide(TAU, backend, c1, c2, bound=bound)
+
+
 def equiv_comb(
     backend: Backend,
     c1: CombRep,
@@ -606,8 +631,7 @@ def equiv_comb(
     the bound; ``auto`` picks braid on a backend whose braid values are
     conclusive, else lens, else enumerate, else braid (``COMB_ROUTES``).
     """
-    _check_same_boundary(c1, c2)
-    return pick_route(COMB_ROUTES, strategy, backend).run(backend, c1, c2, bound)
+    return decide(COMB, backend, c1, c2, strategy, bound)
 
 
 # ---------------------------------------------------------------------------

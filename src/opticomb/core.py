@@ -38,7 +38,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Any, Hashable, Iterator, Mapping, Sequence
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -694,21 +694,6 @@ class Decision:
 
     def is_unknown(self) -> bool:
         return self.verdict is Verdict.UNKNOWN
-
-
-def reports_tolerance(decide: Callable[..., Decision]) -> Callable[..., Decision]:
-    """Report the tolerance of ``decide``'s backend (its first argument) on
-    every Decision it returns; the routes behind it leave the field unset.
-    """
-
-    @functools.wraps(decide)
-    def stamped(backend: "Backend", *args: Any, **kwargs: Any) -> Decision:
-        d = decide(backend, *args, **kwargs)
-        return Decision(
-            d.verdict, d.method, d.certified, d.witness, backend.tolerance, d.coverage
-        )
-
-    return stamped
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,9 @@ from .core import (
     NotDaggerBackend,
     ObjectWord,
     ProbeWitness,
-    reports_tolerance,
 )
 from .backends.matrix import MatrixBackend, close, residual_tolerance
-from .comb import CombRep, comb as make_comb
+from .comb import CombRep, Relation, Route, comb as make_comb, decide
 
 
 def dagger_comb(backend: Backend, f, env: ObjectWord) -> CombRep:
@@ -158,9 +157,7 @@ def _boundary_check(m1: CpmMorphism, m2: CpmMorphism, method: str) -> Decision |
     return Decision.distinct(method, witness)
 
 
-@reports_tolerance
-def cpm_equiv(backend: MatrixBackend, c1: CombRep, c2: CombRep) -> Decision:
-    """Transfer-matrix comparison of the channels of two dagger combs."""
+def _transfer_route(backend: MatrixBackend, c1: CombRep, c2: CombRep, *_) -> Decision:
     m1, m2 = to_cpm(backend, c1), to_cpm(backend, c2)
     differ = _boundary_check(m1, m2, "transfer-compare")
     if differ is not None:
@@ -197,15 +194,7 @@ def positive_probe_frame(d: int):
             yield np.outer(w, w.conj())
 
 
-@reports_tolerance
-def cpinf_equiv(backend: MatrixBackend, c1: CombRep, c2: CombRep) -> Decision:
-    """Positive-probe comparison of the channels of two dagger combs.
-
-    Pushes the spanning frame of rank-one inputs through both channels'
-    Kraus pieces and compares outputs directly, without forming transfer
-    matrices.  Agreement across the whole frame is conclusive because the
-    frame spans hermitian inputs and the channels act linearly.
-    """
+def _probe_frame_route(backend: MatrixBackend, c1: CombRep, c2: CombRep, *_) -> Decision:
     m1, m2 = to_cpm(backend, c1), to_cpm(backend, c2)
     differ = _boundary_check(m1, m2, "positive-probes")
     if differ is not None:
@@ -227,3 +216,24 @@ def cpinf_equiv(backend: MatrixBackend, c1: CombRep, c2: CombRep) -> Decision:
         "positive-probes",
         coverage={"probes_tried": tried, "frame_spans_hermitian": True},
     )
+
+
+#: channel equality by transfer matrices, and by the probe frame
+CPM = Relation((Route("auto", _transfer_route),))
+CPINF = Relation((Route("auto", _probe_frame_route),))
+
+
+def cpm_equiv(backend: MatrixBackend, c1: CombRep, c2: CombRep) -> Decision:
+    """Transfer-matrix comparison of the channels of two dagger combs."""
+    return decide(CPM, backend, c1, c2)
+
+
+def cpinf_equiv(backend: MatrixBackend, c1: CombRep, c2: CombRep) -> Decision:
+    """Positive-probe comparison of the channels of two dagger combs.
+
+    Pushes the spanning frame of rank-one inputs through both channels'
+    Kraus pieces and compares outputs directly, without forming transfer
+    matrices.  Agreement across the whole frame is conclusive because the
+    frame spans hermitian inputs and the channels act linearly.
+    """
+    return decide(CPINF, backend, c1, c2)

@@ -20,16 +20,17 @@ lookup in indexes built once per backend, boundary and environment pair
 (E0, E) and kept on the backend; their entries carry v already whiskered
 for the side it moves into.
 
-On structured backends (``OPTIC_ROUTES``) the search is bypassed:
+On structured backends (the routes of ``OPTIC``) the search is bypassed:
 environment-rotation factoring classifies optics over unitary backends,
 braid values over compact closed ones, and (get, put) components over
-cartesian ones.  Elsewhere ``auto`` first tries the refuters of
-``equiv_sigma`` and ``equiv_tau``, since slide equivalence implies filler
-agreement and so equal braid values.
+cartesian ones.  Elsewhere the search route's screens, which ``auto`` runs
+first, are the refuters of ``equiv_sigma`` and ``equiv_tau``, since slide
+equivalence implies filler agreement and so equal braid values.
 """
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any
 
 from .core import (
@@ -43,18 +44,17 @@ from .core import (
     ProbeWitness,
     SlidePathWitness,
     SlideStep,
-    reports_tolerance,
 )
 from .comb import (
     CombRep,
+    Relation,
     Route,
     _braid_compare,
     _check_same_boundary,
-    braid_refutation,
+    _tau_route,
     comb as make_comb,
-    equiv_tau,
+    decide,
     lens_pair,
-    pick_route,
     probe_scan,
 )
 from .sampling import env_words_for
@@ -196,19 +196,7 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
     return Decision.unknown("slide-search", coverage=coverage)
 
 
-@reports_tolerance
-def unitary_comb_factor(backend: Backend, o1: CombRep, o2: CombRep) -> Decision:
-    """Decide slide equivalence of unitary combs by factoring the change of
-    environment.
-
-    ``u = f2 . dagger(f1)`` must be an environment rotation beside an
-    identity on the hole input, ``v = dagger(g1) . g2`` one beside an
-    identity on the hole output, and the two rotations must cancel.  All
-    slides in a unitary backend are invertible, so a whole zigzag collapses
-    to one rotation and this check is complete.  The matrix arithmetic is
-    :func:`backends.unitary.environment_rotation`'s, imported here on first
-    use so that this module loads without numpy.
-    """
+def _unitary_factor_route(backend: Backend, o1: CombRep, o2: CombRep, *_) -> Decision:
     from .backends.unitary import environment_rotation
 
     (b, b1) = o1.target
@@ -249,22 +237,39 @@ def _lens_route(backend: Backend, o1: CombRep, o2: CombRep, *_) -> Decision:
     return Decision.distinct("lens-components", witness)
 
 
-#: The routes of ``equiv_optic``, in the order ``auto`` tries them.
-OPTIC_ROUTES = (
-    Route("unitary-factor", lambda be, o1, o2, *_: unitary_comb_factor(be, o1, o2),
-          lambda b: b.unitary_values, "factorization needs a unitary backend"),
-    Route("name-form", lambda be, o1, o2, *_: _braid_compare(be, o1, o2, "name-form"),
-          lambda b: b.compact_closed,
+#: slide equivalence, with its routes in the order ``auto`` tries them; the slide
+#: search is screened by the refuters of ``equiv_sigma`` and ``equiv_tau``
+OPTIC = Relation((
+    Route("unitary-factor", _unitary_factor_route, lambda b: b.unitary_values,
+          "factorization needs a unitary backend"),
+    Route("name-form", partial(_braid_compare, "name-form"), lambda b: b.compact_closed,
           "name forms need a compact closed backend"),
     Route("lens", _lens_route, lambda b: b.cartesian,
           "lens strategy needs a cartesian backend"),
     Route("zigzag", _zigzag, lambda b: b.enumerable,
-          "slide search needs an enumerable backend"),
-)
-OPTIC_STRATEGIES = ("auto",) + tuple(r.name for r in OPTIC_ROUTES)
+          "slide search needs an enumerable backend", screens=(
+              Route("braid-value", partial(_braid_compare, "braid-value")),
+              Route("trivial-context", _tau_route, lambda b: not b.braid_conclusive),
+          )),
+), _check_same_boundary)
+OPTIC_ROUTES, OPTIC_STRATEGIES = OPTIC.routes, OPTIC.strategies
 
 
-@reports_tolerance
+def unitary_comb_factor(backend: Backend, o1: CombRep, o2: CombRep) -> Decision:
+    """Decide slide equivalence of unitary combs by factoring the change of
+    environment.
+
+    ``u = f2 . dagger(f1)`` must be an environment rotation beside an
+    identity on the hole input, ``v = dagger(g1) . g2`` one beside an
+    identity on the hole output, and the two rotations must cancel.  All
+    slides in a unitary backend are invertible, so a whole zigzag collapses
+    to one rotation and this check is complete.  The matrix arithmetic is
+    :func:`backends.unitary.environment_rotation`'s, imported on first use
+    so that this module loads without numpy.
+    """
+    return decide(OPTIC, backend, o1, o2, "unitary-factor")
+
+
 def equiv_optic(
     backend: Backend,
     o1: CombRep,
@@ -278,17 +283,7 @@ def equiv_optic(
     DISTINCT first, then, where braid values are not conclusive, a separating
     trivial-context filler (``equiv_tau``); ``strategy="zigzag"`` searches alone.
     """
-    _check_same_boundary(o1, o2)
-    route = pick_route(OPTIC_ROUTES, strategy, backend)
-    if strategy == "auto" and route.name == "zigzag":
-        witness = braid_refutation(backend, o1, o2)
-        if witness is not None:
-            return Decision.distinct("braid-value", witness)
-        if not backend.braid_conclusive:
-            screen = equiv_tau(backend, o1, o2, bound)
-            if screen.is_distinct():
-                return screen
-    return route.run(backend, o1, o2, bound)
+    return decide(OPTIC, backend, o1, o2, strategy, bound)
 
 
 def check_probe_witness(backend: Backend, o1: CombRep, o2: CombRep,

@@ -42,11 +42,10 @@ from .core import (
     TypeMismatch,
     UnsupportedShape,
     block_permutation,
-    reports_tolerance,
 )
 from .comb import (
-    CombRep, Pair, _join, _pp, chain_name, equiv_comb, identity_comb, plug_chain,
-    probe_scan,
+    CombRep, Pair, Relation, Route, _join, _pp, chain_name, decide, equiv_comb,
+    identity_comb, plug_chain, probe_scan,
 )
 
 
@@ -147,22 +146,12 @@ def poly_name(backend: Backend, p: PolyCombRep) -> Any:
     )
 
 
-@reports_tolerance
-def poly_equiv(
-    backend: Backend, p: PolyCombRep, q: PolyCombRep, bound: int = 2
-) -> Decision:
-    """Decide plugging equivalence of two poly representatives.
-
-    A one-hole pair is a pair of combs on the joined outer words, decided
-    by ``equiv_comb``.  Any other pair is compared by name first: differing
-    names refute on every backend.  Equal names confirm where the name is
-    complete, over compact closed backends and for hole-free pieces (whose
-    name is their segment).  Elsewhere a bounded family of trivial-context
-    filler tuples can refute, never confirm, on an enumerable backend, and
-    the verdict is otherwise unknown.
-    """
+def _check_same_shape(p: PolyCombRep, q: PolyCombRep) -> None:
     if p.holes != q.holes or p.outers != q.outers:
         raise HoleMismatch(f"representatives live on different shapes: {p!r} vs {q!r}")
+
+
+def _poly_route(backend: Backend, p: PolyCombRep, q: PolyCombRep, bound: int) -> Decision:
     if len(p.holes) == 1:
         return equiv_comb(backend, to_comb(backend, p), to_comb(backend, q), bound=bound)
     n1, n2 = poly_name(backend, p), poly_name(backend, q)
@@ -198,6 +187,26 @@ def poly_equiv(
             "hom_scans_complete": all(hs.complete for hs in hom_sets),
         },
     )
+
+
+#: plugging equivalence: one fixed comparison
+POLY = Relation((Route("auto", _poly_route),), _check_same_shape)
+
+
+def poly_equiv(
+    backend: Backend, p: PolyCombRep, q: PolyCombRep, bound: int = 2
+) -> Decision:
+    """Decide plugging equivalence of two poly representatives.
+
+    A one-hole pair is a pair of combs on the joined outer words, decided
+    by ``equiv_comb``.  Any other pair is compared by name first: differing
+    names refute on every backend.  Equal names confirm where the name is
+    complete, over compact closed backends and for hole-free pieces (whose
+    name is their segment).  Elsewhere a bounded family of trivial-context
+    filler tuples can refute, never confirm, on an enumerable backend, and
+    the verdict is otherwise unknown.
+    """
+    return decide(POLY, backend, p, q, bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -50,19 +50,9 @@ from .core import (
     value_json,
     witness_json,
 )
-from .comb import (
-    COMB_STRATEGIES,
-    CombRep,
-    comb,
-    comb_compose,
-    comb_tensor,
-    equiv_comb,
-    equiv_sigma,
-    equiv_tau,
-    lens_pair,
-)
-from .optic import OPTIC_STRATEGIES, equiv_optic
-from .polycomb import PolyCombRep, from_comb, poly, poly_compose_at, poly_equiv
+from .comb import COMB, SIGMA, TAU, CombRep, comb, comb_compose, comb_tensor, decide, lens_pair
+from .optic import OPTIC
+from .polycomb import POLY, PolyCombRep, from_comb, poly, poly_compose_at
 
 
 class ProgramError(Exception):
@@ -210,19 +200,12 @@ def _channels():
     return cpm
 
 
-#: each relation of ``equiv``, with its decider given the run context and two operands
-_DECIDERS = {
-    "sigma": lambda ctx, a, b: equiv_sigma(ctx.backend, a, b),
-    "tau": lambda ctx, a, b: equiv_tau(ctx.backend, a, b, bound=ctx.bound),
-    "comb": lambda ctx, a, b: equiv_comb(
-        ctx.backend, a, b, strategy=ctx.comb_strategy, bound=ctx.bound),
-    "optic": lambda ctx, a, b: equiv_optic(
-        ctx.backend, a, b, strategy=ctx.optic_strategy, bound=ctx.bound),
-    "cpm": lambda ctx, a, b: _channels().cpm_equiv(ctx.backend, a, b),
-    "cpinf": lambda ctx, a, b: _channels().cpinf_equiv(ctx.backend, a, b),
-    "poly": lambda ctx, a, b: poly_equiv(ctx.backend, a, b, bound=ctx.bound),
-}
-RELATIONS = tuple(_DECIDERS)
+#: each relation of ``equiv``; a channel relation (None) needs numpy, so it is
+#: looked up in the channel module, by its name in capitals, on first use
+RELATIONS = {"sigma": SIGMA, "tau": TAU, "comb": COMB, "optic": OPTIC,
+             "cpm": None, "cpinf": None, "poly": POLY}
+#: the strategies the relations offer; the channel relations offer only auto
+STRATEGIES = tuple(sorted({s for r in RELATIONS.values() if r for s in r.strategies}))
 
 
 class _Run:
@@ -230,12 +213,7 @@ class _Run:
     the names bound so far."""
 
     def __init__(self, backend: Backend, strategy: str, bound: int):
-        known = set(COMB_STRATEGIES) | set(OPTIC_STRATEGIES)
-        self.comb_strategy, self.optic_strategy = (
-            strategy if strategy in names or strategy not in known else "auto"
-            for names in (COMB_STRATEGIES, OPTIC_STRATEGIES)
-        )
-        self.backend, self.bound = backend, bound
+        self.backend, self.strategy, self.bound = backend, strategy, bound
         self.combs: dict[str, CombRep] = {}
         self.polys: dict[str, PolyCombRep] = {}
 
@@ -423,7 +401,11 @@ class EquivQuery(Statement):
 
     def run(self, ctx: _Run) -> tuple[str, dict]:
         get = ctx.get_poly if self.relation == "poly" else ctx.get_comb
-        decision = _DECIDERS[self.relation](ctx, get(self.left), get(self.right))
+        x, y = get(self.left), get(self.right)
+        relation = RELATIONS[self.relation] or getattr(_channels(), self.relation.upper())
+        # the run's strategy where offered, else auto; one no relation offers is refused
+        offered = ctx.strategy in relation.strategies or ctx.strategy not in STRATEGIES
+        decision = decide(relation, ctx.backend, x, y, ctx.strategy if offered else "auto", ctx.bound)
         return "decision", decision_json(decision)
 
 
@@ -550,8 +532,8 @@ def run_program(
     strategy: str = "auto",
     bound: int = 2,
 ) -> list[QueryReport]:
-    """Run every statement; ``strategy`` applies to each of ``equiv comb`` /
-    ``equiv optic`` that lists it, the other runs auto."""
+    """Run every statement; ``strategy`` applies to each ``equiv`` relation
+    that offers it, the others run auto."""
     ctx = _Run(backend, strategy, bound)
     reports: list[QueryReport] = []
     for stmt in statements:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import opticomb
-from opticomb.cli import main
+from opticomb import IncompatibleStrategy
+from opticomb.cli import build_parser, main
 from opticomb.program import load_program, parse_program, run_program
 from opticomb.theory import load_theory
 
@@ -414,6 +416,57 @@ class TestExitCodes:
         code = run_cli("run", str(THEORIES / "idempotent.thy"), str(prog))
         assert code == 3
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestStrategySurface:
+    """``--strategy`` names a route of some relation's table: each relation
+    runs it where its table lists it and auto otherwise."""
+
+    def test_choices(self):
+        run = next(a for a in build_parser()._actions if a.dest == "command").choices["run"]
+        strategy = next(a for a in run._actions if a.dest == "strategy")
+        assert list(strategy.choices) == [
+            "auto", "braid", "enumerate", "lens", "name-form", "unitary-factor", "zigzag"
+        ]
+
+    def test_channel_relations_offer_only_auto(self):
+        from opticomb.cpm import CPINF, CPM
+
+        assert CPM.strategies == CPINF.strategies == ("auto",)
+
+    def test_unknown_strategy_raises_at_the_first_equiv_comb(self):
+        # the first query of the cartesian program is an equiv comb, whose
+        # table names the strategies it expected
+        statements = load_program(str(THEORIES / "cartesian.prog"))
+        first = next(s for s in statements if s.line.startswith("equiv "))
+        assert first.line.startswith("equiv comb ")
+        with pytest.raises(IncompatibleStrategy,
+                           match=r"unknown strategy 'bogus', expected one of \('auto', 'braid'"):
+            run_program(load_theory(str(THEORIES / "cartesian.thy")), statements,
+                        strategy="bogus")
+
+    @pytest.mark.parametrize("thy,prog", BUNDLED)
+    def test_zigzag_leaves_the_other_relations_on_auto(self, thy, prog):
+        statements = [s for s in load_program(str(THEORIES / prog))
+                      if not s.line.startswith("equiv optic ")]
+
+        def decisions(strategy):
+            reports = run_program(load_theory(str(THEORIES / thy)), statements, strategy=strategy)
+            return [(r.query, r.payload) for r in reports if r.kind == "decision"]
+
+        assert decisions("zigzag") == decisions("auto")
+
+
+def test_strategy_matrix_matches_fixture():
+    """Every bundled pair under every strategy, in text and JSON, with and
+    without ``--tolerance``, prints what the fixture's digests record."""
+    spec = importlib.util.spec_from_file_location(
+        "strategy_matrix", ROOT / "scripts" / "strategy_matrix.py")
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    expected = json.loads(matrix.FIXTURE.read_text(encoding="utf-8"))
+    assert len(expected) == 168
+    assert matrix.differing(expected, matrix.digests()) == []
 
 
 class TestFlags:

@@ -4,6 +4,7 @@ import pytest
 
 from opticomb import (
     AbsorbingPointedBackend,
+    BoundaryMismatch,
     COMB_STRATEGIES,
     FinFunBackend,
     IdempotentFreeBackend,
@@ -194,3 +195,35 @@ def test_one_refuter_behind_sigma_comb_and_name_form():
     assert by_braid.witness.note == "the swap filler already separates the combs"
     assert check_probe_witness(bb, c1, c2, by_braid.witness)
     assert braid_refutation(bb, c1, c1) is None
+
+
+class TestUnitaryFactorOperands:
+    """``unitary_comb_factor`` is the optic table's ``unitary-factor`` route,
+    so it refuses operands as ``equiv_optic`` does."""
+
+    def test_different_boundaries(self):
+        ub = UnitaryBackend({"q": 2})
+        q = word("q")
+        with pytest.raises(BoundaryMismatch, match="different boundaries"):
+            unitary_comb_factor(ub, identity_comb(ub, q, q), identity_comb(ub, q @ q, q @ q))
+
+    def test_non_unitary_backend(self, pointed):
+        c = identity_comb(pointed, word("a"), word("a"))
+        with pytest.raises(IncompatibleStrategy,
+                           match="factorization needs a unitary backend, not free-pointed"):
+            unitary_comb_factor(pointed, c, c)
+
+
+def test_negative_bound_refused_by_every_decider(pointed):
+    """One check, before any route is picked, for every decider with a bound."""
+    c = identity_comb(pointed, word("a"), word("a"))
+    p = from_comb(pointed, c)
+    calls = [lambda: equiv_tau(pointed, c, c, bound=-1),
+             lambda: poly_equiv(pointed, p, p, bound=-1)]
+    calls += [lambda s=s: equiv_comb(pointed, c, c, strategy=s, bound=-1)
+              for s in COMB_STRATEGIES]
+    calls += [lambda s=s: equiv_optic(pointed, c, c, strategy=s, bound=-1)
+              for s in OPTIC_STRATEGIES]
+    for call in calls:
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            call()

@@ -24,10 +24,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from opticomb.cli import main as cli_main  # noqa: E402
+from opticomb.program import STRATEGIES  # noqa: E402
 
 FIXTURE = ROOT / "tests" / "fixtures" / "cli" / "strategy_matrix.json"
 PAIRS = ("idempotent", "pointed", "bool2", "qubit", "cartesian", "unitary")
-STRATEGIES = ("auto", "braid", "enumerate", "lens", "name-form", "unitary-factor", "zigzag")
 FORMATS = ("text", "json")
 TOLERANCES = (None, "0.001")
 

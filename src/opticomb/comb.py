@@ -19,7 +19,12 @@ Three progressively cheaper relations are decidable here:
   symmetry).  Filler agreement always implies it, because the swap filler
   at context ``(B', B)`` recovers the braid value.
 * ``equiv_tau`` -- agreement on fillers with trivial context only, a
-  cheap screen that can refute but rarely confirms.
+  cheap screen that can refute but rarely confirms: the ``enumerate``
+  route at context length 0.
+
+``braid_refutation`` refutes for ``equiv_sigma``, the optic ``name-form``
+route and zigzag's ``braid-value`` screen; ``filler_probes`` draws the
+fillers of every probe scan.
 """
 from __future__ import annotations
 
@@ -378,24 +383,24 @@ def _braid_compare(method: str, backend: Backend, c1: CombRep, c2: CombRep, *_) 
 
 def filler_probes(
     backend: Backend,
-    target: tuple[ObjectWord, ObjectWord],
-    words: Iterable[ObjectWord],
+    holes: Sequence[Pair],
+    words: Sequence[ObjectWord],
     max_hom: int,
     scans: list[bool],
-) -> Iterator[tuple[tuple[Any], tuple[Pair]]]:
-    """One-hole probes ``((filler,), ((C, D),))`` for every pair of context
-    words, lazily.
+) -> Iterator[tuple[tuple[Any, ...], tuple[Pair, ...]]]:
+    """Probes ``(fillers, contexts)`` of a chain's ``holes``, lazily: for each
+    tuple of context pairs of ``words``, one filler per hole.
 
-    Each hom-set ``C (x) B -> D (x) B'`` is enumerated only when the walk
-    reaches it; its completeness flag is appended to ``scans``.
+    Each hole's hom-set ``C_i (x) A_i -> D_i (x) A_i'`` is enumerated when the
+    walk reaches its context tuple, and its completeness flag appended to
+    ``scans``; the probes of a tuple are the product of those hom-sets.
     """
-    (b, b1) = target
-    for cw in words:
-        for dw in words:
-            homs = backend.enumerate_hom(cw @ b, dw @ b1, max_hom)
-            scans.append(homs.complete)
-            for lam in homs.items:
-                yield (lam,), ((cw, dw),)
+    for contexts in itertools.product(itertools.product(words, words), repeat=len(holes)):
+        homs = [backend.enumerate_hom(c @ a, d @ a1, max_hom)
+                for (c, d), (a, a1) in zip(contexts, holes)]
+        scans.extend(h.complete for h in homs)
+        for fillers in itertools.product(*(h.items for h in homs)):
+            yield fillers, contexts
 
 
 def probe_scan(
@@ -491,31 +496,6 @@ def decide(relation: Relation, backend: Backend, x: Any, y: Any,
 # Equivalence deciders
 # ---------------------------------------------------------------------------
 
-def _tau_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decision:
-    scans: list[bool] = []
-    probes = filler_probes(
-        backend, c1.target, (ObjectWord.unit(),), Budget.of(bound).max_hom, scans
-    )
-    hit, tried = probe_scan(backend, c1, c2, probes)
-    if hit is not None:
-        witness = _probe_witness(
-            backend, hit, "trivial-context filler separates the combs"
-        )
-        return Decision.distinct(
-            "trivial-context-probes", witness, coverage={"probes_tried": tried}
-        )
-    needed = backend.extension_word_len_needed(c1.source, c1.target)
-    coverage = {
-        "probes_tried": tried,
-        "hom_scan_complete": scans[0],
-        "disagreements": 0,
-        "conclusive_context_len": needed,
-    }
-    if scans[0] and needed == 0:
-        return Decision.equivalent("trivial-context-probes", coverage=coverage)
-    return Decision.unknown("trivial-context-probes", coverage=coverage)
-
-
 def _braid_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decision:
     if not backend.equal(braid_eval(backend, c1), braid_eval(backend, c2)):
         return Decision.distinct("braid-value", _swap_witness(
@@ -556,46 +536,47 @@ def _lens_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decis
     return Decision.distinct("lens-components", witness)
 
 
-def _enumerate_route(
-    backend: Backend, c1: CombRep, c2: CombRep, bound: int
+def _probe_route(
+    method: str, note: str, length: int | None,
+    backend: Backend, c1: CombRep, c2: CombRep, bound: int,
 ) -> Decision:
-    budget = Budget.of(bound)
-    words = backend.enumerate_objects(budget.max_word_len)
+    """Plug every filler at every pair of context words up to ``length`` (the
+    bound when None): ``equiv_tau`` at length 0, the ``enumerate`` route at
+    the bound.  Agreement certifies once that length reaches the backend's
+    conclusive context length and every hom-set scan was complete."""
+    length = bound if length is None else length
+    words = backend.enumerate_objects(length)
     scans: list[bool] = []
-    hit, tried = probe_scan(
-        backend, c1, c2,
-        filler_probes(backend, c1.target, words, budget.max_hom, scans),
-    )
+    probes = filler_probes(backend, (c1.target,), words, Budget.of(bound).max_hom, scans)
+    hit, tried = probe_scan(backend, c1, c2, probes)
     if hit is not None:
-        witness = _probe_witness(backend, hit, "enumerated filler separates the combs")
         return Decision.distinct(
-            "enumerated-probes", witness, coverage={"probes_tried": tried}
+            method, _probe_witness(backend, hit, note), coverage={"probes_tried": tried}
         )
     needed = backend.extension_word_len_needed(c1.source, c1.target)
-    coverage = {
-        "probes_tried": tried,
-        "context_words": len(words),
-        "hom_scans_complete": all(scans),
-        "conclusive_context_len": needed,
-        "bound": bound,
-    }
-    if needed is not None and bound >= needed and all(scans):
-        return Decision.equivalent("enumerated-probes", coverage=coverage)
-    return Decision.unknown("enumerated-probes", coverage=coverage)
+    coverage = {"probes_tried": tried, "context_words": len(words),
+                "hom_scans_complete": all(scans), "disagreements": 0,
+                "conclusive_context_len": needed, "bound": bound}
+    if needed is not None and length >= needed and all(scans):
+        return Decision.equivalent(method, coverage=coverage)
+    return Decision.unknown(method, coverage=coverage)
 
 
 #: braid-value equality: the swap filler's one probe
 SIGMA = Relation((Route("auto", partial(_braid_compare, "braid-compare")),), _check_same_boundary)
-#: agreement on the fillers of trivial context
-TAU = Relation((Route("auto", _tau_route),), _check_same_boundary)
+#: agreement on the fillers of trivial context: the probe route at context length 0
+TAU = Relation((Route("auto", partial(
+    _probe_route, "trivial-context-probes", "trivial-context filler separates the combs", 0
+)),), _check_same_boundary)
 #: filler agreement, with its routes in the order ``auto`` tries them
 COMB = Relation((
     Route("braid", _braid_route,
           auto=lambda b: b.braid_conclusive or not (b.cartesian or b.enumerable)),
     Route("lens", _lens_route, lambda b: b.cartesian,
           "lens strategy needs a cartesian backend"),
-    Route("enumerate", _enumerate_route, lambda b: b.enumerable,
-          "enumerate strategy needs an enumerable backend"),
+    Route("enumerate", partial(_probe_route, "enumerated-probes",
+                               "enumerated filler separates the combs", None),
+          lambda b: b.enumerable, "enumerate strategy needs an enumerable backend"),
 ), _check_same_boundary)
 COMB_ROUTES, COMB_STRATEGIES = COMB.routes, COMB.strategies
 
@@ -708,7 +689,7 @@ def sigma_congruence_search(
         for c in enumerate_combs(backend, (a, a1), (b, b1), bound):
             key = backend.canonical_key(braid_eval(backend, c))
             groups.setdefault(key, []).append(c)
-        probes = list(filler_probes(backend, (b, b1), words, budget.max_hom, []))
+        probes = list(filler_probes(backend, ((b, b1),), words, budget.max_hom, []))
         fingerprint = _fingerprinter(backend, probes)
         for _, members in sorted(groups.items(), key=lambda kv: repr(_ordered(kv[0]))):
             for c1, c2 in itertools.combinations(members, 2):

@@ -46,12 +46,12 @@ from .core import (
     SlideStep,
 )
 from .comb import (
+    TAU,
     CombRep,
     Relation,
     Route,
     _braid_compare,
     _check_same_boundary,
-    _tau_route,
     comb as make_comb,
     decide,
     lens_pair,
@@ -249,7 +249,7 @@ OPTIC = Relation((
     Route("zigzag", _zigzag, lambda b: b.enumerable,
           "slide search needs an enumerable backend", screens=(
               Route("braid-value", partial(_braid_compare, "braid-value")),
-              Route("trivial-context", _tau_route, lambda b: not b.braid_conclusive),
+              Route("trivial-context", TAU.routes[0].run, lambda b: not b.braid_conclusive),
           )),
 ), _check_same_boundary)
 OPTIC_ROUTES, OPTIC_STRATEGIES = OPTIC.routes, OPTIC.strategies

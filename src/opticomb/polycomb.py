@@ -27,7 +27,6 @@ identities.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -45,7 +44,7 @@ from .core import (
 )
 from .comb import (
     CombRep, Pair, Relation, Route, _join, _pp, chain_name, decide, equiv_comb,
-    identity_comb, plug_chain, probe_scan,
+    filler_probes, identity_comb, plug_chain, probe_scan,
 )
 
 
@@ -166,11 +165,11 @@ def _poly_route(backend: Backend, p: PolyCombRep, q: PolyCombRep, bound: int) ->
         return Decision.unknown(
             "poly-name", coverage={"names_agree": True, "conclusive": False}
         )
-    max_hom = Budget.of(bound).max_hom
-    hom_sets = [backend.enumerate_hom(a, a1, max_hom) for (a, a1) in p.holes]
-    ctx = [(ObjectWord.unit(), ObjectWord.unit())] * len(p.holes)
-    combos = itertools.product(*[hs.items for hs in hom_sets])
-    hit, tried = probe_scan(backend, p, q, ((combo, ctx) for combo in combos))
+    scans: list[bool] = []
+    probes = filler_probes(
+        backend, p.holes, (ObjectWord.unit(),), Budget.of(bound).max_hom, scans
+    )
+    hit, tried = probe_scan(backend, p, q, probes)
     if hit is not None:
         (combo, _), v1, v2 = hit
         witness = FactorWitness(
@@ -180,13 +179,8 @@ def _poly_route(backend: Backend, p: PolyCombRep, q: PolyCombRep, bound: int) ->
         return Decision.distinct(
             "poly-probes", witness, coverage={"probes_tried": tried}
         )
-    return Decision.unknown(
-        "poly-probes",
-        coverage={
-            "probes_tried": tried,
-            "hom_scans_complete": all(hs.complete for hs in hom_sets),
-        },
-    )
+    coverage = {"probes_tried": tried, "hom_scans_complete": all(scans)}
+    return Decision.unknown("poly-probes", coverage=coverage)
 
 
 #: plugging equivalence: one fixed comparison

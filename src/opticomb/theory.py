@@ -63,8 +63,8 @@ class TheoryError(Exception):
 class TheoryConfig:
     kind: str
     options: dict[str, str] = field(default_factory=dict)
-    objects: list[tuple[str, int]] = field(default_factory=list)
-    morphisms: list[tuple[str, str, str, Any]] = field(default_factory=list)
+    objects: dict[str, int] = field(default_factory=dict)
+    morphisms: dict[str, tuple[str, str, Any]] = field(default_factory=dict)
     rules: list[tuple[str, str, str]] = field(default_factory=list)
 
 
@@ -74,8 +74,22 @@ def _split_options(parts: list[str], line_no: int) -> dict[str, str]:
         if "=" not in part:
             raise TheoryError(f"expected key=value, got {part!r}", line_no)
         key, _, value = part.partition("=")
-        opts[key.strip()] = value.strip()
+        _once(opts, key.strip(), value.strip(), "option", line_no)
     return opts
+
+
+def _once(table: dict, name: str, value: Any, what: str, line_no: int) -> None:
+    if name in table:
+        raise TheoryError(f"{what} {name} declared twice", line_no)
+    table[name] = value
+
+
+def _name(what: str, name: str, line_no: int) -> str:
+    """``name`` if a program can write it: an identifier, and not ``I`` (the unit) for an object."""
+    rule = "an identifier other than I" if what == "object" else "an identifier"
+    if not name.isidentifier() or (what == "object" and name == "I"):
+        raise TheoryError(f"{what} name must be {rule}, got {name!r}", line_no)
+    return name
 
 
 def parse_theory(text: str) -> TheoryConfig:
@@ -94,6 +108,8 @@ def parse_theory(text: str) -> TheoryConfig:
                     f"backend kind must be one of {', '.join(KINDS)}", line_no
                 )
             config = TheoryConfig(parts[0], _split_options(parts[1:], line_no))
+            if config.kind.startswith("free-") and "object" in config.options:
+                _name("object", config.options["object"], line_no)
             continue
         if config is None:
             raise TheoryError("the first declaration must be a backend line", line_no)
@@ -101,7 +117,7 @@ def parse_theory(text: str) -> TheoryConfig:
             parts = rest.split()
             if len(parts) != 2:
                 raise TheoryError("object takes a name and dim=N or size=N", line_no)
-            name = parts[0]
+            name = _name("object", parts[0], line_no)
             opts = _split_options(parts[1:], line_no)
             key = "dim" if config.kind in ("matrix", "unitary") else "size"
             if set(opts) != {key}:
@@ -112,7 +128,7 @@ def parse_theory(text: str) -> TheoryConfig:
                 raise TheoryError(f"{key} must be an integer", line_no) from None
             if extent < 0:
                 raise TheoryError(f"{key} must be nonnegative", line_no)
-            config.objects.append((name, extent))
+            _once(config.objects, name, extent, "object", line_no)
         elif head == "morphism":
             if "=" not in rest or ":" not in rest:
                 raise TheoryError(
@@ -129,7 +145,8 @@ def parse_theory(text: str) -> TheoryConfig:
                 )
             except ValueError as exc:
                 raise TheoryError(f"bad literal: {exc}", line_no) from None
-            config.morphisms.append((name.strip(), dom.strip(), cod.strip(), value))
+            _once(config.morphisms, _name("morphism", name.strip(), line_no),
+                  (dom.strip(), cod.strip(), value), "morphism", line_no)
         elif head == "rule":
             if "->" not in rest:
                 raise TheoryError("rule syntax: g1 ; g2 -> rhs", line_no)
@@ -264,21 +281,20 @@ def build_backend(config: TheoryConfig):
             f"tolerance= needs a complex matrix or unitary theory; {exact} compares exactly"
         )
     if kind == "finfun":
-        backend = FinFunBackend({name: size for name, size in config.objects})
+        backend = FinFunBackend(config.objects)
         entries = _indices
     else:
         # the matrix modules load numpy, so free and finfun theories never import them
         from .backends.matrix import MatrixBackend
         from .backends.unitary import UnitaryBackend
 
-        dims = {name: dim for name, dim in config.objects}
         with _refusal_named(f"backend {kind}"):
             if kind == "unitary":
-                backend = UnitaryBackend(dims, **numeric)
+                backend = UnitaryBackend(config.objects, **numeric)
             else:
-                backend = MatrixBackend(dims, semiring=semiring, **numeric)
+                backend = MatrixBackend(config.objects, semiring=semiring, **numeric)
         entries = functools.partial(_matrix_entries, semiring=semiring)
-    for name, dom, cod, value in config.morphisms:
+    for name, (dom, cod, value) in config.morphisms.items():
         with _refusal_named(f"morphism {name}"):
             backend.add_generator(
                 name, ObjectWord.parse(dom), ObjectWord.parse(cod), entries(value)

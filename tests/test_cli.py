@@ -30,6 +30,8 @@ BUNDLED = [
 
 
 MATRIX = "backend matrix\nobject x dim=1\nmorphism h : x -> x = "
+# a theory the test program runs on, for the refusals added to it below
+IDENTITY = "backend matrix\nobject x dim=2\nmorphism h : x -> x = [[1,0],[0,1]]\n"
 # theories the backend refuses; each must exit 2 with a message
 MALFORMED_THEORIES = {
     "unknown-semiring": "backend matrix semiring=quaternion\n",
@@ -61,6 +63,15 @@ MALFORMED_THEORIES = {
                          "morphism h : x -> x = [[1,0],[0,1]]\n",
     "tolerance-on-finfun": "backend finfun tolerance=0.5\nobject x size=2\n"
                            "morphism h : x -> x = [0, 1]\n",
+    # names no program can write
+    "object-named-unit": IDENTITY.replace("object x", "object I dim=2\nobject x"),
+    "free-object-named-unit": "backend free-commutative object=I\n",
+    "object-name-not-identifier": IDENTITY.replace("object x", "object x*y dim=2\nobject x"),
+    "morphism-name-with-space": IDENTITY + "morphism h h : x -> x = [[1,0],[0,1]]\n",
+    # declarations made twice
+    "object-twice": IDENTITY.replace("object x", "object x dim=3\nobject x"),
+    "morphism-twice": IDENTITY + "morphism h : x -> x = [[0,1],[1,0]]\n",
+    "option-twice": IDENTITY.replace("matrix", "matrix semiring=bool semiring=complex"),
 }
 
 P1 = "poly p1 holes=[(b,b)] outers=[(b,b)] envs=[I] segs=[top | lower]\n"

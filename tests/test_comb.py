@@ -201,7 +201,7 @@ class TestSigmaTau:
         c2 = comb(idem, idem.identity(a), f, env=ObjectWord.unit())
         d = equiv_tau(idem, c1, c2)
         assert d.verdict is Verdict.EQUIVALENT and d.certified
-        assert d.coverage["hom_scan_complete"] is True
+        assert d.coverage["hom_scans_complete"] is True
         assert d.coverage["conclusive_context_len"] == 0
 
     def test_tau_unknown_on_truncated_scan(self, pointed):
@@ -215,7 +215,7 @@ class TestSigmaTau:
         d = equiv_tau(pointed, c1, c2)
         assert d.verdict is Verdict.UNKNOWN
         assert d.coverage["disagreements"] == 0
-        assert d.coverage["hom_scan_complete"] is False
+        assert d.coverage["hom_scans_complete"] is False
 
     def test_tau_distinct_certified(self, bbe):
         top = bbe.add_generator("top", "b", "b", [[1, 1], [1, 1]])
@@ -224,6 +224,32 @@ class TestSigmaTau:
         c2 = comb(bbe, low, top, env=ObjectWord.unit())
         d = equiv_tau(bbe, c1, c2)
         assert d.verdict is Verdict.DISTINCT and d.certified
+
+
+@pytest.mark.parametrize("make,source,target", [
+    (IdempotentFreeBackend, ("a", "a"), ("a", "a")),
+    (PointedFreeBackend, ((), ()), ("a", "a")),
+    (AbsorbingPointedBackend, ((), ()), ("a", "a")),
+    (lambda: MatrixBackend({"b": 2}, semiring="bool"), ("b", "b"), ("b", "b")),
+    (lambda: FinFunBackend({"s": 2}), ("s", "s"), ("s", "s")),
+], ids=["idempotent", "pointed", "absorbing", "bool", "finfun"])
+def test_tau_is_the_enumerate_route_at_length_zero(make, source, target):
+    """At bound 0 ``equiv_tau`` and the ``enumerate`` route scan the same
+    probes, so only their method and witness note differ; tau is symmetric."""
+    backend = make()
+    source, target = (tuple(word(*w) for w in pair) for pair in (source, target))
+    reps = list(enumerate_combs(backend, source, target, bound=1))[:12]
+
+    def bare(witness):
+        return witness and {k: v for k, v in witness_json(witness).items() if k != "note"}
+
+    for x, y in itertools.product(reps, repeat=2):
+        tau = equiv_tau(backend, x, y, bound=0)
+        by_enum = equiv_comb(backend, x, y, strategy="enumerate", bound=0)
+        assert (tau.verdict, tau.certified, tau.coverage, bare(tau.witness)) == (
+            by_enum.verdict, by_enum.certified, by_enum.coverage, bare(by_enum.witness)
+        )
+        assert equiv_tau(backend, y, x, bound=0).verdict is tau.verdict
 
 
 class TestEquivComb:
@@ -336,7 +362,7 @@ SEARCHES = [
 def _probes(backend, b, b1, bound=2):
     budget = Budget.of(bound)
     words = backend.enumerate_objects(budget.max_word_len)
-    return list(filler_probes(backend, (b, b1), words, budget.max_hom, []))
+    return list(filler_probes(backend, ((b, b1),), words, budget.max_hom, []))
 
 
 def reference_search(backend, boundaries, bound, max_pairs):

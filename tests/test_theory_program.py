@@ -62,6 +62,21 @@ class TestTheoryParsing:
             parse_theory("backend matrix\nobject q dim=2\nmorphism u : q -> q = [[1,")
         assert err.value.line_no == 3
 
+    @pytest.mark.parametrize("text,line_no,message", [
+        ("backend matrix\nobject I dim=2", 2, "object name must be an identifier other than I"),
+        ("backend free-pointed object=I", 1, "object name must be an identifier other than I"),
+        ("backend matrix\nobject x*y dim=2", 2, "object name must be an identifier"),
+        ("backend matrix\nobject x dim=2\nmorphism h h : x -> x = [[1,0],[0,1]]", 3,
+         "morphism name must be an identifier, got 'h h'"),
+        ("backend finfun\nobject s size=2\nobject s size=3", 3, "object s declared twice"),
+        ("backend finfun\nobject s size=2\nmorphism f : s -> s = [0, 1]\n"
+         "morphism f : s -> s = [1, 0]", 4, "morphism f declared twice"),
+        ("backend matrix semiring=bool semiring=complex", 1, "option semiring declared twice"),
+    ])
+    def test_names_a_program_can_write_declared_once(self, text, line_no, message):
+        with pytest.raises(TheoryError, match=f"^line {line_no}: {message}"):
+            parse_theory(text)
+
     def test_object_wants_right_extent_key(self):
         with pytest.raises(TheoryError):
             parse_theory("backend matrix\nobject q size=2")

@@ -112,7 +112,7 @@ def identity_comb(backend: Backend, b: ObjectWord, b1: ObjectWord) -> CombRep:
 
 
 def comb_compose(backend: Backend, c1: CombRep, c2: CombRep) -> CombRep:
-    """Nest c2 around the result of c1: the hole of the composite is c2's.
+    """Put c2 into the hole of c1: the composite has c1's source and c2's hole.
 
     The composite bottom runs c1's bottom and then c2's bottom beside c1's
     environment; the composite top runs c2's top first, then c1's.

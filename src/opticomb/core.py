@@ -120,6 +120,10 @@ class UnsupportedShape(CategoryError):
 # Object words
 # ---------------------------------------------------------------------------
 
+#: the rule for an object or generator name, which a theory declares and a
+#: program writes: a letter or ``_``, then letters, digits, ``_`` and ``'``
+NAME = r"[^\W\d][\w']*"
+
 @dataclass(frozen=True)
 class ObjectWord:
     """A word of generator object names; the monoidal unit is the empty word.

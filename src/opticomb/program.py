@@ -10,18 +10,21 @@ parses the rest of the line and runs it.  Bindings:
 
 Terms compose diagrammatically with ``;`` (loose) and tensor with ``*``
 (tight); ``id(W)`` and ``sym(W1,W2)`` build structural pieces, where a
-word is ``I`` or factor names joined by ``*``.  Queries:
+word is ``I`` or factor names joined by ``*``.  A declaration is read
+token by token by the term reader, so spacing between its tokens does not
+matter.  Queries are read against fixed word patterns:
 
     equiv sigma c1 c2          # also tau, comb, optic, cpm, cpinf, poly
-    compose c1 c2 as c3        # c1 fills the hole of c2
+    compose c1 c2 as c3        # c2 fills the hole of c1
     tensor c1 c2 as c3
     plug p1 at 0 with p2 as p3 # optionally: ... with p2 port 1 as p3
     lens c1
     cpm d1
 
-Every name a statement binds is one ``\\w+`` word.  Each statement
-reports a result of one kind (``comb``, ``poly``, ``decision``, ``lens``
-or ``cpm``), and ``REPORT_TEXT`` holds the text of each kind.
+Object and generator names follow ``core.NAME``, as in theories; every
+name a statement binds is one ``\\w+`` word.  Each statement reports a
+result of one kind (``comb``, ``poly``, ``decision``, ``lens`` or
+``cpm``), and ``REPORT_TEXT`` holds the text of each kind.
 
 Query results serialize to text or to deterministic JSON: keys are
 sorted and nothing environment-dependent (timestamps, durations,
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 # value, witness and decision JSON and term_text live in core, beside the
 # classes they serialize; they are imported here for this module's callers too
 from .core import (
+    NAME,
     Backend,
     Compose,
     Generator,
@@ -69,7 +73,8 @@ class ProgramError(Exception):
 # Term parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[();,*]|\S")
+_NAME = re.compile(NAME)
+_TOKEN = re.compile(rf"{NAME}|\S")
 
 
 class _TermParser:
@@ -89,12 +94,13 @@ class _TermParser:
         self.pos += 1
         return tok
 
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise ProgramError(
-                f"expected {tok!r}, got {got!r} in {self.text!r}", self.line_no
-            )
+    def expect(self, *toks: str) -> None:
+        for tok in toks:
+            got = self.take()
+            if got != tok:
+                raise ProgramError(
+                    f"expected {tok!r}, got {got!r} in {self.text!r}", self.line_no
+                )
 
     def done(self, result):
         """``result``, read from the whole text."""
@@ -130,9 +136,28 @@ class _TermParser:
             raise ProgramError(f"I stands alone, not in {'*'.join(names)!r}", self.line_no)
         return ObjectWord.of(*names)
 
+    def pair(self) -> tuple[ObjectWord, ObjectWord]:
+        """``(W,W)``."""
+        self.expect("(")
+        left = self.word()
+        self.expect(",")
+        right = self.word()
+        self.expect(")")
+        return left, right
+
+    def listing(self, key: str, item, sep: str = ",", empty: bool = True) -> tuple:
+        """``key=[x sep x ...]``, each ``x`` read by ``item``; ``key=[]`` if ``empty``."""
+        self.expect(key, "=", "[")
+        items = [] if empty and self.peek() == "]" else [item()]
+        while self.peek() == sep:
+            self.take()
+            items.append(item())
+        self.expect("]")
+        return tuple(items)
+
     def object_name(self) -> str:
         tok = self.take()
-        if not tok.isidentifier():
+        if not _NAME.fullmatch(tok):
             raise ProgramError(f"expected an object name, got {tok!r}", self.line_no)
         return tok
 
@@ -148,13 +173,8 @@ class _TermParser:
             self.expect(")")
             return Identity(w)
         if tok == "sym" and self.peek() == "(":
-            self.take()
-            w1 = self.word()
-            self.expect(",")
-            w2 = self.word()
-            self.expect(")")
-            return Symmetry(w1, w2)
-        if tok.isidentifier():
+            return Symmetry(*self.pair())
+        if _NAME.fullmatch(tok):
             return Generator(tok)
         raise ProgramError(f"unexpected token {tok!r} in {self.text!r}", self.line_no)
 
@@ -162,31 +182,6 @@ class _TermParser:
 def parse_term(text: str, line_no: int | None = None) -> MorTerm:
     parser = _TermParser(text, line_no)
     return parser.done(parser.seq())
-
-
-def parse_word(text: str, line_no: int | None = None) -> ObjectWord:
-    """An object word, read as the words of ``id(...)`` and ``sym(...)`` are."""
-    parser = _TermParser(text, line_no)
-    return parser.done(parser.word())
-
-
-def _split_top(text: str, sep: str, line_no: int | None = None) -> list[str]:
-    """Split on ``sep`` at parenthesis depth zero."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ProgramError(f"unbalanced parentheses in {text!r}", line_no)
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    if depth != 0:
-        raise ProgramError(f"unbalanced parentheses in {text!r}", line_no)
-    parts.append(text[start:])
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -259,40 +254,10 @@ def _name(head: str, name: str, line_no: int) -> str:
     return name
 
 
-def _split_decl(head: str, rest: str, body_syntax: str, line_no: int):
-    """``NAME = BODY env WORD`` as its three parts."""
-    name, eq, body = rest.partition("=")
-    if not eq:
-        raise ProgramError(f"{head} syntax: name = {body_syntax} env WORD", line_no)
-    name = _name(head, name.strip(), line_no)
-    body, sep, env_text = body.rpartition(" env ")
-    if not sep:
-        raise ProgramError(f"{head} needs a trailing 'env WORD'", line_no)
-    return name, body.strip(), env_text
-
-
-def _parse_pairs(
-    text: str, line_no: int
-) -> tuple[tuple[ObjectWord, ObjectWord], ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    pairs = []
-    for piece in _split_top(text, ",", line_no):
-        piece = piece.strip()
-        if not (piece.startswith("(") and piece.endswith(")")):
-            raise ProgramError(f"expected a (word,word) pair, got {piece!r}", line_no)
-        inner = piece[1:-1].split(",")
-        if len(inner) != 2:
-            raise ProgramError(f"expected two words in {piece!r}", line_no)
-        pairs.append((parse_word(inner[0], line_no), parse_word(inner[1], line_no)))
-    return tuple(pairs)
-
-
-_POLY_RE = re.compile(
-    r"^(?P<name>\w+)\s+holes=\[(?P<holes>.*?)\]\s+outers=\[(?P<outers>.*?)\]"
-    r"\s+envs=\[(?P<envs>.*?)\]\s+segs=\[(?P<segs>.*)\]$"
-)
+def _declaration(head: str, rest: str, line_no: int) -> tuple[str, _TermParser]:
+    """The name a declaration binds, and a reader of the rest of its line."""
+    name = re.match(r"\w*", rest).group()
+    return _name(head, name, line_no), _TermParser(rest[len(name):].lstrip(), line_no)
 
 
 @dataclass(frozen=True)
@@ -327,14 +292,14 @@ class CombDecl(Statement):
 
     @classmethod
     def parse(cls, head: str, rest: str, line_no: int) -> tuple:
-        name, body, env_text = _split_decl(head, rest, "(f, g)", line_no)
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ProgramError("comb body must be (f, g)", line_no)
-        halves = _split_top(body[1:-1], ",", line_no)
-        if len(halves) != 2:
-            raise ProgramError("comb body must hold two terms", line_no)
-        f_term, g_term = (parse_term(t, line_no) for t in halves)
-        return name, f_term, g_term, parse_word(env_text, line_no)
+        """``NAME = (f, g) env WORD``."""
+        name, read = _declaration(head, rest, line_no)
+        read.expect("=", "(")
+        f_term = read.seq()
+        read.expect(",")
+        g_term = read.seq()
+        read.expect(")", "env")
+        return read.done((name, f_term, g_term, read.word()))
 
     def run(self, ctx: _Run) -> tuple[str, dict]:
         f, g = (eval_term(t, ctx.backend) for t in (self.f_term, self.g_term))
@@ -349,8 +314,12 @@ class DaggerDecl(Statement):
 
     @classmethod
     def parse(cls, head: str, rest: str, line_no: int) -> tuple:
-        name, body, env_text = _split_decl(head, rest, "f", line_no)
-        return name, parse_term(body, line_no), parse_word(env_text, line_no)
+        """``NAME = f env WORD``."""
+        name, read = _declaration(head, rest, line_no)
+        read.expect("=")
+        f_term = read.seq()
+        read.expect("env")
+        return read.done((name, f_term, read.word()))
 
     def run(self, ctx: _Run) -> tuple[str, dict]:
         c = _channels().dagger_comb(
@@ -368,22 +337,13 @@ class PolyDecl(Statement):
 
     @classmethod
     def parse(cls, head: str, rest: str, line_no: int) -> tuple:
-        m = _POLY_RE.match(rest)
-        if not m:
-            raise ProgramError(
-                "poly syntax: name holes=[...] outers=[...] envs=[...] "
-                "segs=[t | t | ...]",
-                line_no,
-            )
-        envs_text = m.group("envs").strip()
-        envs = tuple(
-            parse_word(w, line_no) for w in (envs_text.split(",") if envs_text else [])
-        )
-        segs = tuple(
-            parse_term(s, line_no) for s in m.group("segs").split("|")
-        )
-        holes = _parse_pairs(m.group("holes"), line_no)
-        return m.group("name"), holes, _parse_pairs(m.group("outers"), line_no), envs, segs
+        """``NAME holes=[pairs] outers=[pairs] envs=[words] segs=[f | g ...]``."""
+        name, read = _declaration(head, rest, line_no)
+        holes = read.listing("holes", read.pair)
+        outers = read.listing("outers", read.pair)
+        envs = read.listing("envs", read.word)
+        segs = read.listing("segs", read.seq, "|", empty=False)
+        return read.done((name, holes, outers, envs, segs))
 
     def run(self, ctx: _Run) -> tuple[str, dict]:
         segs = [eval_term(t, ctx.backend) for t in self.seg_terms]
@@ -411,21 +371,21 @@ class EquivQuery(Statement):
 
 @dataclass(frozen=True)
 class ComposeQuery(Statement):
-    inner: str
     outer: str
+    inner: str
     name: str
-    op: str  # "compose" | "tensor"
+    op: str  # "compose" puts inner into outer's hole; "tensor" sets outer left of inner
 
     syntax = "A B as C"
 
     @classmethod
     def parse(cls, head: str, rest: str, line_no: int) -> tuple:
-        inner, outer, name = super().parse(head, rest, line_no)
-        return inner, outer, _name(head, name, line_no), head
+        outer, inner, name = super().parse(head, rest, line_no)
+        return outer, inner, _name(head, name, line_no), head
 
     def run(self, ctx: _Run) -> tuple[str, dict]:
         make = comb_compose if self.op == "compose" else comb_tensor
-        c1, c2 = ctx.get_comb(self.inner), ctx.get_comb(self.outer)
+        c1, c2 = ctx.get_comb(self.outer), ctx.get_comb(self.inner)
         return ctx.bind_comb(self.name, make(ctx.backend, c1, c2))
 
 

@@ -38,11 +38,12 @@ import contextlib
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .core import CategoryError, ObjectWord
+from .core import NAME, CategoryError, ObjectWord
 from .backends.finfun import FinFunBackend
 from .backends.free import IdempotentFreeBackend, PointedFreeBackend
 
@@ -85,9 +86,10 @@ def _once(table: dict, name: str, value: Any, what: str, line_no: int) -> None:
 
 
 def _name(what: str, name: str, line_no: int) -> str:
-    """``name`` if a program can write it: an identifier, and not ``I`` (the unit) for an object."""
+    """``name`` if a program can write it: an identifier by ``core.NAME``,
+    and not ``I`` (the unit) for an object."""
     rule = "an identifier other than I" if what == "object" else "an identifier"
-    if not name.isidentifier() or (what == "object" and name == "I"):
+    if not re.fullmatch(NAME, name) or (what == "object" and name == "I"):
         raise TheoryError(f"{what} name must be {rule}, got {name!r}", line_no)
     return name
 
@@ -108,8 +110,15 @@ def parse_theory(text: str) -> TheoryConfig:
                     f"backend kind must be one of {', '.join(KINDS)}", line_no
                 )
             config = TheoryConfig(parts[0], _split_options(parts[1:], line_no))
-            if config.kind.startswith("free-") and "object" in config.options:
-                _name("object", config.options["object"], line_no)
+            if config.kind.startswith("free-"):
+                # the free kinds' built-in names; the term reader reads a
+                # state, effect or endo named I as a generator
+                opts = config.options
+                names = [(what, opts[what]) for what in ("object", "endo") if what in opts]
+                names += [(key[:-1], n) for key in ("states", "effects")
+                          for n in opts.get(key, "").split(",") if n]
+                for what, name in names:
+                    _name(what, name, line_no)
             continue
         if config is None:
             raise TheoryError("the first declaration must be a backend line", line_no)

@@ -1,4 +1,5 @@
 import ast
+import doctest
 import importlib
 import importlib.util
 import json
@@ -13,7 +14,7 @@ import opticomb
 from opticomb import IncompatibleStrategy
 from opticomb.cli import build_parser, main
 from opticomb.program import load_program, parse_program, run_program
-from opticomb.theory import load_theory
+from opticomb.theory import build_backend, load_theory, parse_theory
 
 ROOT = Path(__file__).resolve().parent.parent
 THEORIES = ROOT / "theories"
@@ -68,6 +69,9 @@ MALFORMED_THEORIES = {
     "free-object-named-unit": "backend free-commutative object=I\n",
     "object-name-not-identifier": IDENTITY.replace("object x", "object x*y dim=2\nobject x"),
     "morphism-name-with-space": IDENTITY + "morphism h h : x -> x = [[1,0],[0,1]]\n",
+    "state-not-a-name": "backend free-pointed states=ph-i,psi\n",
+    "effect-not-a-name": "backend free-pointed effects=1x\n",
+    "endo-not-a-name": "backend free-commutative endo=f.g\n",
     # declarations made twice
     "object-twice": IDENTITY.replace("object x", "object x dim=3\nobject x"),
     "morphism-twice": IDENTITY + "morphism h : x -> x = [[0,1],[1,0]]\n",
@@ -115,6 +119,14 @@ MALFORMED_PROGRAMS = {
     "compose-bad-name": C + "compose c c as 1-bad\n",
     "tensor-bad-name": C + "tensor c c as c.2\n",
     "plug-bad-name": P1 + "plug p1 at 0 with p1 as p-3\n",
+    # declaration bodies the term reader refuses
+    "pair-without-comma": P1.replace("holes=[(b,b)]", "holes=[(b b)]"),
+    "pairs-without-comma": P1.replace("holes=[(b,b)]", "holes=[(b,b) (b,b)]"),
+    "poly-keys-out-of-order": "poly p holes=[(b,b)] envs=[I] outers=[(b,b)] segs=[top | lower]\n",
+    "poly-no-segments": "poly p holes=[] outers=[(b,b)] envs=[] segs=[]\n",
+    "comb-three-terms": "comb c = (top, lower, top) env I\n",
+    "comb-input-after-env": "comb c = (top, lower) env I top\n",
+    "poly-unclosed-list": P1.replace("lower]", "lower"),
     **MALFORMED_WORDS,
 }
 
@@ -245,6 +257,35 @@ def test_poly_equiv_agrees_with_comb_on_bundled_programs():
             assert by_poly["certified"] == by_comb["certified"], (prog, x, y)
             asked += 1
     assert asked == 6
+
+
+@pytest.mark.parametrize("morphism,obj", [("f'", "x'"), ("éa", "éb")])
+def test_theory_names_with_primes_and_letters_run(morphism, obj, capsys, tmp_path):
+    # one name rule for theories and terms: what a theory declares, a program can write
+    thy, prog = tmp_path / "t.thy", tmp_path / "p.prog"
+    thy.write_text(f"backend finfun\nobject {obj} size=2\n"
+                   f"morphism {morphism} : {obj} -> {obj} = [1, 0]\n", encoding="utf-8")
+    prog.write_text(f"comb c = ({morphism}, id({obj})) env I\nequiv comb c c\n", encoding="utf-8")
+    assert run_cli("run", str(thy), str(prog)) == 0
+    out = capsys.readouterr().out
+    assert f"source ({obj}, {obj})" in out and "verdict: equivalent" in out
+
+
+def test_documented_syntax_parses():
+    """The example block of ``program``'s docstring, README's program and
+    theory blocks, and ``core``'s doctests."""
+    doc = opticomb.program.__doc__
+    example = [line for line in doc.splitlines() if line.startswith("    ")]
+    assert len(parse_program("\n".join(example))) == 9
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+
+    def block(marker):
+        return readme[readme.index(marker):].split("```")[1]
+
+    assert parse_program(block("A **program file**"))
+    assert build_backend(parse_theory(block("A **theory file**"))).object_names()
+    result = doctest.testmod(opticomb.core)
+    assert result.attempted and not result.failed
 
 
 def test_hole_free_poly_is_certified(capsys, tmp_path):

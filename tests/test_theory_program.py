@@ -1,9 +1,13 @@
+import dataclasses
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opticomb import (
+    BoundaryMismatch,
     FinFunBackend,
     IdempotentFreeBackend,
     MatrixBackend,
@@ -26,6 +30,8 @@ from opticomb.program import (
 from opticomb.theory import TheoryError, build_backend, parse_theory
 
 from conftest import word
+
+THEORIES = Path(__file__).resolve().parent.parent / "theories"
 
 
 def make_backend(text):
@@ -232,6 +238,29 @@ class TestProgramParsing:
         with pytest.raises(ProgramError):
             parse_program("comb c1 = (f, g)\n")
 
+    @pytest.mark.parametrize("prog", sorted(THEORIES.glob("*.prog")), ids=lambda p: p.stem)
+    def test_declarations_read_whatever_their_spacing(self, prog):
+        # a tab or no space before env, spaces around = and inside [...], a tab
+        # after the poly name, no space around punctuation, or spaces and tabs
+        respacings = (
+            lambda line: re.sub(r"\s+env\s+", "\tenv ", line),
+            lambda line: re.sub(r"\)\s*env", ")env", line),
+            lambda line: line.replace("=", " = ").replace("[", "[ ").replace("]", " ]"),
+            lambda line: re.sub(r"^poly (\w+) ", r"poly \1\t", line),
+            lambda line: re.sub(r"\s*([()\[\],=|;*])\s*", r"\1", line),
+            lambda line: re.sub(r"([()\[\],=|;*])", r" \1\t", line),
+        )
+        declared = 0
+        for line in prog.read_text().splitlines():
+            if line.split(" ")[0] not in ("comb", "dagger_comb", "poly"):
+                continue
+            (original,) = parse_program(line)
+            for respace in respacings:
+                (stmt,) = parse_program(respace(line))
+                assert dataclasses.replace(stmt, line=line) == original, respace(line)
+            declared += 1
+        assert declared
+
 
 class TestRunProgram:
     @pytest.fixture
@@ -267,6 +296,25 @@ class TestRunProgram:
         ))
         assert reports[-1].kind == "poly"
         assert reports[-1].payload["holes"] == [["s", "s"]]
+
+    def test_compose_puts_the_second_comb_into_the_hole_of_the_first(self):
+        be = make_backend(
+            "backend finfun\nobject x size=2\nobject y size=2\n"
+            "morphism k : x -> y = [1, 0]\nmorphism k2 : y -> x = [1, 0]\n"
+        )
+        combs = "comb host = (id(x), id(x)) env I\ncomb fill = (k, k2) env I\n"
+        statements = parse_program(combs + "compose host fill as c\n")
+        assert (statements[-1].outer, statements[-1].inner) == ("host", "fill")
+        composite = run_program(be, statements)[-1].payload
+        assert (composite["source"], composite["hole"]) == (["x", "x"], ["y", "y"])
+        with pytest.raises(BoundaryMismatch):
+            run_program(be, parse_program(combs + "compose fill host as c\n"))
+
+    def test_free_endo_named_unit_is_a_generator(self):
+        # the term reader reads I in term position as a generator
+        be = make_backend("backend free-commutative endo=I\n")
+        reports = run_program(be, parse_program("comb c = (I, id(a)) env I\nequiv comb c c\n"))
+        assert reports[-1].payload["verdict"] == "equivalent"
 
     def test_lens_on_non_cartesian_backend_escapes(self):
         be = make_backend("backend matrix\nobject q dim=2\n"

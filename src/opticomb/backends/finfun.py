@@ -67,7 +67,7 @@ class FinFunBackend(Backend):
         cw = cod if isinstance(cod, ObjectWord) else ObjectWord.parse(cod)
         m = self.fun(dw, cw, table)
         self._gens[gname] = m
-        self.slide_indexes.clear()
+        self.clear_slide_tables()
         return m
 
     def fun(self, dom: ObjectWord, cod: ObjectWord, table: Any) -> FinMap:

@@ -142,7 +142,7 @@ class MatrixBackend(Backend):
         cw = cod if isinstance(cod, ObjectWord) else ObjectWord.parse(cod)
         m = self.mat(dw, cw, entries)
         self._gens[gname] = m
-        self.slide_indexes.clear()
+        self.clear_slide_tables()
         return m
 
     def coerce(self, data: Any) -> np.ndarray:

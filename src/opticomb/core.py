@@ -346,6 +346,21 @@ class Backend(ABC):
         """The slide search's move indexes, shared by its queries on this backend."""
         return {}
 
+    @functools.cached_property
+    def slide_neighbors(self) -> dict[tuple, list]:
+        """The slide search's neighbour lists, shared like :attr:`slide_indexes`."""
+        return {}
+
+    @functools.cached_property
+    def slide_states(self) -> dict[tuple, tuple]:
+        """Each state of :attr:`slide_neighbors` once, as ``(state, key)`` by key."""
+        return {}
+
+    def clear_slide_tables(self) -> None:
+        """Empty the slide search's tables, which a new generator makes stale."""
+        for table in (self.slide_indexes, self.slide_neighbors, self.slide_states):
+            table.clear()
+
     # -- signature ----------------------------------------------------------
 
     @abstractmethod

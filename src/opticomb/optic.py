@@ -18,7 +18,13 @@ yields a certified no only when the backend pins all environment shapes
 and every hom-set scan along the way was complete.  Moves are found by key
 lookup in indexes built once per backend, boundary and environment pair
 (E0, E) and kept on the backend; their entries carry v already whiskered
-for the side it moves into.
+for the side it moves into.  The neighbours a state reaches by one step
+through E0 are recorded on the backend too (``slide_neighbors``, each
+distinct state held once in ``slide_states``), so a state that a later
+query visits again costs no composite.  Each visit still runs the hom-set
+scans and index lookups of a fresh search, so the coverage and the path
+are unchanged.  Both tables stop growing at ``MAX_SLIDE_NEIGHBORS``
+entries, and ``add_generator`` empties them with the indexes.
 
 On structured backends (the routes of ``OPTIC``) the search is bypassed:
 environment-rotation factoring classifies optics over unitary backends,
@@ -94,6 +100,8 @@ MAX_SLIDE_STATES = 4096
 #: a slide search whose backend already holds this many move indexes keeps its
 #: own for itself, so a table holds at most this many plus one search's
 MAX_SLIDE_INDEXES = 256
+#: the same for neighbour lists and for the distinct states they hold
+MAX_SLIDE_NEIGHBORS = 4096
 
 
 def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
@@ -138,6 +146,28 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
                         (v, piece, v_b1 if down else v_b))
         return indexes[key].get(side_key, ())
 
+    if max(len(backend.slide_neighbors), len(backend.slide_states)) < MAX_SLIDE_NEIGHBORS:
+        table, states = backend.slide_neighbors, backend.slide_states
+    else:
+        table, states = {}, {}
+
+    def neighbors_of(step, e0, state, cur_key):
+        """The ``(next_state, next_key, v)`` of ``step`` through E0, in move order;
+        ``moves`` runs on every visit, so each query still scans its hom-sets."""
+        e, f, g = state
+        down = step == "push_down"
+        found = moves(step, e0, e, cur_key[1] if down else cur_key[2])
+        key = (step, e0, cur_key, a, a1, b, b1, budget.max_hom)
+        if key not in table:
+            nexts = []
+            for v, piece, v_w in found:
+                nxt = (e0, piece, backend.compose(v_w, g)) if down else (
+                    e0, backend.compose(f, v_w), piece)
+                nxt_key = _state_key(backend, *nxt)
+                nexts.append((*states.setdefault(nxt_key, (nxt, nxt_key)), v))
+            table[key] = nexts
+        return table[key]
+
     start = (o1.env, o1.f, o1.g)
     goal_key = _state_key(backend, o2.env, o2.f, o2.g)
     start_key = _state_key(backend, *start)
@@ -156,19 +186,15 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
         return Decision.equivalent("slide-search", witness=SlidePathWitness(()))
 
     while queue:
-        (e, f, g), cur_key = queue.popleft()
+        cur, cur_key = queue.popleft()
         neighbors = []
         for e0 in env_list:
-            # push_down: f = (v (x) 1_B) . f0 moves v out of the bottom
-            for v, f0, v_b1 in moves("push_down", e0, e, cur_key[1]):
-                neighbors.append(((e0, f0, backend.compose(v_b1, g)),
-                                  SlideStep("push_down", v, e0)))
+            # push_down: f = (v (x) 1_B) . f0 moves v out of the bottom;
             # push_up: g = g0 . (v (x) 1_B') moves v out of the top
-            for v, g0, v_b in moves("push_up", e0, e, cur_key[2]):
-                neighbors.append(((e0, backend.compose(f, v_b), g0),
-                                  SlideStep("push_up", v, e0)))
-        for (state, step) in neighbors:
-            key = _state_key(backend, *state)
+            for step_name in ("push_down", "push_up"):
+                for state, key, v in neighbors_of(step_name, e0, cur, cur_key):
+                    neighbors.append((state, key, SlideStep(step_name, v, e0)))
+        for state, key, step in neighbors:
             if key in parents:
                 continue
             parents[key] = (cur_key, step)

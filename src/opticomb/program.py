@@ -465,11 +465,11 @@ def parse_program(text: str) -> list[Statement]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
+        head, *rest = line.split(None, 1)
         kind = STATEMENTS.get(head)
         if kind is None:
             raise ProgramError(f"unknown statement {head!r}", line_no)
-        fields = kind.parse(head, rest.strip(), line_no)
+        fields = kind.parse(head, "".join(rest), line_no)
         statements.append(kind(*fields, line=line, line_no=line_no))
     return statements
 

@@ -451,3 +451,78 @@ class TestSharedSlideIndexes:
         for step in d.witness.steps:
             with pytest.raises(ValueError):
                 step.v.array[0, 0] = 1 - step.v.array[0, 0]
+
+
+@pytest.mark.parametrize(
+    "backend,o1,o2,bound", [c[1:] for c in SLIDE_CONFIGURATIONS],
+    ids=[c[0] for c in SLIDE_CONFIGURATIONS],
+)
+def test_emptied_tables_answer_as_warm_ones(backend, o1, o2, bound, monkeypatch):
+    # the tables as earlier queries left them, then emptied (index, neighbour
+    # and state tables alike), then as this query left them: the same decision,
+    # and the same moves built in the same order
+    steps = []
+    make_step = optic.SlideStep
+    monkeypatch.setattr(optic, "SlideStep", lambda *args: steps.append(
+        (args[0], backend.canonical_key(args[1]), args[2])) or make_step(*args))
+    runs = []
+    for empty_first in (False, True, False):
+        if empty_first:
+            backend.clear_slide_tables()
+        runs.append((zigzag_answer(backend, o1, o2, bound), steps[:]))
+        steps.clear()
+    assert runs[0] == runs[1] == runs[2]
+    assert backend.slide_neighbors or o1 is o2
+
+
+class TestSharedSlideNeighbors:
+    """Neighbour lists live on the backend beside the move indexes, with each
+    distinct neighbour state held once."""
+
+    @pytest.mark.parametrize("make,generator", [
+        (bool_slide_pair, ("x", "I", [[1, 1]])),
+        (finfun_slide_pair, ("s", "I", (0, 0))),
+    ])
+    def test_add_generator_empties_the_tables(self, make, generator):
+        backend, o1, o2 = make()
+        before = zigzag_answer(backend, o1, o2, 2)
+        assert backend.slide_neighbors and backend.slide_states
+        backend.add_generator("h", *generator)
+        assert backend.slide_neighbors == {} and backend.slide_states == {}
+        assert zigzag_answer(backend, o1, o2, 2) == before
+
+    def test_bound_one_then_two(self):
+        # a neighbour list holds the moves found under one hom-set budget
+        pt = PointedFreeBackend()
+        wide = list(enumerate_combs(pt, (word("a"),) * 2, (word("a"),) * 2, bound=1))
+        for c in wide[1::6] + [wide[18]]:
+            zigzag_answer(pt, wide[0], c, 1)
+            warm = zigzag_answer(pt, wide[0], c, 2)
+            pt.clear_slide_tables()
+            assert warm == zigzag_answer(pt, wide[0], c, 2)
+
+    def test_cap_zero_stores_nothing(self, monkeypatch):
+        _, backend, o1, o2, bound = SLIDE_CONFIGURATIONS[2]
+        backend.clear_slide_tables()
+        want = zigzag_answer(backend, o1, o2, bound)
+        assert backend.slide_neighbors
+        backend.clear_slide_tables()
+        monkeypatch.setattr(optic, "MAX_SLIDE_NEIGHBORS", 0)
+        assert zigzag_answer(backend, o1, o2, bound) == want
+        assert backend.slide_neighbors == {} and backend.slide_states == {}
+        assert backend.slide_indexes
+
+    def test_each_state_stored_once(self):
+        # a state object per neighbour entry instead of per distinct key made
+        # the slide-search benchmark hold a third more memory
+        pointed = [c[1:] for c in SLIDE_CONFIGURATIONS if c[0].startswith("pointed")]
+        backend = pointed[0][0]
+        backend.clear_slide_tables()
+        for _, o1, o2, bound in pointed:
+            zigzag_answer(backend, o1, o2, bound)
+        entries = [entry for nexts in backend.slide_neighbors.values() for entry in nexts]
+        ids = {id(state) for state, _, _ in entries}
+        keys = {key for _, key, _ in entries}
+        assert len(entries) > len(keys) > 1
+        assert len(ids) == len(keys) == len(backend.slide_states)
+        assert ids == {id(state) for state, _ in backend.slide_states.values()}

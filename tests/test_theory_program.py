@@ -261,6 +261,17 @@ class TestProgramParsing:
             declared += 1
         assert declared
 
+    @pytest.mark.parametrize("prog", sorted(THEORIES.glob("*.prog")), ids=lambda p: p.stem)
+    def test_any_whitespace_after_the_head(self, prog):
+        statements = parse_program(prog.read_text())
+        assert statements
+        for original in statements:
+            head, rest = original.line.split(" ", 1)
+            for gap in ("\t", " \t ", "   "):
+                (stmt,) = parse_program(head + gap + rest)
+                assert dataclasses.replace(
+                    stmt, line=original.line, line_no=original.line_no) == original, gap
+
 
 class TestRunProgram:
     @pytest.fixture

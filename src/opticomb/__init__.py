@@ -37,7 +37,6 @@ from .core import (
     NotCompactClosed,
     NotDaggerBackend,
     NotEnumerable,
-    NotInhabited,
     ObjectWord,
     ProbeWitness,
     SlidePathWitness,

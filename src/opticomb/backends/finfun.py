@@ -15,7 +15,6 @@ from ..core import (
     Backend,
     DimensionMismatch,
     HomSet,
-    NotInhabited,
     ObjectWord,
     TypeMismatch,
     UnknownGenerator,
@@ -166,11 +165,6 @@ class FinFunBackend(Backend):
         nl, nr = self.size(left), self.size(right)
         table = tuple(y for _ in range(nl) for y in range(nr))
         return FinMap(left @ right, right, table)
-
-    def inhabitant(self, word: ObjectWord) -> FinMap:
-        if self.size(word) == 0:
-            raise NotInhabited(f"{word.pretty()} has no elements")
-        return FinMap(ObjectWord.unit(), word, (0,))
 
     # -- hooks -------------------------------------------------------------------------------------
 

@@ -22,9 +22,14 @@ Three progressively cheaper relations are decidable here:
   cheap screen that can refute but rarely confirms: the ``enumerate``
   route at context length 0.
 
-``braid_refutation`` refutes for ``equiv_sigma``, the optic ``name-form``
-route and zigzag's ``braid-value`` screen; ``filler_probes`` draws the
-fillers of every probe scan.
+Each invariant is compared in one place.  ``braid_refutation`` compares
+the names of two chains, for one hole and for n, and reports a difference
+as the swap filler in every hole; ``equiv_sigma``, the comb ``braid`` and
+``lens`` routes, the optic ``name-form`` route, zigzag's ``braid-value``
+screen and ``poly_equiv`` call it, and each says what equal names
+certify.  ``lens_refutation`` compares lens components for the comb and
+optic ``lens`` routes.  ``filler_probes`` draws the fillers of every
+probe scan.
 """
 from __future__ import annotations
 
@@ -39,11 +44,11 @@ from .core import (
     BoundaryMismatch,
     Budget,
     Decision,
+    FactorWitness,
     HoleMismatch,
     IllTypedFunctor,
     IncompatibleStrategy,
     NotCartesian,
-    NotInhabited,
     ObjectWord,
     ProbeWitness,
     Symmetry,
@@ -332,7 +337,8 @@ def lens_pair(backend: Backend, c: CombRep) -> tuple[Any, Any]:
 
 
 # ---------------------------------------------------------------------------
-# The decision core: one braid refuter, one probe scanner, relations, ``decide``
+# The decision core: one comparison per invariant, one probe scanner,
+# relations, ``decide``
 # ---------------------------------------------------------------------------
 
 def _check_same_boundary(c1: CombRep, c2: CombRep) -> None:
@@ -342,40 +348,55 @@ def _check_same_boundary(c1: CombRep, c2: CombRep) -> None:
         )
 
 
-def _swap_witness(
-    backend: Backend, c1: CombRep, c2: CombRep, note: str,
-    values: tuple[Any, Any] | None = None,
-) -> ProbeWitness:
-    """The swap probe as a witness; ``values`` default to its two evaluations."""
-    probe, cw, dw = swap_probe(backend, c1)
-    left, right = values or (
-        extended_eval(backend, c1, probe, cw, dw),
-        extended_eval(backend, c2, probe, cw, dw),
-    )
-    return ProbeWitness(
-        cw, dw, probe, left=left, right=right,
-        probe_term=Symmetry(c1.target[1], c1.target[0]), note=note,
-    )
+#: the note of every name witness, for one hole and for n
+NAME_NOTE = "the names differ, so the swap filler in every hole separates the two"
 
 
-def braid_refutation(backend: Backend, c1: CombRep, c2: CombRep) -> ProbeWitness | None:
-    """The swap probe, carrying both braid values, when those values differ.
+def braid_refutation(backend: Backend, x: Any, y: Any) -> ProbeWitness | None:
+    """Compare the names (:func:`chain_name`) of two chains of one shape:
+    combs, or poly pieces with any number of holes.
 
-    Slide equivalence implies filler agreement, which implies equal braid
-    values, so on every backend a witness here refutes all three relations.
-    None means the braid values agree.
+    Plugging the swap filler ``sigma(A_i', A_i)`` at context ``(A_i', A_i)``
+    into every hole gives ``sigma(A_0'..A_{n-1}', B) ; name ; sigma(B',
+    A_0..A_{n-1})``, so differing names refute filler agreement, and with it
+    slide equivalence, on every backend.  The witness is that probe, with
+    those two values, built from the names without plugging.  None means
+    the names agree; what that certifies is the caller's to say.
     """
-    v1, v2 = braid_eval(backend, c1), braid_eval(backend, c2)
-    if backend.equal(v1, v2):
+    chain = x.chain()
+    n1, n2 = chain_name(backend, *chain), chain_name(backend, *y.chain())
+    if backend.equal(n1, n2):
         return None
-    return _swap_witness(
-        backend, c1, c2, "braid values differ; the swap filler reproduces them",
-        (v1, v2),
+    holes, _, segments = chain
+    cs, ds = tuple(a1 for _, a1 in holes), tuple(a for a, _ in holes)
+    before = backend.symmetry(_join(cs), backend.dom(segments[0]))
+    after = backend.symmetry(backend.cod(segments[-1]), _join(ds))
+    left, right = (backend.compose(backend.compose(before, n), after) for n in (n1, n2))
+    fields = (cs, ds, tuple(backend.symmetry(c, d) for c, d in zip(cs, ds)),
+              tuple(Symmetry(c, d) for c, d in zip(cs, ds)))
+    if len(holes) == 1:
+        fields = tuple(field[0] for field in fields)
+    cw, dw, probe, term = fields
+    return ProbeWitness(cw, dw, probe, left=left, right=right, probe_term=term, note=NAME_NOTE)
+
+
+def lens_refutation(backend: Backend, c1: CombRep, c2: CombRep) -> FactorWitness | None:
+    """Compare the (get, put) components of two combs over a cartesian backend:
+    the four components when they differ, else None."""
+    (get1, put1), (get2, put2) = lens_pair(backend, c1), lens_pair(backend, c2)
+    same_get = backend.equal(get1, get2)
+    if same_get and backend.equal(put1, put2):
+        return None
+    return FactorWitness(
+        pieces={"get_left": get1, "get_right": get2, "put_left": put1, "put_right": put2},
+        note=f"the {'put' if same_get else 'get'} components differ",
     )
 
 
-def _braid_compare(method: str, backend: Backend, c1: CombRep, c2: CombRep, *_) -> Decision:
-    witness = braid_refutation(backend, c1, c2)
+def _compare(refute: Callable[..., Any], method: str,
+             backend: Backend, x: Any, y: Any, *_) -> Decision:
+    """A route that certifies whatever ``refute`` does not refute."""
+    witness = refute(backend, x, y)
     if witness is None:
         return Decision.equivalent(method)
     return Decision.distinct(method, witness)
@@ -497,10 +518,9 @@ def decide(relation: Relation, backend: Backend, x: Any, y: Any,
 # ---------------------------------------------------------------------------
 
 def _braid_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decision:
-    if not backend.equal(braid_eval(backend, c1), braid_eval(backend, c2)):
-        return Decision.distinct("braid-value", _swap_witness(
-            backend, c1, c2, "the swap filler already separates the combs"
-        ))
+    witness = braid_refutation(backend, c1, c2)
+    if witness is not None:
+        return Decision.distinct("braid-value", witness)
     if backend.braid_conclusive:
         return Decision.equivalent("braid-value", coverage={"conclusive": True})
     return Decision.unknown(
@@ -508,32 +528,15 @@ def _braid_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Deci
     )
 
 
-def _all_inhabited(backend: Backend, c: CombRep) -> bool:
-    words = [c.source[0], c.source[1], c.target[0], c.target[1], c.env]
-    try:
-        for w in words:
-            backend.inhabitant(w)
-    except (NotInhabited, NotCartesian):
-        return False
-    return True
-
-
 def _lens_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decision:
-    get1, put1 = lens_pair(backend, c1)
-    get2, put2 = lens_pair(backend, c2)
-    if backend.equal(get1, get2) and backend.equal(put1, put2):
-        certified = backend.braid_conclusive and _all_inhabited(backend, c1) \
-            and _all_inhabited(backend, c2)
-        if certified:
-            return Decision.equivalent("lens-components")
-        return Decision.unknown(
-            "lens-components", coverage={"components_agree": True, "conclusive": False}
-        )
-    witness = _swap_witness(
-        backend, c1, c2,
-        "lens components differ, so the swap filler separates the combs",
-    )
-    return Decision.distinct("lens-components", witness)
+    """Equal components certify: one ``push_down`` to the environment A (the
+    outer input) moves each comb to its lens form ``(<1_A, get>, put)``, so
+    the two are two slides apart, and slides keep every filler value.
+    Differing components prove nothing about fillers (an empty hole output
+    makes every comb on the boundary agree), so the ``braid`` route answers."""
+    if lens_refutation(backend, c1, c2) is None:
+        return Decision.equivalent("lens-components")
+    return replace(_braid_route(backend, c1, c2, bound), method="lens-components")
 
 
 def _probe_route(
@@ -563,7 +566,8 @@ def _probe_route(
 
 
 #: braid-value equality: the swap filler's one probe
-SIGMA = Relation((Route("auto", partial(_braid_compare, "braid-compare")),), _check_same_boundary)
+SIGMA = Relation((Route("auto", partial(_compare, braid_refutation, "braid-compare")),),
+                 _check_same_boundary)
 #: agreement on the fillers of trivial context: the probe route at context length 0
 TAU = Relation((Route("auto", partial(
     _probe_route, "trivial-context-probes", "trivial-context filler separates the combs", 0
@@ -607,10 +611,11 @@ def equiv_comb(
     """Decide whether two combs agree under every filler.
 
     Strategies: ``braid`` compares braid values (complete refuter
-    everywhere, conclusive where the backend says so); ``lens`` compares
-    cartesian components; ``enumerate`` plugs every enumerable filler up to
-    the bound; ``auto`` picks braid on a backend whose braid values are
-    conclusive, else lens, else enumerate, else braid (``COMB_ROUTES``).
+    everywhere, conclusive where the backend says so); ``lens`` certifies
+    equal cartesian components and otherwise answers as ``braid``;
+    ``enumerate`` plugs every enumerable filler up to the bound; ``auto``
+    picks braid on a backend whose braid values are conclusive, else lens,
+    else enumerate, else braid (``COMB_ROUTES``).
     """
     return decide(COMB, backend, c1, c2, strategy, bound)
 

@@ -76,10 +76,6 @@ class NotCartesian(CategoryError):
     """Cartesian structure (copy/delete/projections) was requested but absent."""
 
 
-class NotInhabited(CategoryError):
-    """No chosen point exists for the requested object."""
-
-
 class NotCompactClosed(CategoryError):
     """Duals / cups / caps were requested from a backend without them."""
 
@@ -471,10 +467,6 @@ class Backend(ABC):
     def proj2(self, left: ObjectWord, right: ObjectWord) -> Any:
         raise NotCartesian(f"{self.name} has no projections")
 
-    def inhabitant(self, word: ObjectWord) -> Any:
-        """The chosen point I -> word; raises NotInhabited when none exists."""
-        raise NotCartesian(f"{self.name} has no chosen points")
-
     # -- compact structure -----------------------------------------------------
 
     def dual(self, word: ObjectWord) -> ObjectWord:
@@ -586,27 +578,34 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class ProbeWitness:
-    """A probe on which two representatives evaluate to different values."""
+    """A probe on which two representatives evaluate to different values.
 
-    c_word: ObjectWord
-    d_word: ObjectWord
+    The probe is the filler ``probe : C (x) A -> D (x) A'`` at context
+    ``(c_word, d_word)``; ``left`` and ``right`` are the values
+    ``comb.plug_chain`` gives the two representatives on it.  A witness on a
+    chain with n != 1 holes holds a tuple in ``c_word``, ``d_word``,
+    ``probe`` and ``probe_term``, one entry per hole.
+    """
+
+    c_word: ObjectWord | tuple[ObjectWord, ...]
+    d_word: ObjectWord | tuple[ObjectWord, ...]
     probe: Any
     left: Any
     right: Any
-    probe_term: MorTerm | None = None
+    probe_term: MorTerm | tuple[MorTerm, ...] | None = None
     note: str = ""
 
     def to_json(self) -> dict:
         data = {
             "type": "probe",
-            "context_in": self.c_word.pretty(),
-            "context_out": self.d_word.pretty(),
+            "context_in": value_json(self.c_word),
+            "context_out": value_json(self.d_word),
             "probe": value_json(self.probe),
             "left": value_json(self.left),
             "right": value_json(self.right),
         }
         if self.probe_term is not None:
-            data["probe_term"] = term_text(self.probe_term)
+            data["probe_term"] = value_json(self.probe_term)
         if self.note:
             data["note"] = self.note
         return data

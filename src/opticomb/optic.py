@@ -56,11 +56,12 @@ from .comb import (
     CombRep,
     Relation,
     Route,
-    _braid_compare,
     _check_same_boundary,
+    _compare,
+    braid_refutation,
     comb as make_comb,
     decide,
-    lens_pair,
+    lens_refutation,
     probe_scan,
 )
 from .sampling import env_words_for
@@ -245,36 +246,19 @@ def _unitary_factor_route(backend: Backend, o1: CombRep, o2: CombRep, *_) -> Dec
     return Decision.distinct("unitary-factorization", witness)
 
 
-def _lens_route(backend: Backend, o1: CombRep, o2: CombRep, *_) -> Decision:
-    get1, put1 = lens_pair(backend, o1)
-    get2, put2 = lens_pair(backend, o2)
-    same_get = backend.equal(get1, get2)
-    same_put = backend.equal(put1, put2)
-    if same_get and same_put:
-        return Decision.equivalent("lens-components")
-    which = "get" if not same_get else "put"
-    witness = FactorWitness(
-        pieces={
-            "get_left": get1, "get_right": get2,
-            "put_left": put1, "put_right": put2,
-        },
-        note=f"the {which} components differ",
-    )
-    return Decision.distinct("lens-components", witness)
-
-
 #: slide equivalence, with its routes in the order ``auto`` tries them; the slide
 #: search is screened by the refuters of ``equiv_sigma`` and ``equiv_tau``
 OPTIC = Relation((
     Route("unitary-factor", _unitary_factor_route, lambda b: b.unitary_values,
           "factorization needs a unitary backend"),
-    Route("name-form", partial(_braid_compare, "name-form"), lambda b: b.compact_closed,
+    Route("name-form", partial(_compare, braid_refutation, "name-form"),
+          lambda b: b.compact_closed,
           "name forms need a compact closed backend"),
-    Route("lens", _lens_route, lambda b: b.cartesian,
+    Route("lens", partial(_compare, lens_refutation, "lens-components"), lambda b: b.cartesian,
           "lens strategy needs a cartesian backend"),
     Route("zigzag", _zigzag, lambda b: b.enumerable,
           "slide search needs an enumerable backend", screens=(
-              Route("braid-value", partial(_braid_compare, "braid-value")),
+              Route("braid-value", partial(_compare, braid_refutation, "braid-value")),
               Route("trivial-context", TAU.routes[0].run, lambda b: not b.braid_conclusive),
           )),
 ), _check_same_boundary)
@@ -312,8 +296,11 @@ def equiv_optic(
     return decide(OPTIC, backend, o1, o2, strategy, bound)
 
 
-def check_probe_witness(backend: Backend, o1: CombRep, o2: CombRep,
-                        witness: ProbeWitness) -> bool:
-    """Re-run a probe witness: do the two combs really disagree on it?"""
-    probe = ((witness.probe,), ((witness.c_word, witness.d_word),))
-    return probe_scan(backend, o1, o2, [probe])[0] is not None
+def check_probe_witness(backend: Backend, x: Any, y: Any, witness: ProbeWitness) -> bool:
+    """Re-run a probe witness on two combs, or two poly pieces: do they really
+    disagree on it?  A one-hole witness holds one filler and one context, any
+    other a tuple of each, one entry per hole."""
+    fillers, contexts = witness.probe, tuple(zip(witness.c_word, witness.d_word))
+    if isinstance(witness.c_word, ObjectWord):
+        fillers, contexts = (witness.probe,), ((witness.c_word, witness.d_word),)
+    return probe_scan(backend, x, y, [(fillers, contexts)])[0] is not None

@@ -10,9 +10,12 @@ Plugging fillers and the name run through ``comb.plug_chain`` and
 ``comb.chain_name``, the bodies of the one-hole evaluation and braid value.
 
 A one-hole piece is the comb on its joined outer words, so ``poly_equiv``
-hands every one-hole pair to ``equiv_comb``.  It refutes any other pair
-by name on every backend, and confirms by name where the name is
-complete: over compact closed backends, and for hole-free pieces.
+hands every one-hole pair to ``equiv_comb``.  It compares the names of
+any other pair through ``comb.braid_refutation``, the comparison the
+one-hole routes use: differing names refute on every backend, with the
+swap filler in every hole as the witness, and equal names confirm where
+the name is complete: over compact closed backends, and for hole-free
+pieces.
 
 Composition plugs one representative into a hole of another.  Two shapes
 are supported: an inner piece with holes and exactly one outer pair
@@ -43,8 +46,8 @@ from .core import (
     block_permutation,
 )
 from .comb import (
-    CombRep, Pair, Relation, Route, _join, _pp, chain_name, decide, equiv_comb,
-    filler_probes, identity_comb, plug_chain, probe_scan,
+    CombRep, Pair, Relation, Route, _join, _pp, braid_refutation, chain_name, decide,
+    equiv_comb, filler_probes, identity_comb, plug_chain, probe_scan,
 )
 
 
@@ -136,7 +139,8 @@ def poly_name(backend: Backend, p: PolyCombRep) -> Any:
     (:func:`~opticomb.comb.chain_name`, for one hole the braid value) with
     the hole inputs moved to the left.  Plugging the swap filler
     ``sigma(A_i', A_i)`` at context ``(A_i', A_i)`` into every hole gives
-    ``sigma(A_0' .. A_{n-1}', B) ; name``.
+    ``sigma(A_0' .. A_{n-1}', B) ; name``.  No decision reads it:
+    ``poly_equiv`` compares the chain names themselves.
     """
     outs = _join([b1 for (_, b1) in p.outers])
     ins = _join([a for (a, _) in p.holes])
@@ -153,11 +157,8 @@ def _check_same_shape(p: PolyCombRep, q: PolyCombRep) -> None:
 def _poly_route(backend: Backend, p: PolyCombRep, q: PolyCombRep, bound: int) -> Decision:
     if len(p.holes) == 1:
         return equiv_comb(backend, to_comb(backend, p), to_comb(backend, q), bound=bound)
-    n1, n2 = poly_name(backend, p), poly_name(backend, q)
-    if not backend.equal(n1, n2):
-        witness = FactorWitness(
-            pieces={"left_name": n1, "right_name": n2}, note="name values differ"
-        )
+    witness = braid_refutation(backend, p, q)
+    if witness is not None:
         return Decision.distinct("poly-name", witness)
     if backend.compact_closed or not p.holes:
         return Decision.equivalent("poly-name")
@@ -194,11 +195,12 @@ def poly_equiv(
 
     A one-hole pair is a pair of combs on the joined outer words, decided
     by ``equiv_comb``.  Any other pair is compared by name first: differing
-    names refute on every backend.  Equal names confirm where the name is
-    complete, over compact closed backends and for hole-free pieces (whose
-    name is their segment).  Elsewhere a bounded family of trivial-context
-    filler tuples can refute, never confirm, on an enumerable backend, and
-    the verdict is otherwise unknown.
+    names refute on every backend, with the swap filler in every hole.
+    Equal names confirm where the name is complete, over compact closed
+    backends and for hole-free pieces (whose name is their segment).
+    Elsewhere a bounded family of trivial-context filler tuples can refute,
+    never confirm, on an enumerable backend, and the verdict is otherwise
+    unknown.
     """
     return decide(POLY, backend, p, q, bound=bound)
 

@@ -521,9 +521,13 @@ def render_json(reports: list[QueryReport]) -> str:
 
 
 def _probe_text(w: dict) -> list[str]:
-    lines = [f"     context: ({w['context_in']}, {w['context_out']})"]
-    if "probe_term" in w:
-        lines.append(f"     probe: {w['probe_term']}")
+    """A one-hole witness holds one context and probe, any other a list of each."""
+    cs, ds, terms = w["context_in"], w["context_out"], w.get("probe_term")
+    if isinstance(cs, str):
+        cs, ds, terms = [cs], [ds], terms and [terms]
+    lines = ["     context: " + (" ".join(f"({c}, {d})" for c, d in zip(cs, ds)) or "(none)")]
+    if terms is not None:
+        lines.append(f"     probe: {' '.join(terms) or '(none)'}")
     return lines
 
 

@@ -139,7 +139,7 @@ PUBLIC_NAMES = {
     "core": "Backend BadSplit BoundaryMismatch Budget CategoryError Compose Decision "
             "DimensionMismatch ExhaustionWitness FactorWitness Generator HoleMismatch "
             "Identity IllTypedFunctor IncompatibleStrategy MorTerm NonComposableMove "
-            "NotCartesian NotCompactClosed NotDaggerBackend NotEnumerable NotInhabited "
+            "NotCartesian NotCompactClosed NotDaggerBackend NotEnumerable "
             "ObjectWord ProbeWitness SlidePathWitness SlideStep Symmetry Tensor "
             "TypeMismatch UnknownGenerator UnsupportedShape Verdict block_permutation "
             "eval_term permutation_term typecheck",

@@ -4,7 +4,6 @@ import pytest
 from opticomb import (
     DimensionMismatch,
     FinFunBackend,
-    NotInhabited,
     functions_as_boolean_matrices,
 )
 
@@ -51,12 +50,6 @@ class TestCartesian:
         p2 = ffb.proj2(word("s"), word("t"))
         assert ffb.dom(p1) == st and p1.table == (0, 0, 0, 1, 1, 1)
         assert p2.table == (0, 1, 2, 0, 1, 2)
-
-    def test_inhabitant_and_empty(self):
-        be = FinFunBackend({"s": 2, "v": 0})
-        assert be.inhabitant(word("s")).table == (0,)
-        with pytest.raises(NotInhabited):
-            be.inhabitant(word("v"))
 
 
 class TestEnumeration:

@@ -368,7 +368,8 @@ def zigzag_answer(backend, o1, o2, bound):
 
 
 def cold_zigzag_answer(backend, o1, o2, bound):
-    backend.slide_indexes.clear()
+    """:func:`zigzag_answer` on a backend whose slide tables were emptied."""
+    backend.clear_slide_tables()
     return zigzag_answer(backend, o1, o2, bound)
 
 
@@ -409,6 +410,11 @@ class TestSharedSlideIndexes:
             warm = zigzag_answer(pt, wide[0], c, 2)
             assert {key[-1] for key in pt.slide_indexes} == {4, 16}
             assert warm == cold_zigzag_answer(pt, wide[0], c, 2)
+        # bound 1 cuts this pair's hom-set scans short, so its moves are not
+        # those of bound 2, and the tables must keep the two apart
+        bb, o1, o2 = bool_slide_pair()
+        assert zigzag_answer(bb, o1, o2, 1)[3]["hom_scans_complete"] is False
+        assert zigzag_answer(bb, o1, o2, 2) == cold_zigzag_answer(bb, o1, o2, 2)
 
     def test_two_boundaries(self):
         pt = PointedFreeBackend()

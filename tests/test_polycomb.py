@@ -5,15 +5,16 @@ import pytest
 
 from opticomb import (
     AbsorbingPointedBackend,
-    FactorWitness,
     FinFunBackend,
     HoleMismatch,
     NotCompactClosed,
     ObjectWord,
+    ProbeWitness,
     TypeMismatch,
     UnsupportedShape,
     Verdict,
     braid_eval,
+    check_probe_witness,
     comb,
     comb_compose,
     equiv_comb,
@@ -29,6 +30,8 @@ from opticomb import (
     star_unit,
     to_comb,
 )
+
+from opticomb.comb import NAME_NOTE
 
 from conftest import NAME_BACKENDS, join, rand_mat, random_pieces, word
 
@@ -160,8 +163,10 @@ class TestEquivalence:
         )
         d2 = poly_equiv(cbe, two_hole, other)
         assert d2.verdict is Verdict.DISTINCT and d2.certified
-        assert isinstance(d2.witness, FactorWitness)
-        assert "name" in d2.witness.note
+        # the swap filler in both holes, as the one-hole routes report it
+        assert isinstance(d2.witness, ProbeWitness)
+        assert len(d2.witness.probe) == 2 and d2.witness.note == NAME_NOTE
+        assert check_probe_witness(cbe, two_hole, other, d2.witness)
 
     def test_shape_mismatch_raises(self, cbe, two_hole):
         with pytest.raises(HoleMismatch):

@@ -1,4 +1,6 @@
 """The route tables of equiv_comb / equiv_optic and the shared braid refuter."""
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from opticomb import (
     IncompatibleStrategy,
     Mat,
     MatrixBackend,
+    ObjectWord,
     OPTIC_STRATEGIES,
     PointedFreeBackend,
     ProbeWitness,
@@ -26,15 +29,16 @@ from opticomb import (
     equiv_tau,
     from_comb,
     identity_comb,
+    poly,
     poly_equiv,
     swap_probe,
     unitary_comb_factor,
 )
-from opticomb.comb import COMB_ROUTES, braid_refutation
+from opticomb.comb import COMB_ROUTES, NAME_NOTE, braid_refutation, plug_chain
 from opticomb.optic import OPTIC_ROUTES
 from opticomb.program import witness_json
 
-from conftest import word
+from conftest import random_pieces, word
 
 # backend, hole object, and the methods auto picks for (comb, optic); they pin
 # the order of the route tables
@@ -190,11 +194,81 @@ def test_one_refuter_behind_sigma_comb_and_name_form():
     assert witness_json(equiv_optic(bb, c1, c2).witness) == witness_json(witness)
     by_braid = equiv_comb(bb, c1, c2, strategy="braid")
     assert by_braid.verdict is Verdict.DISTINCT and by_braid.method == "braid-value"
-    # the comb route reports the swap filler's own values on the two combs
-    assert by_braid.witness.probe_term == witness.probe_term
-    assert by_braid.witness.note == "the swap filler already separates the combs"
-    assert check_probe_witness(bb, c1, c2, by_braid.witness)
+    # the comb route reports the same witness, with the one note
+    assert witness_json(by_braid.witness) == witness_json(witness)
+    assert by_braid.witness.note == NAME_NOTE
     assert braid_refutation(bb, c1, c1) is None
+
+
+def plugged(backend, x, witness):
+    """The :func:`plug_chain` value of ``x`` on a probe witness's probe."""
+    if isinstance(witness.c_word, ObjectWord):
+        probe = ((witness.probe,), ((witness.c_word, witness.d_word),))
+    else:
+        probe = (witness.probe, tuple(zip(witness.c_word, witness.d_word)))
+    return next(plug_chain(backend, *x.chain(), [probe]))
+
+
+def name_separated_pieces(backend, n):
+    """Two n-hole pieces of one shape with differing names: a random piece, and
+    the same piece with one segment replaced by another of its hom-set."""
+    rng = np.random.default_rng(20261019)
+    for p in random_pieces(backend, word(backend.object_names()[0]), n, rng, 8):
+        for k, seg in enumerate(p.segments):
+            for alt in backend.enumerate_hom(backend.dom(seg), backend.cod(seg), 4).items:
+                segments = p.segments[:k] + (alt,) + p.segments[k + 1:]
+                q = poly(backend, p.holes, p.outers, p.envs, segments)
+                if braid_refutation(backend, p, q) is not None:
+                    return p, q
+    raise AssertionError(f"no {n}-hole pair with differing names")
+
+
+def name_cases(name):
+    """``(backend, x, y, deciders)``: a pair with differing names, and every
+    decider that reaches a name comparison on it."""
+    if name == "bool":
+        bb = MatrixBackend({"b": 2}, semiring="bool")
+        b = word("b")
+        reset = Mat(b, b, np.array([[1, 1], [0, 0]]))
+        return (bb, identity_comb(bb, b, b), comb(bb, reset, bb.identity(b), word()),
+                [equiv_sigma, partial(equiv_comb, strategy="braid"),
+                 partial(equiv_optic, strategy="name-form")])
+    if name == "finfun":
+        ff = FinFunBackend({"s": 2})
+        s = word("s")
+        constant = ff.fun(s, s, (0, 0))
+        return (ff, identity_comb(ff, s, s), comb(ff, constant, ff.identity(s), word()),
+                [equiv_sigma, partial(equiv_comb, strategy="braid"),
+                 partial(equiv_comb, strategy="lens")])
+    if name == "pointed":
+        # optic auto: the braid-value screen of the slide search
+        pt = PointedFreeBackend()
+        return (pt, *state_combs(pt), [equiv_sigma, partial(equiv_comb, strategy="braid"),
+                                        equiv_optic])
+    n, make = {"poly-0": (0, PointedFreeBackend), "poly-2": (2, PointedFreeBackend),
+               "poly-3": (3, lambda: MatrixBackend({"b": 2}, semiring="bool"))}[name]
+    backend = make()
+    return (backend, *name_separated_pieces(backend, n), [poly_equiv])
+
+
+@pytest.mark.parametrize("name", ["bool", "finfun", "pointed", "poly-0", "poly-2", "poly-3"])
+def test_name_witness_contract(name):
+    """Every route that compares names reports one witness: the swap filler in
+    every hole, whose ``left`` and ``right`` are the two plugged values."""
+    backend, x, y, deciders = name_cases(name)
+    witnesses = []
+    for decide in deciders:
+        d = decide(backend, x, y)
+        assert d.verdict is Verdict.DISTINCT and d.certified
+        w = d.witness
+        assert isinstance(w, ProbeWitness) and w.note == NAME_NOTE
+        assert check_probe_witness(backend, x, y, w)
+        assert backend.equal(w.left, plugged(backend, x, w))
+        assert backend.equal(w.right, plugged(backend, y, w))
+        witnesses.append(witness_json(w))
+    assert witnesses == witnesses[:1] * len(deciders)
+    if name.startswith("poly"):
+        assert len(w.probe) == len(x.holes)
 
 
 class TestUnitaryFactorOperands:

@@ -370,6 +370,17 @@ class TestSerialization:
         assert "== equiv comb c1 c2" in text
         assert "verdict" in text
 
+    def test_text_of_a_two_hole_name_witness(self):
+        """The swap filler in every hole: one context and one probe per hole."""
+        be = make_backend((THEORIES / "bool2.thy").read_text(encoding="utf-8"))
+        reports = run_program(be, parse_program(
+            "poly p holes=[(b,b),(b,b)] outers=[(b,b)] envs=[I,I] segs=[top | id(b) | lower]\n"
+            "poly q holes=[(b,b),(b,b)] outers=[(b,b)] envs=[I,I] segs=[lower | id(b) | top]\n"
+            "equiv poly p q\n"
+        ))
+        text = render_text(reports[-1:])
+        assert "     context: (b, b) (b, b)\n     probe: sym(b,b) sym(b,b)\n" in text
+
     def test_decision_json_keys(self, reports):
         payload = reports[2].payload
         assert set(payload) >= {"verdict", "method", "certified", "witness"}

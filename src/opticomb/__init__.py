@@ -76,7 +76,6 @@ from .comb import (
     lens_pair,
     lift_functor,
     sigma_congruence_search,
-    swap_probe,
 )
 from .optic import (
     OPTIC_STRATEGIES,

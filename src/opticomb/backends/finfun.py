@@ -9,7 +9,7 @@ chosen point) and exactly enumerable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Mapping
+from typing import Any, Hashable, Mapping, Sequence
 
 from ..core import (
     Backend,
@@ -118,6 +118,18 @@ class FinFunBackend(Backend):
             for y in range(ndr)
         )
         return FinMap(left.dom @ right.dom, left.cod @ right.cod, table)
+
+    def plug(self, before: FinMap, beside: FinMap, fillers: Sequence[FinMap],
+             after: FinMap) -> list[FinMap]:
+        # ``before`` split into its (beside, filler) legs once; a walk per filler
+        lam = fillers[0]
+        middle = FinMap(beside.dom @ lam.dom, beside.cod @ lam.cod, ())  # its type only
+        self._require_composable(before, middle)
+        self._require_composable(middle, after)
+        n_in, n_out, out = self.size(lam.dom), self.size(lam.cod), after.table
+        legs = [(beside.table[i] * n_out, j) for i, j in (divmod(x, n_in) for x in before.table)]
+        return [FinMap(before.dom, after.cod, tuple([out[b + f.table[j]] for b, j in legs]))
+                for f in fillers]
 
     def equal(self, m1: FinMap, m2: FinMap) -> bool:
         if m1.dom != m2.dom or m1.cod != m2.cod:

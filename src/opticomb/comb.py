@@ -179,7 +179,7 @@ def plug_chain(
     costs one call of the backend's ``plug`` kernel per hole.  One hole
     composes ``((1_C (x) f) (sigma_{C,E} (x) 1_B)) (1_E (x) filler)
     ((sigma_{E,D} (x) 1_B') (1_D (x) g))``: no identity on the unit word
-    sits by a swap.
+    sits by a swap.  Every filler is type-checked before it is plugged.
 
     Each probe is a context block of one; :func:`_plug_blocks` evaluates
     longer blocks, all the fillers of one context in one kernel call.
@@ -194,18 +194,25 @@ def _plug_blocks(
     backend: Backend, holes: Sequence[Pair], envs: Sequence[ObjectWord],
     segments: Sequence[Any],
     blocks: Iterable[tuple[Sequence[Sequence[Any]], Sequence[Pair]]],
+    built: dict | None = None, check: bool = True,
 ) -> Iterator[list]:
     """:func:`plug_chain` on blocks ``(fillers of several probes, contexts)``
     of probes that share their contexts: one list of values per block.  The
-    first hole plugs the whole block through one ``plug`` call."""
+    first hole plugs the whole block through one ``plug`` call.  A ``built``
+    table passed to many chains builds stretch ``j`` once for all that share
+    segment ``j`` (keyed by ``id`` and held, so the id is not reused), holes
+    and environments.  ``check`` false skips the check of every filler."""
     n = len(holes)
-    built: dict[tuple, tuple[Any, Any]] = {}
+    # per segment: (cs[j:], ds[:j]) -> (stretch j, identity beside filler j)
+    tables = [{} for _ in segments] if built is None else [
+        built.setdefault((j, id(seg), holes, envs), (seg, {}))[1] for j, seg in enumerate(segments)
+    ]
 
     def stretch(j: int, cs: tuple, ds: tuple) -> tuple[Any, Any]:
         # from filler j - 1 (or B) to filler j (or B'), and the identity
         # beside filler j
-        key = (j, cs[j:], ds[:j])
-        if key not in built:
+        key = (cs[j:], ds[:j])
+        if key not in tables[j]:
             val = backend.tensor(backend.identity(_join(cs[j:] + ds[:j])), segments[j])
             if j:  # park the output leg of filler j - 1 past its environment
                 waiting = cs[j:] + ds[: j - 1]
@@ -222,18 +229,20 @@ def _plug_blocks(
                     backend.symmetry(cs[j], across), backend.identity(holes[j][0])
                 ))
                 beside = backend.identity(across)
-            built[key] = val, beside
-        return built[key]
+            tables[j][key] = val, beside
+        return tables[j][key]
 
     last = None
     for block, contexts in blocks:
-        if len(contexts) != n or any(len(fillers) != n for fillers in block):
-            raise HoleMismatch(f"expected {n} fillers and {n} contexts")
         if contexts != last:
+            if len(contexts) != n:
+                raise HoleMismatch(f"expected {n} fillers and {n} contexts")
             cs = tuple(backend.normalize_word(c) for (c, _) in contexts)
             ds = tuple(backend.normalize_word(d) for (_, d) in contexts)
             types = [(c @ a, d @ a1) for c, d, (a, a1) in zip(cs, ds, holes)]
-        for fillers in block:
+        for fillers in block if check else ():
+            if len(fillers) != n:
+                raise HoleMismatch(f"expected {n} fillers and {n} contexts")
             for i, (lam, (want_d, want_c)) in enumerate(zip(fillers, types)):
                 if not (
                     backend.words_equal(backend.dom(lam), want_d)
@@ -302,12 +311,6 @@ def braid_eval(backend: Backend, c: CombRep) -> Any:
     up to fixed symmetries.
     """
     return chain_name(backend, (c.target,), (c.env,), (c.f, c.g))
-
-
-def swap_probe(backend: Backend, c: CombRep) -> tuple[Any, ObjectWord, ObjectWord]:
-    """The filler that recovers the braid value: the swap at context (B', B)."""
-    (b, b1) = c.target
-    return backend.symmetry(b1, b), b1, b
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +629,13 @@ def equiv_comb(
 
 def _fingerprinter(backend: Backend, probes: list) -> Callable[[CombRep], tuple]:
     """A comb's probe values as keys interned per probe index, computed once,
-    one context block (a maximal run of probes with equal contexts) at a time."""
+    one context block (a maximal run of probes with equal contexts) at a time;
+    the fillers are checked on the first comb of each hole pair, and combs
+    that share a bottom or a top share its stretches, through one table."""
     interned: list[dict[Any, int]] = [{} for _ in probes]
-    prints: dict[int, tuple[int, ...]] = {}
+    prints: dict[int, tuple[CombRep, tuple[int, ...]]] = {}  # holds c, so its id stays
+    built: dict = {}
+    checked: set = set()
     blocks = [
         ([fillers for fillers, _ in run], contexts)
         for contexts, run in itertools.groupby(probes, key=lambda probe: probe[1])
@@ -636,14 +643,16 @@ def _fingerprinter(backend: Backend, probes: list) -> Callable[[CombRep], tuple]
 
     def fingerprint(c: CombRep) -> tuple[int, ...]:
         if id(c) not in prints:
-            values = itertools.chain.from_iterable(
-                _plug_blocks(backend, *c.chain(), blocks)
-            )
-            prints[id(c)] = tuple(
+            holes, envs, segments = c.chain()
+            values = list(itertools.chain.from_iterable(_plug_blocks(
+                backend, holes, envs, segments, blocks, built, holes not in checked
+            )))
+            checked.add(holes)
+            prints[id(c)] = c, tuple(
                 table.setdefault(backend.canonical_key(v), len(table))
                 for table, v in zip(interned, values)
             )
-        return prints[id(c)]
+        return prints[id(c)][1]
 
     return fingerprint
 
@@ -678,8 +687,10 @@ def sigma_congruence_search(
     reaches it, by context block: the fillers of one context pair go
     through one call of the backend's ``plug`` kernel, after the stretches
     that :func:`plug_chain` (the evaluator of every probe scan) builds.
-    Its fingerprint is the tuple of its values' keys, interned per probe
-    index.  Keys agree exactly when values are ``equal``, so a pair
+    Those stretches are built once per segment per boundary, since the
+    combs pair every bottom with every top, and each filler is checked once.
+    A comb's fingerprint is the tuple of its values' keys, interned per
+    probe index.  Keys agree exactly when values are ``equal``, so a pair
     differs exactly when the fingerprints do; the first differing probe is
     replayed through :func:`probe_scan`, so the pairs, the ``max_pairs``
     cut and the witness are those of a pair-by-pair scan.

@@ -417,8 +417,8 @@ class Backend(ABC):
         non-empty block of fillers that share one type.
 
         The filler evaluation kernel of ``comb.plug_chain``.  By default one
-        tensor and two composites per filler; a backend whose values batch
-        may evaluate the whole block at once.
+        tensor and two composites per filler; the matrix and finfun backends
+        batch the block (a stacked product; one table walk per filler).
         """
         return [
             self.compose(self.compose(before, self.tensor(beside, lam)), after)

@@ -150,7 +150,7 @@ PUBLIC_NAMES = {
     "backends.unitary": "UnitaryBackend tensor_separate",
     "comb": "BackendFunctor COMB_STRATEGIES CombRep braid_eval comb comb_compose "
             "comb_tensor equiv_comb equiv_sigma equiv_tau extended_eval identity_comb "
-            "lens_pair lift_functor sigma_congruence_search swap_probe",
+            "lens_pair lift_functor sigma_congruence_search",
     "optic": "OPTIC_STRATEGIES check_probe_witness equiv_optic slide_related "
              "unitary_comb_factor",
     "cpm": "CpmMorphism choi_matrix cpinf_equiv cpm_equal cpm_equiv dagger_comb "

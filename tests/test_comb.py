@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 from fractions import Fraction
@@ -37,7 +38,6 @@ from opticomb import (
     poly,
     poly_extended_eval,
     sigma_congruence_search,
-    swap_probe,
 )
 from opticomb.comb import (
     _fingerprinter, _ordered, _plug_blocks, filler_probes, plug_chain, probe_scan,
@@ -46,6 +46,8 @@ from opticomb.core import Backend
 from opticomb.program import witness_json
 
 from conftest import NAME_BACKENDS, rand_mat, random_pieces, word
+
+comb_module = importlib.import_module("opticomb.comb")  # the name ``comb`` is the function
 
 
 @pytest.fixture
@@ -168,11 +170,11 @@ class TestEvaluation:
 
     def test_swap_filler_recovers_braid(self, cbe, pair):
         """The braid value and the swap-probe value determine each other."""
-        probe, cw, dw = swap_probe(cbe, pair)
-        swapped = extended_eval(cbe, pair, probe, cw, dw)
-        braid = braid_eval(cbe, pair)
         (a, a1) = pair.source
         (b, b1) = pair.target
+        probe, cw, dw = cbe.symmetry(b1, b), b1, b
+        swapped = extended_eval(cbe, pair, probe, cw, dw)
+        braid = braid_eval(cbe, pair)
         # swapped = sym(B', A) ; braid ; sym(A', B)
         rebuilt = cbe.compose(
             cbe.compose(cbe.symmetry(b1, a), braid), cbe.symmetry(a1, b)
@@ -574,12 +576,21 @@ class TestPlugKernel:
                 if name.startswith("rational"):
                     assert all(type(x) is Fraction for x in v.array.flat)
 
-    @pytest.mark.parametrize("name", ["bool", "complex", "rational", "rational-2**40"])
-    def test_matrix_kernel_matches_the_default_kernel(self, name):
+    @pytest.mark.parametrize(
+        "name", ["bool", "complex", "finfun", "finfun-empty", "rational", "rational-2**40"]
+    )
+    def test_kernel_matches_the_default_kernel(self, name):
         """Random ``before``, ``beside`` and ``after`` around a block, through
-        the stacked kernel and through one tensor and two composites each."""
-        make, obj = KERNEL_BACKENDS[name]
-        backend, o = make(), word(obj)
+        the backend's kernel and through one tensor and two composites each.
+        ``finfun-empty`` has an empty set among its objects; hom-sets with no
+        member are skipped."""
+        if name == "finfun-empty":
+            backend, o = FinFunBackend({"a": 0, "b": 2}), word("b")
+            words = [word(), word("a"), o]
+        else:
+            make, obj = KERNEL_BACKENDS[name]
+            backend, o = make(), word(obj)
+            words = [word(), o]
         rng = np.random.default_rng(20261020)
         fill = KERNEL_FILLS.get(name, rand_mat)
 
@@ -587,19 +598,29 @@ class TestPlugKernel:
             if not backend.enumerable:
                 return fill(backend, rng, dom, cod)
             items = backend.enumerate_hom(dom, cod, 64).items
-            return items[rng.integers(len(items))]
+            return items[rng.integers(len(items))] if items else None
 
-        for w, w1, a, a1 in itertools.product([word(), o], repeat=4):
-            before, beside, after = pick(o, w @ a), pick(w, w1), pick(w1 @ a1, o)
+        shapes = set()
+        for x, y, w, w1, a, a1 in itertools.product(words, repeat=6):
+            before, beside, after = pick(x, w @ a), pick(w, w1), pick(w1 @ a1, y)
             fillers = [pick(a, a1) for _ in range(5)]
+            if any(m is None for m in (before, beside, after, *fillers)):
+                continue
             got = backend.plug(before, beside, fillers, after)
             want = Backend.plug(backend, before, beside, fillers, after)
             assert len(got) == len(want) == 5
             for v, u in zip(got, want):
-                assert (v.dom, v.cod) == (u.dom, u.cod) == (o, o)
+                assert (v.dom, v.cod) == (u.dom, u.cod) == (x, y)
                 assert _same_value(backend, v, u)
                 if name.startswith("rational"):
-                    assert all(type(x) is Fraction for x in v.array.flat)
+                    assert all(type(e) is Fraction for e in v.array.flat)
+            if name.startswith("finfun"):
+                shapes.add((len(before.table), len(beside.table), len(fillers[0].table)))
+        if name.startswith("finfun"):
+            assert any(n_beside > 1 for _, n_beside, _ in shapes)
+        if name == "finfun-empty":  # an empty block input, and an empty filler domain
+            assert any(n_before == 0 for n_before, _, _ in shapes)
+            assert any(n_lam == 0 for _, _, n_lam in shapes)
 
     def test_bool_block_sums_above_one(self):
         """Products of 0/1 matrices count paths; the kernel thresholds once."""
@@ -640,7 +661,17 @@ class TestPlugKernel:
         with pytest.raises(TypeMismatch, match="cannot compose b\\*b into b"):
             backend.plug(backend.identity(word("b", "b")), one, [one], one)
 
-    @pytest.mark.parametrize("name", ["finfun", "pointed"])
+    def test_finfun_kernel_checks_the_block_type(self):
+        backend = FinFunBackend({"s": 2, "t": 2})
+        s, t = word("s"), word("t")
+        one = backend.identity(s)
+        with pytest.raises(TypeMismatch, match="cannot compose s into s\\*s"):
+            backend.plug(one, one, [one], backend.identity(s @ s))
+        twice = backend.identity(s @ s)
+        with pytest.raises(TypeMismatch, match="cannot compose s\\*s into s\\*t"):
+            backend.plug(twice, one, [backend.identity(t)], twice)
+
+    @pytest.mark.parametrize("name", ["pointed"])
     def test_default_kernel_keeps_the_call_sequence(self, name):
         """Per filler one tensor and two composites, in that order; and a
         block makes the calls of the per-probe stream over its probes."""
@@ -686,16 +717,20 @@ class TestCongruenceSearch:
         assert _same_witness(found, expected)
 
 
-def _reached(backend, source, target, bound):
-    """The combs on a boundary in the order the search's pairs reach them."""
+def _reached(backend, source, target, bound, max_pairs=None):
+    """The combs on a boundary in the order the search's pairs reach them,
+    up to its ``max_pairs`` cut when one is given."""
     groups = {}
     for c in enumerate_combs(backend, source, target, bound):
         groups.setdefault(backend.canonical_key(braid_eval(backend, c)), []).append(c)
     order = {}
-    for _, members in sorted(groups.items(), key=lambda kv: repr(_ordered(kv[0]))):
-        for pair in itertools.combinations(members, 2):
-            for c in pair:
-                order.setdefault(id(c), c)
+    pairs = itertools.chain.from_iterable(
+        itertools.combinations(members, 2)
+        for _, members in sorted(groups.items(), key=lambda kv: repr(_ordered(kv[0])))
+    )
+    for pair in itertools.islice(pairs, max_pairs):
+        for c in pair:
+            order.setdefault(id(c), c)
     return list(order.values())
 
 
@@ -725,3 +760,102 @@ class TestBlockFingerprints:
                 keys = [backend.canonical_key(v) for v in plug_chain(backend, *c.chain(), walk)]
                 expect = tuple(t.setdefault(k, len(t)) for t, k in zip(interned, keys))
                 assert fingerprint(c) == expect
+
+
+class TestSharedSearchWork:
+    """The congruence search builds each stretch once per segment and checks
+    each filler once, for all the combs of a boundary."""
+
+    def test_stretches_follow_the_segments_not_the_combs(self, monkeypatch):
+        """Criterion 05's bool ``(x,x)/(x,x)`` search: each stretch costs two
+        tensors (the segment beside the waiting context legs, and the swap
+        that routes a context leg or parks a filler output), once per bottom
+        and context word and once per top and context word.  Tensors inside
+        ``plug`` and inside the braid values are not stretches."""
+        backend, boundaries = MatrixBackend({"x": 2}, semiring="bool"), [(word("x"),) * 4]
+        a, a1, b, b1 = boundaries[0]
+        reached = _reached(backend, (a, a1), (b, b1), 2, max_pairs=200)
+        bottoms = {(c.env, backend.canonical_key(c.f)) for c in reached}
+        tops = {(c.env, backend.canonical_key(c.g)) for c in reached}
+        words = backend.enumerate_objects(Budget.of(2).max_word_len)
+        assert (len(reached), len(bottoms), len(tops), len(words)) == (183, 48, 48, 3)
+
+        tensors, inside = [0], [0]
+
+        def counting(fn, tally):
+            def wrapped(*args):
+                tensors[0] += tally and not inside[0]
+                inside[0] += not tally
+                try:
+                    return fn(*args)
+                finally:
+                    inside[0] -= not tally
+            return wrapped
+
+        monkeypatch.setattr(backend, "tensor", counting(backend.tensor, True))
+        monkeypatch.setattr(backend, "plug", counting(backend.plug, False))
+        monkeypatch.setattr(comb_module, "chain_name", counting(comb_module.chain_name, False))
+        assert sigma_congruence_search(backend, boundaries, 2, 200) is None
+        assert tensors[0] == 2 * (len(bottoms) + len(tops)) * len(words)
+        assert tensors[0] * 3 < 2 * 2 * len(words) * len(reached)  # per comb
+
+    def test_a_shared_table_tells_the_splits_apart(self):
+        """One bottom and one top make a comb with environment x and hole
+        (x, x), and one with no environment and hole (xx, xx); at the same
+        contexts their stretches share a segment and context words, and one
+        table must still keep them apart."""
+        backend = MatrixBackend({"x": 2}, semiring="bool")
+        x = word("x")
+        rng = np.random.default_rng(20261022)
+        f, g = rand_mat(backend, rng, x, x @ x), rand_mat(backend, rng, x @ x, x)
+        chains = [comb(backend, f, g, env=x).chain(), comb(backend, f, g, env=word()).chain()]
+        assert chains[0][2] == chains[1][2] and chains[0][1] != chains[1][1]
+        built = {}
+        for holes, envs, segments in chains:
+            ((a, a1),) = holes
+            fillers = backend.enumerate_hom(x @ a, x @ a1, 8).items
+            blocks = [([(lam,) for lam in fillers], ((x, x),))]
+            shared = _plug_blocks(backend, holes, envs, segments, blocks, built)
+            fresh = _plug_blocks(backend, holes, envs, segments, blocks)
+            for v, u in zip(next(shared), next(fresh), strict=True):
+                assert backend.equal(v, u)
+        assert len(built) == 4
+
+    @pytest.mark.parametrize("entry", range(len(SEARCHES)))
+    def test_search_matches_reference(self, entry):
+        backend, boundaries = SEARCHES[entry]
+        expected, _ = reference_search(backend, boundaries, 2, 30)
+        assert _same_witness(sigma_congruence_search(backend, boundaries, 2, 30), expected)
+
+    @pytest.mark.parametrize("name", ["finfun", "pointed"])
+    def test_fingerprints_match_per_probe_keys(self, name):
+        """One fingerprinter over the combs of a boundary, against per-probe
+        streams: combs that share a bottom or a top share its stretches."""
+        backend, o = NAME_BACKENDS[name][0](), word(NAME_BACKENDS[name][1])
+        reached = _reached(backend, (o, o), (o, o), 2, max_pairs=200)
+        assert len({(c.env, backend.canonical_key(c.f)) for c in reached}) < len(reached)
+        probes = _probes(backend, o, o)
+        fingerprint = _fingerprinter(backend, probes)
+        interned = [{} for _ in probes]
+        for c in reached:
+            keys = [backend.canonical_key(v) for v in plug_chain(backend, *c.chain(), probes)]
+            assert fingerprint(c) == tuple(t.setdefault(k, len(t)) for t, k in zip(interned, keys))
+
+    @pytest.mark.parametrize("name", ["bool", "finfun"])
+    def test_a_mistyped_filler_is_refused(self, name):
+        """The fingerprinter checks every filler on its first comb, and a
+        stream checks each probe as it comes."""
+        make, obj = NAME_BACKENDS[name]
+        backend, o = make(), word(obj)
+        c = next(enumerate_combs(backend, (o, o), (o, o), 2))
+        probes = _probes(backend, o, o)
+        k = len(probes) - 7
+        (lam,), contexts = probes[k]
+        bad = [((backend.identity(o @ o),), contexts)]
+        assert (backend.dom(lam), backend.cod(lam)) != (o @ o, o @ o)
+        with pytest.raises(TypeMismatch, match="filler 0 must"):
+            _fingerprinter(backend, probes[:k] + bad + probes[k + 1:])(c)
+        stream = plug_chain(backend, *c.chain(), probes[:k] + bad)
+        assert len(list(itertools.islice(stream, k))) == k
+        with pytest.raises(TypeMismatch, match="filler 0 must"):
+            next(stream)

@@ -23,7 +23,6 @@ from opticomb import (
     equiv_tau,
     extended_eval,
     slide_related,
-    swap_probe,
     to_cpm,
 )
 
@@ -90,9 +89,9 @@ class TestCombLaws:
     @given(f=mat_strategy(X, X @ Y), g=mat_strategy(X @ X, Y))
     def test_swap_probe_recovers_braid(self, f, g):
         c = comb(CBE, f, g, env=X)
-        probe, cw, dw = swap_probe(CBE, c)
-        swapped = extended_eval(CBE, c, probe, cw, dw)
         (a, a1), (b, b1) = c.source, c.target
+        probe, cw, dw = CBE.symmetry(b1, b), b1, b
+        swapped = extended_eval(CBE, c, probe, cw, dw)
         rebuilt = CBE.compose(
             CBE.compose(CBE.symmetry(b1, a), braid_eval(CBE, c)),
             CBE.symmetry(a1, b),

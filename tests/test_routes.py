@@ -31,7 +31,6 @@ from opticomb import (
     identity_comb,
     poly,
     poly_equiv,
-    swap_probe,
     unitary_comb_factor,
 )
 from opticomb.comb import COMB_ROUTES, NAME_NOTE, braid_refutation, plug_chain
@@ -174,7 +173,8 @@ class TestOpticAutoBraidPrecheck:
         assert searched.verdict is Verdict.UNKNOWN
         assert searched.method == "slide-search"
         # the swap filler does not separate the pair, the identity filler does
-        probe, cw, dw = swap_probe(ab, c1)
+        (b, b1) = c1.target
+        probe, cw, dw = ab.symmetry(b1, b), b1, b
         swap = ProbeWitness(cw, dw, probe, left=None, right=None)
         assert not check_probe_witness(ab, c1, c2, swap)
         separated = equiv_comb(ab, c1, c2)

@@ -14,9 +14,9 @@ for cross-checking numeric results, and multiplies Python-int numerators over
 a common denominator before normalising back to ``Fraction``s.  :func:`close` and
 :func:`residual_tolerance` are the tolerance policy of every numeric check.
 
-Filler evaluation is batched: :meth:`MatrixBackend.plug` stacks a block of
-fillers of one type and plugs them all with one broadcast Kronecker product
-and two matmuls, one body for all three semirings.
+Kernels, one body for all three semirings: :meth:`MatrixBackend.plug` plugs
+a stacked block of fillers (one broadcast Kronecker product, two matmuls),
+and :meth:`MatrixBackend.bend` names a chain with one product per segment.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from ..core import (
     ObjectWord,
     TypeMismatch,
     UnknownGenerator,
+    _join,
     value_json,
 )
 
@@ -233,6 +234,27 @@ class MatrixBackend(Backend):
         if self.semiring == "bool":
             prod = (prod > 0).astype(np.int64)
         return [Mat(before.dom, after.cod, arr) for arr in prod]
+
+    def bend(self, holes: Sequence[tuple[ObjectWord, ObjectWord]],
+             envs: Sequence[ObjectWord], segments: Sequence[Mat]) -> Mat:
+        # a link product: segment k as the matrix (E_k A_k A'_{k-1}, E_{k-1}) contracts
+        # the running value's leading axis; its legs A_k A'_{k-1} .. A_0 B pile up behind
+        n, es = len(holes), [ObjectWord(), *envs, ObjectWord()]
+        outs = [a for a, _ in holes] + [segments[-1].cod]
+        ins, val, legs = [segments[0].dom] + [a1 for _, a1 in holes], None, []
+        for k, s in enumerate(segments):
+            if (s.dom, s.cod) != (dom := es[k] @ ins[k], cod := es[k + 1] @ outs[k]):
+                raise TypeMismatch(f"segment {k} must be {dom.pretty()} -> {cod.pretty()}")
+            e0, e1, a, a1 = map(self.dim, (es[k], es[k + 1], outs[k], ins[k]))
+            m = s.array.reshape(e1, a, e0, a1).transpose(0, 1, 3, 2).reshape(e1 * a * a1, e0)
+            val = m if val is None else self._product(np.dot, m, val)
+            legs = [a, a1, *legs]
+            val = val.reshape(e1, math.prod(legs))
+        val = val.reshape(legs).transpose(0, *range(2 * n, 0, -2), *range(2 * n + 1, 0, -2))
+        val = val.reshape(math.prod(legs[::2]), math.prod(legs[1::2]))
+        if self.semiring == "bool":  # path counts of 0/1 factors: one threshold
+            val = (val > 0).astype(np.int64)
+        return Mat(_join(ins), _join(outs[-1:] + outs[:-1]), val)
 
     def equal(self, m1: Mat, m2: Mat) -> bool:
         if m1.dom != m2.dom or m1.cod != m2.cod:

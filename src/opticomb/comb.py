@@ -5,10 +5,10 @@ hole: a bottom ``f : A -> E (x) B`` and a top ``g : E (x) B' -> A'``
 sharing an environment ``E`` that bypasses the hole.  Plugging a filler
 ``lam : C (x) B -> D (x) B'`` into the hole yields the extended evaluation
 ``C (x) A -> D (x) A'``; two combs are extensionally equivalent when every
-filler yields the same value.  The evaluation and the braid value are
-built by ``plug_chain`` and ``chain_name``, which ``polycomb`` shares for
-any number of holes; ``plug_chain`` evaluates a whole stream of probes,
-and ``extended_eval`` is its one-probe stream.
+filler yields the same value.  ``plug_chain`` builds the evaluation for a
+whole stream of probes (``extended_eval`` is its one-probe stream), and
+``chain_name`` the braid value, through the backend's name kernel ``bend``;
+``polycomb`` shares both for any number of holes.
 
 Three progressively cheaper relations are decidable here:
 
@@ -53,6 +53,7 @@ from .core import (
     ProbeWitness,
     Symmetry,
     TypeMismatch,
+    _join,
 )
 
 
@@ -154,12 +155,6 @@ def comb_tensor(backend: Backend, c1: CombRep, c2: CombRep) -> CombRep:
     return CombRep(
         (a1 @ a2, a1p @ a2p), (b1 @ b2, b1p @ b2p), c1.env @ c2.env, f, g
     )
-
-
-def _join(words: Sequence[ObjectWord]) -> ObjectWord:
-    if len(words) == 1:  # the one-hole case, which builds no new word
-        return words[0]
-    return ObjectWord(sum((w.factors for w in words), ()))
 
 
 def plug_chain(
@@ -268,7 +263,7 @@ def chain_name(
     backend: Backend, holes: Sequence[Pair], envs: Sequence[ObjectWord],
     segments: Sequence[Any],
 ) -> Any:
-    """Bend every hole of a chain (see :func:`plug_chain`) around.
+    """Bend every hole of a chain (:func:`plug_chain`) around: ``backend.bend``.
 
     The value runs ``B (x) A_0' .. A_{n-1}' -> B' (x) A_0 .. A_{n-1}``:
     each hole output waits on the right until its segment takes it in, and
@@ -277,18 +272,7 @@ def chain_name(
     hole gives the same value up to fixed symmetries, so it is defined in
     any symmetric monoidal category and refutes plugging equivalence there.
     """
-    ins, outs = [a for (a, _) in holes], [a1 for (_, a1) in holes]
-    val = backend.tensor(segments[0], backend.identity(_join(outs)))
-    for i, ((a, a1), e) in enumerate(zip(holes, envs)):
-        rest = outs[i + 1 :] + ins[:i]
-        right = _join([a1] + rest)
-        val = backend.compose(
-            val, backend.tensor(backend.identity(e), backend.symmetry(a, right))
-        )
-        val = backend.compose(
-            val, backend.tensor(segments[i + 1], backend.identity(_join(rest + [a])))
-        )
-    return val
+    return backend.bend(holes, envs, segments)
 
 
 def extended_eval(

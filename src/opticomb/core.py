@@ -170,6 +170,12 @@ class ObjectWord:
         return f"ObjectWord.parse({self.pretty()!r})"
 
 
+def _join(words: Sequence[ObjectWord]) -> ObjectWord:
+    if len(words) == 1:  # the one-hole case, which builds no new word
+        return words[0]
+    return ObjectWord(sum((w.factors for w in words), ()))
+
+
 # ---------------------------------------------------------------------------
 # Morphism terms
 # ---------------------------------------------------------------------------
@@ -424,6 +430,19 @@ class Backend(ABC):
             self.compose(self.compose(before, self.tensor(beside, lam)), after)
             for lam in fillers
         ]
+
+    def bend(self, holes: Sequence[tuple[ObjectWord, ObjectWord]],
+             envs: Sequence[ObjectWord], segments: Sequence[Any]) -> Any:
+        """The name kernel of ``comb.chain_name``: by default swaps and segments
+        beside identities, composed hole by hole; the matrix backend contracts."""
+        ins, outs = [a for (a, _) in holes], [a1 for (_, a1) in holes]
+        val = self.tensor(segments[0], self.identity(_join(outs)))
+        for i, ((a, a1), e) in enumerate(zip(holes, envs)):
+            rest = outs[i + 1 :] + ins[:i]
+            right = _join([a1] + rest)
+            val = self.compose(val, self.tensor(self.identity(e), self.symmetry(a, right)))
+            val = self.compose(val, self.tensor(segments[i + 1], self.identity(_join(rest + [a]))))
+        return val
 
     def _require_composable(self, first: Any, then: Any) -> None:
         if not self.words_equal(self.cod(first), self.dom(then)):

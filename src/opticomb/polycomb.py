@@ -7,7 +7,7 @@ inputs into the first environment and hole input, each middle segment
 turns one hole's output into the next environment and hole input, and
 the top segment turns the last hole's output into the outer outputs.
 Plugging fillers and the name run through ``comb.plug_chain`` and
-``comb.chain_name``, the bodies of the one-hole evaluation and braid value.
+``comb.chain_name`` (the backend's ``bend`` kernel), as for one hole.
 
 A one-hole piece is the comb on its joined outer words, so ``poly_equiv``
 hands every one-hole pair to ``equiv_comb``.  It compares the names of

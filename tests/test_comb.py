@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import json
@@ -21,8 +22,10 @@ from opticomb import (
     ProbeWitness,
     Symmetry,
     TypeMismatch,
+    UnitaryBackend,
     Verdict,
     braid_eval,
+    check_probe_witness,
     comb,
     comb_compose,
     comb_tensor,
@@ -40,7 +43,8 @@ from opticomb import (
     sigma_congruence_search,
 )
 from opticomb.comb import (
-    _fingerprinter, _ordered, _plug_blocks, filler_probes, plug_chain, probe_scan,
+    _fingerprinter, _ordered, _plug_blocks, braid_refutation, filler_probes, plug_chain,
+    probe_scan,
 )
 from opticomb.core import Backend
 from opticomb.program import witness_json
@@ -473,6 +477,13 @@ def _big_rational_mat(backend, rng, dom, cod):
     return _rational_mat(backend, rng, dom, cod, big=True)
 
 
+def _unitary_mat(backend, rng, dom, cod):
+    """A random unitary ``dom -> cod`` (the Q of a complex Gaussian matrix)."""
+    d = backend.dim(dom)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return backend.mat(dom, cod, np.linalg.qr(z)[0])
+
+
 def _blocks(probes):
     """Maximal runs of probes with equal contexts, as ``_plug_blocks`` takes them."""
     return [
@@ -492,7 +503,9 @@ KERNEL_BACKENDS = {
     "rational": (lambda: MatrixBackend({"x": 2, "y": 3}, semiring="rational"), "x"),
     "rational-2**40": (lambda: MatrixBackend({"x": 2, "y": 3}, semiring="rational"), "x"),
 }
-KERNEL_FILLS = {"rational": _rational_mat, "rational-2**40": _big_rational_mat}
+KERNEL_FILLS = {
+    "rational": _rational_mat, "rational-2**40": _big_rational_mat, "unitary": _unitary_mat,
+}
 
 
 def _recording(backend):
@@ -699,6 +712,183 @@ class TestPlugKernel:
                                    else a for a in args]) for op, args, _ in calls])
             assert seqs[0] == seqs[1]
             assert [op for op, _ in seqs[0]].count("tensor") >= len(probes)
+
+
+def _dense_pieces(backend, rng, fill, n, count=6, words=(word(), word("x"), word("y"))):
+    """``count`` n-hole pieces: hole, environment and outer words drawn from
+    ``words``, segments from ``fill``."""
+    def draw():
+        return words[rng.integers(len(words))]
+
+    pieces = []
+    for _ in range(count):
+        holes = [(draw(), draw()) for _ in range(n)]
+        envs = [draw() for _ in range(n)]
+        b, b1 = draw(), draw()
+        ends = [b] + [e @ a1 for e, (_, a1) in zip(envs, holes)]
+        starts = [e @ a for e, (a, _) in zip(envs, holes)] + [b1]
+        segments = [fill(backend, rng, d, c) for d, c in zip(ends, starts)]
+        pieces.append(poly(backend, holes, [(b, b1)], envs, segments))
+    return pieces
+
+
+def _unitary_pieces(backend, rng, n):
+    """n-hole pieces over ``UnitaryBackend({"q": 2})`` whose segments all run
+    ``q*q -> q*q``: holes ``(q, q)``, environments ``q``, outer words ``q*q``."""
+    q = word("q")
+    return [poly(backend, [(q, q)] * n, [(q @ q, q @ q)], [q] * n,
+                 [_unitary_mat(backend, rng, q @ q, q @ q) for _ in range(n + 1)])
+            for _ in range(3)]
+
+
+def _name_pieces(name, n):
+    """The backend of a ``KERNEL_BACKENDS`` entry (or ``unitary``) and random
+    n-hole pieces over it."""
+    rng = np.random.default_rng(20261023 + n)
+    if name == "unitary":
+        backend = UnitaryBackend({"q": 2})
+        return backend, _unitary_pieces(backend, rng, n)
+    make, obj = KERNEL_BACKENDS[name]
+    backend = make()
+    if backend.enumerable:
+        return backend, random_pieces(backend, word(obj), n, rng, 6)
+    return backend, _dense_pieces(backend, rng, KERNEL_FILLS.get(name, rand_mat), n)
+
+
+def _sibling(backend, p, rng, fill):
+    """A piece of ``p``'s shape with every segment drawn afresh."""
+    def draw(seg):
+        dom, cod = backend.dom(seg), backend.cod(seg)
+        if not backend.enumerable:
+            return fill(backend, rng, dom, cod)
+        items = backend.enumerate_hom(dom, cod, 16).items
+        return items[rng.integers(len(items))]
+    return poly(backend, p.holes, p.outers, p.envs, [draw(seg) for seg in p.segments])
+
+
+MATRIX_NAMES = ["bool", "complex", "rational", "rational-2**40", "unitary"]
+
+
+class TestNameKernel:
+    """``Backend.bend`` builds a chain's name; the matrix kernel contracts
+    each segment's environment leg, the default composes symmetries and
+    segments beside identities."""
+
+    @pytest.mark.parametrize("name", MATRIX_NAMES)
+    def test_matrix_kernel_matches_the_default(self, name):
+        for n in (0, 1, 2, 3):
+            backend, pieces = _name_pieces(name, n)
+            assert pieces and all(len(p.holes) == n for p in pieces)
+            for p in pieces:
+                got, want = backend.bend(*p.chain()), Backend.bend(backend, *p.chain())
+                assert (got.dom, got.cod) == (want.dom, want.cod)
+                assert got.array.shape == want.array.shape
+                if backend.semiring == "complex":
+                    assert backend.equal(got, want)
+                else:
+                    assert np.array_equal(got.array, want.array)
+                if name.startswith("rational"):
+                    assert all(type(x) is Fraction for x in got.array.flat)
+
+    def test_bool_object_of_dimension_zero(self):
+        """A zero-dimensional object as hole word, environment and outer word."""
+        backend = MatrixBackend({"b": 2, "z": 0}, semiring="bool")
+        b, z = word("b"), word("z")
+        rng = np.random.default_rng(20261024)
+
+        def fill(backend, rng, d, c):
+            return backend.mat(d, c, rng.integers(0, 2, (backend.dim(c), backend.dim(d))))
+
+        zeros = 0
+        for n in (1, 2, 3):
+            for p in _dense_pieces(backend, rng, fill, n, 12, (word(), b, z, b @ z)):
+                got, want = backend.bend(*p.chain()), Backend.bend(backend, *p.chain())
+                assert (got.dom, got.cod) == (want.dom, want.cod)
+                assert np.array_equal(got.array, want.array)
+                zeros += 0 in got.array.shape or 0 in map(backend.dim, p.envs)
+        assert zeros > 5
+
+    def test_bool_paths_are_thresholded_once(self):
+        """Several environment states link the same legs; the name is the
+        support of the path counts, as the composition's is."""
+        backend = MatrixBackend({"b": 2}, semiring="bool")
+        b, i = word("b"), word()
+        f = backend.mat(b, b @ b, np.ones((4, 2)))
+        g = backend.mat(b @ b, b, np.ones((2, 4)))
+        chain = ((b, b),), (b,), (f, g)
+        got, want = backend.bend(*chain), Backend.bend(backend, *chain)
+        assert np.array_equal(got.array, want.array) and got.array.max() == 1
+        assert backend.bend((), (), (backend.identity(i),)).array.tolist() == [[1]]
+
+    @pytest.mark.parametrize("name", MATRIX_NAMES + ["finfun", "pointed"])
+    def test_mistyped_chain_raises_as_the_default_does(self, name):
+        backend, pieces = _name_pieces(name, 2)
+        mistyped = 0
+        for p in pieces:
+            holes, envs, segments = p.chain()
+            for k in range(3):
+                # segment k taken from the other end of the chain; the chain's
+                # ends take any outer word, so only the inner legs must differ
+                bad = list(segments)
+                bad[k] = segments[2 - k]
+                if (k == 0 or backend.dom(bad[k]) == backend.dom(segments[k])) and \
+                        (k == 2 or backend.cod(bad[k]) == backend.cod(segments[k])):
+                    continue
+                mistyped += 1
+                for bend in (backend.bend, functools.partial(Backend.bend, backend)):
+                    with pytest.raises(TypeMismatch):
+                        bend(holes, envs, bad)
+            (a, a1), o = holes[0], word(backend.object_names()[0])
+            for bend in (backend.bend, functools.partial(Backend.bend, backend)):
+                with pytest.raises(TypeMismatch):  # the holes of another shape
+                    bend(((a @ o, a1),) + holes[1:], envs, segments)
+        assert mistyped > 0 or name == "unitary"  # whose segments share one type
+
+    @pytest.mark.parametrize("name", ["bool", "complex", "rational", "unitary"])
+    def test_matrix_name_makes_no_primitive_call(self, name):
+        for n in (0, 1, 3):
+            backend, pieces = _name_pieces(name, n)
+            calls = _recording(backend)
+            for p in pieces:
+                comb_module.chain_name(backend, *p.chain())
+            assert calls == []
+
+    @pytest.mark.parametrize("name", ["finfun", "pointed"])
+    def test_default_kernel_keeps_the_call_sequence(self, name):
+        """One identity and one tensor, then per hole the symmetry beside the
+        environment and the segment beside an identity, each composed on."""
+        for n in (0, 1, 2):
+            backend, pieces = _name_pieces(name, n)
+            assert pieces
+            for p in pieces:
+                calls = _recording(backend)
+                comb_module.chain_name(backend, *p.chain())
+                per_hole = ["identity", "symmetry", "tensor", "compose",
+                            "identity", "tensor", "compose"]
+                assert [op for op, _, _ in calls] == ["identity", "tensor"] + per_hole * n
+                assert calls[1][1][0] is p.segments[0]
+                for i in range(n):
+                    assert calls[2 + 7 * i + 5][1][0] is p.segments[i + 1]
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_BACKENDS) + ["unitary"])
+    def test_name_refutation_agrees_with_plugging(self, name):
+        """The name routes' comparison is reflexive and symmetric, and every
+        witness it gives separates the two pieces when plugged in."""
+        rng = np.random.default_rng(20261025)
+        distinct = 0
+        for n in (0, 1, 2, 3):
+            backend, pieces = _name_pieces(name, n)
+            for p in pieces:
+                q = _sibling(backend, p, rng, KERNEL_FILLS.get(name, rand_mat))
+                assert braid_refutation(backend, p, p) is None
+                assert braid_refutation(backend, q, q) is None
+                there, back = braid_refutation(backend, p, q), braid_refutation(backend, q, p)
+                assert (there is None) == (back is None)
+                for x, y, witness in ((p, q, there), (q, p, back)):
+                    if witness is not None:
+                        distinct += 1
+                        assert check_probe_witness(backend, x, y, witness)
+        assert distinct > 0
 
 
 class TestCongruenceSearch:

@@ -15,8 +15,8 @@ a common denominator before normalising back to ``Fraction``s.  :func:`close` an
 :func:`residual_tolerance` are the tolerance policy of every numeric check.
 
 Kernels, one body for all three semirings: :meth:`MatrixBackend.plug` plugs
-a stacked block of fillers (one broadcast Kronecker product, two matmuls),
-and :meth:`MatrixBackend.bend` names a chain with one product per segment.
+a stacked block of fillers (three products, no Kronecker product), and
+:meth:`MatrixBackend.bend` names a chain with one product per segment.
 """
 from __future__ import annotations
 
@@ -92,12 +92,10 @@ def _fractions(nums: Any, den: int = 1) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Kronecker product of a matrix ``a`` with each matrix of ``b``, a
-    matrix or a stack of them (leading axes); by broadcasting, several times
+    """The Kronecker product of two matrices; by broadcasting, several times
     faster than np.kron on these small matrices."""
-    (m, n), (p, q) = a.shape, b.shape[-2:]
-    prod = a[:, None, :, None] * b[..., None, :, None, :]
-    return prod.reshape(b.shape[:-2] + (m * p, n * q))
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 class MatrixBackend(Backend):
@@ -221,16 +219,18 @@ class MatrixBackend(Backend):
     def plug(
         self, before: Mat, beside: Mat, fillers: Sequence[Mat], after: Mat
     ) -> list[Mat]:
-        # the block as one stack: one broadcast Kronecker product and two
-        # matmuls; the support of a product of 0/1 matrices is exact, so the
-        # boolean threshold is taken once, at the end
+        # the block as one stack: ``beside`` contracts into ``before``, one
+        # broadcast matmul applies the fillers, then ``after``; a product of 0/1
+        # matrices has exact support, so the boolean threshold is taken once
         lam = fillers[0]
         middle = Mat(beside.dom @ lam.dom, beside.cod @ lam.cod, None)  # its type only
         self._require_composable(before, middle)
         self._require_composable(middle, after)
-        prod = self._product(_kron, beside.array, np.array([f.array for f in fillers]))
-        prod = self._product(np.matmul, prod, before.array)
-        prod = self._product(np.matmul, after.array, prod)
+        (w1, w), (c1, c), din = beside.array.shape, lam.array.shape, before.array.shape[1]
+        prod = self._product(np.dot, beside.array, before.array.reshape(w, c * din))
+        stack = np.array([f.array for f in fillers])
+        prod = self._product(np.matmul, stack[:, None], prod.reshape(w1, c, din))
+        prod = self._product(np.matmul, after.array, prod.reshape(len(fillers), w1 * c1, din))
         if self.semiring == "bool":
             prod = (prod > 0).astype(np.int64)
         return [Mat(before.dom, after.cod, arr) for arr in prod]

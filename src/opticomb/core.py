@@ -120,7 +120,8 @@ class UnsupportedShape(CategoryError):
 #: program writes: a letter or ``_``, then letters, digits, ``_`` and ``'``
 NAME = r"[^\W\d][\w']*"
 
-@dataclass(frozen=True)
+_WORDS: dict[tuple[str, ...], "ObjectWord"] = {}  # the one instance of each word
+
 class ObjectWord:
     """A word of generator object names; the monoidal unit is the empty word.
 
@@ -128,9 +129,28 @@ class ObjectWord:
 
     >>> ObjectWord.parse("a*b") @ ObjectWord.unit()
     ObjectWord.parse('a*b')
+
+    Each factor tuple has exactly one instance (words are hash-consed), so
+    equality is identity and hashing is the object's, both run in C.
     """
 
-    factors: tuple[str, ...] = ()
+    __slots__ = ("factors",)
+
+    def __new__(cls, factors: tuple[str, ...] = ()) -> "ObjectWord":
+        word = _WORDS.get(factors)
+        if word is None:  # setdefault: two threads that race here keep one word
+            word = object.__new__(cls)
+            object.__setattr__(word, "factors", factors)
+            word = _WORDS.setdefault(factors, word)
+        return word
+
+    def __setattr__(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"ObjectWord is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:  # copy, deepcopy and pickle give the interned word
+        return (ObjectWord, (self.factors,))
 
     @staticmethod
     def unit() -> "ObjectWord":

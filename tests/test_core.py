@@ -1,3 +1,6 @@
+import copy
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,7 @@ from opticomb import (
     permutation_term,
     typecheck,
 )
+from opticomb.core import _join
 
 
 class TestObjectWord:
@@ -45,6 +49,58 @@ class TestObjectWord:
 
     def test_reversed(self):
         assert ObjectWord.of("x", "y").reversed() == ObjectWord.of("y", "x")
+
+    def test_one_object_per_word(self):
+        w = ObjectWord.parse("x*y")
+        assert ObjectWord.of("x", "y") is w
+        assert ObjectWord.of("x") @ ObjectWord.of("y") is w
+        assert _join([ObjectWord.of("x"), ObjectWord.of("y")]) is w
+        assert ObjectWord.of("y", "x").reversed() is w
+        assert ObjectWord.parse("I") is ObjectWord.unit()
+        assert ObjectWord.parse("") is ObjectWord.unit()
+
+    def test_copies_are_the_interned_word(self):
+        w = ObjectWord.parse("x*y*x")
+        assert copy.copy(w) is w
+        assert copy.deepcopy(w) is w
+        assert copy.deepcopy({"w": [w]})["w"][0] is w
+        assert pickle.loads(pickle.dumps(w)) is w
+        assert pickle.loads(pickle.dumps(ObjectWord.unit())) is ObjectWord.unit()
+
+    def test_frozen(self):
+        w = ObjectWord.of("x")
+        with pytest.raises(AttributeError):
+            w.factors = ("y",)
+        with pytest.raises(AttributeError):
+            del w.factors
+        with pytest.raises(AttributeError):
+            w.extra = 1
+        assert w.factors == ("x",) and ObjectWord.of("x") is w
+
+    def test_never_equal_to_its_tuple(self):
+        for w in (ObjectWord.unit(), ObjectWord.of("x"), ObjectWord.of("x", "y")):
+            assert w != w.factors and w.factors != w
+            assert w.factors not in {w} and w not in {w.factors}
+
+    def test_threads_building_the_same_words_get_one_object(self):
+        # names no other test uses, so every word is new to the table
+        texts = [f"thread_word_{i}*thread_word_{i % 7}" for i in range(50)]
+        start = threading.Barrier(8)
+        built: list[list[ObjectWord]] = []
+
+        def build():
+            start.wait()
+            built.append([ObjectWord.parse(t) for t in texts])
+
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(built) == 8
+        for i, text in enumerate(texts):
+            assert len({id(words[i]) for words in built}) == 1
+            assert built[0][i] is ObjectWord.parse(text)
 
 
 class TestTerms:

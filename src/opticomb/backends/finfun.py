@@ -119,17 +119,21 @@ class FinFunBackend(Backend):
         )
         return FinMap(left.dom @ right.dom, left.cod @ right.cod, table)
 
-    def plug(self, before: FinMap, beside: FinMap, fillers: Sequence[FinMap],
-             after: FinMap) -> list[FinMap]:
-        # ``before`` split into its (beside, filler) legs once; a walk per filler
+    def plug_lower(self, before: FinMap, beside: FinMap,
+                   fillers: Sequence[FinMap]) -> FinMap:
+        # ``before`` split into its (beside, filler) legs once, a walk per
+        # filler; the block as one FinMap whose table lists the values' tables
         lam = fillers[0]
         middle = FinMap(beside.dom @ lam.dom, beside.cod @ lam.cod, ())  # its type only
         self._require_composable(before, middle)
-        self._require_composable(middle, after)
-        n_in, n_out, out = self.size(lam.dom), self.size(lam.cod), after.table
+        n_in, n_out = self.size(lam.dom), self.size(lam.cod)
         legs = [(beside.table[i] * n_out, j) for i, j in (divmod(x, n_in) for x in before.table)]
-        return [FinMap(before.dom, after.cod, tuple([out[b + f.table[j]] for b, j in legs]))
-                for f in fillers]
+        return FinMap(before.dom, middle.cod, [[b + f.table[j] for b, j in legs] for f in fillers])
+
+    def plug_upper(self, lower: FinMap, after: FinMap) -> list[FinMap]:
+        self._require_composable(lower, after)
+        out = after.table
+        return [FinMap(lower.dom, after.cod, tuple([out[x] for x in t])) for t in lower.table]
 
     def equal(self, m1: FinMap, m2: FinMap) -> bool:
         if m1.dom != m2.dom or m1.cod != m2.cod:

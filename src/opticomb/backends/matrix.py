@@ -14,9 +14,10 @@ for cross-checking numeric results, and multiplies Python-int numerators over
 a common denominator before normalising back to ``Fraction``s.  :func:`close` and
 :func:`residual_tolerance` are the tolerance policy of every numeric check.
 
-Kernels, one body for all three semirings: :meth:`MatrixBackend.plug` plugs
-a stacked block of fillers (three products, no Kronecker product), and
-:meth:`MatrixBackend.bend` names a chain with one product per segment.
+Kernels, one body for all three semirings: ``plug`` plugs a stacked block of
+fillers (three products, no Kronecker product) as its two halves at the hole,
+``plug_lower`` and ``plug_upper``; ``block_key`` keys a boolean block by the
+bytes of the stack; and ``bend`` names a chain with one product per segment.
 """
 from __future__ import annotations
 
@@ -216,24 +217,35 @@ class MatrixBackend(Backend):
         prod = self._product(_kron, left.array, right.array)
         return Mat(left.dom @ right.dom, left.cod @ right.cod, prod)
 
-    def plug(
-        self, before: Mat, beside: Mat, fillers: Sequence[Mat], after: Mat
-    ) -> list[Mat]:
-        # the block as one stack: ``beside`` contracts into ``before``, one
-        # broadcast matmul applies the fillers, then ``after``; a product of 0/1
-        # matrices has exact support, so the boolean threshold is taken once
+    def plug_lower(self, before: Mat, beside: Mat, fillers: Sequence[Mat]) -> Mat:
+        # the block as one Mat whose array stacks the values: ``beside``
+        # contracts into ``before``, one broadcast matmul applies the fillers;
+        # boolean path counts are kept as booleans, which is exact
         lam = fillers[0]
         middle = Mat(beside.dom @ lam.dom, beside.cod @ lam.cod, None)  # its type only
         self._require_composable(before, middle)
-        self._require_composable(middle, after)
         (w1, w), (c1, c), din = beside.array.shape, lam.array.shape, before.array.shape[1]
         prod = self._product(np.dot, beside.array, before.array.reshape(w, c * din))
         stack = np.array([f.array for f in fillers])
         prod = self._product(np.matmul, stack[:, None], prod.reshape(w1, c, din))
-        prod = self._product(np.matmul, after.array, prod.reshape(len(fillers), w1 * c1, din))
-        if self.semiring == "bool":
-            prod = (prod > 0).astype(np.int64)
-        return [Mat(before.dom, after.cod, arr) for arr in prod]
+        prod = prod.reshape(len(fillers), w1 * c1, din)
+        return Mat(before.dom, middle.cod, prod > 0 if self.semiring == "bool" else prod)
+
+    def plug_upper(self, lower: Mat, after: Mat) -> list[Mat]:
+        prod = self._upper(lower, after)
+        prod = prod.astype(np.int64) if self.semiring == "bool" else prod
+        return [Mat(lower.dom, after.cod, arr) for arr in prod]
+
+    def block_key(self, lower: Mat, after: Mat) -> Hashable:
+        if self.semiring != "bool":  # on bool the bytes of the stack, no Mat per value
+            return super().block_key(lower, after)
+        return ("mats", lower.dom, after.cod, self._upper(lower, after).tobytes())
+
+    def _upper(self, lower: Mat, after: Mat) -> np.ndarray:
+        self._require_composable(lower, after)
+        if self.semiring == "bool":  # a boolean matmul (or of ands) gives booleans
+            return np.matmul(after.array != 0, lower.array)
+        return self._product(np.matmul, after.array, lower.array)
 
     def bend(self, holes: Sequence[tuple[ObjectWord, ObjectWord]],
              envs: Sequence[ObjectWord], segments: Sequence[Mat]) -> Mat:

@@ -171,7 +171,7 @@ def plug_chain(
     D_0 .. D_{n-1} (x) B'``.  Context legs wait on the far left.  The
     stretch before filler ``j`` (or after the last) depends only on ``C_j
     ..`` and ``.. D_{j-1}``, so it is built once per stream and a probe
-    costs one call of the backend's ``plug`` kernel per hole.  One hole
+    costs one ``plug`` per hole, its lower then its upper half.  One hole
     composes ``((1_C (x) f) (sigma_{C,E} (x) 1_B)) (1_E (x) filler)
     ((sigma_{E,D} (x) 1_B') (1_D (x) g))``: no identity on the unit word
     sits by a swap.  Every filler is type-checked before it is plugged.
@@ -192,8 +192,25 @@ def _plug_blocks(
     built: dict | None = None, check: bool = True,
 ) -> Iterator[list]:
     """:func:`plug_chain` on blocks ``(fillers of several probes, contexts)``
-    of probes that share their contexts: one list of values per block.  The
-    first hole plugs the whole block through one ``plug`` call.  A ``built``
+    of probes that share their contexts (:func:`_block_paths`): one list of
+    values per block; the first hole plugs the block in one ``plug`` call."""
+    for block, path in _block_paths(backend, holes, envs, segments, blocks, built, check):
+        vals = [path[0][0]] * len(block)
+        for i, ((_, beside), (after, _)) in enumerate(zip(path, path[1:])):
+            lams = [fillers[i] for fillers in block]
+            if i == 0:  # one stretch leads to the first hole: the block in one call
+                vals = backend.plug(vals[0], beside, lams, after)
+            else:
+                vals = [backend.plug(v, beside, (lam,), after)[0] for v, lam in zip(vals, lams)]
+        yield vals
+
+
+def _block_paths(
+    backend: Backend, holes: Sequence[Pair], envs: Sequence[ObjectWord], segments: Sequence[Any],
+    blocks: Iterable[tuple[Sequence[Sequence[Any]], Sequence[Pair]]], built: dict | None, check: bool,
+) -> Iterator[tuple[Sequence[Sequence[Any]], list[tuple[Any, Any]]]]:
+    """Each block with its path: per stretch ``j`` one pair object, the stretch
+    and the identity beside filler ``j`` (None after the last).  A ``built``
     table passed to many chains builds stretch ``j`` once for all that share
     segment ``j`` (keyed by ``id`` and held, so the id is not reused), holes
     and environments.  ``check`` false skips the check of every filler."""
@@ -249,14 +266,7 @@ def _plug_blocks(
                     )
         if contexts != last:
             last, path = contexts, [stretch(j, cs, ds) for j in range(n + 1)]
-        vals = [path[0][0]] * len(block)
-        for i, ((_, beside), (after, _)) in enumerate(zip(path, path[1:])):
-            lams = [fillers[i] for fillers in block]
-            if i == 0:  # one stretch leads to the first hole: the block in one call
-                vals = backend.plug(vals[0], beside, lams, after)
-            else:
-                vals = [backend.plug(v, beside, (lam,), after)[0] for v, lam in zip(vals, lams)]
-        yield vals
+        yield block, path
 
 
 def chain_name(
@@ -612,30 +622,34 @@ def equiv_comb(
 # ---------------------------------------------------------------------------
 
 def _fingerprinter(backend: Backend, probes: list) -> Callable[[CombRep], tuple]:
-    """A comb's probe values as keys interned per probe index, computed once,
-    one context block (a maximal run of probes with equal contexts) at a time;
-    the fillers are checked on the first comb of each hole pair, and combs
-    that share a bottom or a top share its stretches, through one table."""
-    interned: list[dict[Any, int]] = [{} for _ in probes]
-    prints: dict[int, tuple[CombRep, tuple[int, ...]]] = {}  # holds c, so its id stays
-    built: dict = {}
-    checked: set = set()
+    """A comb's block keys, interned per context block (a maximal run of
+    probes with equal contexts), computed once; the fillers are checked on the
+    first comb of each hole pair, and combs that share a bottom or a top share
+    its stretches through one table, a bottom's lower halves through another."""
     blocks = [
         ([fillers for fillers, _ in run], contexts)
         for contexts, run in itertools.groupby(probes, key=lambda probe: probe[1])
     ]
+    interned: list[dict[Any, int]] = [{} for _ in blocks]
+    prints: dict[int, tuple[CombRep, tuple[int, ...]]] = {}  # holds c, so its id stays
+    built: dict = {}
+    lowers: dict[tuple[int, int], Any] = {}  # (id of stretch 0, block index) -> lower half
+    checked: set = set()
 
     def fingerprint(c: CombRep) -> tuple[int, ...]:
         if id(c) not in prints:
             holes, envs, segments = c.chain()
-            values = list(itertools.chain.from_iterable(_plug_blocks(
+            keys = []
+            for i, (block, (first, (after, _))) in enumerate(_block_paths(
                 backend, holes, envs, segments, blocks, built, holes not in checked
-            )))
+            )):
+                if (id(first), i) not in lowers:
+                    low = backend.plug_lower(*first, [fillers[0] for fillers in block])
+                    lowers[id(first), i] = list(low) if isinstance(low, Iterator) else low
+                key = backend.block_key(lowers[id(first), i], after)
+                keys.append(interned[i].setdefault(key, len(interned[i])))
             checked.add(holes)
-            prints[id(c)] = c, tuple(
-                table.setdefault(backend.canonical_key(v), len(table))
-                for table, v in zip(interned, values)
-            )
+            prints[id(c)] = c, tuple(keys)
         return prints[id(c)][1]
 
     return fingerprint
@@ -667,17 +681,16 @@ def sigma_congruence_search(
     that claim falsifiable; on ``AbsorbingPointedBackend`` it finds the
     braid-equal pair ``(psi, bang)``, ``(phi, bang)``.
 
-    Each comb is evaluated on the probe list once, when a pair first
-    reaches it, by context block: the fillers of one context pair go
-    through one call of the backend's ``plug`` kernel, after the stretches
-    that :func:`plug_chain` (the evaluator of every probe scan) builds.
-    Those stretches are built once per segment per boundary, since the
-    combs pair every bottom with every top, and each filler is checked once.
-    A comb's fingerprint is the tuple of its values' keys, interned per
-    probe index.  Keys agree exactly when values are ``equal``, so a pair
-    differs exactly when the fingerprints do; the first differing probe is
-    replayed through :func:`probe_scan`, so the pairs, the ``max_pairs``
-    cut and the witness are those of a pair-by-pair scan.
+    Each comb is evaluated on the probe list once, by context block, after
+    the stretches that :func:`plug_chain` (every probe scan) builds: the
+    combs pair every bottom with every top, so a stretch is built once per
+    segment, and a bottom's ``plug_lower`` of a block once for all its tops,
+    each of which pays one ``block_key``; each filler is checked once.  A
+    comb's fingerprint is its block keys, interned per block.  Keys agree
+    exactly when every value of the block is ``equal``, so a pair differs
+    exactly when the fingerprints do; the first differing block is replayed
+    from its first probe through :func:`probe_scan`, so the pairs, the
+    ``max_pairs`` cut and the witness are those of a pair-by-pair scan.
     """
     from .sampling import enumerate_combs
 
@@ -691,6 +704,8 @@ def sigma_congruence_search(
             groups.setdefault(key, []).append(c)
         probes = list(filler_probes(backend, ((b, b1),), words, budget.max_hom, []))
         fingerprint = _fingerprinter(backend, probes)
+        starts = [0, *itertools.accumulate(
+            len(list(run)) for _, run in itertools.groupby(probes, key=lambda p: p[1]))]
         for _, members in sorted(groups.items(), key=lambda kv: repr(_ordered(kv[0]))):
             for c1, c2 in itertools.combinations(members, 2):
                 pairs_checked += 1
@@ -700,7 +715,7 @@ def sigma_congruence_search(
                 if p1 == p2:
                     continue
                 first = next(i for i, (k1, k2) in enumerate(zip(p1, p2)) if k1 != k2)
-                hit, _ = probe_scan(backend, c1, c2, probes[first:])
+                hit, _ = probe_scan(backend, c1, c2, probes[starts[first]:])
                 if hit is not None:
                     return _probe_witness(
                         backend, hit, "filler separates braid-equal combs"

@@ -442,14 +442,26 @@ class Backend(ABC):
         """``before ; (beside (x) filler) ; after`` for each filler of a
         non-empty block of fillers that share one type.
 
-        The filler evaluation kernel of ``comb.plug_chain``.  By default one
-        tensor and two composites per filler; the matrix and finfun backends
-        batch the block (a stacked product; one table walk per filler).
+        The filler evaluation kernel of ``comb.plug_chain``, split at the hole
+        into :meth:`plug_lower` and :meth:`plug_upper`.  By default one tensor
+        and two composites per filler; the matrix and finfun backends batch
+        the block (stacked products; one walk of ``before``'s legs per filler).
         """
-        return [
-            self.compose(self.compose(before, self.tensor(beside, lam)), after)
-            for lam in fillers
-        ]
+        return self.plug_upper(self.plug_lower(before, beside, fillers), after)
+
+    def plug_lower(self, before: Any, beside: Any, fillers: Sequence[Any]) -> Any:
+        """``before ; (beside (x) filler)`` for the block; lazy by default, so
+        ``plug`` keeps its call order, and a caller that reuses it lists it."""
+        return (self.compose(before, self.tensor(beside, lam)) for lam in fillers)
+
+    def plug_upper(self, lower: Any, after: Any) -> list:
+        """The values of :meth:`plug`: ``; after`` on a lower half."""
+        return [self.compose(v, after) for v in lower]
+
+    def block_key(self, lower: Any, after: Any) -> Hashable:
+        """Equal exactly when every value of ``plug_upper(lower, after)`` is
+        :meth:`equal`; by default the tuple of the values' keys."""
+        return tuple(self.canonical_key(v) for v in self.plug_upper(lower, after))
 
     def bend(self, holes: Sequence[tuple[ObjectWord, ObjectWord]],
              envs: Sequence[ObjectWord], segments: Sequence[Any]) -> Any:

@@ -2,6 +2,7 @@ import functools
 import importlib
 import itertools
 import json
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from opticomb import (
     IdempotentFreeBackend,
     IllTypedFunctor,
     IncompatibleStrategy,
+    Mat,
     MatrixBackend,
     ObjectWord,
     PointedFreeBackend,
@@ -714,6 +716,145 @@ class TestPlugKernel:
             assert [op for op, _ in seqs[0]].count("tensor") >= len(probes)
 
 
+def _composed(backend, before, beside, fillers, after):
+    """``plug`` as the default composition: one tensor and two composites each."""
+    return [backend.compose(backend.compose(before, backend.tensor(beside, lam)), after)
+            for lam in fillers]
+
+
+def _lower(backend, before, beside, fillers):
+    low = backend.plug_lower(before, beside, fillers)
+    return list(low) if isinstance(low, Iterator) else low
+
+
+class TestPlugHalves:
+    """``plug`` is the upper half ``; after`` of the lower half ``before ;
+    (beside (x) filler)`` of a block; the congruence search keeps each lower
+    half and keys each block through ``block_key``."""
+
+    def _cases(self, name):
+        """``(backend, before, beside, fillers, after, after2)`` around blocks
+        of five fillers, over every choice of words; ``zero`` and
+        ``finfun-empty`` have an empty object, ``bool-paths`` path counts
+        above one."""
+        rng = np.random.default_rng(20261024)
+        if name == "bool-paths":
+            backend, b = MatrixBackend({"b": 2}, semiring="bool"), word("b")
+            fillers = list(backend.enumerate_hom(b, b, 16).items)
+            ones = backend.mat(b @ b, b, np.ones((2, 4)))
+            yield (backend, backend.mat(b, b @ b, np.ones((4, 2))), backend.identity(b),
+                   fillers, ones, backend.mat(b @ b, b, [[1, 0, 0, 1], [0, 1, 1, 0]]))
+            return
+        fill = KERNEL_FILLS.get(name, rand_mat)
+        if name.startswith("zero"):
+            backend = MatrixBackend({"x": 2, "z": 0}, semiring=name.split("-")[1])
+            words = [word("x"), word("z")]
+
+            def fill(backend, rng, dom, cod):  # small integers, in any semiring
+                return backend.mat(dom, cod, rng.integers(-3, 4, (backend.dim(cod), backend.dim(dom))))
+        elif name == "finfun-empty":
+            backend, words = FinFunBackend({"a": 0, "b": 2}), [word("a"), word("b")]
+        else:
+            make, obj = KERNEL_BACKENDS[name]
+            backend = make()
+            words = [word(), word(obj)]
+
+        def pick(dom, cod):
+            if not backend.enumerable:
+                return fill(backend, rng, dom, cod)
+            items = backend.enumerate_hom(dom, cod, 64).items
+            return items[rng.integers(len(items))] if items else None
+
+        for x, y, w, w1, a, a1 in itertools.product(words, repeat=6):
+            before, beside = pick(x, w @ a), pick(w, w1)
+            after, after2 = pick(w1 @ a1, y), pick(w1 @ a1, y)
+            fillers = [pick(a, a1) for _ in range(5)]
+            if all(m is not None for m in (before, beside, after, after2, *fillers)):
+                yield backend, before, beside, fillers, after, after2
+
+    NAMES = ["bool", "bool-paths", "complex", "rational", "rational-2**40", "finfun",
+             "finfun-empty", "pointed", "zero-bool", "zero-rational", "zero-complex"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_halves_match_the_composition(self, name):
+        count, empty = 0, False
+        for backend, before, beside, fillers, after, _ in self._cases(name):
+            want = _composed(backend, before, beside, fillers, after)
+            halves = backend.plug_upper(_lower(backend, before, beside, fillers), after)
+            for got in (backend.plug(before, beside, fillers, after), halves):
+                assert len(got) == len(want) == len(fillers)
+                for v, u in zip(got, want):
+                    assert (v.dom, v.cod) == (u.dom, u.cod) == (before.dom, after.cod)
+                    assert _same_value(backend, v, u)
+                    if "rational" in name:
+                        assert all(type(e) is Fraction for e in v.array.flat)
+            count += 1
+            v = want[0]
+            empty = empty or (0 in v.array.shape if hasattr(v, "array")
+                              else not getattr(v, "table", True))
+        assert count
+        if name == "bool-paths":
+            raw = [after.array @ np.kron(beside.array, f.array) @ before.array for f in fillers]
+            assert max(int(r.max()) for r in raw) > 1
+        assert empty == (name.startswith("zero") or name == "finfun-empty")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_lower_half_serves_two_afters(self, name):
+        """One lower half, read under two ``after``s in turn and again, gives
+        the values of fresh ``plug`` calls; its block keys are equal exactly
+        when those values are."""
+        for backend, before, beside, fillers, after, after2 in self._cases(name):
+            lower, keys = _lower(backend, before, beside, fillers), {}
+            for a in (after, after2, after):
+                fresh = backend.plug(before, beside, fillers, a)
+                for v, u in zip(backend.plug_upper(lower, a), fresh, strict=True):
+                    assert _same_value(backend, v, u)
+                if backend.enumerable:
+                    values = tuple(backend.canonical_key(v) for v in fresh)
+                    keys.setdefault(values, set()).add(backend.block_key(lower, a))
+            if backend.enumerable:
+                assert all(len(k) == 1 for k in keys.values())
+                assert len(set().union(*keys.values())) == len(keys)
+
+    def test_bool_block_key_sees_every_entry(self):
+        """A bool block that differs from another in one entry of one value,
+        or in the type of its values, gets another key; an equal block gets
+        the same key."""
+        backend, b = MatrixBackend({"b": 2, "c": 2}, semiring="bool"), word("b")
+        fillers = list(backend.enumerate_hom(b, b, 16).items)
+        lower = backend.plug_lower(backend.identity(b @ b), backend.identity(b), fillers)
+        after = backend.identity(b @ b)
+        key = backend.block_key(lower, after)
+        again = backend.plug_lower(backend.identity(b @ b), backend.identity(b), fillers)
+        assert again is not lower and backend.block_key(again, after) == key
+        for i in np.ndindex(lower.array.shape):
+            flipped = lower.array.copy()
+            flipped[i] = not flipped[i]
+            assert backend.block_key(Mat(lower.dom, lower.cod, flipped), after) != key
+        retyped = Mat(word("c", "c"), lower.cod, lower.array)
+        assert backend.block_key(retyped, after) != key
+        assert backend.block_key(lower, backend.mat(b @ b, word("c", "c"), np.eye(4))) != key
+
+    def test_bool_search_runs_each_half_once_per_bottom_and_comb(self, monkeypatch):
+        """Criterion 05's bool ``(x,x)/(x,x)`` search: 48 bottoms and 183 combs
+        over 9 context blocks; the lower half runs once per bottom and block,
+        the upper half (read through ``block_key``) once per comb and block,
+        and no whole ``plug`` runs."""
+        backend, boundaries = MatrixBackend({"x": 2}, semiring="bool"), [(word("x"),) * 4]
+        calls = {"plug_lower": 0, "block_key": 0, "plug": 0, "plug_upper": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(backend, name, counting(name, getattr(backend, name)))
+        assert sigma_congruence_search(backend, boundaries, 2, 200) is None
+        assert calls == {"plug_lower": 432, "block_key": 1647, "plug": 0, "plug_upper": 0}
+
+
 def _dense_pieces(backend, rng, fill, n, count=6, words=(word(), word("x"), word("y"))):
     """``count`` n-hole pieces: hole, environment and outer words drawn from
     ``words``, segments from ``fill``."""
@@ -924,10 +1065,36 @@ def _reached(backend, source, target, bound, max_pairs=None):
     return list(order.values())
 
 
+def _check_block_contract(backend, walk, combs):
+    """Block fingerprints over ``walk`` against per-probe streams, interned
+    per probe: one key per context block; two combs get equal fingerprints
+    exactly when their per-probe keys are equal, and where they differ, the
+    first differing block holds the first differing probe.  Returns the
+    number of differing pairs."""
+    fingerprint = _fingerprinter(backend, walk)
+    starts = [0, *itertools.accumulate(len(fillers) for fillers, _ in _blocks(walk))]
+    interned = [{} for _ in walk]
+    per_probe, prints = [], []
+    for c in combs:
+        keys = [backend.canonical_key(v) for v in plug_chain(backend, *c.chain(), walk)]
+        per_probe.append(tuple(t.setdefault(k, len(t)) for t, k in zip(interned, keys)))
+        prints.append(fingerprint(c))
+        assert len(prints[-1]) == len(starts) - 1
+    differ = 0
+    for (k1, p1), (k2, p2) in itertools.combinations(zip(per_probe, prints), 2):
+        assert (p1 == p2) == (k1 == k2)
+        if p1 != p2:
+            differ += 1
+            block = next(i for i, (x, y) in enumerate(zip(p1, p2)) if x != y)
+            probe = next(i for i, (x, y) in enumerate(zip(k1, k2)) if x != y)
+            assert starts[block] <= probe < starts[block + 1]
+    return differ
+
+
 class TestBlockFingerprints:
     def test_bool_fingerprints_match_per_probe_keys(self):
-        """Criterion 05's bool entry: fingerprints taken block by block equal
-        the keys of per-probe streams, interned the same way; also on a walk
+        """Criterion 05's bool entry: block fingerprints against the keys of
+        per-probe streams (:func:`_check_block_contract`); also on a walk
         whose first contexts come back after the others.
 
         The first 60 combs reached share one braid class, so every probe
@@ -944,12 +1111,7 @@ class TestBlockFingerprints:
         probes = _probes(backend, b, b1)
         assert len(probes) == 144
         for walk in (probes, probes + probes[:40]):
-            fingerprint = _fingerprinter(backend, walk)
-            interned = [{} for _ in walk]
-            for c in combs:
-                keys = [backend.canonical_key(v) for v in plug_chain(backend, *c.chain(), walk)]
-                expect = tuple(t.setdefault(k, len(t)) for t, k in zip(interned, keys))
-                assert fingerprint(c) == expect
+            assert _check_block_contract(backend, walk, combs) == 3735
 
 
 class TestSharedSearchWork:
@@ -961,7 +1123,7 @@ class TestSharedSearchWork:
         tensors (the segment beside the waiting context legs, and the swap
         that routes a context leg or parks a filler output), once per bottom
         and context word and once per top and context word.  Tensors inside
-        ``plug`` and inside the braid values are not stretches."""
+        the kernel halves and inside the braid values are not stretches."""
         backend, boundaries = MatrixBackend({"x": 2}, semiring="bool"), [(word("x"),) * 4]
         a, a1, b, b1 = boundaries[0]
         reached = _reached(backend, (a, a1), (b, b1), 2, max_pairs=200)
@@ -983,7 +1145,8 @@ class TestSharedSearchWork:
             return wrapped
 
         monkeypatch.setattr(backend, "tensor", counting(backend.tensor, True))
-        monkeypatch.setattr(backend, "plug", counting(backend.plug, False))
+        for half in ("plug_lower", "block_key"):  # the search's two kernel halves
+            monkeypatch.setattr(backend, half, counting(getattr(backend, half), False))
         monkeypatch.setattr(comb_module, "chain_name", counting(comb_module.chain_name, False))
         assert sigma_congruence_search(backend, boundaries, 2, 200) is None
         assert tensors[0] == 2 * (len(bottoms) + len(tops)) * len(words)
@@ -1020,16 +1183,15 @@ class TestSharedSearchWork:
     @pytest.mark.parametrize("name", ["finfun", "pointed"])
     def test_fingerprints_match_per_probe_keys(self, name):
         """One fingerprinter over the combs of a boundary, against per-probe
-        streams: combs that share a bottom or a top share its stretches."""
+        streams (:func:`_check_block_contract`): combs that share a bottom or
+        a top share its stretches and its lower halves."""
         backend, o = NAME_BACKENDS[name][0](), word(NAME_BACKENDS[name][1])
         reached = _reached(backend, (o, o), (o, o), 2, max_pairs=200)
         assert len({(c.env, backend.canonical_key(c.f)) for c in reached}) < len(reached)
         probes = _probes(backend, o, o)
-        fingerprint = _fingerprinter(backend, probes)
-        interned = [{} for _ in probes]
-        for c in reached:
-            keys = [backend.canonical_key(v) for v in plug_chain(backend, *c.chain(), probes)]
-            assert fingerprint(c) == tuple(t.setdefault(k, len(t)) for t, k in zip(interned, keys))
+        for walk in (probes, probes + probes[:40]):
+            # braid values settle filler agreement on finfun: its combs all agree
+            assert bool(_check_block_contract(backend, walk, reached)) == (name == "pointed")
 
     @pytest.mark.parametrize("name", ["bool", "finfun"])
     def test_a_mistyped_filler_is_refused(self, name):

@@ -322,10 +322,6 @@ class MatrixBackend(Backend):
         arr = m.array.conj().T if self.semiring == "complex" else m.array.T.copy()
         return Mat(m.cod, m.dom, arr)
 
-    def conjugate(self, m: Mat) -> Mat:
-        arr = m.array.conj() if self.semiring == "complex" else m.array.copy()
-        return Mat(m.dom, m.cod, arr)
-
     # -- hooks ----------------------------------------------------------------------------
 
     def extension_word_len_needed(

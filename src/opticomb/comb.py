@@ -175,34 +175,14 @@ def plug_chain(
     composes ``((1_C (x) f) (sigma_{C,E} (x) 1_B)) (1_E (x) filler)
     ((sigma_{E,D} (x) 1_B') (1_D (x) g))``: no identity on the unit word
     sits by a swap.  Every filler is type-checked before it is plugged.
-
-    Each probe is a context block of one; :func:`_plug_blocks` evaluates
-    longer blocks, all the fillers of one context in one kernel call.
     """
-    for (value,) in _plug_blocks(
-        backend, holes, envs, segments, (((f,), c) for f, c in probes)
+    for (fillers,), path in _block_paths(
+        backend, holes, envs, segments, (((f,), c) for f, c in probes), None, True
     ):
+        value = path[0][0]
+        for lam, ((_, beside), (after, _)) in zip(fillers, zip(path, path[1:])):
+            value = backend.plug(value, beside, (lam,), after)[0]
         yield value
-
-
-def _plug_blocks(
-    backend: Backend, holes: Sequence[Pair], envs: Sequence[ObjectWord],
-    segments: Sequence[Any],
-    blocks: Iterable[tuple[Sequence[Sequence[Any]], Sequence[Pair]]],
-    built: dict | None = None, check: bool = True,
-) -> Iterator[list]:
-    """:func:`plug_chain` on blocks ``(fillers of several probes, contexts)``
-    of probes that share their contexts (:func:`_block_paths`): one list of
-    values per block; the first hole plugs the block in one ``plug`` call."""
-    for block, path in _block_paths(backend, holes, envs, segments, blocks, built, check):
-        vals = [path[0][0]] * len(block)
-        for i, ((_, beside), (after, _)) in enumerate(zip(path, path[1:])):
-            lams = [fillers[i] for fillers in block]
-            if i == 0:  # one stretch leads to the first hole: the block in one call
-                vals = backend.plug(vals[0], beside, lams, after)
-            else:
-                vals = [backend.plug(v, beside, (lam,), after)[0] for v, lam in zip(vals, lams)]
-        yield vals
 
 
 def _block_paths(

@@ -442,10 +442,13 @@ class Backend(ABC):
         """``before ; (beside (x) filler) ; after`` for each filler of a
         non-empty block of fillers that share one type.
 
-        The filler evaluation kernel of ``comb.plug_chain``, split at the hole
-        into :meth:`plug_lower` and :meth:`plug_upper`.  By default one tensor
-        and two composites per filler; the matrix and finfun backends batch
-        the block (stacked products; one walk of ``before``'s legs per filler).
+        The filler evaluation kernel, split at the hole into :meth:`plug_lower`
+        and :meth:`plug_upper`.  ``comb.plug_chain`` and
+        ``polycomb.poly_compose_at`` plug one filler per call; blocks reach
+        only :meth:`plug_lower` and :meth:`block_key`, in the congruence
+        search.  By default one tensor and two composites per filler; the
+        matrix and finfun backends batch the block (stacked products; one walk
+        of ``before``'s legs per filler).
         """
         return self.plug_upper(self.plug_lower(before, beside, fillers), after)
 
@@ -535,9 +538,6 @@ class Backend(ABC):
 
     def dagger(self, m: Any) -> Any:
         raise NotDaggerBackend(f"{self.name} has no dagger")
-
-    def conjugate(self, m: Any) -> Any:
-        raise NotDaggerBackend(f"{self.name} has no conjugation")
 
     # -- certification hooks -----------------------------------------------------
 

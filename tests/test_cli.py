@@ -161,6 +161,15 @@ PUBLIC_NAMES = {
     "sampling": "enumerate_combs env_words_for random_isometry random_unitary",
 }
 
+# functions, methods and classes of src/ that no other code in src/ names
+UNNAMED_IN_SRC = {
+    "is_equivalent": "Decision predicate of the public API; tests and perfbench read verdicts with it",
+    "is_unknown": "Decision predicate of the public API, beside is_equivalent; tests call it",
+    "map_comb": "public BackendFunctor method; tests and perfbench lift combs with it",
+    "parse_term": "public reader of one morphism term; the theory and program tests call it",
+    "delete": "the Backend's cartesian delete map, beside copy; the finfun tests check it",
+}
+
 # run in a fresh interpreter: import the package, run the CLI on the arguments
 # if any, and report on stderr whether numpy was loaded
 NUMPY_PROBE = """
@@ -647,6 +656,43 @@ class TestImports:
                 base = ".".join(filter(None, ["opticomb" if node.level else "", node.module]))
                 imported += [f"{base}.{alias.name}" for alias in node.names]
         assert imported and not [m for m in imported if m.startswith("opticomb.backends")]
+
+    def test_every_definition_is_named_in_src(self):
+        """Each function, method and class of ``src/`` is named by code in
+        ``src/`` outside its own definitions: an identifier, an imported name,
+        or a word of a string constant (the lazy exports), docstrings and
+        f-string text aside.  Dunder methods are called by Python; the rest is
+        ``UNNAMED_IN_SRC``."""
+        defined, named = {}, set()
+
+        def scan(node, inside, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.setdefault(child.name, []).append(f"{where}:{child.lineno}")
+                    scan(child, inside | {child.name}, where)
+                    continue
+                if isinstance(child, ast.Name):
+                    names = [child.id]
+                elif isinstance(child, ast.Attribute):
+                    names = [child.attr]
+                elif isinstance(child, ast.alias):
+                    names = [child.name.rpartition(".")[2]]
+                elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                      and not isinstance(node, (ast.Expr, ast.JoinedStr))):
+                    names = child.value.split()
+                else:
+                    names = []
+                named.update(set(names) - inside)
+                scan(child, inside, where)
+
+        src = ROOT / "src" / "opticomb"
+        for path in sorted(src.rglob("*.py")):
+            scan(ast.parse(path.read_text(encoding="utf-8")), frozenset(), path.relative_to(src))
+        unnamed = {
+            name: where for name, where in defined.items()
+            if name not in named and not (name.startswith("__") and name.endswith("__"))
+        }
+        assert sorted(unnamed) == sorted(UNNAMED_IN_SRC), unnamed
 
     def test_public_names_are_their_modules_objects(self):
         for module, names in PUBLIC_NAMES.items():

@@ -45,7 +45,7 @@ from opticomb import (
     sigma_congruence_search,
 )
 from opticomb.comb import (
-    _fingerprinter, _ordered, _plug_blocks, braid_refutation, filler_probes, plug_chain,
+    _block_paths, _fingerprinter, _ordered, braid_refutation, filler_probes, plug_chain,
     probe_scan,
 )
 from opticomb.core import Backend
@@ -494,6 +494,28 @@ def _blocks(probes):
     ]
 
 
+def _plug_blocks(backend, holes, envs, segments, blocks, built=None):
+    """The reference of ``plug_chain`` on context blocks: one list of values
+    per block, the first hole plugging the whole block in one ``plug`` call,
+    on the paths of ``_block_paths`` (their stretches shared through
+    ``built``)."""
+    for block, path in _block_paths(backend, holes, envs, segments, blocks, built, True):
+        vals = [path[0][0]] * len(block)
+        for i, ((_, beside), (after, _)) in enumerate(zip(path, path[1:])):
+            lams = [fillers[i] for fillers in block]
+            if i == 0:
+                vals = backend.plug(vals[0], beside, lams, after)
+            else:
+                vals = [backend.plug(v, beside, (lam,), after)[0] for v, lam in zip(vals, lams)]
+        yield vals
+
+
+def _composed(backend, before, beside, fillers, after):
+    """``plug`` as the default composition: one tensor and two composites each."""
+    return [backend.compose(backend.compose(before, backend.tensor(beside, lam)), after)
+            for lam in fillers]
+
+
 def _same_value(backend, v1, v2):
     if getattr(backend, "semiring", None) == "complex":
         return backend.equal(v1, v2)
@@ -622,7 +644,7 @@ class TestPlugKernel:
             if any(m is None for m in (before, beside, after, *fillers)):
                 continue
             got = backend.plug(before, beside, fillers, after)
-            want = Backend.plug(backend, before, beside, fillers, after)
+            want = _composed(backend, before, beside, fillers, after)
             assert len(got) == len(want) == 5
             for v, u in zip(got, want):
                 assert (v.dom, v.cod) == (u.dom, u.cod) == (x, y)
@@ -648,7 +670,7 @@ class TestPlugKernel:
         raw = [after.array @ np.kron(beside.array, f.array) @ before.array for f in fillers]
         assert max(int(r.max()) for r in raw) > 1
         got = backend.plug(before, beside, fillers, after)
-        want = Backend.plug(backend, before, beside, fillers, after)
+        want = _composed(backend, before, beside, fillers, after)
         assert [backend.canonical_key(v) for v in got] == [backend.canonical_key(v) for v in want]
         for v, r in zip(got, raw):
             assert np.array_equal(v.array, (r > 0).astype(np.int64))
@@ -661,7 +683,7 @@ class TestPlugKernel:
         after = backend.mat(x @ z, x, np.zeros((2, 0)))
         fillers = [backend.mat(z, z, np.zeros((0, 0)))] * 3
         got = backend.plug(before, backend.identity(x), fillers, after)
-        want = Backend.plug(backend, before, backend.identity(x), fillers, after)
+        want = _composed(backend, before, backend.identity(x), fillers, after)
         for v, u in zip(got, want, strict=True):
             assert v.array.shape == (2, 2)
             assert backend.equal(v, u)
@@ -707,19 +729,14 @@ class TestPlugKernel:
         for p in random_pieces(make(), o, 1, rng, 4):
             probes = _walk(backend, rng, p, [word(), o], repeat=3)
             seqs = []
-            for blocks in (_blocks(probes), [((f,), c) for f, c in probes]):
+            for run in (lambda b: _plug_blocks(b, *p.chain(), _blocks(probes)),
+                        lambda b: plug_chain(b, *p.chain(), probes)):
                 calls = _recording(other := make())
-                list(_plug_blocks(other, *p.chain(), blocks))
+                list(run(other))
                 seqs.append([(op, [(backend.dom(a), backend.cod(a)) if not isinstance(a, ObjectWord)
                                    else a for a in args]) for op, args, _ in calls])
             assert seqs[0] == seqs[1]
             assert [op for op, _ in seqs[0]].count("tensor") >= len(probes)
-
-
-def _composed(backend, before, beside, fillers, after):
-    """``plug`` as the default composition: one tensor and two composites each."""
-    return [backend.compose(backend.compose(before, backend.tensor(beside, lam)), after)
-            for lam in fillers]
 
 
 def _lower(backend, before, beside, fillers):

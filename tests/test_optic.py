@@ -25,7 +25,7 @@ from opticomb import (
     slide_related,
 )
 import opticomb.optic as optic
-from opticomb.core import Budget, Decision
+from opticomb.core import Budget, Decision, HomSet
 from opticomb.optic import MAX_SLIDE_STATES, _state_key
 from opticomb.sampling import env_words_for
 
@@ -99,6 +99,43 @@ class TestZigzag:
         assert slide_view.coverage["hom_scans_complete"] is True
         assert slide_view.coverage["frontier_truncated"] is False
         assert slide_view.witness.states_explored >= 1
+
+    def test_a_truncated_frontier_certifies_nothing(self, monkeypatch):
+        """A search cut at ``MAX_SLIDE_STATES`` has not seen the whole slide
+        component, so it answers UNKNOWN where the full search certifies
+        DISTINCT.  The slide tables live on the backend: each run gets its own."""
+        a = word("a")
+
+        def decide():
+            backend = IdempotentFreeBackend()
+            reps = list(enumerate_combs(backend, (a @ a, a @ a), (a, a), 1))
+            return equiv_optic(backend, reps[1], reps[0], strategy="zigzag")
+
+        full = decide()
+        assert full.verdict is Verdict.DISTINCT and full.certified
+        assert full.witness.states_explored == 3
+        monkeypatch.setattr(optic, "MAX_SLIDE_STATES", 1)
+        cut = decide()
+        assert cut.verdict is Verdict.UNKNOWN and not cut.certified
+        assert cut.coverage["frontier_truncated"] is True
+        assert cut.coverage["environments_graded"] and cut.coverage["hom_scans_complete"]
+
+    def test_an_incomplete_hom_scan_certifies_nothing(self):
+        """The pair of :meth:`test_separates_what_fillers_glue` over a backend
+        whose hom-set scans may have missed morphisms: UNKNOWN, not DISTINCT."""
+
+        class Incomplete(IdempotentFreeBackend):
+            def enumerate_hom(self, dom, cod, budget):
+                return HomSet(super().enumerate_hom(dom, cod, budget).items, complete=False)
+
+        backend, a = Incomplete(), word("a")
+        f = backend.generator("f")
+        o1 = comb(backend, f, backend.identity(a), env=ObjectWord.unit())
+        o2 = comb(backend, backend.identity(a), f, env=ObjectWord.unit())
+        d = equiv_optic(backend, o1, o2, strategy="zigzag")
+        assert d.verdict is Verdict.UNKNOWN and not d.certified
+        assert d.coverage["hom_scans_complete"] is False
+        assert d.coverage["environments_graded"] and not d.coverage["frontier_truncated"]
 
     def test_needs_enumerable_backend(self, cbe):
         c = comb(

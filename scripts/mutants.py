@@ -1,0 +1,118 @@
+"""Apply each mutant of a fixed table to a copy of the checkout and run the
+tests that must catch it.
+
+A mutant is a one-place edit of the source: the file, a text that occurs
+exactly once in it, and the text that replaces it.  For each mutant the
+script copies the checkout into a temporary directory, applies the edit
+there, runs only the mutant's tests with pytest, and prints ``caught`` when
+every one of them fails, ``survived`` when one passes.  The checkout itself
+is never edited.  The exit code is 1 when a mutant survives, or when its
+text is missing or its tests cannot be run, else 0.
+
+Usage: python3 scripts/mutants.py [name ...]   (default: the whole table)
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+ZIGZAG_GUARD = "if graded and scans_complete and not truncated:"
+WITNESS_LAYOUT = "fields if len(fillers) != 1 else [f[0] for f in fields]"
+
+MUTANTS = (
+    Mutant("absorbing braid values claimed conclusive", "src/opticomb/backends/free.py",
+           '    name = "free-pointed-absorbing"\n    braid_conclusive = False',
+           '    name = "free-pointed-absorbing"\n    braid_conclusive = True',
+           ("tests/test_routes.py::TestOpticAutoBraidPrecheck::test_absorbing_braid_values_agree",
+            "tests/test_polycomb.py::TestEquivalence::test_probe_route_refutes_on_enumerable")),
+    Mutant("idempotent conclusive context length minus 1", "src/opticomb/backends/free.py",
+           "return abs(len(target[0]) - len(target[1]))",
+           "return abs(len(target[0]) - len(target[1])) - 1",
+           ("tests/test_comb.py::TestSigmaTau::test_tau_certifies_on_complete_scan",)),
+    Mutant("probe route certifies without complete hom scans", "src/opticomb/comb.py",
+           "length >= needed and all(scans):", "length >= needed:",
+           ("tests/test_cli.py::test_strategy_matrix_matches_fixture",)),
+    Mutant("auto runs no screens", "src/opticomb/comb.py",
+           'for screen in route.screens if strategy == "auto" else ():', "for screen in ():",
+           ("tests/test_routes.py::TestOpticAutoBraidPrecheck::test_pointed_refuted_by_braid_value",
+            "tests/test_routes.py::test_name_witness_contract[pointed]")),
+    Mutant("slide search certifies DISTINCT without complete hom scans",
+           "src/opticomb/optic.py", ZIGZAG_GUARD, "if graded and not truncated:",
+           ("tests/test_optic.py::TestZigzag::test_an_incomplete_hom_scan_certifies_nothing",)),
+    Mutant("slide search certifies DISTINCT on a truncated frontier",
+           "src/opticomb/optic.py", ZIGZAG_GUARD, "if graded and scans_complete:",
+           ("tests/test_optic.py::TestZigzag::test_a_truncated_frontier_certifies_nothing",)),
+    Mutant("finfun kernel reads the first beside leg for every leg",
+           "src/opticomb/backends/finfun.py",
+           "legs = [(beside.table[i] * n_out, j)", "legs = [(beside.table[0] * n_out, j)",
+           ("tests/test_comb.py::TestPlugKernel::test_kernel_matches_the_default_kernel[finfun]",
+            "tests/test_comb.py::TestPlugKernel::test_kernel_matches_the_default_kernel"
+            "[finfun-empty]")),
+    Mutant("one-hole probe witness written with tuples", "src/opticomb/core.py",
+           WITNESS_LAYOUT, "fields",
+           ("tests/test_core.py::TestDecision::test_probe_witness_layout_round_trips[1]",
+            "tests/test_cli.py::TestBundledPairs::test_json_matches_golden_copy"
+            "[bool2.thy-bool2.prog]")),
+    Mutant("splice without the environment beside the inner bottom", "src/opticomb/comb.py",
+           "first = backend.compose(segs[j], backend.tensor(id_mj, in_segs[0]))",
+           "first = backend.compose(segs[j], in_segs[0])",
+           ("tests/test_comb.py::TestComposition::test_nested_evaluation_law",
+            "tests/test_polycomb.py::TestPlugging::test_splice_into_two_hole_host")),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """``caught``, ``survived``, or an error that says why it could not run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-out"))
+        path = copy / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return f"error: the old text occurs {text.count(mutant.old)} times"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+    if done.returncode not in (0, 1):
+        return f"error: pytest exited {done.returncode}\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
+    passed = [line for line in done.stdout.splitlines() if line.startswith("PASSED ")]
+    return "survived: " + ", ".join(passed) if passed else "caught"
+
+
+def main(argv: list[str]) -> int:
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    bad = 0
+    for mutant in chosen:
+        outcome = run(mutant)
+        bad += outcome != "caught"
+        print(f"{mutant.name}: {outcome}", flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants caught")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

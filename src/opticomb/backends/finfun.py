@@ -3,8 +3,8 @@
 Objects are words of named finite sets; an object word denotes the product
 of its factors, with elements encoded as mixed-radix integers (leftmost
 factor most significant).  Morphisms are total functions stored as flat
-lookup tables.  The backend is cartesian (copy, delete, projections, a
-chosen point) and exactly enumerable.
+lookup tables.  The backend is cartesian (copy, projections, a chosen
+point) and exactly enumerable.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ class FinMap:
 
 
 class FinFunBackend(Backend):
+    name = "finfun"
     cartesian = True
     enumerable = True
     # functions sit faithfully inside boolean matrices as their graphs, so
@@ -48,13 +49,11 @@ class FinFunBackend(Backend):
         self,
         sizes: Mapping[str, int],
         generators: Mapping[str, tuple[Any, Any, Any]] | None = None,
-        name: str = "finfun",
     ):
         for obj, s in sizes.items():
             if s < 0:
                 raise DimensionMismatch(f"object {obj} has negative size {s}")
         self.sizes = dict(sizes)
-        self.name = name
         self._gens: dict[str, FinMap] = {}
         for gname, (dom, cod, table) in (generators or {}).items():
             self.add_generator(gname, dom, cod, table)
@@ -168,9 +167,6 @@ class FinFunBackend(Backend):
     def copy(self, word: ObjectWord) -> FinMap:
         n = self.size(word)
         return FinMap(word, word @ word, tuple(x * n + x for x in range(n)))
-
-    def delete(self, word: ObjectWord) -> FinMap:
-        return FinMap(word, ObjectWord.unit(), tuple(0 for _ in range(self.size(word))))
 
     def proj1(self, left: ObjectWord, right: ObjectWord) -> FinMap:
         nl, nr = self.size(left), self.size(right)

@@ -90,6 +90,7 @@ class StrandMor:
 class IdempotentFreeBackend(_OneObjectBackend):
     """Free commutative strand category on one idempotent endomorphism."""
 
+    name = "free-commutative"
     commutative_symmetry = True
     enumerable = True
     # a one-dimensional matrix model (object -> dimension 1, endo -> the 1x1
@@ -97,10 +98,9 @@ class IdempotentFreeBackend(_OneObjectBackend):
     # all structure, so braid values settle filler agreement here
     braid_conclusive = True
 
-    def __init__(self, object_name: str = "a", endo_name: str = "f", name: str | None = None):
+    def __init__(self, object_name: str = "a", endo_name: str = "f"):
         self.object_name = object_name
         self.endo_name = endo_name
-        self.name = name or "free-commutative"
         self._gens = {endo_name: StrandMor(self.strands(1), (True,))}
 
     # -- structure ----------------------------------------------------------------
@@ -242,6 +242,7 @@ class PointedFreeBackend(_OneObjectBackend):
     as open-ended, so downstream certification never leans on it.
     """
 
+    name = "free-pointed"
     enumerable = True
     # the braid value of a comb records the complete wiring of the open
     # diagram, and plugging a filler composes wirings, so braid agreement
@@ -254,7 +255,6 @@ class PointedFreeBackend(_OneObjectBackend):
         states: Iterable[str] = ("phi", "psi"),
         effects: Iterable[str] = ("bang",),
         rules: Iterable[tuple[str, str]] | None = None,
-        name: str | None = None,
     ):
         self.object_name = object_name
         self.states = tuple(states)
@@ -262,7 +262,6 @@ class PointedFreeBackend(_OneObjectBackend):
         if rules is None:
             rules = [(s, e) for s in self.states for e in self.effects]
         self.rules = frozenset(rules)
-        self.name = name or "free-pointed"
         for s, e in self.rules:
             if s not in self.states:
                 raise UnknownGenerator(f"rule uses undeclared state {s!r}")
@@ -428,13 +427,11 @@ class AbsorbingPointedBackend(PointedFreeBackend):
     them apart.
     """
 
+    name = "free-pointed-absorbing"
     braid_conclusive = False
 
     def __init__(self):
-        super().__init__(
-            states=("phi", "psi"), effects=("bang",), rules=(),
-            name="free-pointed-absorbing",
-        )
+        super().__init__(states=("phi", "psi"), effects=("bang",), rules=())
 
     def normal_form(self, m: WiringMor) -> WiringMor:
         """Erase every state label that some unfed ``bang`` makes irrelevant."""

@@ -111,13 +111,16 @@ class MatrixBackend(Backend):
     has_dagger = True
     braid_conclusive = True
 
+    @property
+    def name(self) -> str:
+        return f"matrix[{self.semiring}]"
+
     def __init__(
         self,
         dims: Mapping[str, int],
         generators: Mapping[str, tuple[Any, Any, Any]] | None = None,
         semiring: str = "complex",
         tolerance: float = 1e-9,
-        name: str | None = None,
     ):
         if semiring not in SEMIRINGS:
             raise ValueError(f"unknown semiring {semiring!r}, expected one of {SEMIRINGS}")
@@ -126,7 +129,6 @@ class MatrixBackend(Backend):
                 raise DimensionMismatch(f"object {obj} has negative dimension {d}")
         self.semiring = semiring
         self.dims = dict(dims)
-        self.name = name or f"matrix[{semiring}]"
         self.tolerance = tolerance if semiring == "complex" else None
         self.enumerable = semiring == "bool"
         self._gens: dict[str, Mat] = {}

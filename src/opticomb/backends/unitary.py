@@ -17,6 +17,7 @@ from .matrix import Mat, MatrixBackend, close, residual_tolerance
 
 
 class UnitaryBackend(MatrixBackend):
+    name = "unitary"
     compact_closed = False
     enumerable = False
     unitary_values = True
@@ -24,9 +25,9 @@ class UnitaryBackend(MatrixBackend):
 
     def __init__(self, dims: Mapping[str, int],
                  generators: Mapping[str, tuple[Any, Any, Any]] | None = None,
-                 name: str = "unitary", **tolerance: float):
+                 **tolerance: float):
         # the optional ``tolerance`` keyword and its default are MatrixBackend's
-        super().__init__(dims, generators, "complex", name=name, **tolerance)
+        super().__init__(dims, generators, "complex", **tolerance)
 
     def mat(self, dom: ObjectWord, cod: ObjectWord, entries: Any) -> Mat:
         m = super().mat(dom, cod, entries)

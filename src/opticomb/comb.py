@@ -5,10 +5,11 @@ hole: a bottom ``f : A -> E (x) B`` and a top ``g : E (x) B' -> A'``
 sharing an environment ``E`` that bypasses the hole.  Plugging a filler
 ``lam : C (x) B -> D (x) B'`` into the hole yields the extended evaluation
 ``C (x) A -> D (x) A'``; two combs are extensionally equivalent when every
-filler yields the same value.  ``plug_chain`` builds the evaluation for a
-whole stream of probes (``extended_eval`` is its one-probe stream), and
-``chain_name`` the braid value, through the backend's name kernel ``bend``;
-``polycomb`` shares both for any number of holes.
+filler yields the same value.  A comb is the one-hole chain ``(holes,
+envs, segments)`` that ``polycomb`` builds with any number of holes:
+``plug_chain`` evaluates a chain on a stream of probes (``extended_eval``
+is its one-probe stream), the backend's ``bend`` names it (the braid value,
+on one hole), and ``_splice`` nests one chain in a hole of another.
 
 Three progressively cheaper relations are decidable here:
 
@@ -29,7 +30,8 @@ as the swap filler in every hole; ``equiv_sigma``, the comb ``braid`` and
 screen and ``poly_equiv`` call it, and each says what equal names
 certify.  ``lens_refutation`` compares lens components for the comb and
 optic ``lens`` routes.  ``filler_probes`` draws the fillers of every
-probe scan.
+probe scan, and ``_probe_route`` scans them for ``equiv_tau``, the
+``enumerate`` route and ``poly_equiv``, with one coverage schema.
 """
 from __future__ import annotations
 
@@ -128,10 +130,23 @@ def comb_compose(backend: Backend, c1: CombRep, c2: CombRep) -> CombRep:
             f"cannot nest: inner boundary {_pp(c1.target)} does not match outer source "
             f"{_pp(c2.source)}"
         )
-    e1 = backend.identity(c1.env)
-    f = backend.compose(c1.f, backend.tensor(e1, c2.f))
-    g = backend.compose(backend.tensor(e1, c2.g), c1.g)
-    return CombRep(c1.source, c2.target, c1.env @ c2.env, f, g)
+    (target,), (env,), (f, g) = _splice(backend, c1.chain(), c2.chain(), 0)
+    return CombRep(c1.source, target, env, f, g)
+
+
+def _splice(backend: Backend, chain: tuple, inner: tuple, j: int) -> tuple:
+    """Splice the chain ``inner`` (:func:`plug_chain`), with one or more holes,
+    into hole ``j`` of ``chain``: it runs beside the environment ``M_j``, its
+    bottom after segment ``j`` and its top before segment ``j + 1``."""
+    holes, envs, segs = chain
+    in_holes, in_envs, in_segs = inner
+    id_mj = backend.identity(envs[j])
+    first = backend.compose(segs[j], backend.tensor(id_mj, in_segs[0]))
+    middle = tuple(backend.tensor(id_mj, s) for s in in_segs[1:-1])
+    last = backend.compose(backend.tensor(id_mj, in_segs[-1]), segs[j + 1])
+    return (holes[:j] + in_holes + holes[j + 1 :],
+            envs[:j] + tuple(envs[j] @ e for e in in_envs) + envs[j + 1 :],
+            segs[:j] + (first, *middle, last) + segs[j + 2 :])
 
 
 def comb_tensor(backend: Backend, c1: CombRep, c2: CombRep) -> CombRep:
@@ -249,22 +264,6 @@ def _block_paths(
         yield block, path
 
 
-def chain_name(
-    backend: Backend, holes: Sequence[Pair], envs: Sequence[ObjectWord],
-    segments: Sequence[Any],
-) -> Any:
-    """Bend every hole of a chain (:func:`plug_chain`) around: ``backend.bend``.
-
-    The value runs ``B (x) A_0' .. A_{n-1}' -> B' (x) A_0 .. A_{n-1}``:
-    each hole output waits on the right until its segment takes it in, and
-    each hole input is parked on the far right as it appears.  Plugging the
-    swap filler ``sigma(A_i', A_i)`` at context ``(A_i', A_i)`` into every
-    hole gives the same value up to fixed symmetries, so it is defined in
-    any symmetric monoidal category and refutes plugging equivalence there.
-    """
-    return backend.bend(holes, envs, segments)
-
-
 def extended_eval(
     backend: Backend, c: CombRep, filler: Any, c_word: ObjectWord, d_word: ObjectWord
 ) -> Any:
@@ -284,7 +283,7 @@ def braid_eval(backend: Backend, c: CombRep) -> Any:
     because plugging the swap filler at context ``(B', B)`` reproduces it
     up to fixed symmetries.
     """
-    return chain_name(backend, (c.target,), (c.env,), (c.f, c.g))
+    return backend.bend(*c.chain())
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +329,7 @@ NAME_NOTE = "the names differ, so the swap filler in every hole separates the tw
 
 
 def braid_refutation(backend: Backend, x: Any, y: Any) -> ProbeWitness | None:
-    """Compare the names (:func:`chain_name`) of two chains of one shape:
+    """Compare the names (``Backend.bend``) of two chains of one shape:
     combs, or poly pieces with any number of holes.
 
     Plugging the swap filler ``sigma(A_i', A_i)`` at context ``(A_i', A_i)``
@@ -341,20 +340,16 @@ def braid_refutation(backend: Backend, x: Any, y: Any) -> ProbeWitness | None:
     the names agree; what that certifies is the caller's to say.
     """
     chain = x.chain()
-    n1, n2 = chain_name(backend, *chain), chain_name(backend, *y.chain())
+    n1, n2 = backend.bend(*chain), backend.bend(*y.chain())
     if backend.equal(n1, n2):
         return None
     holes, _, segments = chain
-    cs, ds = tuple(a1 for _, a1 in holes), tuple(a for a, _ in holes)
-    before = backend.symmetry(_join(cs), backend.dom(segments[0]))
-    after = backend.symmetry(backend.cod(segments[-1]), _join(ds))
+    contexts = tuple((a1, a) for a, a1 in holes)
+    before = backend.symmetry(_join([c for c, _ in contexts]), backend.dom(segments[0]))
+    after = backend.symmetry(backend.cod(segments[-1]), _join([d for _, d in contexts]))
     left, right = (backend.compose(backend.compose(before, n), after) for n in (n1, n2))
-    fields = (cs, ds, tuple(backend.symmetry(c, d) for c, d in zip(cs, ds)),
-              tuple(Symmetry(c, d) for c, d in zip(cs, ds)))
-    if len(holes) == 1:
-        fields = tuple(field[0] for field in fields)
-    cw, dw, probe, term = fields
-    return ProbeWitness(cw, dw, probe, left=left, right=right, probe_term=term, note=NAME_NOTE)
+    return ProbeWitness.of([backend.symmetry(c, d) for c, d in contexts], contexts, left, right,
+                           [Symmetry(c, d) for c, d in contexts], NAME_NOTE)
 
 
 def lens_refutation(backend: Backend, c1: CombRep, c2: CombRep) -> FactorWitness | None:
@@ -424,11 +419,8 @@ def probe_scan(
 
 
 def _probe_witness(backend: Backend, hit: tuple, note: str) -> ProbeWitness:
-    ((lam,), ((cw, dw),)), v1, v2 = hit
-    return ProbeWitness(
-        cw, dw, lam, left=v1, right=v2,
-        probe_term=backend.value_to_term(lam), note=note,
-    )
+    (fillers, contexts), v1, v2 = hit
+    return ProbeWitness.of(fillers, contexts, v1, v2, map(backend.value_to_term, fillers), note)
 
 
 @dataclass(frozen=True)
@@ -518,22 +510,24 @@ def _lens_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decis
 
 def _probe_route(
     method: str, note: str, length: int | None,
-    backend: Backend, c1: CombRep, c2: CombRep, bound: int,
+    backend: Backend, x: Any, y: Any, bound: int,
 ) -> Decision:
-    """Plug every filler at every pair of context words up to ``length`` (the
-    bound when None): ``equiv_tau`` at length 0, the ``enumerate`` route at
-    the bound.  Agreement certifies once that length reaches the backend's
-    conclusive context length and every hom-set scan was complete."""
+    """Plug every filler tuple into the holes of two chains at every pair of
+    context words up to ``length`` (the bound when None): ``equiv_tau`` and
+    ``poly_equiv``'s scan at length 0, the ``enumerate`` route at the bound.
+    Agreement certifies once that length reaches a comb's conclusive context
+    length and every hom-set scan was complete; n-hole pieces never certify."""
     length = bound if length is None else length
     words = backend.enumerate_objects(length)
     scans: list[bool] = []
-    probes = filler_probes(backend, (c1.target,), words, Budget.of(bound).max_hom, scans)
-    hit, tried = probe_scan(backend, c1, c2, probes)
+    probes = filler_probes(backend, x.chain()[0], words, Budget.of(bound).max_hom, scans)
+    hit, tried = probe_scan(backend, x, y, probes)
     if hit is not None:
         return Decision.distinct(
             method, _probe_witness(backend, hit, note), coverage={"probes_tried": tried}
         )
-    needed = backend.extension_word_len_needed(c1.source, c1.target)
+    needed = (backend.extension_word_len_needed(x.source, x.target)
+              if isinstance(x, CombRep) else None)
     coverage = {"probes_tried": tried, "context_words": len(words),
                 "hom_scans_complete": all(scans), "disagreements": 0,
                 "conclusive_context_len": needed, "bound": bound}

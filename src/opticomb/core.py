@@ -38,7 +38,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Hashable, Iterator, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -73,7 +73,7 @@ class NotEnumerable(CategoryError):
 
 
 class NotCartesian(CategoryError):
-    """Cartesian structure (copy/delete/projections) was requested but absent."""
+    """Cartesian structure (copy/projections) was requested but absent."""
 
 
 class NotCompactClosed(CategoryError):
@@ -468,8 +468,14 @@ class Backend(ABC):
 
     def bend(self, holes: Sequence[tuple[ObjectWord, ObjectWord]],
              envs: Sequence[ObjectWord], segments: Sequence[Any]) -> Any:
-        """The name kernel of ``comb.chain_name``: by default swaps and segments
-        beside identities, composed hole by hole; the matrix backend contracts."""
+        """The name of a chain (``comb.plug_chain``), every hole bent around:
+        ``B (x) A_0' .. A_{n-1}' -> B' (x) A_0 .. A_{n-1}``, each hole output
+        waiting on the right until its segment takes it in, each hole input
+        parked on the far right.  The swap filler ``sigma(A_i', A_i)`` at
+        context ``(A_i', A_i)`` in every hole gives it up to fixed symmetries,
+        so it refutes plugging equivalence on any backend; on one hole it is
+        the braid value.  By default swaps and segments beside identities,
+        composed hole by hole; the matrix backend contracts."""
         ins, outs = [a for (a, _) in holes], [a1 for (_, a1) in holes]
         val = self.tensor(segments[0], self.identity(_join(outs)))
         for i, ((a, a1), e) in enumerate(zip(holes, envs)):
@@ -511,9 +517,6 @@ class Backend(ABC):
 
     def copy(self, word: ObjectWord) -> Any:
         raise NotCartesian(f"{self.name} has no copy map")
-
-    def delete(self, word: ObjectWord) -> Any:
-        raise NotCartesian(f"{self.name} has no delete map")
 
     def proj1(self, left: ObjectWord, right: ObjectWord) -> Any:
         raise NotCartesian(f"{self.name} has no projections")
@@ -635,7 +638,8 @@ class ProbeWitness:
     ``(c_word, d_word)``; ``left`` and ``right`` are the values
     ``comb.plug_chain`` gives the two representatives on it.  A witness on a
     chain with n != 1 holes holds a tuple in ``c_word``, ``d_word``,
-    ``probe`` and ``probe_term``, one entry per hole.
+    ``probe`` and ``probe_term``, one entry per hole: :meth:`of` writes that
+    layout and :meth:`probes` reads it.
     """
 
     c_word: ObjectWord | tuple[ObjectWord, ...]
@@ -645,6 +649,21 @@ class ProbeWitness:
     right: Any
     probe_term: MorTerm | tuple[MorTerm, ...] | None = None
     note: str = ""
+
+    @staticmethod
+    def of(fillers: Sequence[Any], contexts: Sequence[tuple[ObjectWord, ObjectWord]],
+           left: Any, right: Any, terms: Iterable[Any], note: str) -> "ProbeWitness":
+        """The witness of the probe ``(fillers, contexts)``."""
+        fields = [tuple(c for c, _ in contexts), tuple(d for _, d in contexts),
+                  tuple(fillers), tuple(terms)]
+        cw, dw, probe, term = fields if len(fillers) != 1 else [f[0] for f in fields]
+        return ProbeWitness(cw, dw, probe, left, right, term, note)
+
+    def probes(self) -> list[tuple[tuple, tuple]]:
+        """The witness as a one-probe stream of ``comb.plug_chain``."""
+        one = isinstance(self.c_word, ObjectWord)
+        cs, ds, fillers = ([f] if one else f for f in (self.c_word, self.d_word, self.probe))
+        return [(tuple(fillers), tuple(zip(cs, ds)))]
 
     def to_json(self) -> dict:
         data = {

@@ -298,9 +298,5 @@ def equiv_optic(
 
 def check_probe_witness(backend: Backend, x: Any, y: Any, witness: ProbeWitness) -> bool:
     """Re-run a probe witness on two combs, or two poly pieces: do they really
-    disagree on it?  A one-hole witness holds one filler and one context, any
-    other a tuple of each, one entry per hole."""
-    fillers, contexts = witness.probe, tuple(zip(witness.c_word, witness.d_word))
-    if isinstance(witness.c_word, ObjectWord):
-        fillers, contexts = (witness.probe,), ((witness.c_word, witness.d_word),)
-    return probe_scan(backend, x, y, [(fillers, contexts)])[0] is not None
+    disagree on it?"""
+    return probe_scan(backend, x, y, witness.probes())[0] is not None

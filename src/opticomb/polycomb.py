@@ -6,8 +6,9 @@ holes, and segments ``s_0 ... s_n``: the bottom segment turns the outer
 inputs into the first environment and hole input, each middle segment
 turns one hole's output into the next environment and hole input, and
 the top segment turns the last hole's output into the outer outputs.
-Plugging fillers and the name run through ``comb.plug_chain`` and
-``comb.chain_name`` (the backend's ``bend`` kernel), as for one hole.
+Its ``chain()`` is the chain of ``comb``, whose combs are the one-hole
+case: plugging fillers, the name (the backend's ``bend``), the probe
+route and the splice are ``comb``'s, for any number of holes.
 
 A one-hole piece is the comb on its joined outer words, so ``poly_equiv``
 hands every one-hole pair to ``equiv_comb``.  It compares the names of
@@ -15,18 +16,19 @@ any other pair through ``comb.braid_refutation``, the comparison the
 one-hole routes use: differing names refute on every backend, with the
 swap filler in every hole as the witness, and equal names confirm where
 the name is complete: over compact closed backends, and for hole-free
-pieces.
+pieces.  Elsewhere an enumerable backend runs ``comb``'s probe route at
+context length 0, which refutes but never confirms.
 
 Composition plugs one representative into a hole of another.  Two shapes
 are supported: an inner piece with holes and exactly one outer pair
-splices its hole chain into place, and a hole-free inner piece (a single
-segment, one-port pieces included) plugs one of its ports into the hole.
-Its remaining ports ride as luggage beside the environments: their
-inputs through every segment below the hole, their outputs through every
-segment above it, to join the host's outer boundary.  At the hole the
-reordered inner segment is a filler, plugged by one ``Backend.plug``
-call.  Together these cover unit/counit plugging and the yanking
-identities.
+splices its hole chain into place (``comb._splice``, which nests combs
+too), and a hole-free inner piece (a single segment, one-port pieces
+included) plugs one of its ports into the hole.  Its remaining ports
+ride as luggage beside the environments: their inputs through every
+segment below the hole, their outputs through every segment above it, to
+join the host's outer boundary.  At the hole the reordered inner segment
+is a filler, plugged by one ``Backend.plug`` call.  Together these cover
+unit/counit plugging and the yanking identities.
 """
 from __future__ import annotations
 
@@ -35,9 +37,7 @@ from typing import Any, Sequence
 
 from .core import (
     Backend,
-    Budget,
     Decision,
-    FactorWitness,
     HoleMismatch,
     NotCompactClosed,
     ObjectWord,
@@ -46,8 +46,8 @@ from .core import (
     block_permutation,
 )
 from .comb import (
-    CombRep, Pair, Relation, Route, _join, _pp, braid_refutation, chain_name, decide,
-    equiv_comb, filler_probes, identity_comb, plug_chain, probe_scan,
+    CombRep, Pair, Relation, Route, _join, _pp, _probe_route, _splice, braid_refutation,
+    decide, equiv_comb, identity_comb, plug_chain,
 )
 
 
@@ -136,17 +136,15 @@ def poly_name(backend: Backend, p: PolyCombRep) -> Any:
     """The one-shot value ``B (x) A_0' .. A_{n-1}' -> A_0 .. A_{n-1} (x) B'``.
 
     Feeds every hole output straight back in: the chain's name
-    (:func:`~opticomb.comb.chain_name`, for one hole the braid value) with
-    the hole inputs moved to the left.  Plugging the swap filler
+    (``Backend.bend``, for one hole the braid value) with the hole inputs
+    moved to the left.  Plugging the swap filler
     ``sigma(A_i', A_i)`` at context ``(A_i', A_i)`` into every hole gives
     ``sigma(A_0' .. A_{n-1}', B) ; name``.  No decision reads it:
     ``poly_equiv`` compares the chain names themselves.
     """
     outs = _join([b1 for (_, b1) in p.outers])
     ins = _join([a for (a, _) in p.holes])
-    return backend.compose(
-        chain_name(backend, p.holes, p.envs, p.segments), backend.symmetry(outs, ins)
-    )
+    return backend.compose(backend.bend(*p.chain()), backend.symmetry(outs, ins))
 
 
 def _check_same_shape(p: PolyCombRep, q: PolyCombRep) -> None:
@@ -166,22 +164,8 @@ def _poly_route(backend: Backend, p: PolyCombRep, q: PolyCombRep, bound: int) ->
         return Decision.unknown(
             "poly-name", coverage={"names_agree": True, "conclusive": False}
         )
-    scans: list[bool] = []
-    probes = filler_probes(
-        backend, p.holes, (ObjectWord.unit(),), Budget.of(bound).max_hom, scans
-    )
-    hit, tried = probe_scan(backend, p, q, probes)
-    if hit is not None:
-        (combo, _), v1, v2 = hit
-        witness = FactorWitness(
-            pieces={"fillers": combo, "left": v1, "right": v2},
-            note="a tuple of trivial-context fillers separates the representatives",
-        )
-        return Decision.distinct(
-            "poly-probes", witness, coverage={"probes_tried": tried}
-        )
-    coverage = {"probes_tried": tried, "hom_scans_complete": all(scans)}
-    return Decision.unknown("poly-probes", coverage=coverage)
+    note = "a tuple of trivial-context fillers separates the representatives"
+    return _probe_route("poly-probes", note, 0, backend, p, q, bound)
 
 
 #: plugging equivalence: one fixed comparison
@@ -198,9 +182,11 @@ def poly_equiv(
     names refute on every backend, with the swap filler in every hole.
     Equal names confirm where the name is complete, over compact closed
     backends and for hole-free pieces (whose name is their segment).
-    Elsewhere a bounded family of trivial-context filler tuples can refute,
-    never confirm, on an enumerable backend, and the verdict is otherwise
-    unknown.
+    Elsewhere, on an enumerable backend, the shared probe route at context
+    length 0 (method ``poly-probes``) plugs every trivial-context filler
+    tuple: it can refute, with a probe witness that
+    :func:`~opticomb.optic.check_probe_witness` replays, and never
+    confirms.  The verdict is otherwise unknown.
     """
     return decide(POLY, backend, p, q, bound=bound)
 
@@ -246,30 +232,10 @@ def poly_compose_at(
             )
         return _plug_segment(backend, outer, inner, hole_index, port)
     if len(inner.outers) == 1:
-        return _splice(backend, outer, inner, hole_index)
+        holes, envs, segments = _splice(backend, outer.chain(), inner.chain(), hole_index)
+        return poly(backend, holes, outer.outers, envs, segments)
     raise UnsupportedShape(
         "plugging supports a one-outer inner or a hole-free inner only"
-    )
-
-
-def _splice(
-    backend: Backend, outer: PolyCombRep, inner: PolyCombRep, j: int
-) -> PolyCombRep:
-    """Case one: the inner piece has holes and a single outer pair matching
-    the hole; its chain runs beside the host environment ``M_j``."""
-    k = len(inner.holes)
-    m_j = outer.envs[j]
-    id_mj = backend.identity(m_j)
-    segs = list(outer.segments)
-    first = backend.compose(segs[j], backend.tensor(id_mj, inner.segments[0]))
-    middle = [backend.tensor(id_mj, inner.segments[i]) for i in range(1, k)]
-    last = backend.compose(backend.tensor(id_mj, inner.segments[k]), segs[j + 1])
-    return poly(
-        backend,
-        outer.holes[:j] + inner.holes + outer.holes[j + 1 :],
-        outer.outers,
-        outer.envs[:j] + tuple(m_j @ ne for ne in inner.envs) + outer.envs[j + 1 :],
-        segs[:j] + [first] + middle + [last] + segs[j + 2 :],
     )
 
 

@@ -167,7 +167,6 @@ UNNAMED_IN_SRC = {
     "is_unknown": "Decision predicate of the public API, beside is_equivalent; tests call it",
     "map_comb": "public BackendFunctor method; tests and perfbench lift combs with it",
     "parse_term": "public reader of one morphism term; the theory and program tests call it",
-    "delete": "the Backend's cartesian delete map, beside copy; the finfun tests check it",
 }
 
 # run in a fresh interpreter: import the package, run the CLI on the arguments
@@ -528,6 +527,19 @@ def test_strategy_matrix_matches_fixture():
     expected = json.loads(matrix.FIXTURE.read_text(encoding="utf-8"))
     assert len(expected) == 168
     assert matrix.differing(expected, matrix.digests()) == []
+
+
+def test_every_mutant_applies_once():
+    """Each mutant of ``scripts/mutants.py`` replaces a text that occurs
+    exactly once in its file, and names tests in files that exist, so the
+    table cannot rot silently.  Running the mutants is the script's job."""
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 9
+    for m in mutants.MUTANTS:
+        assert (ROOT / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.name
+        assert m.tests and all((ROOT / t.split("::")[0]).is_file() for t in m.tests), m.name
 
 
 class TestFlags:

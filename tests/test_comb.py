@@ -1,5 +1,4 @@
 import functools
-import importlib
 import itertools
 import json
 from collections.abc import Iterator
@@ -52,8 +51,6 @@ from opticomb.core import Backend
 from opticomb.program import witness_json
 
 from conftest import NAME_BACKENDS, rand_mat, random_pieces, word
-
-comb_module = importlib.import_module("opticomb.comb")  # the name ``comb`` is the function
 
 
 @pytest.fixture
@@ -1008,7 +1005,7 @@ class TestNameKernel:
             backend, pieces = _name_pieces(name, n)
             calls = _recording(backend)
             for p in pieces:
-                comb_module.chain_name(backend, *p.chain())
+                backend.bend(*p.chain())
             assert calls == []
 
     @pytest.mark.parametrize("name", ["finfun", "pointed"])
@@ -1020,7 +1017,7 @@ class TestNameKernel:
             assert pieces
             for p in pieces:
                 calls = _recording(backend)
-                comb_module.chain_name(backend, *p.chain())
+                backend.bend(*p.chain())
                 per_hole = ["identity", "symmetry", "tensor", "compose",
                             "identity", "tensor", "compose"]
                 assert [op for op, _, _ in calls] == ["identity", "tensor"] + per_hole * n
@@ -1164,7 +1161,7 @@ class TestSharedSearchWork:
         monkeypatch.setattr(backend, "tensor", counting(backend.tensor, True))
         for half in ("plug_lower", "block_key"):  # the search's two kernel halves
             monkeypatch.setattr(backend, half, counting(getattr(backend, half), False))
-        monkeypatch.setattr(comb_module, "chain_name", counting(comb_module.chain_name, False))
+        monkeypatch.setattr(backend, "bend", counting(backend.bend, False))
         assert sigma_congruence_search(backend, boundaries, 2, 200) is None
         assert tensors[0] == 2 * (len(bottoms) + len(tops)) * len(words)
         assert tensors[0] * 3 < 2 * 2 * len(words) * len(reached)  # per comb

@@ -38,11 +38,9 @@ class TestFinMap:
 
 
 class TestCartesian:
-    def test_copy_delete(self, ffb):
+    def test_copy(self, ffb):
         c = ffb.copy(word("s"))
         assert c.table == (0, 3)
-        d = ffb.delete(word("t"))
-        assert d.table == (0, 0, 0)
 
     def test_projections(self, ffb):
         st = word("s") @ word("t")

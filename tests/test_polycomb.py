@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opticomb import (
     AbsorbingPointedBackend,
@@ -36,6 +38,10 @@ from opticomb.comb import NAME_NOTE
 from conftest import NAME_BACKENDS, join, rand_mat, random_pieces, word
 
 U = ObjectWord.unit()
+
+# module scope, so hypothesis draws against one backend of each kind
+SPLICE_BACKENDS = {name: (NAME_BACKENDS[name][0](), NAME_BACKENDS[name][1])
+                   for name in ("bool", "finfun", "pointed")}
 
 
 @pytest.fixture
@@ -216,7 +222,8 @@ class TestEquivalence:
         assert d.verdict is Verdict.DISTINCT and d.certified
         assert d.method == "poly-probes"
         assert d.coverage == {"probes_tried": 1}
-        assert ab.equal(d.witness.pieces["fillers"][0], ab.identity(a))
+        assert ab.equal(d.witness.probe[0], ab.identity(a))
+        assert check_probe_witness(ab, p, q, d.witness)
 
     def test_probe_route_cannot_confirm(self, idem):
         a = word("a")
@@ -224,7 +231,10 @@ class TestEquivalence:
         p = poly(idem, [(a, a), (a, a)], [(a, a)], [U, U], [f, one, f])
         d = poly_equiv(idem, p, p)
         assert d.verdict is Verdict.UNKNOWN and d.method == "poly-probes"
-        assert d.coverage == {"probes_tried": 4, "hom_scans_complete": True}
+        assert d.coverage == {
+            "probes_tried": 4, "context_words": 1, "hom_scans_complete": True,
+            "disagreements": 0, "conclusive_context_len": None, "bound": 2,
+        }
 
     def test_no_route_available(self, ube):
         q = word("q")
@@ -242,6 +252,32 @@ class TestEquivalence:
         d = poly_equiv(ube, p, other)
         assert d.verdict is Verdict.DISTINCT and d.certified
         assert d.method == "poly-name"
+
+    def test_probe_witnesses_replay(self):
+        """Every ``poly-probes`` DISTINCT witness on two-hole absorbing pieces
+        with no outer pair separates the pair it was found on, and not a
+        piece from itself.  Only pieces with equal names reach the scan."""
+        ab = AbsorbingPointedBackend()
+        a, found = word("a"), 0
+        for holes in itertools.product(itertools.product((U, a), repeat=2), repeat=2):
+            for envs in itertools.product((U, a), repeat=2):
+                ends = [U] + [m @ a1 for m, (_, a1) in zip(envs, holes)]
+                starts = [m @ h for m, (h, _) in zip(envs, holes)] + [U]
+                if any(len(d) + len(c) > 3 for d, c in zip(ends, starts)):
+                    continue
+                homs = [ab.enumerate_hom(d, c, 8).items for d, c in zip(ends, starts)]
+                by_name = {}
+                for segments in itertools.product(*homs):
+                    p = poly(ab, holes, [], envs, segments)
+                    by_name.setdefault(ab.canonical_key(poly_name(ab, p)), []).append(p)
+                pairs = (pq for ps in by_name.values() for pq in itertools.combinations(ps, 2))
+                for p, q in pairs:
+                    d = poly_equiv(ab, p, q)
+                    if d.method == "poly-probes" and d.is_distinct():
+                        found += 1
+                        assert check_probe_witness(ab, p, q, d.witness)
+                        assert not check_probe_witness(ab, p, p, d.witness)
+        assert found
 
     def test_hole_free_pieces_are_decided_by_name(self, ffb):
         s = word("s")
@@ -281,6 +317,34 @@ class TestPlugging:
         v1 = poly_extended_eval(cbe, via_comb, [lam], [(U, U)])
         v2 = poly_extended_eval(cbe, via_poly, [lam], [(U, U)])
         assert cbe.equal(v1, v2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SPLICE_BACKENDS)),
+        lengths=st.lists(st.integers(0, 1), min_size=6, max_size=6),
+        envs=st.lists(st.integers(1, 2), min_size=2, max_size=2),
+        picks=st.lists(st.integers(0, 15), min_size=4, max_size=4),
+    )
+    def test_comb_compose_is_the_one_hole_splice(self, name, lengths, envs, picks):
+        """Nesting two combs, each with an environment, gives the comb that
+        splicing their one-hole pieces gives, piece for piece."""
+        backend, o = SPLICE_BACKENDS[name]
+        a, a1, b, b1, c, c1 = (word(*[o] * n) for n in lengths)
+        e1, e2 = (word(*[o] * n) for n in envs)
+
+        def pick(dom, cod, k):
+            items = backend.enumerate_hom(dom, cod, 16).items
+            return items[k % len(items)]
+
+        outer = comb(backend, pick(a, e1 @ b, picks[0]), pick(e1 @ b1, a1, picks[1]), env=e1)
+        inner = comb(backend, pick(b, e2 @ c, picks[2]), pick(e2 @ c1, b1, picks[3]), env=e2)
+        nested = comb_compose(backend, outer, inner)
+        spliced = to_comb(backend, poly_compose_at(
+            backend, from_comb(backend, outer), from_comb(backend, inner), 0
+        ))
+        assert (spliced.source, spliced.target, spliced.env) == \
+            (nested.source, nested.target, nested.env)
+        assert backend.equal(spliced.f, nested.f) and backend.equal(spliced.g, nested.g)
 
     def test_splice_into_two_hole_host(self, cbe, rng, two_hole):
         """Splicing then filling equals filling the inner value directly."""

@@ -34,6 +34,7 @@ class Mutant(NamedTuple):
 
 ZIGZAG_GUARD = "if graded and scans_complete and not truncated:"
 WITNESS_LAYOUT = "fields if len(fillers) != 1 else [f[0] for f in fields]"
+TRAIL_TEST = "tests/test_optic.py::test_indexed_zigzag_matches_double_loop"
 
 MUTANTS = (
     Mutant("absorbing braid values claimed conclusive", "src/opticomb/backends/free.py",
@@ -47,7 +48,8 @@ MUTANTS = (
            ("tests/test_comb.py::TestSigmaTau::test_tau_certifies_on_complete_scan",)),
     Mutant("probe route certifies without complete hom scans", "src/opticomb/comb.py",
            "length >= needed and all(scans):", "length >= needed:",
-           ("tests/test_cli.py::test_strategy_matrix_matches_fixture",)),
+           ("tests/test_cli.py::test_strategy_matrix_matches_fixture",
+            "tests/test_comb.py::TestSigmaTau::test_an_incomplete_hom_scan_certifies_nothing")),
     Mutant("auto runs no screens", "src/opticomb/comb.py",
            'for screen in route.screens if strategy == "auto" else ():', "for screen in ():",
            ("tests/test_routes.py::TestOpticAutoBraidPrecheck::test_pointed_refuted_by_braid_value",
@@ -58,6 +60,15 @@ MUTANTS = (
     Mutant("slide search certifies DISTINCT on a truncated frontier",
            "src/opticomb/optic.py", ZIGZAG_GUARD, "if graded and scans_complete:",
            ("tests/test_optic.py::TestZigzag::test_a_truncated_frontier_certifies_nothing",)),
+    Mutant("slide index lists its matches in reverse", "src/opticomb/optic.py",
+           "index.setdefault(backend.canonical_key(side), []).append(",
+           "index.setdefault(backend.canonical_key(side), []).insert(0, ",
+           (f"{TRAIL_TEST}[pointed-II-0-2]", f"{TRAIL_TEST}[idempotent-2-1-2]")),
+    Mutant("slide search scans the pieces beside an empty hom-set of v",
+           "src/opticomb/optic.py",
+           "pieces = (hom(a, e0 @ b) if down else hom(e0 @ b1, a1)) if vs else ()",
+           "pieces = hom(a, e0 @ b) if down else hom(e0 @ b1, a1)",
+           (f"{TRAIL_TEST}[finfun-empty]",)),
     Mutant("finfun kernel reads the first beside leg for every leg",
            "src/opticomb/backends/finfun.py",
            "legs = [(beside.table[i] * n_out, j)", "legs = [(beside.table[0] * n_out, j)",

@@ -45,18 +45,12 @@ class FinFunBackend(Backend):
     # braid values settle filler agreement
     braid_conclusive = True
 
-    def __init__(
-        self,
-        sizes: Mapping[str, int],
-        generators: Mapping[str, tuple[Any, Any, Any]] | None = None,
-    ):
+    def __init__(self, sizes: Mapping[str, int]):
         for obj, s in sizes.items():
             if s < 0:
                 raise DimensionMismatch(f"object {obj} has negative size {s}")
         self.sizes = dict(sizes)
         self._gens: dict[str, FinMap] = {}
-        for gname, (dom, cod, table) in (generators or {}).items():
-            self.add_generator(gname, dom, cod, table)
 
     # -- construction ----------------------------------------------------------
 
@@ -65,7 +59,6 @@ class FinFunBackend(Backend):
         cw = cod if isinstance(cod, ObjectWord) else ObjectWord.parse(cod)
         m = self.fun(dw, cw, table)
         self._gens[gname] = m
-        self.clear_slide_tables()
         return m
 
     def fun(self, dom: ObjectWord, cod: ObjectWord, table: Any) -> FinMap:
@@ -205,7 +198,7 @@ def functions_as_boolean_matrices(ff: FinFunBackend):
 
     from .matrix import Mat, MatrixBackend
 
-    target = MatrixBackend(dims=dict(ff.sizes), generators={}, semiring="bool")
+    target = MatrixBackend(dims=dict(ff.sizes), semiring="bool")
 
     def value_map(m: FinMap) -> Mat:
         nr = target.dim(m.cod)

@@ -102,9 +102,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class MatrixBackend(Backend):
     """Free matrix category on named dimensions, over a chosen semiring.
 
-    ``dims`` names the generating objects; ``generators`` maps a morphism
-    name to ``(dom, cod, entries)`` where dom and cod may be words or their
-    string form and entries is anything ``np.asarray`` accepts.
+    ``dims`` names the generating objects; :meth:`add_generator` declares a
+    morphism from ``(dom, cod, entries)``, where dom and cod may be words or
+    their string form and entries is anything ``np.asarray`` accepts.
     """
 
     compact_closed = True
@@ -118,7 +118,6 @@ class MatrixBackend(Backend):
     def __init__(
         self,
         dims: Mapping[str, int],
-        generators: Mapping[str, tuple[Any, Any, Any]] | None = None,
         semiring: str = "complex",
         tolerance: float = 1e-9,
     ):
@@ -134,8 +133,6 @@ class MatrixBackend(Backend):
         self._gens: dict[str, Mat] = {}
         self._identities: dict[ObjectWord, Mat] = {}
         self._symmetries: dict[tuple[ObjectWord, ObjectWord], Mat] = {}
-        for gname, (dom, cod, entries) in (generators or {}).items():
-            self.add_generator(gname, dom, cod, entries)
 
     # -- construction ---------------------------------------------------------
 
@@ -144,7 +141,6 @@ class MatrixBackend(Backend):
         cw = cod if isinstance(cod, ObjectWord) else ObjectWord.parse(cod)
         m = self.mat(dw, cw, entries)
         self._gens[gname] = m
-        self.clear_slide_tables()
         return m
 
     def coerce(self, data: Any) -> np.ndarray:

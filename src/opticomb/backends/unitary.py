@@ -23,11 +23,9 @@ class UnitaryBackend(MatrixBackend):
     unitary_values = True
     braid_conclusive = True
 
-    def __init__(self, dims: Mapping[str, int],
-                 generators: Mapping[str, tuple[Any, Any, Any]] | None = None,
-                 **tolerance: float):
+    def __init__(self, dims: Mapping[str, int], **tolerance: float):
         # the optional ``tolerance`` keyword and its default are MatrixBackend's
-        super().__init__(dims, generators, "complex", **tolerance)
+        super().__init__(dims, "complex", **tolerance)
 
     def mat(self, dom: ObjectWord, cod: ObjectWord, entries: Any) -> Mat:
         m = super().mat(dom, cod, entries)

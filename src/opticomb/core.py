@@ -32,7 +32,6 @@ ObjectWord.parse('a*a')
 """
 from __future__ import annotations
 
-import functools
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -201,17 +200,7 @@ def _join(words: Sequence[ObjectWord]) -> ObjectWord:
 # ---------------------------------------------------------------------------
 
 class MorTerm:
-    """Base class of morphism syntax.
-
-    ``>>`` is diagrammatic composition (left happens first) and ``@`` is
-    tensor, mirroring the word operators.
-    """
-
-    def __rshift__(self, other: "MorTerm") -> "Compose":
-        return Compose(self, other)
-
-    def __matmul__(self, other: "MorTerm") -> "Tensor":
-        return Tensor(self, other)
+    """Base class of morphism syntax."""
 
 
 @dataclass(frozen=True)
@@ -362,26 +351,6 @@ class Backend(ABC):
 
     #: comparison tolerance for approximate backends, None when equality is exact
     tolerance: float | None = None
-
-    @functools.cached_property
-    def slide_indexes(self) -> dict[tuple, dict]:
-        """The slide search's move indexes, shared by its queries on this backend."""
-        return {}
-
-    @functools.cached_property
-    def slide_neighbors(self) -> dict[tuple, list]:
-        """The slide search's neighbour lists, shared like :attr:`slide_indexes`."""
-        return {}
-
-    @functools.cached_property
-    def slide_states(self) -> dict[tuple, tuple]:
-        """Each state of :attr:`slide_neighbors` once, as ``(state, key)`` by key."""
-        return {}
-
-    def clear_slide_tables(self) -> None:
-        """Empty the slide search's tables, which a new generator makes stale."""
-        for table in (self.slide_indexes, self.slide_neighbors, self.slide_states):
-            table.clear()
 
     # -- signature ----------------------------------------------------------
 
@@ -766,9 +735,9 @@ class Decision:
         return Decision(Verdict.EQUIVALENT, method, True, witness, None, coverage)
 
     @staticmethod
-    def distinct(method: str, witness: Any, certified: bool = True,
+    def distinct(method: str, witness: Any,
                  coverage: Mapping[str, Any] | None = None) -> "Decision":
-        return Decision(Verdict.DISTINCT, method, certified, witness, None, coverage)
+        return Decision(Verdict.DISTINCT, method, True, witness, None, coverage)
 
     @staticmethod
     def unknown(method: str, coverage: Mapping[str, Any] | None = None) -> "Decision":

@@ -17,14 +17,17 @@ certified yes with the move chain as witness; exhausting the component
 yields a certified no only when the backend pins all environment shapes
 and every hom-set scan along the way was complete.  Moves are found by key
 lookup in indexes built once per backend, boundary and environment pair
-(E0, E) and kept on the backend; their entries carry v already whiskered
-for the side it moves into.  The neighbours a state reaches by one step
-through E0 are recorded on the backend too (``slide_neighbors``, each
-distinct state held once in ``slide_states``), so a state that a later
-query visits again costs no composite.  Each visit still runs the hom-set
-scans and index lookups of a fresh search, so the coverage and the path
-are unchanged.  Both tables stop growing at ``MAX_SLIDE_NEIGHBORS``
-entries, and ``add_generator`` empties them with the indexes.
+(E0, E); their entries carry v already whiskered for the side it moves
+into.  The neighbours a state reaches by one step through E0 are recorded
+too, each distinct state once, so a state that a later query visits again
+costs no composite.  The three tables are this module's ``SLIDE_TABLES``,
+keyed weakly by backend and capped at ``MAX_SLIDE_INDEXES`` and
+``MAX_SLIDE_NEIGHBORS``.  Nothing empties them: an entry is built from
+hom-set scans, composites, tensors and keys, which read the backend's
+object sizes and the values alone, so a generator added later leaves every
+entry true.  Each visit still runs the hom-set scans of a fresh search, so
+the coverage is unchanged; neighbours are read in order, a ``SlideStep`` is
+built only for a state reached first, and the search returns at the goal.
 
 On structured backends (the routes of ``OPTIC``) the search is bypassed:
 environment-rotation factoring classifies optics over unitary backends,
@@ -35,6 +38,7 @@ equivalence implies filler agreement and so equal braid values.
 """
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from functools import partial
 from typing import Any
@@ -98,11 +102,14 @@ def _state_key(backend: Backend, e: ObjectWord, f: Any, g: Any):
 
 #: the slide search stops adding states to its frontier at this many
 MAX_SLIDE_STATES = 4096
-#: a slide search whose backend already holds this many move indexes keeps its
+#: a slide search whose backend already has this many move indexes keeps its
 #: own for itself, so a table holds at most this many plus one search's
 MAX_SLIDE_INDEXES = 256
 #: the same for neighbour lists and for the distinct states they hold
 MAX_SLIDE_NEIGHBORS = 4096
+#: per backend, the slide search's move indexes, neighbour lists and distinct
+#: neighbour states, shared by all its queries and dropped with the backend
+SLIDE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
@@ -127,7 +134,11 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
             hom_cache[dom, cod] = hs.items
         return hom_cache[dom, cod]
 
-    indexes = backend.slide_indexes if len(backend.slide_indexes) < MAX_SLIDE_INDEXES else {}
+    indexes, table, states = SLIDE_TABLES.setdefault(backend, ({}, {}, {}))
+    if len(indexes) >= MAX_SLIDE_INDEXES:
+        indexes = {}
+    if max(len(table), len(states)) >= MAX_SLIDE_NEIGHBORS:
+        table, states = {}, {}
 
     def moves(step, e0, e, side_key):
         """The ``(v, piece, v (x) 1)`` of ``step`` between E0 and E whose recomposed
@@ -146,11 +157,6 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
                     index.setdefault(backend.canonical_key(side), []).append(
                         (v, piece, v_b1 if down else v_b))
         return indexes[key].get(side_key, ())
-
-    if max(len(backend.slide_neighbors), len(backend.slide_states)) < MAX_SLIDE_NEIGHBORS:
-        table, states = backend.slide_neighbors, backend.slide_states
-    else:
-        table, states = {}, {}
 
     def neighbors_of(step, e0, state, cur_key):
         """The ``(next_state, next_key, v)`` of ``step`` through E0, in move order;
@@ -188,23 +194,20 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
 
     while queue:
         cur, cur_key = queue.popleft()
-        neighbors = []
         for e0 in env_list:
             # push_down: f = (v (x) 1_B) . f0 moves v out of the bottom;
             # push_up: g = g0 . (v (x) 1_B') moves v out of the top
             for step_name in ("push_down", "push_up"):
                 for state, key, v in neighbors_of(step_name, e0, cur, cur_key):
-                    neighbors.append((state, key, SlideStep(step_name, v, e0)))
-        for state, key, step in neighbors:
-            if key in parents:
-                continue
-            parents[key] = (cur_key, step)
-            if key == goal_key:
-                return Decision.equivalent("slide-search", witness=emit_path(key))
-            if len(parents) >= MAX_SLIDE_STATES:
-                truncated = True
-            else:
-                queue.append((state, key))
+                    if key in parents:
+                        continue
+                    parents[key] = (cur_key, SlideStep(step_name, v, e0))
+                    if key == goal_key:
+                        return Decision.equivalent("slide-search", witness=emit_path(key))
+                    if len(parents) >= MAX_SLIDE_STATES:
+                        truncated = True
+                    else:
+                        queue.append((state, key))
 
     coverage = {
         "states_explored": len(parents),

@@ -47,7 +47,7 @@ from opticomb.comb import (
     _block_paths, _fingerprinter, _ordered, braid_refutation, filler_probes, plug_chain,
     probe_scan,
 )
-from opticomb.core import Backend
+from opticomb.core import Backend, HomSet
 from opticomb.program import witness_json
 
 from conftest import NAME_BACKENDS, rand_mat, random_pieces, word
@@ -209,6 +209,26 @@ class TestSigmaTau:
         assert d.coverage["hom_scans_complete"] is True
         assert d.coverage["conclusive_context_len"] == 0
 
+    def test_an_incomplete_hom_scan_certifies_nothing(self):
+        """The pair of :meth:`test_tau_certifies_on_complete_scan` over a backend
+        whose hom-set scans may have missed morphisms: UNKNOWN, where the plain
+        backend certifies EQUIVALENT, under ``equiv_tau`` and ``enumerate``."""
+
+        class Incomplete(IdempotentFreeBackend):
+            def enumerate_hom(self, dom, cod, budget):
+                return HomSet(super().enumerate_hom(dom, cod, budget).items, complete=False)
+
+        a = word("a")
+        for backend, verdict in ((IdempotentFreeBackend(), Verdict.EQUIVALENT),
+                                 (Incomplete(), Verdict.UNKNOWN)):
+            f = backend.generator("f")
+            c1 = comb(backend, f, backend.identity(a), env=ObjectWord.unit())
+            c2 = comb(backend, backend.identity(a), f, env=ObjectWord.unit())
+            for d in (equiv_tau(backend, c1, c2),
+                      equiv_comb(backend, c1, c2, strategy="enumerate")):
+                assert (d.verdict, d.certified) == (verdict, verdict is Verdict.EQUIVALENT)
+                assert d.coverage["hom_scans_complete"] is (verdict is Verdict.EQUIVALENT)
+
     def test_tau_unknown_on_truncated_scan(self, pointed):
         a = word("a")
         phi, psi = pointed.generator("phi"), pointed.generator("psi")
@@ -329,6 +349,36 @@ class TestFunctorTransport:
         mat_be, to_mat = functions_as_boolean_matrices(ffb)
         with pytest.raises(IllTypedFunctor):
             lift_functor(ffb, mat_be, {"s": word("s")}, to_mat)
+
+    def test_lift_with_generators(self, ffb):
+        # every generator's image is checked: boundary, and composition and
+        # tensor with every generator
+        ffb.add_generator("swap", "s", "s", (1, 0))
+        ffb.add_generator("pick", "s*t", "t", (0, 1, 2, 2, 1, 0))
+        mat_be, to_mat = functions_as_boolean_matrices(ffb)
+        fun = lift_functor(ffb, mat_be, {"s": word("s"), "t": word("t")}, to_mat)
+        assert mat_be.generator_names() == ("swap", "pick")
+        for name in ffb.generator_names():
+            assert mat_be.equal(fun.value_map(ffb.generator(name)), mat_be.generator(name))
+
+    @pytest.mark.parametrize("broken,message", [
+        ("boundary", "image of 'swap' has the wrong boundary"),
+        ("composition", "composition is not preserved"),
+        ("tensor", "tensor is not preserved"),
+    ])
+    def test_lift_refuses_a_map_that_breaks_a_generator(self, ffb, broken, message):
+        s, t = word("s"), word("t")
+        swap = ffb.add_generator("swap", "s", "s", (1, 0))
+        mat_be, to_mat = functions_as_boolean_matrices(ffb)
+        # the all-ones relation on s keeps swap's boundary, and is idempotent
+        # where swap squares to the identity
+        wrong = {"boundary": (swap, to_mat(ffb.identity(t))),
+                 "composition": (swap, mat_be.mat(s, s, [[1, 1], [1, 1]])),
+                 "tensor": (ffb.tensor(swap, swap), mat_be.mat(s @ s, s @ s, np.zeros((4, 4))))}
+        value, image = wrong[broken]
+        with pytest.raises(IllTypedFunctor, match=message):
+            lift_functor(ffb, mat_be, {"s": s, "t": t},
+                         lambda m: image if m == value else to_mat(m))
 
     def test_transport_preserves_braid(self, ffb):
         mat_be, to_mat = functions_as_boolean_matrices(ffb)

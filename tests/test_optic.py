@@ -1,3 +1,4 @@
+import gc
 from collections import deque
 
 import numpy as np
@@ -264,10 +265,11 @@ class TestDispatch:
         assert check_probe_witness(cbe, o1, o1, d.witness) is False
 
 
-def reference_zigzag(backend, o1, o2, bound):
+def reference_zigzag(backend, o1, o2, bound, reached=None):
     """The slide search as a double loop: every state composes each candidate
     ``f0 ; (v (x) 1_B)`` and ``(v (x) 1_B') ; g0`` and compares it with
-    ``equal``.  The library finds the same moves by key lookup."""
+    ``equal``.  The library finds the same moves by key lookup.  Each step
+    that first reaches a state is appended to ``reached``, in order."""
     budget = Budget.of(bound)
     (a, a1), (b, b1) = o1.source, o1.target
     id_b = backend.identity(b)
@@ -324,6 +326,8 @@ def reference_zigzag(backend, o1, o2, bound):
             if key in parents:
                 continue
             parents[key] = (cur_key, step)
+            if reached is not None:
+                reached.append(step)
             if key == goal_key:
                 return Decision.equivalent("slide-search", witness=emit_path(key))
             if len(parents) >= MAX_SLIDE_STATES:
@@ -364,9 +368,21 @@ def _slide_configurations():
     bang = ab.generator("bang")
     yield ("absorbing", ab, comb(ab, ab.generator("psi"), bang, word()),
            comb(ab, ab.generator("phi"), bang, word()), 1)
+    # an empty set z makes some hom-sets of v empty, where the search must not
+    # scan the pieces beside v
+    ff = FinFunBackend({"s": 2, "z": 0})
+    s, z = word("s"), word("z")
+    yield ("finfun-empty", ff, comb(ff, ff.fun(s, s @ s, (2, 0)), ff.fun(s @ z, s, ()), s),
+           comb(ff, ff.fun(s, s, (1, 0)), ff.fun(z, s, ()), word()), 1)
 
 
 SLIDE_CONFIGURATIONS = list(_slide_configurations())
+
+
+def slide_tables(backend):
+    """The backend's ``(indexes, neighbours, states)`` as the slide search keeps
+    them, empty when no search has run on it."""
+    return optic.SLIDE_TABLES.get(backend, ({}, {}, {}))
 
 
 @pytest.mark.parametrize(
@@ -374,18 +390,29 @@ SLIDE_CONFIGURATIONS = list(_slide_configurations())
     ids=[c[0] for c in SLIDE_CONFIGURATIONS],
 )
 def test_indexed_zigzag_matches_double_loop(backend, o1, o2, bound, monkeypatch):
-    # every hom-set scan and every move found, in order: the same trail means
-    # the same hom scans and the same neighbour order in every state
-    trail = []
+    # a cold query reaches the states of the double loop in its order, by the
+    # same moves, and scans the same hom-sets, or fewer when it stops at the goal
+    scanned, reached = set(), []
     scan, make_step = backend.enumerate_hom, optic.SlideStep
     monkeypatch.setattr(backend, "enumerate_hom",
-                        lambda *args: trail.append(args[:2]) or scan(*args))
+                        lambda *args: scanned.add(args[:2]) or scan(*args))
     monkeypatch.setattr(optic, "SlideStep",
-                        lambda *args: trail.append(args) or make_step(*args))
+                        lambda *args: reached.append(make_step(*args)) or reached[-1])
+    optic.SLIDE_TABLES.pop(backend, None)
     got = equiv_optic(backend, o1, o2, strategy="zigzag", bound=bound)
-    got_trail, trail[:] = trail[:], []
-    want = reference_zigzag(backend, o1, o2, bound)
-    assert got_trail == trail
+    got_scanned, got_reached = set(scanned), reached[:]
+    scanned.clear()
+    want_reached = []
+    want = reference_zigzag(backend, o1, o2, bound, want_reached)
+
+    def moves(steps):
+        return [(s.direction, backend.canonical_key(s.v), s.residual) for s in steps]
+
+    assert moves(got_reached) == moves(want_reached)
+    if want.verdict is Verdict.EQUIVALENT:
+        assert got_scanned <= scanned
+    else:
+        assert got_scanned == scanned
     assert (got.verdict, got.certified, got.method) == (
         want.verdict, want.certified, want.method)
     assert got.coverage == want.coverage
@@ -405,9 +432,22 @@ def zigzag_answer(backend, o1, o2, bound):
 
 
 def cold_zigzag_answer(backend, o1, o2, bound):
-    """:func:`zigzag_answer` on a backend whose slide tables were emptied."""
-    backend.clear_slide_tables()
+    """:func:`zigzag_answer` on a backend whose slide tables were dropped."""
+    optic.SLIDE_TABLES.pop(backend, None)
     return zigzag_answer(backend, o1, o2, bound)
+
+
+def table_contents(backend):
+    """The backend's slide tables with every value replaced by its key, so that
+    two builds compare entry for entry."""
+    key = backend.canonical_key
+    indexes, neighbors, states = slide_tables(backend)
+    return (
+        {k: {side: [tuple(map(key, entry)) for entry in entries]
+             for side, entries in index.items()} for k, index in indexes.items()},
+        {k: [(nxt_key, key(v)) for _, nxt_key, v in nexts] for k, nexts in neighbors.items()},
+        {k: (state[0], key(state[1]), key(state[2])) for k, (state, _) in states.items()},
+    )
 
 
 def bool_slide_pair():
@@ -428,14 +468,27 @@ def finfun_slide_pair():
     return (ff, *slide_related(ff, f, v, g))
 
 
+def add_generator_then_rebuild(make, generator):
+    """Warm a pair's slide tables, add a generator, and ask again warm, then
+    cold: the answers before and after, and the warm and the cold tables."""
+    backend, o1, o2 = make()
+    before = zigzag_answer(backend, o1, o2, 2)
+    assert before[0] is Verdict.EQUIVALENT and slide_tables(backend)[0]
+    backend.add_generator("h", *generator)
+    after = [zigzag_answer(backend, o1, o2, 2)]
+    warm = table_contents(backend)
+    after.append(cold_zigzag_answer(backend, o1, o2, 2))
+    return before, after, warm, table_contents(backend)
+
+
 class TestSharedSlideIndexes:
-    """The move indexes live on the backend and serve all its queries: a warm
+    """The move indexes are kept per backend and serve all its queries: a warm
     table answers as a cold one, with the same decision and the same path."""
 
     def test_same_pair_twice(self):
         for _, backend, o1, o2, bound in SLIDE_CONFIGURATIONS[1::5]:
             cold = cold_zigzag_answer(backend, o1, o2, bound)
-            assert backend.slide_indexes or o1 is o2
+            assert slide_tables(backend)[0] or o1 is o2
             assert zigzag_answer(backend, o1, o2, bound) == cold
 
     def test_bound_one_then_two(self):
@@ -445,7 +498,7 @@ class TestSharedSlideIndexes:
             assert zigzag_answer(pt, wide[0], c, 1) == cold_zigzag_answer(
                 pt, wide[0], c, 1)
             warm = zigzag_answer(pt, wide[0], c, 2)
-            assert {key[-1] for key in pt.slide_indexes} == {4, 16}
+            assert {key[-1] for key in slide_tables(pt)[0]} == {4, 16}
             assert warm == cold_zigzag_answer(pt, wide[0], c, 2)
         # bound 1 cuts this pair's hom-set scans short, so its moves are not
         # those of bound 2, and the tables must keep the two apart
@@ -461,29 +514,27 @@ class TestSharedSlideIndexes:
         queries = [(small[0], small[2], 3), (wide[0], wide[18], 2),
                    (small[1], small[0], 3), (wide[3], wide[1], 2)]
         answers = [zigzag_answer(pt, *q) for q in queries]
-        assert {key[3:7] for key in pt.slide_indexes} == {
+        assert {key[3:7] for key in slide_tables(pt)[0]} == {
             (unit, unit, a, a), (a, a, a, a)}
         assert answers == [cold_zigzag_answer(pt, *q) for q in queries]
 
     def test_cap_zero_stores_nothing(self, monkeypatch):
         _, backend, o1, o2, bound = SLIDE_CONFIGURATIONS[2]
         want = cold_zigzag_answer(backend, o1, o2, bound)
-        backend.slide_indexes.clear()
+        slide_tables(backend)[0].clear()
         monkeypatch.setattr(optic, "MAX_SLIDE_INDEXES", 0)
         assert zigzag_answer(backend, o1, o2, bound) == want
-        assert backend.slide_indexes == {}
+        assert slide_tables(backend)[0] == {}
 
     @pytest.mark.parametrize("make,generator", [
         (bool_slide_pair, ("x", "I", [[1, 1]])),
         (finfun_slide_pair, ("s", "I", (0, 0))),
     ])
-    def test_add_generator_empties_the_table(self, make, generator):
-        backend, o1, o2 = make()
-        before = zigzag_answer(backend, o1, o2, 2)
-        assert before[0] is Verdict.EQUIVALENT and backend.slide_indexes
-        backend.add_generator("h", *generator)
-        assert backend.slide_indexes == {}
-        assert zigzag_answer(backend, o1, o2, 2) == before
+    def test_add_generator_keeps_the_table(self, make, generator):
+        # no index entry reads the generator table, so nothing empties it
+        before, after, warm, cold = add_generator_then_rebuild(make, generator)
+        assert after == [before, before]
+        assert warm[0] == cold[0]
 
     def test_shared_values_are_read_only(self):
         bb, x = MatrixBackend({"x": 2}, semiring="bool"), word("x")
@@ -495,13 +546,22 @@ class TestSharedSlideIndexes:
             with pytest.raises(ValueError):
                 step.v.array[0, 0] = 1 - step.v.array[0, 0]
 
+    def test_tables_go_with_their_backend(self):
+        backend, o1, o2 = finfun_slide_pair()
+        zigzag_answer(backend, o1, o2, 2)
+        assert backend in optic.SLIDE_TABLES
+        count = len(optic.SLIDE_TABLES)
+        del backend, o1, o2
+        gc.collect()
+        assert len(optic.SLIDE_TABLES) == count - 1
+
 
 @pytest.mark.parametrize(
     "backend,o1,o2,bound", [c[1:] for c in SLIDE_CONFIGURATIONS],
     ids=[c[0] for c in SLIDE_CONFIGURATIONS],
 )
 def test_emptied_tables_answer_as_warm_ones(backend, o1, o2, bound, monkeypatch):
-    # the tables as earlier queries left them, then emptied (index, neighbour
+    # the tables as earlier queries left them, then dropped (index, neighbour
     # and state tables alike), then as this query left them: the same decision,
     # and the same moves built in the same order
     steps = []
@@ -511,28 +571,25 @@ def test_emptied_tables_answer_as_warm_ones(backend, o1, o2, bound, monkeypatch)
     runs = []
     for empty_first in (False, True, False):
         if empty_first:
-            backend.clear_slide_tables()
+            optic.SLIDE_TABLES.pop(backend, None)
         runs.append((zigzag_answer(backend, o1, o2, bound), steps[:]))
         steps.clear()
     assert runs[0] == runs[1] == runs[2]
-    assert backend.slide_neighbors or o1 is o2
+    assert slide_tables(backend)[1] or o1 is o2
 
 
 class TestSharedSlideNeighbors:
-    """Neighbour lists live on the backend beside the move indexes, with each
+    """Neighbour lists are kept per backend beside the move indexes, with each
     distinct neighbour state held once."""
 
     @pytest.mark.parametrize("make,generator", [
         (bool_slide_pair, ("x", "I", [[1, 1]])),
         (finfun_slide_pair, ("s", "I", (0, 0))),
     ])
-    def test_add_generator_empties_the_tables(self, make, generator):
-        backend, o1, o2 = make()
-        before = zigzag_answer(backend, o1, o2, 2)
-        assert backend.slide_neighbors and backend.slide_states
-        backend.add_generator("h", *generator)
-        assert backend.slide_neighbors == {} and backend.slide_states == {}
-        assert zigzag_answer(backend, o1, o2, 2) == before
+    def test_add_generator_keeps_the_tables(self, make, generator):
+        before, after, warm, cold = add_generator_then_rebuild(make, generator)
+        assert after == [before, before]
+        assert warm[1:] == cold[1:] and warm[1] and warm[2]
 
     def test_bound_one_then_two(self):
         # a neighbour list holds the moves found under one hom-set budget
@@ -541,31 +598,30 @@ class TestSharedSlideNeighbors:
         for c in wide[1::6] + [wide[18]]:
             zigzag_answer(pt, wide[0], c, 1)
             warm = zigzag_answer(pt, wide[0], c, 2)
-            pt.clear_slide_tables()
-            assert warm == zigzag_answer(pt, wide[0], c, 2)
+            assert warm == cold_zigzag_answer(pt, wide[0], c, 2)
 
     def test_cap_zero_stores_nothing(self, monkeypatch):
         _, backend, o1, o2, bound = SLIDE_CONFIGURATIONS[2]
-        backend.clear_slide_tables()
-        want = zigzag_answer(backend, o1, o2, bound)
-        assert backend.slide_neighbors
-        backend.clear_slide_tables()
+        want = cold_zigzag_answer(backend, o1, o2, bound)
+        assert slide_tables(backend)[1]
+        optic.SLIDE_TABLES.pop(backend)
         monkeypatch.setattr(optic, "MAX_SLIDE_NEIGHBORS", 0)
         assert zigzag_answer(backend, o1, o2, bound) == want
-        assert backend.slide_neighbors == {} and backend.slide_states == {}
-        assert backend.slide_indexes
+        indexes, neighbors, states = slide_tables(backend)
+        assert neighbors == {} and states == {} and indexes
 
     def test_each_state_stored_once(self):
         # a state object per neighbour entry instead of per distinct key made
         # the slide-search benchmark hold a third more memory
         pointed = [c[1:] for c in SLIDE_CONFIGURATIONS if c[0].startswith("pointed")]
         backend = pointed[0][0]
-        backend.clear_slide_tables()
+        optic.SLIDE_TABLES.pop(backend, None)
         for _, o1, o2, bound in pointed:
             zigzag_answer(backend, o1, o2, bound)
-        entries = [entry for nexts in backend.slide_neighbors.values() for entry in nexts]
+        _, neighbors, states = slide_tables(backend)
+        entries = [entry for nexts in neighbors.values() for entry in nexts]
         ids = {id(state) for state, _, _ in entries}
         keys = {key for _, key, _ in entries}
         assert len(entries) > len(keys) > 1
-        assert len(ids) == len(keys) == len(backend.slide_states)
-        assert ids == {id(state) for state, _ in backend.slide_states.values()}
+        assert len(ids) == len(keys) == len(states)
+        assert ids == {id(state) for state, _ in states.values()}

@@ -85,6 +85,13 @@ MUTANTS = (
            "first = backend.compose(segs[j], in_segs[0])",
            ("tests/test_comb.py::TestComposition::test_nested_evaluation_law",
             "tests/test_polycomb.py::TestPlugging::test_splice_into_two_hole_host")),
+    Mutant("slide search leaves out the representatives' own environments",
+           "src/opticomb/optic.py", "            env_list.append(extra)", "            pass",
+           ("tests/test_optic.py::TestZigzag::"
+            "test_the_representatives_environments_join_the_search",)),
+    Mutant("chain walker plugs fewer fillers than contexts", "src/opticomb/comb.py",
+           "if len(fillers) != n:", "if False:",
+           ("tests/test_polycomb.py::TestEvaluation::test_filler_count_checked",)),
 )
 
 

@@ -14,9 +14,9 @@ for cross-checking numeric results, and multiplies Python-int numerators over
 a common denominator before normalising back to ``Fraction``s.  :func:`close` and
 :func:`residual_tolerance` are the tolerance policy of every numeric check.
 
-Kernels, one body for all three semirings: ``plug`` plugs a stacked block of
-fillers (three products, no Kronecker product) as its two halves at the hole,
-``plug_lower`` and ``plug_upper``; ``block_key`` keys a boolean block by the
+Kernels, one body for all three semirings: ``plug_lower`` and ``plug_upper``
+plug a stacked block of fillers at the hole, below it and above it (three
+products, no Kronecker product); ``block_key`` keys a boolean block by the
 bytes of the stack; and ``bend`` names a chain with one product per segment.
 """
 from __future__ import annotations

@@ -186,7 +186,7 @@ def plug_chain(
     D_0 .. D_{n-1} (x) B'``.  Context legs wait on the far left.  The
     stretch before filler ``j`` (or after the last) depends only on ``C_j
     ..`` and ``.. D_{j-1}``, so it is built once per stream and a probe
-    costs one ``plug`` per hole, its lower then its upper half.  One hole
+    costs per hole one ``plug_lower`` then one ``plug_upper``.  One hole
     composes ``((1_C (x) f) (sigma_{C,E} (x) 1_B)) (1_E (x) filler)
     ((sigma_{E,D} (x) 1_B') (1_D (x) g))``: no identity on the unit word
     sits by a swap.  Every filler is type-checked before it is plugged.
@@ -196,7 +196,7 @@ def plug_chain(
     ):
         value = path[0][0]
         for lam, ((_, beside), (after, _)) in zip(fillers, zip(path, path[1:])):
-            value = backend.plug(value, beside, (lam,), after)[0]
+            (value,) = backend.plug_upper(backend.plug_lower(value, beside, (lam,)), after)
         yield value
 
 
@@ -595,11 +595,12 @@ def equiv_comb(
 # Congruence search
 # ---------------------------------------------------------------------------
 
-def _fingerprinter(backend: Backend, probes: list) -> Callable[[CombRep], tuple]:
+def _fingerprinter(backend: Backend, probes: list) -> tuple[Callable[[CombRep], tuple], list]:
     """A comb's block keys, interned per context block (a maximal run of
-    probes with equal contexts), computed once; the fillers are checked on the
-    first comb of each hole pair, and combs that share a bottom or a top share
-    its stretches through one table, a bottom's lower halves through another."""
+    probes with equal contexts) and computed once, and each block's first
+    probe index.  The combs share one boundary, so the first comb checks the
+    fillers; combs that share a bottom or a top share its stretches through
+    one table, a bottom's lower halves through another."""
     blocks = [
         ([fillers for fillers, _ in run], contexts)
         for contexts, run in itertools.groupby(probes, key=lambda probe: probe[1])
@@ -608,25 +609,22 @@ def _fingerprinter(backend: Backend, probes: list) -> Callable[[CombRep], tuple]
     prints: dict[int, tuple[CombRep, tuple[int, ...]]] = {}  # holds c, so its id stays
     built: dict = {}
     lowers: dict[tuple[int, int], Any] = {}  # (id of stretch 0, block index) -> lower half
-    checked: set = set()
 
     def fingerprint(c: CombRep) -> tuple[int, ...]:
         if id(c) not in prints:
             holes, envs, segments = c.chain()
             keys = []
             for i, (block, (first, (after, _))) in enumerate(_block_paths(
-                backend, holes, envs, segments, blocks, built, holes not in checked
+                backend, holes, envs, segments, blocks, built, not prints
             )):
                 if (id(first), i) not in lowers:
-                    low = backend.plug_lower(*first, [fillers[0] for fillers in block])
-                    lowers[id(first), i] = list(low) if isinstance(low, Iterator) else low
+                    lowers[id(first), i] = backend.plug_lower(*first, [f[0] for f in block])
                 key = backend.block_key(lowers[id(first), i], after)
                 keys.append(interned[i].setdefault(key, len(interned[i])))
-            checked.add(holes)
             prints[id(c)] = c, tuple(keys)
         return prints[id(c)][1]
 
-    return fingerprint
+    return fingerprint, [0, *itertools.accumulate(len(block) for block, _ in blocks)]
 
 
 def _ordered(key: Any) -> Any:
@@ -677,9 +675,7 @@ def sigma_congruence_search(
             key = backend.canonical_key(braid_eval(backend, c))
             groups.setdefault(key, []).append(c)
         probes = list(filler_probes(backend, ((b, b1),), words, budget.max_hom, []))
-        fingerprint = _fingerprinter(backend, probes)
-        starts = [0, *itertools.accumulate(
-            len(list(run)) for _, run in itertools.groupby(probes, key=lambda p: p[1]))]
+        fingerprint, starts = _fingerprinter(backend, probes)
         for _, members in sorted(groups.items(), key=lambda kv: repr(_ordered(kv[0]))):
             for c1, c2 in itertools.combinations(members, 2):
                 pairs_checked += 1

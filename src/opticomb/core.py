@@ -11,9 +11,9 @@ This module defines the pieces every other module builds on:
   generic deciders: six methods (``object_names``, ``identity``,
   ``symmetry``, ``compose``, ``tensor``, ``equal``) and the ``_gens`` table
   of generator values.  Values carry their own ``dom`` / ``cod``; the rest
-  (word normal forms, the batched filler kernel ``plug``, enumeration,
-  cartesian structure, duals, a dagger, certification hooks, canonical
-  keys) are optional hooks.
+  (word normal forms, the batched filler kernel ``plug_lower`` then
+  ``plug_upper``, enumeration, cartesian structure, duals, a dagger,
+  certification hooks, canonical keys) are optional hooks.
 * :class:`Decision` -- the three-valued answer type used by every
   equivalence procedure, together with its witness payloads.
 * JSON data -- :func:`value_json`, :func:`witness_json` and
@@ -407,27 +407,17 @@ class Backend(ABC):
     def equal(self, m1: Any, m2: Any) -> bool:
         """Semantic equality at the backend's tolerance; same-boundary values only."""
 
-    def plug(self, before: Any, beside: Any, fillers: Sequence[Any], after: Any) -> list:
-        """``before ; (beside (x) filler) ; after`` for each filler of a
-        non-empty block of fillers that share one type.
-
-        The filler evaluation kernel, split at the hole into :meth:`plug_lower`
-        and :meth:`plug_upper`.  ``comb.plug_chain`` and
-        ``polycomb.poly_compose_at`` plug one filler per call; blocks reach
-        only :meth:`plug_lower` and :meth:`block_key`, in the congruence
-        search.  By default one tensor and two composites per filler; the
-        matrix and finfun backends batch the block (stacked products; one walk
-        of ``before``'s legs per filler).
-        """
-        return self.plug_upper(self.plug_lower(before, beside, fillers), after)
-
     def plug_lower(self, before: Any, beside: Any, fillers: Sequence[Any]) -> Any:
-        """``before ; (beside (x) filler)`` for the block; lazy by default, so
-        ``plug`` keeps its call order, and a caller that reuses it lists it."""
-        return (self.compose(before, self.tensor(beside, lam)) for lam in fillers)
+        """``before ; (beside (x) filler)`` for each filler of a non-empty block
+        that shares one type: the filler kernel's lower half, which
+        :meth:`plug_upper` ends with ``; after``.  ``comb.plug_chain`` and
+        ``polycomb.poly_compose_at`` plug blocks of one filler; the congruence
+        search keys a block's lower half for many tops (:meth:`block_key`).
+        The matrix and finfun backends batch the block."""
+        return [self.compose(before, self.tensor(beside, lam)) for lam in fillers]
 
     def plug_upper(self, lower: Any, after: Any) -> list:
-        """The values of :meth:`plug`: ``; after`` on a lower half."""
+        """``; after`` on each value of a lower half: the plugged values."""
         return [self.compose(v, after) for v in lower]
 
     def block_key(self, lower: Any, after: Any) -> Hashable:

@@ -27,8 +27,8 @@ included) plugs one of its ports into the hole.  Its remaining ports
 ride as luggage beside the environments: their inputs through every
 segment below the hole, their outputs through every segment above it, to
 join the host's outer boundary.  At the hole the reordered inner segment
-is a filler, plugged by one ``Backend.plug`` call.  Together these cover
-unit/counit plugging and the yanking identities.
+is a filler, plugged by ``Backend.plug_lower`` then ``plug_upper``.
+Together these cover unit/counit plugging and the yanking identities.
 """
 from __future__ import annotations
 
@@ -277,9 +277,8 @@ def _plug_segment(
     )
     scatter = block_permutation(backend, x_out, order)
     filler = backend.compose(backend.compose(gather, inner.segments[0]), scatter)
-    merged = backend.plug(
-        carry(j, l_in), backend.identity(outer.envs[j]), (filler,), carry(j + 1, l_out)
-    )[0]
+    lower = backend.plug_lower(carry(j, l_in), backend.identity(outer.envs[j]), (filler,))
+    (merged,) = backend.plug_upper(lower, carry(j + 1, l_out))
     return poly(
         backend,
         outer.holes[:j] + outer.holes[j + 1 :],

@@ -123,6 +123,8 @@ def parse_theory(text: str) -> TheoryConfig:
         if config is None:
             raise TheoryError("the first declaration must be a backend line", line_no)
         if head == "object":
+            if config.kind.startswith("free-"):
+                raise TheoryError(f"{config.kind} backends carry a fixed object", line_no)
             parts = rest.split()
             if len(parts) != 2:
                 raise TheoryError("object takes a name and dim=N or size=N", line_no)
@@ -139,6 +141,8 @@ def parse_theory(text: str) -> TheoryConfig:
                 raise TheoryError(f"{key} must be nonnegative", line_no)
             _once(config.objects, name, extent, "object", line_no)
         elif head == "morphism":
+            if config.kind.startswith("free-"):
+                raise TheoryError(f"{config.kind} generators are built in", line_no)
             if "=" not in rest or ":" not in rest:
                 raise TheoryError(
                     "morphism syntax: name : word -> word = literal", line_no
@@ -246,11 +250,6 @@ def build_backend(config: TheoryConfig):
     """Turn a parsed theory into a live backend."""
     kind = config.kind
     opts = dict(config.options)
-    if kind in ("free-commutative", "free-pointed"):
-        if config.objects:
-            raise TheoryError(f"{kind} backends carry a fixed object")
-        if config.morphisms:
-            raise TheoryError(f"{kind} generators are built in")
     if kind == "free-commutative":
         obj = opts.pop("object", "a")
         endo = opts.pop("endo", "f")

@@ -76,6 +76,22 @@ MALFORMED_THEORIES = {
     "object-twice": IDENTITY.replace("object x", "object x dim=3\nobject x"),
     "morphism-twice": IDENTITY + "morphism h : x -> x = [[0,1],[1,0]]\n",
     "option-twice": IDENTITY.replace("matrix", "matrix semiring=bool semiring=complex"),
+    # one line or option the reader refuses
+    "option-without-value": "backend matrix semiring\n",
+    "object-without-extent": "backend matrix\nobject x\n",
+    "dim-not-an-integer": "backend matrix\nobject x dim=two\n",
+    "negative-dim": "backend matrix\nobject x dim=-1\n",
+    "morphism-without-literal": "backend matrix\nobject x dim=2\nmorphism h : x -> x\n",
+    "morphism-without-arrow": "backend matrix\nobject x dim=2\nmorphism h : x = [[1,0],[0,1]]\n",
+    "rule-without-arrow": "backend free-pointed\nrule phi ; bang\n",
+    "rule-without-semicolon": "backend free-pointed\nrule phi -> 1\n",
+    "complex-entry-of-three": MATRIX + "[[[1, 0, 0]]]\n",
+    "float-rational": MATRIX.replace("matrix", "matrix semiring=rational") + "[[0.5]]\n",
+    "object-on-free": "backend free-commutative\nobject a dim=2\n",
+    "morphism-on-free": "backend free-pointed\nmorphism f : a -> a = [0]\n",
+    "unknown-commutative-option": "backend free-commutative colour=red\n",
+    "unknown-pointed-option": "backend free-pointed colour=red\n",
+    "rule-on-matrix": IDENTITY + "rule h ; h -> h\n",
 }
 
 P1 = "poly p1 holes=[(b,b)] outers=[(b,b)] envs=[I] segs=[top | lower]\n"
@@ -119,6 +135,16 @@ MALFORMED_PROGRAMS = {
     "compose-bad-name": C + "compose c c as 1-bad\n",
     "tensor-bad-name": C + "tensor c c as c.2\n",
     "plug-bad-name": P1 + "plug p1 at 0 with p1 as p-3\n",
+    # plugs whose hole, port or inner piece does not do
+    "plug-hole-not-integer": P1 + "plug p1 at x with p1 as p3\n",
+    "plug-port-not-integer": P1 + "plug p1 at 0 with p1 port y as p3\n",
+    "plug-unknown-inner": P1 + "plug p1 at 0 with nope as p3\n",
+    "plug-port-out-of-range": P1 + "poly q holes=[] outers=[(b,b)] envs=[] segs=[top]\n"
+                              "plug p1 at 0 with q port 1 as p3\n",
+    "plug-port-misfit": P1 + "poly q holes=[] outers=[(b,b),(I,I)] envs=[] segs=[top]\n"
+                        "plug p1 at 0 with q port 1 as p3\n",
+    "plug-no-port-fits": P1 + "poly q holes=[] outers=[(I,b),(b,I)] envs=[] segs=[top]\n"
+                         "plug p1 at 0 with q as p3\n",
     # declaration bodies the term reader refuses
     "pair-without-comma": P1.replace("holes=[(b,b)]", "holes=[(b b)]"),
     "pairs-without-comma": P1.replace("holes=[(b,b)]", "holes=[(b,b) (b,b)]"),

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import json
-from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -541,24 +540,29 @@ def _blocks(probes):
     ]
 
 
+def _plug(backend, before, beside, fillers, after):
+    """The filler kernel on a block: its lower half, then its upper half."""
+    return backend.plug_upper(backend.plug_lower(before, beside, fillers), after)
+
+
 def _plug_blocks(backend, holes, envs, segments, blocks, built=None):
     """The reference of ``plug_chain`` on context blocks: one list of values
-    per block, the first hole plugging the whole block in one ``plug`` call,
-    on the paths of ``_block_paths`` (their stretches shared through
+    per block, the first hole plugging the whole block through one kernel
+    call, on the paths of ``_block_paths`` (their stretches shared through
     ``built``)."""
     for block, path in _block_paths(backend, holes, envs, segments, blocks, built, True):
         vals = [path[0][0]] * len(block)
         for i, ((_, beside), (after, _)) in enumerate(zip(path, path[1:])):
             lams = [fillers[i] for fillers in block]
             if i == 0:
-                vals = backend.plug(vals[0], beside, lams, after)
+                vals = _plug(backend, vals[0], beside, lams, after)
             else:
-                vals = [backend.plug(v, beside, (lam,), after)[0] for v, lam in zip(vals, lams)]
+                vals = [_plug(backend, v, beside, (lam,), after)[0] for v, lam in zip(vals, lams)]
         yield vals
 
 
 def _composed(backend, before, beside, fillers, after):
-    """``plug`` as the default composition: one tensor and two composites each."""
+    """The kernel as the default composition: one tensor and two composites each."""
     return [backend.compose(backend.compose(before, backend.tensor(beside, lam)), after)
             for lam in fillers]
 
@@ -633,8 +637,9 @@ class TestProbeStreams:
 
 
 class TestPlugKernel:
-    """``Backend.plug`` evaluates a block of fillers of one type; the matrix
-    kernel stacks the block, the default one plugs filler by filler."""
+    """The filler kernel (``plug_lower`` then ``plug_upper``) evaluates a block
+    of fillers of one type; the matrix kernel stacks the block, the default
+    one plugs filler by filler."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_BACKENDS))
     def test_block_values_match_one_probe_values(self, name):
@@ -690,7 +695,7 @@ class TestPlugKernel:
             fillers = [pick(a, a1) for _ in range(5)]
             if any(m is None for m in (before, beside, after, *fillers)):
                 continue
-            got = backend.plug(before, beside, fillers, after)
+            got = _plug(backend, before, beside, fillers, after)
             want = _composed(backend, before, beside, fillers, after)
             assert len(got) == len(want) == 5
             for v, u in zip(got, want):
@@ -716,7 +721,7 @@ class TestPlugKernel:
         fillers = list(backend.enumerate_hom(b, b, 16).items)
         raw = [after.array @ np.kron(beside.array, f.array) @ before.array for f in fillers]
         assert max(int(r.max()) for r in raw) > 1
-        got = backend.plug(before, beside, fillers, after)
+        got = _plug(backend, before, beside, fillers, after)
         want = _composed(backend, before, beside, fillers, after)
         assert [backend.canonical_key(v) for v in got] == [backend.canonical_key(v) for v in want]
         for v, r in zip(got, raw):
@@ -729,7 +734,7 @@ class TestPlugKernel:
         before = backend.mat(x, x @ z, np.zeros((0, 2)))
         after = backend.mat(x @ z, x, np.zeros((2, 0)))
         fillers = [backend.mat(z, z, np.zeros((0, 0)))] * 3
-        got = backend.plug(before, backend.identity(x), fillers, after)
+        got = _plug(backend, before, backend.identity(x), fillers, after)
         want = _composed(backend, before, backend.identity(x), fillers, after)
         for v, u in zip(got, want, strict=True):
             assert v.array.shape == (2, 2)
@@ -741,32 +746,35 @@ class TestPlugKernel:
         backend = MatrixBackend({"b": 2}, semiring="bool")
         one = backend.identity(word("b"))
         with pytest.raises(TypeMismatch, match="cannot compose b into b\\*b"):
-            backend.plug(one, one, [one], backend.identity(word("b", "b")))
+            _plug(backend, one, one, [one], backend.identity(word("b", "b")))
         with pytest.raises(TypeMismatch, match="cannot compose b\\*b into b"):
-            backend.plug(backend.identity(word("b", "b")), one, [one], one)
+            _plug(backend, backend.identity(word("b", "b")), one, [one], one)
 
     def test_finfun_kernel_checks_the_block_type(self):
         backend = FinFunBackend({"s": 2, "t": 2})
         s, t = word("s"), word("t")
         one = backend.identity(s)
         with pytest.raises(TypeMismatch, match="cannot compose s into s\\*s"):
-            backend.plug(one, one, [one], backend.identity(s @ s))
+            _plug(backend, one, one, [one], backend.identity(s @ s))
         twice = backend.identity(s @ s)
         with pytest.raises(TypeMismatch, match="cannot compose s\\*s into s\\*t"):
-            backend.plug(twice, one, [backend.identity(t)], twice)
+            _plug(backend, twice, one, [backend.identity(t)], twice)
 
     @pytest.mark.parametrize("name", ["pointed"])
     def test_default_kernel_keeps_the_call_sequence(self, name):
-        """Per filler one tensor and two composites, in that order; and a
-        block makes the calls of the per-probe stream over its probes."""
+        """Per filler one tensor and two composites, in that order within each
+        half: the lower half's pairs for the block, then the upper half's
+        composites; and a block makes the calls of the per-probe stream over
+        its probes, the halves of a block grouped."""
         make, obj = NAME_BACKENDS[name]
         backend, o = make(), word(obj)
         before, beside, after = backend.identity(o @ o), backend.identity(o), backend.identity(o @ o)
         fillers = list(backend.enumerate_hom(o, o, 16).items)
         calls = _recording(backend)
-        values = backend.plug(before, beside, fillers, after)
+        values = _plug(backend, before, beside, fillers, after)
         assert len(calls) == 3 * len(fillers)
-        for (t, comp, last), lam, v in zip(zip(*[iter(calls)] * 3), fillers, values):
+        lower, upper = calls[: 2 * len(fillers)], calls[2 * len(fillers) :]
+        for (t, comp), last, lam, v in zip(zip(*[iter(lower)] * 2), upper, fillers, values):
             assert t[0] == "tensor" and t[1][0] is beside and t[1][1] is lam
             assert comp[0] == "compose" and comp[1][0] is before and comp[1][1] is t[2]
             assert last[0] == "compose" and last[1][0] is comp[2] and last[1][1] is after
@@ -780,19 +788,15 @@ class TestPlugKernel:
                         lambda b: plug_chain(b, *p.chain(), probes)):
                 calls = _recording(other := make())
                 list(run(other))
-                seqs.append([(op, [(backend.dom(a), backend.cod(a)) if not isinstance(a, ObjectWord)
-                                   else a for a in args]) for op, args, _ in calls])
+                seqs.append(sorted(((op, [(backend.dom(a), backend.cod(a))
+                                          if not isinstance(a, ObjectWord) else a
+                                          for a in args]) for op, args, _ in calls), key=repr))
             assert seqs[0] == seqs[1]
             assert [op for op, _ in seqs[0]].count("tensor") >= len(probes)
 
 
-def _lower(backend, before, beside, fillers):
-    low = backend.plug_lower(before, beside, fillers)
-    return list(low) if isinstance(low, Iterator) else low
-
-
 class TestPlugHalves:
-    """``plug`` is the upper half ``; after`` of the lower half ``before ;
+    """The kernel is the upper half ``; after`` of the lower half ``before ;
     (beside (x) filler)`` of a block; the congruence search keeps each lower
     half and keys each block through ``block_key``."""
 
@@ -844,14 +848,13 @@ class TestPlugHalves:
         count, empty = 0, False
         for backend, before, beside, fillers, after, _ in self._cases(name):
             want = _composed(backend, before, beside, fillers, after)
-            halves = backend.plug_upper(_lower(backend, before, beside, fillers), after)
-            for got in (backend.plug(before, beside, fillers, after), halves):
-                assert len(got) == len(want) == len(fillers)
-                for v, u in zip(got, want):
-                    assert (v.dom, v.cod) == (u.dom, u.cod) == (before.dom, after.cod)
-                    assert _same_value(backend, v, u)
-                    if "rational" in name:
-                        assert all(type(e) is Fraction for e in v.array.flat)
+            got = _plug(backend, before, beside, fillers, after)
+            assert len(got) == len(want) == len(fillers)
+            for v, u in zip(got, want):
+                assert (v.dom, v.cod) == (u.dom, u.cod) == (before.dom, after.cod)
+                assert _same_value(backend, v, u)
+                if "rational" in name:
+                    assert all(type(e) is Fraction for e in v.array.flat)
             count += 1
             v = want[0]
             empty = empty or (0 in v.array.shape if hasattr(v, "array")
@@ -865,12 +868,12 @@ class TestPlugHalves:
     @pytest.mark.parametrize("name", NAMES)
     def test_a_lower_half_serves_two_afters(self, name):
         """One lower half, read under two ``after``s in turn and again, gives
-        the values of fresh ``plug`` calls; its block keys are equal exactly
+        the values of fresh kernel calls; its block keys are equal exactly
         when those values are."""
         for backend, before, beside, fillers, after, after2 in self._cases(name):
-            lower, keys = _lower(backend, before, beside, fillers), {}
+            lower, keys = backend.plug_lower(before, beside, fillers), {}
             for a in (after, after2, after):
-                fresh = backend.plug(before, beside, fillers, a)
+                fresh = _plug(backend, before, beside, fillers, a)
                 for v, u in zip(backend.plug_upper(lower, a), fresh, strict=True):
                     assert _same_value(backend, v, u)
                 if backend.enumerable:
@@ -903,9 +906,9 @@ class TestPlugHalves:
         """Criterion 05's bool ``(x,x)/(x,x)`` search: 48 bottoms and 183 combs
         over 9 context blocks; the lower half runs once per bottom and block,
         the upper half (read through ``block_key``) once per comb and block,
-        and no whole ``plug`` runs."""
+        and no ``plug_upper`` runs."""
         backend, boundaries = MatrixBackend({"x": 2}, semiring="bool"), [(word("x"),) * 4]
-        calls = {"plug_lower": 0, "block_key": 0, "plug": 0, "plug_upper": 0}
+        calls = {"plug_lower": 0, "block_key": 0, "plug_upper": 0}
 
         def counting(name, fn):
             def wrapped(*args):
@@ -916,7 +919,7 @@ class TestPlugHalves:
         for name in calls:
             monkeypatch.setattr(backend, name, counting(name, getattr(backend, name)))
         assert sigma_congruence_search(backend, boundaries, 2, 200) is None
-        assert calls == {"plug_lower": 432, "block_key": 1647, "plug": 0, "plug_upper": 0}
+        assert calls == {"plug_lower": 432, "block_key": 1647, "plug_upper": 0}
 
 
 def _dense_pieces(backend, rng, fill, n, count=6, words=(word(), word("x"), word("y"))):
@@ -1135,8 +1138,8 @@ def _check_block_contract(backend, walk, combs):
     exactly when their per-probe keys are equal, and where they differ, the
     first differing block holds the first differing probe.  Returns the
     number of differing pairs."""
-    fingerprint = _fingerprinter(backend, walk)
-    starts = [0, *itertools.accumulate(len(fillers) for fillers, _ in _blocks(walk))]
+    fingerprint, starts = _fingerprinter(backend, walk)
+    assert starts == [0, *itertools.accumulate(len(fillers) for fillers, _ in _blocks(walk))]
     interned = [{} for _ in walk]
     per_probe, prints = [], []
     for c in combs:
@@ -1270,7 +1273,7 @@ class TestSharedSearchWork:
         bad = [((backend.identity(o @ o),), contexts)]
         assert (backend.dom(lam), backend.cod(lam)) != (o @ o, o @ o)
         with pytest.raises(TypeMismatch, match="filler 0 must"):
-            _fingerprinter(backend, probes[:k] + bad + probes[k + 1:])(c)
+            _fingerprinter(backend, probes[:k] + bad + probes[k + 1:])[0](c)
         stream = plug_chain(backend, *c.chain(), probes[:k] + bad)
         assert len(list(itertools.islice(stream, k))) == k
         with pytest.raises(TypeMismatch, match="filler 0 must"):

@@ -192,7 +192,8 @@ class TestBackendContract:
         be = CostBackend()
         x = ObjectWord.of("x")
         f, g = be.generator("f"), be.generator("g")
-        out = be.plug(g, be.identity(x), [f, be.identity(x)], be.tensor(f, f))
+        lower = be.plug_lower(g, be.identity(x), [f, be.identity(x)])
+        out = be.plug_upper(lower, be.tensor(f, f))
         assert [(v.dom, v.cod, v.weight) for v in out] == [(x, x @ x, 5), (x, x @ x, 4)]
 
     def test_minimal_backend_answers_sigma(self):

@@ -85,6 +85,22 @@ class TestZigzag:
         assert step.direction in ("push_up", "push_down")
         assert step.residual == a
 
+    def test_the_representatives_environments_join_the_search(self, pointed):
+        """At bound 0 the search grades no environment ``a`` or ``a*a``; the
+        two representatives bring theirs, so the one slide between them is
+        found."""
+        a = word("a")
+        one = pointed.identity(a)
+        lower, upper = slide_related(
+            pointed, one, pointed.tensor(one, pointed.generator("psi")),
+            pointed.tensor(one, pointed.generator("bang")),
+        )
+        assert (lower.env, upper.env) == (a, word("a", "a"))
+        assert (lower.source, lower.target) == ((a, a), (word(), word()))
+        d = equiv_optic(pointed, lower, upper, strategy="zigzag", bound=0)
+        assert d.verdict is Verdict.EQUIVALENT and d.certified
+        assert isinstance(d.witness, SlidePathWitness) and len(d.witness.steps) == 1
+
     def test_separates_what_fillers_glue(self, idem):
         """The headline gap: filler-equal combs in distinct slide classes."""
         a = word("a")

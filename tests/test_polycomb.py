@@ -110,6 +110,9 @@ class TestEvaluation:
         lam = rand_mat(cbe, rng, word("y"), word("x"))
         with pytest.raises(HoleMismatch):
             poly_extended_eval(cbe, two_hole, [lam], [(U, U)])
+        # as many contexts as holes, but one filler short
+        with pytest.raises(HoleMismatch, match="expected 2 fillers and 2 contexts"):
+            poly_extended_eval(cbe, two_hole, [lam], [(U, U), (U, U)])
 
     def test_filler_boundary_checked(self, cbe, rng, two_hole):
         good = rand_mat(cbe, rng, word("y"), word("x"))

@@ -92,6 +92,14 @@ MUTANTS = (
     Mutant("chain walker plugs fewer fillers than contexts", "src/opticomb/comb.py",
            "if len(fillers) != n:", "if False:",
            ("tests/test_polycomb.py::TestEvaluation::test_filler_count_checked",)),
+    Mutant("sized conclusive context length minus 1", "src/opticomb/core.py",
+           "return max(len(hole_in), len(hole_out))",
+           "return max(len(hole_in), len(hole_out)) - 1",
+           ("tests/test_certificates.py::"
+            "test_a_certified_probe_verdict_holds_one_word_longer[finfun-ss-sI]",)),
+    Mutant("values on different boundaries compare", "src/opticomb/core.py",
+           "if m1.dom != m2.dom or m1.cod != m2.cod:", "if False:",
+           ("tests/test_matrix_backend.py::TestStructure::test_equal_requires_same_boundary",)),
 )
 
 

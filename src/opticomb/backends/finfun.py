@@ -9,16 +9,9 @@ point) and exactly enumerable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Hashable, Sequence
 
-from ..core import (
-    Backend,
-    DimensionMismatch,
-    HomSet,
-    ObjectWord,
-    TypeMismatch,
-    UnknownGenerator,
-)
+from ..core import DimensionMismatch, HomSet, ObjectWord, SizedBackend
 
 
 @dataclass(frozen=True)
@@ -37,20 +30,13 @@ class FinMap:
         return {"dom": self.dom.pretty(), "cod": self.cod.pretty(), "table": list(self.table)}
 
 
-class FinFunBackend(Backend):
+class FinFunBackend(SizedBackend):
     name = "finfun"
     cartesian = True
     enumerable = True
     # functions sit faithfully inside boolean matrices as their graphs, so
     # braid values settle filler agreement
     braid_conclusive = True
-
-    def __init__(self, sizes: Mapping[str, int]):
-        for obj, s in sizes.items():
-            if s < 0:
-                raise DimensionMismatch(f"object {obj} has negative size {s}")
-        self.sizes = dict(sizes)
-        self._gens: dict[str, FinMap] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -63,7 +49,7 @@ class FinFunBackend(Backend):
 
     def fun(self, dom: ObjectWord, cod: ObjectWord, table: Any) -> FinMap:
         tab = tuple(int(x) for x in table)
-        nd, nc = self.size(dom), self.size(cod)
+        nd, nc = self.dim(dom), self.dim(cod)
         if len(tab) != nd:
             raise DimensionMismatch(
                 f"table for {dom.pretty()} -> {cod.pretty()} must have {nd} entries, "
@@ -74,26 +60,13 @@ class FinFunBackend(Backend):
                 raise DimensionMismatch(f"table value {x} outside codomain of size {nc}")
         return FinMap(dom, cod, tab)
 
-    def size(self, word: ObjectWord) -> int:
-        total = 1
-        for f in word:
-            if f not in self.sizes:
-                raise UnknownGenerator(f"unknown object {f!r}")
-            total *= self.sizes[f]
-        return total
-
-    # -- signature ----------------------------------------------------------------
-
-    def object_names(self) -> tuple[str, ...]:
-        return tuple(self.sizes)
-
     # -- structure --------------------------------------------------------------------
 
     def identity(self, word: ObjectWord) -> FinMap:
-        return FinMap(word, word, tuple(range(self.size(word))))
+        return FinMap(word, word, tuple(range(self.dim(word))))
 
     def symmetry(self, left: ObjectWord, right: ObjectWord) -> FinMap:
-        nl, nr = self.size(left), self.size(right)
+        nl, nr = self.dim(left), self.dim(right)
         table = tuple(y * nl + x for x in range(nl) for y in range(nr))
         return FinMap(left @ right, right @ left, table)
 
@@ -102,11 +75,11 @@ class FinFunBackend(Backend):
         return FinMap(first.dom, then.cod, tuple(then.table[x] for x in first.table))
 
     def tensor(self, left: FinMap, right: FinMap) -> FinMap:
-        ncr = self.size(right.cod)
-        ndr = self.size(right.dom)
+        ncr = self.dim(right.cod)
+        ndr = self.dim(right.dom)
         table = tuple(
             left.table[x] * ncr + right.table[y]
-            for x in range(self.size(left.dom))
+            for x in range(self.dim(left.dom))
             for y in range(ndr)
         )
         return FinMap(left.dom @ right.dom, left.cod @ right.cod, table)
@@ -118,7 +91,7 @@ class FinFunBackend(Backend):
         lam = fillers[0]
         middle = FinMap(beside.dom @ lam.dom, beside.cod @ lam.cod, ())  # its type only
         self._require_composable(before, middle)
-        n_in, n_out = self.size(lam.dom), self.size(lam.cod)
+        n_in, n_out = self.dim(lam.dom), self.dim(lam.cod)
         legs = [(beside.table[i] * n_out, j) for i, j in (divmod(x, n_in) for x in before.table)]
         return FinMap(before.dom, middle.cod, [[b + f.table[j] for b, j in legs] for f in fillers])
 
@@ -128,17 +101,13 @@ class FinFunBackend(Backend):
         return [FinMap(lower.dom, after.cod, tuple([out[x] for x in t])) for t in lower.table]
 
     def equal(self, m1: FinMap, m2: FinMap) -> bool:
-        if m1.dom != m2.dom or m1.cod != m2.cod:
-            raise TypeMismatch(
-                f"cannot compare {m1.dom.pretty()} -> {m1.cod.pretty()} with "
-                f"{m2.dom.pretty()} -> {m2.cod.pretty()}"
-            )
+        self._require_same_boundary(m1, m2)
         return m1.table == m2.table
 
     # -- enumeration ---------------------------------------------------------------------
 
     def enumerate_hom(self, dom: ObjectWord, cod: ObjectWord, budget: int) -> HomSet:
-        nd, nc = self.size(dom), self.size(cod)
+        nd, nc = self.dim(dom), self.dim(cod)
         if nc == 0:
             if nd == 0:
                 return HomSet((FinMap(dom, cod, ()),), complete=True)
@@ -158,28 +127,20 @@ class FinFunBackend(Backend):
     # -- cartesian structure ------------------------------------------------------------------
 
     def copy(self, word: ObjectWord) -> FinMap:
-        n = self.size(word)
+        n = self.dim(word)
         return FinMap(word, word @ word, tuple(x * n + x for x in range(n)))
 
     def proj1(self, left: ObjectWord, right: ObjectWord) -> FinMap:
-        nl, nr = self.size(left), self.size(right)
+        nl, nr = self.dim(left), self.dim(right)
         table = tuple(x for x in range(nl) for _ in range(nr))
         return FinMap(left @ right, left, table)
 
     def proj2(self, left: ObjectWord, right: ObjectWord) -> FinMap:
-        nl, nr = self.size(left), self.size(right)
+        nl, nr = self.dim(left), self.dim(right)
         table = tuple(y for _ in range(nl) for y in range(nr))
         return FinMap(left @ right, right, table)
 
     # -- hooks -------------------------------------------------------------------------------------
-
-    def extension_word_len_needed(
-        self,
-        source: tuple[ObjectWord, ObjectWord],
-        target: tuple[ObjectWord, ObjectWord],
-    ) -> int | None:
-        hole_in, hole_out = target
-        return max(len(hole_in), len(hole_out))
 
     def canonical_key(self, m: FinMap) -> Hashable:
         return ("fun", m.dom, m.cod, m.table)
@@ -198,7 +159,7 @@ def functions_as_boolean_matrices(ff: FinFunBackend):
 
     from .matrix import Mat, MatrixBackend
 
-    target = MatrixBackend(dims=dict(ff.sizes), semiring="bool")
+    target = MatrixBackend(dims=ff.dims, semiring="bool")
 
     def value_map(m: FinMap) -> Mat:
         nr = target.dim(m.cod)

@@ -333,8 +333,7 @@ class PointedFreeBackend(_OneObjectBackend):
         )
 
     def equal(self, m1: WiringMor, m2: WiringMor) -> bool:
-        if m1.dom != m2.dom or m1.cod != m2.cod:
-            raise TypeMismatch("cannot compare wirings with different boundaries")
+        self._require_same_boundary(m1, m2)
         return (
             m1.matching == m2.matching
             and m1.caps == m2.caps

@@ -29,12 +29,11 @@ from typing import Any, Hashable, Mapping, Sequence
 import numpy as np
 
 from ..core import (
-    Backend,
     DimensionMismatch,
     HomSet,
     ObjectWord,
+    SizedBackend,
     TypeMismatch,
-    UnknownGenerator,
     _join,
     value_json,
 )
@@ -99,7 +98,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
-class MatrixBackend(Backend):
+class MatrixBackend(SizedBackend):
     """Free matrix category on named dimensions, over a chosen semiring.
 
     ``dims`` names the generating objects; :meth:`add_generator` declares a
@@ -123,14 +122,10 @@ class MatrixBackend(Backend):
     ):
         if semiring not in SEMIRINGS:
             raise ValueError(f"unknown semiring {semiring!r}, expected one of {SEMIRINGS}")
-        for obj, d in dims.items():
-            if d < 0:
-                raise DimensionMismatch(f"object {obj} has negative dimension {d}")
+        super().__init__(dims)
         self.semiring = semiring
-        self.dims = dict(dims)
         self.tolerance = tolerance if semiring == "complex" else None
         self.enumerable = semiring == "bool"
-        self._gens: dict[str, Mat] = {}
         self._identities: dict[ObjectWord, Mat] = {}
         self._symmetries: dict[tuple[ObjectWord, ObjectWord], Mat] = {}
 
@@ -163,19 +158,6 @@ class MatrixBackend(Backend):
                 f"{expected}, got {arr.shape}"
             )
         return Mat(dom, cod, arr)
-
-    def dim(self, word: ObjectWord) -> int:
-        total = 1
-        for f in word:
-            if f not in self.dims:
-                raise UnknownGenerator(f"unknown object {f!r}")
-            total *= self.dims[f]
-        return total
-
-    # -- signature ------------------------------------------------------------
-
-    def object_names(self) -> tuple[str, ...]:
-        return tuple(self.dims)
 
     # -- structure --------------------------------------------------------------
 
@@ -267,11 +249,7 @@ class MatrixBackend(Backend):
         return Mat(_join(ins), _join(outs[-1:] + outs[:-1]), val)
 
     def equal(self, m1: Mat, m2: Mat) -> bool:
-        if m1.dom != m2.dom or m1.cod != m2.cod:
-            raise TypeMismatch(
-                f"cannot compare {m1.dom.pretty()} -> {m1.cod.pretty()} with "
-                f"{m2.dom.pretty()} -> {m2.cod.pretty()}"
-            )
+        self._require_same_boundary(m1, m2)
         if self.semiring == "complex":
             return close(m1.array, m2.array, self.tolerance)
         return bool(np.array_equal(m1.array, m2.array))
@@ -321,16 +299,6 @@ class MatrixBackend(Backend):
         return Mat(m.cod, m.dom, arr)
 
     # -- hooks ----------------------------------------------------------------------------
-
-    def extension_word_len_needed(
-        self,
-        source: tuple[ObjectWord, ObjectWord],
-        target: tuple[ObjectWord, ObjectWord],
-    ) -> int | None:
-        # the swap filler at context (B', B) recovers the braid value, and the
-        # braid value settles filler agreement here
-        hole_in, hole_out = target
-        return max(len(hole_in), len(hole_out))
 
     def canonical_key(self, m: Mat) -> Hashable:
         if self.semiring == "bool":

@@ -12,7 +12,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..core import DimensionMismatch, NotEnumerable, ObjectWord
+from ..core import Backend, DimensionMismatch, ObjectWord
 from .matrix import Mat, MatrixBackend, close, residual_tolerance
 
 
@@ -22,6 +22,9 @@ class UnitaryBackend(MatrixBackend):
     enumerable = False
     unitary_values = True
     braid_conclusive = True
+    # no enumeration (hom-sets are a continuum) and no pairing vectors (they
+    # are not unitary): the base contract's refusals
+    enumerate_hom, dual, cup, cap = Backend.enumerate_hom, Backend.dual, Backend.cup, Backend.cap
 
     def __init__(self, dims: Mapping[str, int], **tolerance: float):
         # the optional ``tolerance`` keyword and its default are MatrixBackend's
@@ -40,23 +43,6 @@ class UnitaryBackend(MatrixBackend):
                 f"matrix for {dom.pretty()} -> {cod.pretty()} is not unitary"
             )
         return m
-
-    def enumerate_hom(self, dom: ObjectWord, cod: ObjectWord, budget: int):
-        raise NotEnumerable("unitary hom-sets are a continuum")
-
-    def dual(self, word: ObjectWord) -> ObjectWord:
-        raise self._no_compact()
-
-    def cup(self, word: ObjectWord) -> Mat:
-        raise self._no_compact()
-
-    def cap(self, word: ObjectWord) -> Mat:
-        raise self._no_compact()
-
-    def _no_compact(self):
-        from ..core import NotCompactClosed
-
-        return NotCompactClosed("pairing vectors are not unitary")
 
 
 def tensor_separate(u: np.ndarray, d_left: int, d_right: int):

@@ -14,6 +14,7 @@ This module defines the pieces every other module builds on:
   (word normal forms, the batched filler kernel ``plug_lower`` then
   ``plug_upper``, enumeration, cartesian structure, duals, a dagger,
   certification hooks, canonical keys) are optional hooks.
+  :class:`SizedBackend` is the base of backends over named finite sizes.
 * :class:`Decision` -- the three-valued answer type used by every
   equivalence procedure, together with its witness payloads.
 * JSON data -- :func:`value_json`, :func:`witness_json` and
@@ -450,6 +451,13 @@ class Backend(ABC):
                 f"cannot compose {self.cod(first).pretty()} into {self.dom(then).pretty()}"
             )
 
+    def _require_same_boundary(self, m1: Any, m2: Any) -> None:
+        if m1.dom != m2.dom or m1.cod != m2.cod:
+            raise TypeMismatch(
+                f"cannot compare {m1.dom.pretty()} -> {m1.cod.pretty()} with "
+                f"{m2.dom.pretty()} -> {m2.cod.pretty()}"
+            )
+
     # -- enumeration ---------------------------------------------------------
 
     def enumerate_objects(self, max_len: int) -> tuple[ObjectWord, ...]:
@@ -540,6 +548,39 @@ class Backend(ABC):
     def value_to_term(self, m: Any) -> MorTerm | None:
         """A term evaluating to ``m``, when the backend can reconstruct one."""
         return None
+
+
+class SizedBackend(Backend):
+    """A backend whose objects are named finite sizes (matrix dimensions, set
+    sizes); a word's size is the product of its factors' sizes."""
+
+    def __init__(self, dims: Mapping[str, int]):
+        for obj, d in dims.items():
+            if d < 0:
+                raise DimensionMismatch(f"object {obj} has negative size {d}")
+        self.dims = dict(dims)
+        self._gens = {}
+
+    def object_names(self) -> tuple[str, ...]:
+        return tuple(self.dims)
+
+    def dim(self, word: ObjectWord) -> int:
+        total = 1
+        for f in word:
+            if f not in self.dims:
+                raise UnknownGenerator(f"unknown object {f!r}")
+            total *= self.dims[f]
+        return total
+
+    def extension_word_len_needed(
+        self,
+        source: tuple[ObjectWord, ObjectWord],
+        target: tuple[ObjectWord, ObjectWord],
+    ) -> int:
+        # the swap filler at context (B', B) recovers the braid value, and
+        # braid values settle filler agreement on every sized backend
+        hole_in, hole_out = target
+        return max(len(hole_in), len(hole_out))
 
 
 def permutation_term(words: Sequence[ObjectWord], perm: Sequence[int]) -> MorTerm:

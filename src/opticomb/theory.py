@@ -47,7 +47,15 @@ from .core import NAME, CategoryError, ObjectWord
 from .backends.finfun import FinFunBackend
 from .backends.free import IdempotentFreeBackend, PointedFreeBackend
 
-KINDS = ("matrix", "finfun", "free-commutative", "free-pointed", "unitary")
+#: each backend kind and the options its backend line takes; finfun takes
+#: tolerance only to refuse it with the reason
+KINDS = {
+    "matrix": ("semiring", "tolerance"),
+    "finfun": ("tolerance",),
+    "free-commutative": ("object", "endo"),
+    "free-pointed": ("object", "states", "effects"),
+    "unitary": ("tolerance",),
+}
 
 
 class TheoryError(Exception):
@@ -110,6 +118,9 @@ def parse_theory(text: str) -> TheoryConfig:
                     f"backend kind must be one of {', '.join(KINDS)}", line_no
                 )
             config = TheoryConfig(parts[0], _split_options(parts[1:], line_no))
+            unknown = set(config.options) - set(KINDS[config.kind])
+            if unknown:
+                raise TheoryError(f"unknown options {sorted(unknown)} for {config.kind}", line_no)
             if config.kind.startswith("free-"):
                 # the free kinds' built-in names; the term reader reads a
                 # state, effect or endo named I as a generator
@@ -167,7 +178,15 @@ def parse_theory(text: str) -> TheoryConfig:
             if ";" not in lhs:
                 raise TheoryError("rule left side must be g1 ; g2", line_no)
             g1, _, g2 = lhs.partition(";")
-            config.rules.append((g1.strip(), g2.strip(), rhs.strip()))
+            rule = (g1.strip(), g2.strip(), rhs.strip())
+            if not config.kind.startswith("free-"):
+                raise TheoryError(f"{config.kind} theories take no rules", line_no)
+            endo = config.options.get("endo", "f")
+            if config.kind == "free-commutative" and rule != (endo, endo, endo):
+                raise TheoryError(f"the only rule available is {endo} ; {endo} -> {endo}", line_no)
+            if config.kind == "free-pointed" and rule[2] != "1":
+                raise TheoryError("pointed rules collapse to 1", line_no)
+            config.rules.append(rule)
         else:
             raise TheoryError(f"unknown declaration {head!r}", line_no)
     if config is None:
@@ -249,40 +268,24 @@ def parse_tolerance(text: str) -> float:
 def build_backend(config: TheoryConfig):
     """Turn a parsed theory into a live backend."""
     kind = config.kind
-    opts = dict(config.options)
+    opts = config.options
     if kind == "free-commutative":
-        obj = opts.pop("object", "a")
-        endo = opts.pop("endo", "f")
-        if opts:
-            raise TheoryError(f"unknown options {sorted(opts)} for {kind}")
-        for g1, g2, rhs in config.rules:
-            if (g1, g2, rhs) != (endo, endo, endo):
-                raise TheoryError(
-                    f"the only rule available is {endo} ; {endo} -> {endo}"
-                )
-        return IdempotentFreeBackend(object_name=obj, endo_name=endo)
+        # a rule line can only restate that the endo is idempotent
+        return IdempotentFreeBackend(opts.get("object", "a"), opts.get("endo", "f"))
     if kind == "free-pointed":
-        obj = opts.pop("object", "a")
-        states = tuple(s for s in opts.pop("states", "phi,psi").split(",") if s)
-        effects = tuple(e for e in opts.pop("effects", "bang").split(",") if e)
-        if opts:
-            raise TheoryError(f"unknown options {sorted(opts)} for {kind}")
-        if any(rhs != "1" for _, _, rhs in config.rules):
-            raise TheoryError("pointed rules collapse to 1")
+        obj = opts.get("object", "a")
+        states = tuple(s for s in opts.get("states", "phi,psi").split(",") if s)
+        effects = tuple(e for e in opts.get("effects", "bang").split(",") if e)
         # no rule lines: the backend's default cancels every state/effect pair
         rules = tuple((g1, g2) for g1, g2, _ in config.rules) or None
         with _refusal_named(f"backend {kind}"):
             return PointedFreeBackend(
                 object_name=obj, states=states, effects=effects, rules=rules
             )
-    if config.rules:
-        raise TheoryError(f"{kind} theories take no rules")
     numeric: dict[str, float] = {}
     if "tolerance" in opts:
-        numeric["tolerance"] = parse_tolerance(opts.pop("tolerance"))
-    semiring = opts.pop("semiring", "complex") if kind == "matrix" else "complex"
-    if opts:
-        raise TheoryError(f"unknown options {sorted(opts)} for {kind}")
+        numeric["tolerance"] = parse_tolerance(opts["tolerance"])
+    semiring = opts.get("semiring", "complex")
     if numeric and (kind == "finfun" or semiring != "complex"):
         exact = kind if kind == "finfun" else f"semiring={semiring}"
         raise TheoryError(

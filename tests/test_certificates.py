@@ -11,6 +11,7 @@ import pytest
 
 from opticomb import (
     FinFunBackend,
+    IdempotentFreeBackend,
     MatrixBackend,
     PointedFreeBackend,
     braid_eval,
@@ -35,7 +36,7 @@ def braid_equal_pairs(backend, boundaries, bound):
     return pairs
 
 
-I, a, x, y = word(), word("a"), word("x"), word("y")
+I, a, s, x, y = word(), word("a"), word("s"), word("x"), word("y")
 
 
 @pytest.mark.parametrize("backend,boundaries,bound", [
@@ -51,6 +52,32 @@ def test_braid_conclusive_leaves_no_separating_filler(backend, boundaries, bound
     pairs = braid_equal_pairs(backend, boundaries, bound)
     assert pairs > 0
     assert sigma_congruence_search(backend, boundaries, bound, max_pairs=pairs) is None
+
+
+@pytest.mark.parametrize("backend,source,target,stride", [
+    (IdempotentFreeBackend(), (a, a), (a, a), 1),
+    (IdempotentFreeBackend(), (a @ a, a @ a), (a, a), 1),
+    (IdempotentFreeBackend(), (a, a), (I, I), 1),
+    (FinFunBackend({"s": 2}), (s, s), (s, I), 1),
+    (MatrixBackend({"x": 2}, semiring="bool"), (I, I), (x, I), 3),
+], ids=["idempotent-aa-aa", "idempotent-a2a2-aa", "idempotent-aa-II", "finfun-ss-sI",
+        "bool-II-xI"])
+def test_a_certified_probe_verdict_holds_one_word_longer(backend, source, target, stride):
+    """``extension_word_len_needed`` claims that probes at context words of
+    that length settle filler agreement, so a certified ``enumerate`` verdict
+    at ``bound = needed`` is never the opposite of one at ``needed + 1``,
+    which may be UNKNOWN: the hom budget then truncates the longer contexts.
+    Every pair of representatives at bound 1, reflexive ones included (every
+    ``stride``-th one on bool, whose longer scans are slow)."""
+    reps = list(enumerate_combs(backend, source, target, 1))[::stride]
+    needed = backend.extension_word_len_needed(source, target)
+    certified = 0
+    for c1, c2 in itertools.combinations_with_replacement(reps, 2):
+        d = equiv_comb(backend, c1, c2, strategy="enumerate", bound=needed)
+        longer = equiv_comb(backend, c1, c2, strategy="enumerate", bound=needed + 1)
+        certified += d.certified
+        assert not (d.certified and longer.certified and d.verdict != longer.verdict), (c1, c2)
+    assert certified > 0
 
 
 def hole_ba_pairs():

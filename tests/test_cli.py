@@ -96,8 +96,8 @@ MALFORMED_THEORIES = {
 
 P1 = "poly p1 holes=[(b,b)] outers=[(b,b)] envs=[I] segs=[top | lower]\n"
 C = "comb c = (top, lower) env I\n"
-# programs over bool2.thy the parser or the runner refuses; each must exit 2
-# or 3 with a message
+# programs over bool2.thy the parser refuses, exit 2, or the runner refuses
+# when it builds a piece, exit 3 (RUN_TIME_REFUSALS); each with a message
 # object words that do not read like the words of terms: each must exit 2
 MALFORMED_WORDS = {
     "env-word-with-space": "comb c = (top, lower) env b c\n",
@@ -155,6 +155,8 @@ MALFORMED_PROGRAMS = {
     "poly-unclosed-list": P1.replace("lower]", "lower"),
     **MALFORMED_WORDS,
 }
+RUN_TIME_REFUSALS = {"plug-missing-hole", "poly-segment-count", "plug-port-out-of-range",
+                     "plug-port-misfit", "plug-no-port-fits"}
 
 # channel statements against a theory without channels: they reach the channel
 # module, which is imported on first use, and must exit 3
@@ -432,15 +434,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("theory error: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "text", MALFORMED_PROGRAMS.values(), ids=MALFORMED_PROGRAMS.keys()
-    )
-    def test_malformed_program_exits_with_message(self, text, capsys, tmp_path):
+    @pytest.mark.parametrize("name", MALFORMED_PROGRAMS)
+    def test_malformed_program_exits_with_message(self, name, capsys, tmp_path):
         prog = tmp_path / "p.prog"
-        prog.write_text(text)
-        assert run_cli("run", str(THEORIES / "bool2.thy"), str(prog)) in (2, 3)
+        prog.write_text(MALFORMED_PROGRAMS[name])
+        run_time = name in RUN_TIME_REFUSALS
+        assert run_cli("run", str(THEORIES / "bool2.thy"), str(prog)) == (3 if run_time else 2)
         err = capsys.readouterr().err
-        assert err.startswith(("program error: ", "error: ")) and "Traceback" not in err
+        assert err.startswith("error: " if run_time else "program error: line ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "text", MALFORMED_WORDS.values(), ids=MALFORMED_WORDS.keys()

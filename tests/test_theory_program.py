@@ -83,6 +83,21 @@ class TestTheoryParsing:
         with pytest.raises(TheoryError, match=f"^line {line_no}: {message}"):
             parse_theory(text)
 
+    @pytest.mark.parametrize("text,line_no,message", [
+        ("backend free-commutative colour=red", 1,
+         "unknown options ['colour'] for free-commutative"),
+        ("backend free-pointed object=a colour=red", 1,
+         "unknown options ['colour'] for free-pointed"),
+        ("backend unitary semiring=bool", 1, "unknown options ['semiring'] for unitary"),
+        ("backend matrix\nobject x dim=1\nrule h ; h -> h", 3, "matrix theories take no rules"),
+        ("backend free-commutative endo=g\n\nrule g ; f -> g", 3,
+         "the only rule available is g ; g -> g"),
+        ("backend free-pointed\nrule phi ; bang -> phi", 2, "pointed rules collapse to 1"),
+    ])
+    def test_options_and_rules_refused_on_their_line(self, text, line_no, message):
+        with pytest.raises(TheoryError, match=f"^line {line_no}: {re.escape(message)}$"):
+            parse_theory(text)
+
     def test_object_wants_right_extent_key(self):
         with pytest.raises(TheoryError):
             parse_theory("backend matrix\nobject q size=2")

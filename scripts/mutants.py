@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 ZIGZAG_GUARD = "if graded and scans_complete and not truncated:"
 WITNESS_LAYOUT = "fields if len(fillers) != 1 else [f[0] for f in fields]"
 TRAIL_TEST = "tests/test_optic.py::test_indexed_zigzag_matches_double_loop"
+COSTS_TEST = "tests/test_costs.py::test_operation_counts_match_fixture"
 
 MUTANTS = (
     Mutant("absorbing braid values claimed conclusive", "src/opticomb/backends/free.py",
@@ -100,6 +101,10 @@ MUTANTS = (
     Mutant("values on different boundaries compare", "src/opticomb/core.py",
            "if m1.dom != m2.dom or m1.cod != m2.cod:", "if False:",
            ("tests/test_matrix_backend.py::TestStructure::test_equal_requires_same_boundary",)),
+    Mutant("slide search rebuilds its move index on every visit", "src/opticomb/optic.py",
+           "if key not in indexes:", "if True:", (f"{COSTS_TEST}[slide-search]",)),
+    Mutant("slide search rebuilds its neighbour lists on every visit", "src/opticomb/optic.py",
+           "if key not in table:", "if True:", (f"{COSTS_TEST}[slide-search]",)),
 )
 
 

@@ -73,7 +73,7 @@ class TheoryConfig:
     kind: str
     options: dict[str, str] = field(default_factory=dict)
     objects: dict[str, int] = field(default_factory=dict)
-    morphisms: dict[str, tuple[str, str, Any]] = field(default_factory=dict)
+    morphisms: dict[str, tuple[str, str, Any, int]] = field(default_factory=dict)
     rules: list[tuple[str, str, str]] = field(default_factory=list)
 
 
@@ -118,13 +118,20 @@ def parse_theory(text: str) -> TheoryConfig:
                     f"backend kind must be one of {', '.join(KINDS)}", line_no
                 )
             config = TheoryConfig(parts[0], _split_options(parts[1:], line_no))
-            unknown = set(config.options) - set(KINDS[config.kind])
+            opts = config.options
+            unknown = set(opts) - set(KINDS[config.kind])
             if unknown:
                 raise TheoryError(f"unknown options {sorted(unknown)} for {config.kind}", line_no)
+            if "tolerance" in opts:
+                parse_tolerance(opts["tolerance"], line_no)
+                semiring = opts.get("semiring", "complex")
+                if config.kind == "finfun" or semiring != "complex":
+                    exact = "finfun" if config.kind == "finfun" else f"semiring={semiring}"
+                    raise TheoryError(f"tolerance= needs a complex matrix or unitary theory; "
+                                      f"{exact} compares exactly", line_no)
             if config.kind.startswith("free-"):
                 # the free kinds' built-in names; the term reader reads a
                 # state, effect or endo named I as a generator
-                opts = config.options
                 names = [(what, opts[what]) for what in ("object", "endo") if what in opts]
                 names += [(key[:-1], n) for key in ("states", "effects")
                           for n in opts.get(key, "").split(",") if n]
@@ -170,7 +177,7 @@ def parse_theory(text: str) -> TheoryConfig:
             except ValueError as exc:
                 raise TheoryError(f"bad literal: {exc}", line_no) from None
             _once(config.morphisms, _name("morphism", name.strip(), line_no),
-                  (dom.strip(), cod.strip(), value), "morphism", line_no)
+                  (dom.strip(), cod.strip(), value, line_no), "morphism", line_no)
         elif head == "rule":
             if "->" not in rest:
                 raise TheoryError("rule syntax: g1 ; g2 -> rhs", line_no)
@@ -246,22 +253,22 @@ def _indices(value: Any) -> list[int]:
 
 
 @contextlib.contextmanager
-def _refusal_named(what: str) -> Iterator[None]:
+def _refusal_named(what: str, line_no: int | None = None) -> Iterator[None]:
     """Report a backend's refusal of ``what`` as a TheoryError that names it."""
     try:
         yield
     except (CategoryError, ValueError, ArithmeticError) as exc:
-        raise TheoryError(f"{what}: {exc}") from None
+        raise TheoryError(f"{what}: {exc}", line_no) from None
 
 
-def parse_tolerance(text: str) -> float:
+def parse_tolerance(text: str, line_no: int | None = None) -> float:
     """A tolerance from outside input: a finite number >= 0."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value >= 0):
-        raise TheoryError(f"tolerance must be a finite number >= 0, got {text!r}")
+        raise TheoryError(f"tolerance must be a finite number >= 0, got {text!r}", line_no)
     return value
 
 
@@ -282,15 +289,9 @@ def build_backend(config: TheoryConfig):
             return PointedFreeBackend(
                 object_name=obj, states=states, effects=effects, rules=rules
             )
-    numeric: dict[str, float] = {}
-    if "tolerance" in opts:
-        numeric["tolerance"] = parse_tolerance(opts["tolerance"])
+    # parse_theory has refused a bad tolerance, and one on an exact theory
+    numeric = {"tolerance": float(opts["tolerance"])} if "tolerance" in opts else {}
     semiring = opts.get("semiring", "complex")
-    if numeric and (kind == "finfun" or semiring != "complex"):
-        exact = kind if kind == "finfun" else f"semiring={semiring}"
-        raise TheoryError(
-            f"tolerance= needs a complex matrix or unitary theory; {exact} compares exactly"
-        )
     if kind == "finfun":
         backend = FinFunBackend(config.objects)
         entries = _indices
@@ -305,8 +306,8 @@ def build_backend(config: TheoryConfig):
             else:
                 backend = MatrixBackend(config.objects, semiring=semiring, **numeric)
         entries = functools.partial(_matrix_entries, semiring=semiring)
-    for name, (dom, cod, value) in config.morphisms.items():
-        with _refusal_named(f"morphism {name}"):
+    for name, (dom, cod, value, line_no) in config.morphisms.items():
+        with _refusal_named(f"morphism {name}", line_no):
             backend.add_generator(
                 name, ObjectWord.parse(dom), ObjectWord.parse(cod), entries(value)
             )

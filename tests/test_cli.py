@@ -64,6 +64,8 @@ MALFORMED_THEORIES = {
                          "morphism h : x -> x = [[1,0],[0,1]]\n",
     "tolerance-on-finfun": "backend finfun tolerance=0.5\nobject x size=2\n"
                            "morphism h : x -> x = [0, 1]\n",
+    "tolerance-not-a-number": "# a comment\nbackend matrix tolerance=abc\nobject x dim=2\n"
+                              "morphism h : x -> x = [[1,0],[0,1]]\n",
     # names no program can write
     "object-named-unit": IDENTITY.replace("object x", "object I dim=2\nobject x"),
     "free-object-named-unit": "backend free-commutative object=I\n",
@@ -93,6 +95,10 @@ MALFORMED_THEORIES = {
     "unknown-pointed-option": "backend free-pointed colour=red\n",
     "rule-on-matrix": IDENTITY + "rule h ; h -> h\n",
 }
+# the refusals known on one line: ``theory error: line N: ``, then the reason
+THEORY_REFUSAL_LINES = {"tolerance-on-bool": 1, "tolerance-on-finfun": 1,
+                        "tolerance-not-a-number": 2, "wrong-shape": 3, "not-unitary": 3,
+                        "undeclared-object": 3}
 
 P1 = "poly p1 holes=[(b,b)] outers=[(b,b)] envs=[I] segs=[top | lower]\n"
 C = "comb c = (top, lower) env I\n"
@@ -422,17 +428,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--bound" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "text", MALFORMED_THEORIES.values(), ids=MALFORMED_THEORIES.keys()
-    )
-    def test_malformed_theory_exits_2(self, text, capsys, tmp_path):
+    @pytest.mark.parametrize("name", MALFORMED_THEORIES)
+    def test_malformed_theory_exits_2(self, name, capsys, tmp_path):
         thy = tmp_path / "t.thy"
-        thy.write_text(text)
+        thy.write_text(MALFORMED_THEORIES[name])
         prog = tmp_path / "p.prog"
         prog.write_text("comb c = (h, id(x)) env I\nequiv comb c c\n")
         assert run_cli("run", str(thy), str(prog)) == 2
         err = capsys.readouterr().err
         assert err.startswith("theory error: ") and "Traceback" not in err
+        if name in THEORY_REFUSAL_LINES:
+            assert err.startswith(f"theory error: line {THEORY_REFUSAL_LINES[name]}: ")
 
     @pytest.mark.parametrize("name", MALFORMED_PROGRAMS)
     def test_malformed_program_exits_with_message(self, name, capsys, tmp_path):

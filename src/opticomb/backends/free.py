@@ -36,7 +36,6 @@ from ..core import (
     MorTerm,
     ObjectWord,
     Tensor,
-    TypeMismatch,
     UnknownGenerator,
     permutation_term,
 )
@@ -74,6 +73,12 @@ class StrandMor:
     word: ObjectWord
     flags: tuple[bool, ...]
 
+    @property
+    def dom(self) -> ObjectWord:
+        return self.word
+
+    cod = dom
+
     def touched(self) -> bool:
         return any(self.flags)
 
@@ -91,7 +96,6 @@ class IdempotentFreeBackend(_OneObjectBackend):
     """Free commutative strand category on one idempotent endomorphism."""
 
     name = "free-commutative"
-    commutative_symmetry = True
     enumerable = True
     # a one-dimensional matrix model (object -> dimension 1, endo -> the 1x1
     # zero matrix) separates the two classes on every hom-set and preserves
@@ -105,14 +109,8 @@ class IdempotentFreeBackend(_OneObjectBackend):
 
     # -- structure ----------------------------------------------------------------
 
-    def dom(self, m: StrandMor) -> ObjectWord:
-        return m.word
-
-    def cod(self, m: StrandMor) -> ObjectWord:
-        return m.word
-
     def identity(self, word: ObjectWord) -> StrandMor:
-        w = self._check_word(self.normalize_word(word))
+        w = self._check_word(word)
         return StrandMor(w, (False,) * len(w))
 
     def symmetry(self, left: ObjectWord, right: ObjectWord) -> StrandMor:
@@ -129,15 +127,14 @@ class IdempotentFreeBackend(_OneObjectBackend):
         return StrandMor(left.word @ right.word, left.flags + right.flags)
 
     def equal(self, m1: StrandMor, m2: StrandMor) -> bool:
-        if len(m1.word) != len(m2.word):
-            raise TypeMismatch("cannot compare strand bundles of different width")
+        self._require_same_boundary(m1, m2)
         return m1.touched() == m2.touched()
 
     # -- enumeration -----------------------------------------------------------------
 
     def enumerate_hom(self, dom: ObjectWord, cod: ObjectWord, budget: int) -> HomSet:
-        d = self._check_word(self.normalize_word(dom))
-        c = self._check_word(self.normalize_word(cod))
+        d = self._check_word(dom)
+        c = self._check_word(cod)
         if len(d) != len(c):
             return HomSet((), complete=True)
         n = len(d)

@@ -5,8 +5,8 @@ hole: a bottom ``f : A -> E (x) B`` and a top ``g : E (x) B' -> A'``
 sharing an environment ``E`` that bypasses the hole.  Plugging a filler
 ``lam : C (x) B -> D (x) B'`` into the hole yields the extended evaluation
 ``C (x) A -> D (x) A'``; two combs are extensionally equivalent when every
-filler yields the same value.  A comb is the one-hole chain ``(holes,
-envs, segments)`` that ``polycomb`` builds with any number of holes:
+filler yields the same value.  ``CombRep`` is one type for pieces with any
+number of holes, ``polycomb``'s included, and a comb is its one-hole case:
 ``plug_chain`` evaluates a chain on a stream of probes (``extended_eval``
 is its one-probe stream), the backend's ``bend`` names it (the braid value,
 on one hole), and ``_splice`` nests one chain in a hole of another.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -55,6 +55,7 @@ from .core import (
     ProbeWitness,
     Symmetry,
     TypeMismatch,
+    UnsupportedShape,
     _join,
 )
 
@@ -68,32 +69,53 @@ def _pp(pair: Pair) -> str:
 
 @dataclass(frozen=True)
 class CombRep:
-    """A one-hole comb representative.
+    """A representative with ordered holes: the chain ``(holes, envs,
+    segments)`` of :func:`plug_chain`, whose first segment takes in the
+    joined outer inputs and whose last gives out the joined outer outputs
+    of ``outers``, the pairs ``(B_j, B_j')``.
 
-    ``source`` is the outer boundary pair (A, A'), ``target`` the hole pair
-    (B, B'), ``env`` the bypass word E, with ``f : A -> E (x) B`` below the
-    hole and ``g : E (x) B' -> A'`` above it.
+    A comb is the one-hole case.  ``source`` is its outer pairs joined, the
+    pair (A, A'), ``target`` the hole pair (B, B'), ``env`` the bypass word
+    E, with ``f : A -> E (x) B`` below the hole and ``g : E (x) B' -> A'``
+    above it.  These five raise ``UnsupportedShape`` on a piece that does
+    not have exactly one hole.
     """
 
-    source: tuple[ObjectWord, ObjectWord]
-    target: tuple[ObjectWord, ObjectWord]
-    env: ObjectWord
-    f: Any
-    g: Any
+    holes: tuple[Pair, ...]
+    outers: tuple[Pair, ...]
+    envs: tuple[ObjectWord, ...]
+    segments: tuple[Any, ...]
+
+    def _one_hole(self) -> tuple:
+        if len(self.holes) != 1:
+            raise UnsupportedShape(f"{self!r} has {len(self.holes)} holes, a comb has one")
+        return self.holes[0], self.envs[0], *self.segments
+
+    @cached_property
+    def source(self) -> Pair:
+        self._one_hole()
+        return _join([a for a, _ in self.outers]), _join([a1 for _, a1 in self.outers])
+
+    target = cached_property(lambda self: self._one_hole()[0])
+    env = cached_property(lambda self: self._one_hole()[1])
+    f = cached_property(lambda self: self._one_hole()[2])
+    g = cached_property(lambda self: self._one_hole()[3])
 
     def boundary(self) -> tuple:
         return (self.source, self.target)
 
     def chain(self) -> tuple:
-        """The one-hole chain ``(holes, envs, segments)`` of :func:`plug_chain`."""
-        return (self.target,), (self.env,), (self.f, self.g)
+        """The chain ``(holes, envs, segments)`` of :func:`plug_chain`."""
+        return self.holes, self.envs, self.segments
 
     def __repr__(self) -> str:
-        return f"CombRep({_pp(self.source)} -> {_pp(self.target)} env {self.env.pretty()})"
+        if len(self.holes) == len(self.outers) == 1:
+            return f"CombRep({_pp(self.source)} -> {_pp(self.target)} env {self.env.pretty()})"
+        hs, os_ = (", ".join(map(_pp, pairs)) for pairs in (self.holes, self.outers))
+        return f"CombRep(holes=[{hs}] outers=[{os_}])"
 
 
-def _split_env(backend: Backend, word: ObjectWord, env: ObjectWord) -> ObjectWord:
-    env = backend.normalize_word(env)
+def _split_env(word: ObjectWord, env: ObjectWord) -> ObjectWord:
     if len(word) < len(env) or ObjectWord(word.factors[: len(env)]) != env:
         raise BadSplit(
             f"{word.pretty()} does not start with environment {env.pretty()}"
@@ -103,20 +125,13 @@ def _split_env(backend: Backend, word: ObjectWord, env: ObjectWord) -> ObjectWor
 
 def comb(backend: Backend, f: Any, g: Any, env: ObjectWord) -> CombRep:
     """Assemble a comb from its two pieces, inferring the boundary."""
-    a = backend.dom(f)
-    b = _split_env(backend, backend.cod(f), env)
-    b1 = _split_env(backend, backend.dom(g), env)
-    a1 = backend.cod(g)
-    return CombRep((a, a1), (b, b1), backend.normalize_word(env), f, g)
+    hole = _split_env(backend.cod(f), env), _split_env(backend.dom(g), env)
+    return CombRep((hole,), ((backend.dom(f), backend.cod(g)),), (env,), (f, g))
 
 
 def identity_comb(backend: Backend, b: ObjectWord, b1: ObjectWord) -> CombRep:
-    b = backend.normalize_word(b)
-    b1 = backend.normalize_word(b1)
-    return CombRep(
-        (b, b1), (b, b1), ObjectWord.unit(),
-        backend.identity(b), backend.identity(b1),
-    )
+    return CombRep(((b, b1),), ((b, b1),), (ObjectWord.unit(),),
+                   (backend.identity(b), backend.identity(b1)))
 
 
 def comb_compose(backend: Backend, c1: CombRep, c2: CombRep) -> CombRep:
@@ -130,8 +145,8 @@ def comb_compose(backend: Backend, c1: CombRep, c2: CombRep) -> CombRep:
             f"cannot nest: inner boundary {_pp(c1.target)} does not match outer source "
             f"{_pp(c2.source)}"
         )
-    (target,), (env,), (f, g) = _splice(backend, c1.chain(), c2.chain(), 0)
-    return CombRep(c1.source, target, env, f, g)
+    holes, envs, segments = _splice(backend, c1.chain(), c2.chain(), 0)
+    return CombRep(holes, c1.outers, envs, segments)
 
 
 def _splice(backend: Backend, chain: tuple, inner: tuple, j: int) -> tuple:
@@ -167,9 +182,8 @@ def comb_tensor(backend: Backend, c1: CombRep, c2: CombRep) -> CombRep:
         ),
         backend.tensor(c1.g, c2.g),
     )
-    return CombRep(
-        (a1 @ a2, a1p @ a2p), (b1 @ b2, b1p @ b2p), c1.env @ c2.env, f, g
-    )
+    return CombRep(((b1 @ b2, b1p @ b2p),), ((a1 @ a2, a1p @ a2p),),
+                   (c1.env @ c2.env,), (f, g))
 
 
 def plug_chain(
@@ -244,17 +258,14 @@ def _block_paths(
         if contexts != last:
             if len(contexts) != n:
                 raise HoleMismatch(f"expected {n} fillers and {n} contexts")
-            cs = tuple(backend.normalize_word(c) for (c, _) in contexts)
-            ds = tuple(backend.normalize_word(d) for (_, d) in contexts)
+            cs = tuple(c for c, _ in contexts)
+            ds = tuple(d for _, d in contexts)
             types = [(c @ a, d @ a1) for c, d, (a, a1) in zip(cs, ds, holes)]
         for fillers in block if check else ():
             if len(fillers) != n:
                 raise HoleMismatch(f"expected {n} fillers and {n} contexts")
             for i, (lam, (want_d, want_c)) in enumerate(zip(fillers, types)):
-                if not (
-                    backend.words_equal(backend.dom(lam), want_d)
-                    and backend.words_equal(backend.cod(lam), want_c)
-                ):
+                if (backend.dom(lam), backend.cod(lam)) != (want_d, want_c):
                     raise TypeMismatch(
                         f"filler {i} must be {want_d.pretty()} -> {want_c.pretty()}, got "
                         f"{backend.dom(lam).pretty()} -> {backend.cod(lam).pretty()}"
@@ -527,7 +538,7 @@ def _probe_route(
             method, _probe_witness(backend, hit, note), coverage={"probes_tried": tried}
         )
     needed = (backend.extension_word_len_needed(x.source, x.target)
-              if isinstance(x, CombRep) else None)
+              if len(x.holes) == 1 else None)
     coverage = {"probes_tried": tried, "context_words": len(words),
                 "hom_scans_complete": all(scans), "disagreements": 0,
                 "conclusive_context_len": needed, "bound": bound}
@@ -716,17 +727,15 @@ class BackendFunctor:
             if fct not in self.object_map:
                 raise IllTypedFunctor(f"no image for object {fct!r}")
             out = out @ self.object_map[fct]
-        return self.target.normalize_word(out)
+        return out
 
     def map_comb(self, c: CombRep) -> CombRep:
-        (a, a1), (b, b1) = c.source, c.target
-        return CombRep(
-            (self.map_word(a), self.map_word(a1)),
-            (self.map_word(b), self.map_word(b1)),
-            self.map_word(c.env),
-            self.value_map(c.f),
-            self.value_map(c.g),
-        )
+        """The image of a representative with any number of holes."""
+        def pairs(ps: tuple) -> tuple:
+            return tuple((self.map_word(a), self.map_word(a1)) for a, a1 in ps)
+
+        return CombRep(pairs(c.holes), pairs(c.outers), tuple(map(self.map_word, c.envs)),
+                       tuple(map(self.value_map, c.segments)))
 
 
 def lift_functor(
@@ -748,9 +757,8 @@ def lift_functor(
     for name in source.generator_names():
         g = source.generator(name)
         img = value_map(g)
-        if not (
-            target.words_equal(target.dom(img), fun.map_word(source.dom(g)))
-            and target.words_equal(target.cod(img), fun.map_word(source.cod(g)))
+        if (target.dom(img), target.cod(img)) != (
+            fun.map_word(source.dom(g)), fun.map_word(source.cod(g))
         ):
             raise IllTypedFunctor(f"image of {name!r} has the wrong boundary")
     for name in source.object_names():
@@ -768,7 +776,7 @@ def lift_functor(
     gens = [source.generator(n) for n in source.generator_names()]
     for g1 in gens:
         for g2 in gens:
-            if source.words_equal(source.cod(g1), source.dom(g2)):
+            if source.cod(g1) == source.dom(g2):
                 lhs = value_map(source.compose(g1, g2))
                 rhs = target.compose(value_map(g1), value_map(g2))
                 if not target.equal(lhs, rhs):

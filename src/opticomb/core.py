@@ -10,9 +10,9 @@ This module defines the pieces every other module builds on:
 * :class:`Backend` -- the contract a concrete category satisfies for the
   generic deciders: six methods (``object_names``, ``identity``,
   ``symmetry``, ``compose``, ``tensor``, ``equal``) and the ``_gens`` table
-  of generator values.  Values carry their own ``dom`` / ``cod``; the rest
-  (word normal forms, the batched filler kernel ``plug_lower`` then
-  ``plug_upper``, enumeration, cartesian structure, duals, a dagger,
+  of generator values.  Values carry their own ``dom`` / ``cod``, and words
+  compare with ``==``; the rest (the batched filler kernel ``plug_lower``
+  then ``plug_upper``, enumeration, cartesian structure, duals, a dagger,
   certification hooks, canonical keys) are optional hooks.
   :class:`SizedBackend` is the base of backends over named finite sizes.
 * :class:`Decision` -- the three-valued answer type used by every
@@ -33,6 +33,7 @@ ObjectWord.parse('a*a')
 """
 from __future__ import annotations
 
+import itertools
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -250,15 +251,13 @@ def _eval(term: MorTerm, backend: "Backend") -> Any:
     if isinstance(term, Generator):
         return backend.generator(term.name)
     if isinstance(term, Identity):
-        return backend.identity(backend.normalize_word(term.word))
+        return backend.identity(term.word)
     if isinstance(term, Symmetry):
-        return backend.symmetry(
-            backend.normalize_word(term.left), backend.normalize_word(term.right)
-        )
+        return backend.symmetry(term.left, term.right)
     if isinstance(term, Compose):
         first, then = _eval(term.first, backend), _eval(term.then, backend)
         c1, d2 = backend.cod(first), backend.dom(then)
-        if not backend.words_equal(c1, d2):
+        if c1 != d2:
             raise TypeMismatch(
                 f"cannot compose: left produces {c1.pretty()} but right consumes {d2.pretty()}",
                 offender=term,
@@ -340,7 +339,6 @@ class Backend(ABC):
     compact_closed: bool = False
     has_dagger: bool = False
     enumerable: bool = False
-    commutative_symmetry: bool = False
     unitary_values: bool = False
 
     #: True when equality of braid values settles filler agreement in both
@@ -371,15 +369,6 @@ class Backend(ABC):
         if name not in self._gens:
             raise UnknownGenerator(f"unknown morphism {name!r}")
         return self._gens[name]
-
-    def normalize_word(self, word: ObjectWord) -> ObjectWord:
-        """Backend-specific word normal form (commutative backends sort)."""
-        if self.commutative_symmetry:
-            return ObjectWord(tuple(sorted(word.factors)))
-        return word
-
-    def words_equal(self, w1: ObjectWord, w2: ObjectWord) -> bool:
-        return w1 == w2 or self.normalize_word(w1) == self.normalize_word(w2)
 
     # -- structure ----------------------------------------------------------
 
@@ -446,7 +435,7 @@ class Backend(ABC):
         return val
 
     def _require_composable(self, first: Any, then: Any) -> None:
-        if not self.words_equal(self.cod(first), self.dom(then)):
+        if self.cod(first) != self.dom(then):
             raise TypeMismatch(
                 f"cannot compose {self.cod(first).pretty()} into {self.dom(then).pretty()}"
             )
@@ -462,16 +451,9 @@ class Backend(ABC):
 
     def enumerate_objects(self, max_len: int) -> tuple[ObjectWord, ...]:
         """All object words up to the given length, shortest first then lexicographic."""
-        names = self.object_names()
-        words: list[ObjectWord] = []
-        frontier: list[tuple[str, ...]] = [()]
-        for _ in range(max_len + 1):
-            words.extend(ObjectWord(f) for f in frontier)
-            frontier = [f + (n,) for f in frontier for n in sorted(names)]
-        seen: dict[ObjectWord, None] = {}
-        for w in words:
-            seen.setdefault(self.normalize_word(w), None)
-        return tuple(seen)
+        names = sorted(self.object_names())
+        return tuple(ObjectWord(f) for n in range(max_len + 1)
+                     for f in itertools.product(names, repeat=n))
 
     def enumerate_hom(self, dom: ObjectWord, cod: ObjectWord, budget: int) -> HomSet:
         """Up to ``budget`` morphisms dom -> cod in a fixed deterministic order.

@@ -1,23 +1,23 @@
 """Combs with several ordered holes and their plugging structure.
 
-A poly representative has holes ``(A_i, A_i')``, outer pairs
-``(B_j, B_j')``, environments ``M_i`` threading between consecutive
-holes, and segments ``s_0 ... s_n``: the bottom segment turns the outer
-inputs into the first environment and hole input, each middle segment
-turns one hole's output into the next environment and hole input, and
-the top segment turns the last hole's output into the outer outputs.
-Its ``chain()`` is the chain of ``comb``, whose combs are the one-hole
-case: plugging fillers, the name (the backend's ``bend``), the probe
-route and the splice are ``comb``'s, for any number of holes.
+A poly representative is a ``comb.CombRep`` (``PolyCombRep`` names the
+same type) with holes ``(A_i, A_i')``, outer pairs ``(B_j, B_j')``,
+environments ``M_i`` threading between consecutive holes, and segments
+``s_0 ... s_n``: the bottom segment turns the outer inputs into the first
+environment and hole input, each middle segment turns one hole's output
+into the next environment and hole input, and the top segment turns the
+last hole's output into the outer outputs.  Plugging fillers, the name
+(the backend's ``bend``), the probe route and the splice are ``comb``'s.
 
-A one-hole piece is the comb on its joined outer words, so ``poly_equiv``
-hands every one-hole pair to ``equiv_comb``.  It compares the names of
-any other pair through ``comb.braid_refutation``, the comparison the
-one-hole routes use: differing names refute on every backend, with the
-swap filler in every hole as the witness, and equal names confirm where
-the name is complete: over compact closed backends, and for hole-free
-pieces.  Elsewhere an enumerable backend runs ``comb``'s probe route at
-context length 0, which refutes but never confirms.
+A one-hole piece is a comb, whose ``source`` joins its outer pairs, so
+``poly_equiv`` hands every one-hole pair to ``equiv_comb`` as it is.  It
+compares the names of any other pair through ``comb.braid_refutation``,
+the comparison the one-hole routes use: differing names refute on every
+backend, with the swap filler in every hole as the witness, and equal
+names confirm where the name is complete: over compact closed backends,
+and for hole-free pieces.  Elsewhere an enumerable backend runs
+``comb``'s probe route at context length 0, which refutes but never
+confirms.
 
 Composition plugs one representative into a hole of another.  Two shapes
 are supported: an inner piece with holes and exactly one outer pair
@@ -32,7 +32,7 @@ Together these cover unit/counit plugging and the yanking identities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Any, Sequence
 
 from .core import (
@@ -51,21 +51,8 @@ from .comb import (
 )
 
 
-@dataclass(frozen=True)
-class PolyCombRep:
-    holes: tuple[Pair, ...]
-    outers: tuple[Pair, ...]
-    envs: tuple[ObjectWord, ...]
-    segments: tuple[Any, ...]
-
-    def chain(self) -> tuple:
-        """The chain ``(holes, envs, segments)`` of :func:`~opticomb.comb.plug_chain`."""
-        return self.holes, self.envs, self.segments
-
-    def __repr__(self) -> str:
-        hs = ", ".join(_pp(p) for p in self.holes)
-        os_ = ", ".join(_pp(p) for p in self.outers)
-        return f"PolyCombRep(holes=[{hs}] outers=[{os_}])"
+#: a poly representative is a ``CombRep`` with any number of holes
+PolyCombRep = CombRep
 
 
 def poly(
@@ -74,12 +61,10 @@ def poly(
     outers: Sequence[Pair],
     envs: Sequence[ObjectWord],
     segments: Sequence[Any],
-) -> PolyCombRep:
+) -> CombRep:
     """Assemble and type-check a poly representative."""
-    holes = tuple((backend.normalize_word(a), backend.normalize_word(b)) for a, b in holes)
-    outers = tuple((backend.normalize_word(a), backend.normalize_word(b)) for a, b in outers)
-    envs = tuple(backend.normalize_word(e) for e in envs)
-    segments = tuple(segments)
+    holes, outers = tuple(map(tuple, holes)), tuple(map(tuple, outers))
+    envs, segments = tuple(envs), tuple(segments)
     n = len(holes)
     if len(envs) != n:
         raise TypeMismatch(f"{n} holes need {n} environments, got {len(envs)}")
@@ -92,28 +77,25 @@ def poly(
     starts = [m @ a for m, (a, _) in zip(envs, holes)] + [outs]
     for i, (d, c) in enumerate(zip(ends, starts)):
         got_d, got_c = backend.dom(segments[i]), backend.cod(segments[i])
-        if not (backend.words_equal(got_d, d) and backend.words_equal(got_c, c)):
+        if (got_d, got_c) != (d, c):
             raise TypeMismatch(
                 f"segment {i} must be {d.pretty()} -> {c.pretty()}, got "
                 f"{got_d.pretty()} -> {got_c.pretty()}"
             )
-    return PolyCombRep(holes, outers, envs, segments)
+    return CombRep(holes, outers, envs, segments)
 
 
-def from_comb(backend: Backend, c: CombRep) -> PolyCombRep:
-    return poly(backend, [c.target], [c.source], [c.env], [c.f, c.g])
+def to_comb(backend: Backend, p: CombRep) -> CombRep:
+    """A one-hole piece on its joined outer words, as one outer pair."""
+    return replace(p, outers=(p.source,))
 
 
-def to_comb(backend: Backend, p: PolyCombRep) -> CombRep:
-    """A one-hole piece as the comb on its joined outer words."""
-    if len(p.holes) != 1:
-        raise UnsupportedShape("only one-hole representatives are combs")
-    source = (_join([a for a, _ in p.outers]), _join([a1 for _, a1 in p.outers]))
-    return CombRep(source, p.holes[0], p.envs[0], p.segments[0], p.segments[1])
+def from_comb(backend: Backend, c: CombRep) -> CombRep:
+    """A comb is the one-hole piece it is."""
+    return c
 
 
-def identity_poly(backend: Backend, b: ObjectWord, b1: ObjectWord) -> PolyCombRep:
-    return from_comb(backend, identity_comb(backend, b, b1))
+identity_poly = identity_comb
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +103,7 @@ def identity_poly(backend: Backend, b: ObjectWord, b1: ObjectWord) -> PolyCombRe
 # ---------------------------------------------------------------------------
 
 def poly_extended_eval(
-    backend: Backend, p: PolyCombRep, fillers: Sequence[Any], contexts: Sequence[Pair]
+    backend: Backend, p: CombRep, fillers: Sequence[Any], contexts: Sequence[Pair]
 ) -> Any:
     """Plug ``fillers[i] : C_i (x) A_i -> D_i (x) A_i'`` into every hole.
 
@@ -132,7 +114,7 @@ def poly_extended_eval(
     return next(plug_chain(backend, *p.chain(), [(fillers, contexts)]))
 
 
-def poly_name(backend: Backend, p: PolyCombRep) -> Any:
+def poly_name(backend: Backend, p: CombRep) -> Any:
     """The one-shot value ``B (x) A_0' .. A_{n-1}' -> A_0 .. A_{n-1} (x) B'``.
 
     Feeds every hole output straight back in: the chain's name
@@ -147,14 +129,14 @@ def poly_name(backend: Backend, p: PolyCombRep) -> Any:
     return backend.compose(backend.bend(*p.chain()), backend.symmetry(outs, ins))
 
 
-def _check_same_shape(p: PolyCombRep, q: PolyCombRep) -> None:
+def _check_same_shape(p: CombRep, q: CombRep) -> None:
     if p.holes != q.holes or p.outers != q.outers:
         raise HoleMismatch(f"representatives live on different shapes: {p!r} vs {q!r}")
 
 
-def _poly_route(backend: Backend, p: PolyCombRep, q: PolyCombRep, bound: int) -> Decision:
+def _poly_route(backend: Backend, p: CombRep, q: CombRep, bound: int) -> Decision:
     if len(p.holes) == 1:
-        return equiv_comb(backend, to_comb(backend, p), to_comb(backend, q), bound=bound)
+        return equiv_comb(backend, p, q, bound=bound)
     witness = braid_refutation(backend, p, q)
     if witness is not None:
         return Decision.distinct("poly-name", witness)
@@ -173,7 +155,7 @@ POLY = Relation((Route("auto", _poly_route),), _check_same_shape)
 
 
 def poly_equiv(
-    backend: Backend, p: PolyCombRep, q: PolyCombRep, bound: int = 2
+    backend: Backend, p: CombRep, q: CombRep, bound: int = 2
 ) -> Decision:
     """Decide plugging equivalence of two poly representatives.
 
@@ -197,11 +179,11 @@ def poly_equiv(
 
 def poly_compose_at(
     backend: Backend,
-    outer: PolyCombRep,
-    inner: PolyCombRep,
+    outer: CombRep,
+    inner: CombRep,
     hole_index: int,
     inner_port: int | None = None,
-) -> PolyCombRep:
+) -> CombRep:
     """Plug ``inner`` into hole ``hole_index`` of ``outer``.
 
     Supported shapes: an inner with no holes (one chosen port fills the
@@ -240,8 +222,8 @@ def poly_compose_at(
 
 
 def _plug_segment(
-    backend: Backend, outer: PolyCombRep, inner: PolyCombRep, j: int, port: int
-) -> PolyCombRep:
+    backend: Backend, outer: CombRep, inner: CombRep, j: int, port: int
+) -> CombRep:
     """Case two: a hole-free inner piece, one of whose ports fills hole ``j``.
 
     The spare port inputs ``L_in`` ride as luggage beside the environment
@@ -294,7 +276,7 @@ def _plug_segment(
 # Unit and counit for the hole pairing
 # ---------------------------------------------------------------------------
 
-def star_unit(backend: Backend, a: ObjectWord, a1: ObjectWord) -> PolyCombRep:
+def star_unit(backend: Backend, a: ObjectWord, a1: ObjectWord) -> CombRep:
     """The hole-free piece with ports ``(A,A')`` and ``(A',A)`` joined by a swap."""
     return poly(
         backend,
@@ -305,7 +287,7 @@ def star_unit(backend: Backend, a: ObjectWord, a1: ObjectWord) -> PolyCombRep:
     )
 
 
-def star_counit(backend: Backend, a: ObjectWord, a1: ObjectWord) -> PolyCombRep:
+def star_counit(backend: Backend, a: ObjectWord, a1: ObjectWord) -> CombRep:
     """The closed two-hole piece pairing ``(A,A')`` against ``(A',A)``.
 
     Needs compact structure: the first hole's input is created against a

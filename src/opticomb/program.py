@@ -56,7 +56,7 @@ from .core import (
 )
 from .comb import COMB, SIGMA, TAU, CombRep, comb, comb_compose, comb_tensor, decide, lens_pair
 from .optic import OPTIC
-from .polycomb import POLY, PolyCombRep, from_comb, poly, poly_compose_at
+from .polycomb import POLY, poly, poly_compose_at
 
 
 class ProgramError(Exception):
@@ -209,33 +209,31 @@ class _Run:
 
     def __init__(self, backend: Backend, strategy: str, bound: int):
         self.backend, self.strategy, self.bound = backend, strategy, bound
-        self.combs: dict[str, CombRep] = {}
-        self.polys: dict[str, PolyCombRep] = {}
+        self.pieces: dict[str, CombRep] = {}
 
     def get_comb(self, name: str) -> CombRep:
-        if name not in self.combs:
+        """The piece named ``name``, if it has one hole: a comb."""
+        if name not in self.pieces or len(self.pieces[name].holes) != 1:
             raise ProgramError(f"no comb named {name!r}")
-        return self.combs[name]
+        return self.pieces[name]
 
-    def get_poly(self, name: str) -> PolyCombRep:
-        if name in self.polys:
-            return self.polys[name]
-        if name in self.combs:
-            return from_comb(self.backend, self.combs[name])
-        raise ProgramError(f"no poly or comb named {name!r}")
+    def get_poly(self, name: str) -> CombRep:
+        if name not in self.pieces:
+            raise ProgramError(f"no poly or comb named {name!r}")
+        return self.pieces[name]
 
     def bind_comb(self, name: str, c: CombRep) -> tuple[str, dict]:
         """Bind ``c`` to ``name`` and report its boundary."""
-        self.combs[name] = c
+        self.pieces[name] = c
         return "comb", {
             "source": [c.source[0].pretty(), c.source[1].pretty()],
             "hole": [c.target[0].pretty(), c.target[1].pretty()],
             "env": c.env.pretty(),
         }
 
-    def bind_poly(self, name: str, p: PolyCombRep) -> tuple[str, dict]:
+    def bind_poly(self, name: str, p: CombRep) -> tuple[str, dict]:
         """Bind ``p`` to ``name`` and report its shape."""
-        self.polys[name] = p
+        self.pieces[name] = p
         return "poly", {
             "holes": [[a.pretty(), b.pretty()] for a, b in p.holes],
             "outers": [[a.pretty(), b.pretty()] for a, b in p.outers],

@@ -39,8 +39,13 @@ class TestIdempotent:
     def test_equal_needs_same_width(self, idem):
         f = idem.generator("f")
         wide = idem.identity(word("a", "a"))
-        with pytest.raises(TypeMismatch):
+        with pytest.raises(TypeMismatch, match="^cannot compare a -> a with a\\*a -> a\\*a$"):
             idem.equal(f, wide)
+        assert (f.dom, f.cod, wide.dom) == (word("a"), word("a"), word("a", "a"))
+
+    def test_unknown_object_named_in_written_order(self, idem):
+        with pytest.raises(UnknownGenerator, match="^unknown object 'c'$"):
+            idem.identity(word("a", "c", "b"))
 
     def test_enumerate_two_classes(self, idem):
         hs = idem.enumerate_hom(word("a", "a"), word("a", "a"), 8)

@@ -19,10 +19,16 @@ from opticomb import (
     check_probe_witness,
     comb,
     comb_compose,
+    comb_tensor,
     equiv_comb,
+    equiv_optic,
+    equiv_sigma,
+    equiv_tau,
     extended_eval,
     from_comb,
+    identity_comb,
     identity_poly,
+    lens_pair,
     poly,
     poly_compose_at,
     poly_equiv,
@@ -94,6 +100,57 @@ class TestShape:
         p = identity_poly(cbe, word("x"), word("y"))
         assert p.holes == p.outers == ((word("x"), word("y")),)
         assert p.envs == (U,)
+
+
+class TestOneType:
+    """A comb is the one-hole case of a piece, of one type: its comb fields
+    and the comb operations refuse a piece with any other number of holes,
+    and never answer."""
+
+    @pytest.fixture
+    def pieces(self):
+        ff = FinFunBackend({"s": 2})
+        s = word("s")
+        one = ff.identity(s)
+        two = poly(ff, [(s, s), (s, s)], [(s, s)], [U, U], [one, one, one])
+        return ff, two, star_unit(ff, s, s), identity_comb(ff, s, s)
+
+    @pytest.mark.parametrize("field", ["source", "target", "env", "f", "g"])
+    def test_comb_fields_need_one_hole(self, pieces, field):
+        _, two, none, _ = pieces
+        for piece in (two, none):
+            with pytest.raises(UnsupportedShape, match="a comb has one"):
+                getattr(piece, field)
+
+    @pytest.mark.parametrize("call", [equiv_comb, equiv_sigma, equiv_tau, equiv_optic,
+                                      comb_tensor, comb_compose])
+    def test_comb_operations_refuse_two_holes(self, pieces, call):
+        ff, two, _, c = pieces
+        for x, y in ((two, two), (two, c), (c, two)):
+            with pytest.raises(UnsupportedShape):
+                call(ff, x, y)
+
+    def test_lens_pair_refuses_two_holes(self, pieces):
+        ff, two, _, c = pieces
+        assert len(lens_pair(ff, c)) == 2
+        with pytest.raises(UnsupportedShape):
+            lens_pair(ff, two)
+
+    def test_two_outer_pairs_decide_as_the_joined_comb(self):
+        """A one-hole piece with two outer pairs is decided by ``equiv_comb``
+        itself, as the comb with one joined outer pair is."""
+        ff = FinFunBackend({"s": 2})
+        s = word("s")
+        tops = ff.enumerate_hom(s, s, 8).items
+        pieces = [poly(ff, [(s, s)], [(s, U), (U, s)], [U], [ff.identity(s), t]) for t in tops]
+        verdicts = set()
+        for p, q in itertools.product(pieces, repeat=2):
+            joined = to_comb(ff, p), to_comb(ff, q)
+            assert joined[0].outers == ((s, s),) and joined[0].boundary() == p.boundary()
+            d = equiv_comb(ff, p, q)
+            assert d == equiv_comb(ff, *joined) == poly_equiv(ff, p, q)
+            verdicts.add(d.verdict)
+        assert verdicts == {Verdict.EQUIVALENT, Verdict.DISTINCT}
 
 
 class TestEvaluation:

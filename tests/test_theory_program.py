@@ -323,6 +323,25 @@ class TestRunProgram:
         assert reports[-1].kind == "poly"
         assert reports[-1].payload["holes"] == [["s", "s"]]
 
+    def test_a_one_hole_plug_result_is_a_comb(self, be):
+        """A piece with one hole is a comb, whichever statement bound it:
+        ``equiv comb`` reads a one-hole ``plug`` result, and a two-hole name
+        in a comb statement names no comb."""
+        reports = run_program(be, parse_program(
+            "comb c1 = (dup, fst) env s\n"
+            "comb c2 = (dup, snd) env s\n"
+            "poly host holes=[(s,s)] outers=[(s,s)] envs=[I] segs=[id(s) | id(s)]\n"
+            "plug host at 0 with c1 as joined\n"
+            "equiv comb joined c1\n"
+            "equiv comb joined c2\n"
+        ))
+        assert [r.payload["verdict"] for r in reports[-2:]] == ["equivalent", "distinct"]
+        two = ("poly two holes=[(s,s),(s,s)] outers=[(s,s)] envs=[I,I] "
+               "segs=[id(s) | id(s) | id(s)]\n")
+        for statement in ("equiv comb two two", "lens two", "compose two two as t"):
+            with pytest.raises(ProgramError, match="^line 2: no comb named 'two'$"):
+                run_program(be, parse_program(two + statement + "\n"))
+
     def test_compose_puts_the_second_comb_into_the_hole_of_the_first(self):
         be = make_backend(
             "backend finfun\nobject x size=2\nobject y size=2\n"

@@ -101,6 +101,17 @@ MUTANTS = (
     Mutant("values on different boundaries compare", "src/opticomb/core.py",
            "if m1.dom != m2.dom or m1.cod != m2.cod:", "if False:",
            ("tests/test_matrix_backend.py::TestStructure::test_equal_requires_same_boundary",)),
+    Mutant("wiring compose keeps the loops a rule cancels", "src/opticomb/backends/free.py",
+           " and (s, e) not in self.rules]", "]",
+           ("tests/test_free_backends.py::test_tuple_wirings_match_the_frozenset_algorithm",
+            "tests/test_free_backends.py::TestPointed::test_state_effect_collapse")),
+    Mutant("congruence-search names swap the hole the wrong way round", "src/opticomb/comb.py",
+           "swap, id_b, id_b1 = backend.symmetry(b, b1),",
+           "swap, id_b, id_b1 = backend.symmetry(b1, b),",
+           ("tests/test_comb.py::TestCongruenceSearch::test_names_are_bend_split_at_the_hole"
+            "[pointed]",
+            "tests/test_comb.py::TestCongruenceSearch::test_names_are_bend_split_at_the_hole"
+            "[bool]")),
     Mutant("slide search rebuilds its move index on every visit", "src/opticomb/optic.py",
            "if key not in indexes:", "if True:", (f"{COSTS_TEST}[slide-search]",)),
     Mutant("slide search rebuilds its neighbour lists on every visit", "src/opticomb/optic.py",

@@ -13,7 +13,9 @@ normalize to wiring data: which inputs pass to which outputs, which are
 discarded, which outputs are freshly seeded, plus any scalar loops the
 rules do not cancel.  Each rule erases one state and one effect node and
 a state has a single output wire, so rewriting terminates, no two rules
-overlap, and normal forms are unique.
+overlap, and normal forms are unique.  A wiring is stored as two index
+tuples, per input where it goes and per output where it comes from, so
+``compose`` and ``tensor`` are tuple gathers.
 
 ``AbsorbingPointedBackend`` is the pointed theory on ``psi, phi`` and
 ``bang`` with no cancelling rules and one equation,
@@ -192,30 +194,36 @@ class IdempotentFreeBackend(_OneObjectBackend):
 class WiringMor:
     """Normal form of a diagram built from states, an effect, and wires.
 
-    ``matching`` holds (input, output) pairs of through-wires, ``caps`` the
-    discarded inputs as (input, effect name), ``seeds`` the freshly created
-    outputs as (output, state name), and ``scalars`` the sorted multiset of
-    (state, effect) loops the rewrite rules left behind.
+    ``ins[i]`` is the output that input i passes to, or the name of the
+    effect that discards it; ``outs[j]`` is the input that output j comes
+    from, or the name of the state that seeds it.  ``scalars`` is the sorted
+    multiset of (state, effect) loops the rewrite rules left behind.
+    ``matching``, ``caps`` and ``seeds`` read the same data as sorted
+    (input, output), (input, effect) and (output, state) pairs.
     """
 
     dom: ObjectWord
     cod: ObjectWord
-    matching: frozenset
-    caps: frozenset
-    seeds: frozenset
+    ins: tuple
+    outs: tuple
     scalars: tuple
 
+    def pairs(self) -> tuple[tuple, tuple, tuple]:
+        """``(matching, caps, seeds)``, read in one pass."""
+        matching: list = []
+        caps: list = []
+        for pair in enumerate(self.ins):
+            (caps if type(pair[1]) is str else matching).append(pair)
+        seeds = [pair for pair in enumerate(self.outs) if type(pair[1]) is str]
+        return tuple(matching), tuple(caps), tuple(seeds)
+
+    matching = property(lambda self: self.pairs()[0])
+    caps = property(lambda self: self.pairs()[1])
+    seeds = property(lambda self: self.pairs()[2])
+
     def __repr__(self) -> str:
-        parts = []
-        if self.matching:
-            parts.append("wires " + str(sorted(self.matching)))
-        if self.caps:
-            parts.append("caps " + str(sorted(self.caps)))
-        if self.seeds:
-            parts.append("seeds " + str(sorted(self.seeds)))
-        if self.scalars:
-            parts.append("scalars " + str(list(self.scalars)))
-        body = "; ".join(parts) or "empty"
+        labelled = zip(("wires", "caps", "seeds", "scalars"), (*self.pairs(), self.scalars))
+        body = "; ".join(f"{label} {list(pairs)}" for label, pairs in labelled if pairs) or "empty"
         return f"WiringMor({self.dom.pretty()} -> {self.cod.pretty()}: {body})"
 
     def to_json(self) -> dict:
@@ -223,9 +231,9 @@ class WiringMor:
         return {
             "dom": self.dom.pretty(),
             "cod": self.cod.pretty(),
-            "matching": sorted(list(p) for p in self.matching),
-            "caps": sorted((i, e) for i, e in self.caps),
-            "seeds": sorted((j, s) for j, s in self.seeds),
+            "matching": [list(p) for p in self.matching],
+            "caps": list(self.caps),
+            "seeds": list(self.seeds),
             "scalars": [list(p) for p in self.scalars],
         }
 
@@ -267,76 +275,47 @@ class PointedFreeBackend(_OneObjectBackend):
         names = self.states + self.effects
         if len(set(names)) != len(names):
             raise ValueError(f"state and effect names must be distinct, got {names}")
-        unit, a, none = ObjectWord.unit(), self.strands(1), frozenset()
-        self._gens = {
-            s: WiringMor(unit, a, none, none, frozenset({(0, s)}), ()) for s in self.states
-        }
-        self._gens.update(
-            (e, WiringMor(a, unit, none, frozenset({(0, e)}), none, ())) for e in self.effects
-        )
+        unit, a = ObjectWord.unit(), self.strands(1)
+        self._gens = {s: WiringMor(unit, a, (), (s,), ()) for s in self.states}
+        self._gens.update((e, WiringMor(a, unit, (e,), (), ())) for e in self.effects)
 
     # -- structure ------------------------------------------------------------------
 
     def identity(self, word: ObjectWord) -> WiringMor:
         w = self._check_word(word)
-        return WiringMor(
-            w, w, frozenset((i, i) for i in range(len(w))),
-            frozenset(), frozenset(), (),
-        )
+        wires = tuple(range(len(w)))
+        return WiringMor(w, w, wires, wires, ())
 
     def symmetry(self, left: ObjectWord, right: ObjectWord) -> WiringMor:
         nl, nr = len(self._check_word(left)), len(self._check_word(right))
-        matching = frozenset(
-            [(i, nr + i) for i in range(nl)] + [(nl + j, j) for j in range(nr)]
-        )
-        return WiringMor(left @ right, right @ left, matching, frozenset(), frozenset(), ())
+        ins = tuple(range(nr, nr + nl)) + tuple(range(nr))
+        outs = tuple(range(nl, nl + nr)) + tuple(range(nl))
+        return WiringMor(left @ right, right @ left, ins, outs, ())
 
     def compose(self, first: WiringMor, then: WiringMor) -> WiringMor:
         self._require_composable(first, then)
-        out_of_mid = {t: o for (t, o) in then.matching}
-        cap_of_mid = {t: e for (t, e) in then.caps}
-        matching = []
-        caps = list(first.caps)
-        seeds = list(then.seeds)
-        scalars = list(first.scalars) + list(then.scalars)
-        for (i, t) in first.matching:
-            if t in out_of_mid:
-                matching.append((i, out_of_mid[t]))
-            else:
-                caps.append((i, cap_of_mid[t]))
-        for (t, s) in first.seeds:
-            if t in out_of_mid:
-                seeds.append((out_of_mid[t], s))
-            else:
-                pair = (s, cap_of_mid[t])
-                if pair not in self.rules:
-                    scalars.append(pair)
-        return WiringMor(
-            first.dom, then.cod,
-            frozenset(matching), frozenset(caps), frozenset(seeds),
-            tuple(sorted(scalars)),
-        )
+        # an input goes where ``then`` sends its middle wire, an output comes from
+        # where ``first`` takes it; a state fed into an effect closes a loop
+        mid_ins, mid_outs = then.ins, first.outs
+        ins = tuple([x if type(x) is str else mid_ins[x] for x in first.ins])
+        outs = tuple([y if type(y) is str else mid_outs[y] for y in then.outs])
+        loops = [(s, e) for s, e in zip(mid_outs, mid_ins)
+                 if type(s) is str and type(e) is str and (s, e) not in self.rules]
+        scalars = first.scalars + then.scalars + tuple(loops)
+        if len(scalars) > 1:
+            scalars = tuple(sorted(scalars))
+        return WiringMor(first.dom, then.cod, ins, outs, scalars)
 
     def tensor(self, left: WiringMor, right: WiringMor) -> WiringMor:
         di, do = len(left.dom), len(left.cod)
-        matching = frozenset(
-            list(left.matching) + [(di + i, do + j) for (i, j) in right.matching]
-        )
-        caps = frozenset(list(left.caps) + [(di + i, e) for (i, e) in right.caps])
-        seeds = frozenset(list(left.seeds) + [(do + j, s) for (j, s) in right.seeds])
-        return WiringMor(
-            left.dom @ right.dom, left.cod @ right.cod,
-            matching, caps, seeds, tuple(sorted(left.scalars + right.scalars)),
-        )
+        ins = left.ins + tuple([x if type(x) is str else do + x for x in right.ins])
+        outs = left.outs + tuple([y if type(y) is str else di + y for y in right.outs])
+        scalars = tuple(sorted(left.scalars + right.scalars))
+        return WiringMor(left.dom @ right.dom, left.cod @ right.cod, ins, outs, scalars)
 
     def equal(self, m1: WiringMor, m2: WiringMor) -> bool:
         self._require_same_boundary(m1, m2)
-        return (
-            m1.matching == m2.matching
-            and m1.caps == m2.caps
-            and m1.seeds == m2.seeds
-            and m1.scalars == m2.scalars
-        )
+        return m1.ins == m2.ins and m1.outs == m2.outs and m1.scalars == m2.scalars
 
     # -- enumeration -------------------------------------------------------------------
 
@@ -348,50 +327,51 @@ class PointedFreeBackend(_OneObjectBackend):
         return HomSet(tuple(items), complete=False)
 
     def _wirings(self, dom: ObjectWord, cod: ObjectWord, m: int, n: int):
+        """Most through-wires first, then in ``itertools`` order: wired inputs and
+        outputs, their assignment, the other inputs' effects, outputs' states."""
         for k in range(min(m, n), -1, -1):
-            for ins in itertools.combinations(range(m), k):
-                for outs in itertools.combinations(range(n), k):
-                    for assigned in itertools.permutations(outs):
-                        matching = frozenset(zip(ins, assigned))
-                        rest_in = [i for i in range(m) if i not in ins]
-                        rest_out = [j for j in range(n) if j not in outs]
-                        for caps in itertools.product(self.effects, repeat=len(rest_in)):
-                            for seeds in itertools.product(self.states, repeat=len(rest_out)):
-                                yield WiringMor(
-                                    dom, cod, matching,
-                                    frozenset(zip(rest_in, caps)),
-                                    frozenset(zip(rest_out, seeds)), (),
-                                )
+            for wired_in in itertools.combinations(range(m), k):
+                for wired_out in itertools.combinations(range(n), k):
+                    for assigned in itertools.permutations(wired_out):
+                        to, back = dict(zip(wired_in, assigned)), dict(zip(assigned, wired_in))
+                        outs = list(itertools.product(
+                            *[(back[j],) if j in back else self.states for j in range(n)]))
+                        for ins in itertools.product(
+                                *[(to[i],) if i in to else self.effects for i in range(m)]):
+                            for out in outs:
+                                yield WiringMor(dom, cod, ins, out, ())
 
     # -- hooks ------------------------------------------------------------------------------
 
     def canonical_key(self, m: WiringMor) -> Hashable:
-        # the frozensets hash and compare by content, and cache their hashes
-        return ("wiring", m.dom, m.cod, m.matching, m.caps, m.seeds, m.scalars)
+        # sorted pairs, so that the key's repr, which orders the congruence
+        # search's braid classes, is the wiring's own text
+        return ("wiring", m.dom, m.cod, *m.pairs(), m.scalars)
+
+    def block_key(self, lower: list, after: WiringMor) -> Hashable:
+        # one block's values share a boundary, so their raw tuples key them
+        return tuple((v.ins, v.outs, v.scalars) for v in self.plug_upper(lower, after))
 
     def value_to_term(self, m: WiringMor) -> MorTerm:
         """Reconstruct a term whose evaluation is this wiring."""
         p, q = len(m.dom), len(m.cod)
-        pairs = sorted(m.matching, key=lambda ij: ij[1])
+        _, caps, seeds = m.pairs()
+        pairs = [(i, j) for j, i in enumerate(m.outs) if type(i) is int]  # by output
         k = len(pairs)
-        capped = sorted(i for (i, _) in m.caps)
-        cap_name = dict(m.caps)
-        seeded = sorted(j for (j, _) in m.seeds)
-        seed_name = dict(m.seeds)
         strand = ObjectWord((self.object_name,))
 
         # identity permutations are left out, so no layer is a bare id(...)
         layers: list[MorTerm] = []
-        perm = [i for (i, _) in pairs] + capped
+        perm = [i for (i, _) in pairs + list(caps)]
         if perm != list(range(p)):
             layers.append(permutation_term([strand] * p, perm))
         # the effects, then the states, beside the k through-wires
-        for names in ([cap_name[i] for i in capped], [seed_name[j] for j in seeded]):
+        for names in ([e for _, e in caps], [s for _, s in seeds]):
             if names:
                 layer = functools.reduce(Tensor, map(Generator, names))
                 layers.append(Tensor(Identity(self.strands(k)), layer) if k else layer)
         # current block order: matched outputs by ascending target, then seeds
-        current = [j for (_, j) in pairs] + seeded
+        current = [j for (_, j) in pairs] + [j for (j, _) in seeds]
         perm = [current.index(t) for t in range(q)]
         if perm != list(range(q)):
             layers.append(permutation_term([strand] * q, perm))
@@ -431,15 +411,15 @@ class AbsorbingPointedBackend(PointedFreeBackend):
 
     def normal_form(self, m: WiringMor) -> WiringMor:
         """Erase every state label that some unfed ``bang`` makes irrelevant."""
-        bangs = len(m.caps) + len(m.scalars)
+        bangs = len(m.scalars) + sum(type(x) is str for x in m.ins)
         if bangs == 0:
             return m
         erased = min(self.states)
-        seeds = frozenset((j, erased) for (j, _) in m.seeds)
+        outs = tuple(erased if type(y) is str else y for y in m.outs)
         scalars = m.scalars
         if bangs >= 2:
             scalars = tuple((erased, e) for (_, e) in m.scalars)
-        return WiringMor(m.dom, m.cod, m.matching, m.caps, seeds, scalars)
+        return WiringMor(m.dom, m.cod, m.ins, outs, scalars)
 
     def compose(self, first: WiringMor, then: WiringMor) -> WiringMor:
         return self.normal_form(super().compose(first, then))

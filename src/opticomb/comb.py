@@ -202,8 +202,9 @@ def plug_chain(
     ..`` and ``.. D_{j-1}``, so it is built once per stream and a probe
     costs per hole one ``plug_lower`` then one ``plug_upper``.  One hole
     composes ``((1_C (x) f) (sigma_{C,E} (x) 1_B)) (1_E (x) filler)
-    ((sigma_{E,D} (x) 1_B') (1_D (x) g))``: no identity on the unit word
-    sits by a swap.  Every filler is type-checked before it is plugged.
+    ((sigma_{E,D} (x) 1_B') (1_D (x) g))``, leaving out each identity on the
+    unit word and each swap with a unit leg.  Every filler is type-checked
+    before it is plugged.
     """
     for (fillers,), path in _block_paths(
         backend, holes, envs, segments, (((f,), c) for f, c in probes), None, True
@@ -229,26 +230,26 @@ def _block_paths(
         built.setdefault((j, id(seg), holes, envs), (seg, {}))[1] for j, seg in enumerate(segments)
     ]
 
+    def whisker(words: tuple, m: Any) -> Any:  # no identity on the unit word
+        word = _join(words)
+        return backend.tensor(backend.identity(word), m) if word else m
+
     def stretch(j: int, cs: tuple, ds: tuple) -> tuple[Any, Any]:
         # from filler j - 1 (or B) to filler j (or B'), and the identity
-        # beside filler j
+        # beside filler j; no swap with a unit leg is built
         key = (cs[j:], ds[:j])
         if key not in tables[j]:
-            val = backend.tensor(backend.identity(_join(cs[j:] + ds[:j])), segments[j])
-            if j:  # park the output leg of filler j - 1 past its environment
-                waiting = cs[j:] + ds[: j - 1]
-                swap = backend.symmetry(envs[j - 1], ds[j - 1])
-                if waiting:
-                    swap = backend.tensor(backend.identity(_join(waiting)), swap)
-                val = backend.compose(
-                    backend.tensor(swap, backend.identity(holes[j - 1][1])), val
-                )
+            val = whisker(cs[j:] + ds[:j], segments[j])
+            if j and envs[j - 1] and ds[j - 1]:  # park filler j - 1's output leg past M_{j-1}
+                swap = whisker(cs[j:] + ds[: j - 1], backend.symmetry(envs[j - 1], ds[j - 1]))
+                val = backend.compose(backend.tensor(swap, backend.identity(holes[j - 1][1])), val)
             beside = None
             if j < n:
                 across = _join(cs[j + 1 :] + ds[:j] + (envs[j],))
-                val = backend.compose(val, backend.tensor(
-                    backend.symmetry(cs[j], across), backend.identity(holes[j][0])
-                ))
+                if cs[j] and across:
+                    val = backend.compose(val, backend.tensor(
+                        backend.symmetry(cs[j], across), backend.identity(holes[j][0])
+                    ))
                 beside = backend.identity(across)
             tables[j][key] = val, beside
         return tables[j][key]
@@ -260,7 +261,8 @@ def _block_paths(
                 raise HoleMismatch(f"expected {n} fillers and {n} contexts")
             cs = tuple(c for c, _ in contexts)
             ds = tuple(d for _, d in contexts)
-            types = [(c @ a, d @ a1) for c, d, (a, a1) in zip(cs, ds, holes)]
+            if check:
+                types = [(c @ a, d @ a1) for c, d, (a, a1) in zip(cs, ds, holes)]
         for fillers in block if check else ():
             if len(fillers) != n:
                 raise HoleMismatch(f"expected {n} fillers and {n} contexts")
@@ -638,14 +640,25 @@ def _fingerprinter(backend: Backend, probes: list) -> tuple[Callable[[CombRep], 
     return fingerprint, [0, *itertools.accumulate(len(block) for block, _ in blocks)]
 
 
-def _ordered(key: Any) -> Any:
-    """``key`` with each frozenset in it as a sorted tuple, so that its repr,
-    which orders the braid classes, does not depend on hash order."""
-    if isinstance(key, frozenset):
-        return tuple(sorted(key))
-    if type(key) is tuple:
-        return tuple(_ordered(k) for k in key)
-    return key
+def _namer(backend: Backend, b: ObjectWord, b1: ObjectWord) -> Callable[[CombRep], Any]:
+    """The names of the combs on hole ``(B, B')``: :meth:`Backend.bend`'s one-hole
+    definition, split at the hole as :func:`_fingerprinter` splits a filler's
+    path.  The bottom half ``(f (x) 1_B') ; (1_E (x) sigma_{B,B'})`` is built
+    once per bottom, the top half ``g (x) 1_B`` once per top, and a comb pays
+    one ``compose`` of the two."""
+    swap, id_b, id_b1 = backend.symmetry(b, b1), backend.identity(b), backend.identity(b1)
+    lows: dict[int, tuple] = {}  # id of a bottom or top -> (it, its half), held so the id stays
+    highs: dict[int, tuple] = {}
+
+    def name(c: CombRep) -> Any:
+        if id(c.f) not in lows:
+            lows[id(c.f)] = c.f, backend.compose(
+                backend.tensor(c.f, id_b1), backend.tensor(backend.identity(c.env), swap))
+        if id(c.g) not in highs:
+            highs[id(c.g)] = c.g, backend.tensor(c.g, id_b)
+        return backend.compose(lows[id(c.f)][1], highs[id(c.g)][1])
+
+    return name
 
 
 def sigma_congruence_search(
@@ -664,7 +677,9 @@ def sigma_congruence_search(
     that claim falsifiable; on ``AbsorbingPointedBackend`` it finds the
     braid-equal pair ``(psi, bang)``, ``(phi, bang)``.
 
-    Each comb is evaluated on the probe list once, by context block, after
+    A comb's braid value is its name from :func:`_namer`: one ``compose`` of
+    its bottom's half and its top's, each built once.  Each comb is
+    evaluated on the probe list once, by context block, after
     the stretches that :func:`plug_chain` (every probe scan) builds: the
     combs pair every bottom with every top, so a stretch is built once per
     segment, and a bottom's ``plug_lower`` of a block once for all its tops,
@@ -682,12 +697,12 @@ def sigma_congruence_search(
     pairs_checked = 0
     for (a, a1, b, b1) in boundaries:
         groups: dict[Any, list[CombRep]] = {}
+        name = _namer(backend, b, b1)
         for c in enumerate_combs(backend, (a, a1), (b, b1), bound):
-            key = backend.canonical_key(braid_eval(backend, c))
-            groups.setdefault(key, []).append(c)
+            groups.setdefault(backend.canonical_key(name(c)), []).append(c)
         probes = list(filler_probes(backend, ((b, b1),), words, budget.max_hom, []))
         fingerprint, starts = _fingerprinter(backend, probes)
-        for _, members in sorted(groups.items(), key=lambda kv: repr(_ordered(kv[0]))):
+        for _, members in sorted(groups.items(), key=lambda kv: repr(kv[0])):
             for c1, c2 in itertools.combinations(members, 2):
                 pairs_checked += 1
                 if pairs_checked > max_pairs:

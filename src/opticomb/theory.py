@@ -75,6 +75,8 @@ class TheoryConfig:
     objects: dict[str, int] = field(default_factory=dict)
     morphisms: dict[str, tuple[str, str, Any, int]] = field(default_factory=dict)
     rules: list[tuple[str, str, str]] = field(default_factory=list)
+    #: the line of the backend declaration, which names the backend's refusals
+    line_no: int | None = None
 
 
 def _split_options(parts: list[str], line_no: int) -> dict[str, str]:
@@ -117,7 +119,7 @@ def parse_theory(text: str) -> TheoryConfig:
                 raise TheoryError(
                     f"backend kind must be one of {', '.join(KINDS)}", line_no
                 )
-            config = TheoryConfig(parts[0], _split_options(parts[1:], line_no))
+            config = TheoryConfig(parts[0], _split_options(parts[1:], line_no), line_no=line_no)
             opts = config.options
             unknown = set(opts) - set(KINDS[config.kind])
             if unknown:
@@ -285,7 +287,7 @@ def build_backend(config: TheoryConfig):
         effects = tuple(e for e in opts.get("effects", "bang").split(",") if e)
         # no rule lines: the backend's default cancels every state/effect pair
         rules = tuple((g1, g2) for g1, g2, _ in config.rules) or None
-        with _refusal_named(f"backend {kind}"):
+        with _refusal_named(f"backend {kind}", config.line_no):
             return PointedFreeBackend(
                 object_name=obj, states=states, effects=effects, rules=rules
             )
@@ -300,7 +302,7 @@ def build_backend(config: TheoryConfig):
         from .backends.matrix import MatrixBackend
         from .backends.unitary import UnitaryBackend
 
-        with _refusal_named(f"backend {kind}"):
+        with _refusal_named(f"backend {kind}", config.line_no):
             if kind == "unitary":
                 backend = UnitaryBackend(config.objects, **numeric)
             else:

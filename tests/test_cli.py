@@ -56,6 +56,8 @@ MALFORMED_THEORIES = {
     "rule-undeclared-state": "backend free-pointed\nrule chi ; bang -> 1\n",
     "state-is-effect": "backend free-pointed states=x effects=x\n",
     "state-twice": "backend free-pointed states=phi,phi\n",
+    "state-twice-on-line-2": "# a comment\nbackend free-pointed states=phi,phi\n",
+    "unknown-semiring-on-line-2": "\nbackend matrix semiring=quaternion\n",
     "overflow": MATRIX + "[[1e400]]\n",
     "nan": MATRIX + "[[NaN]]\n",
     "minus-infinity": MATRIX + "[[[0, -Infinity]]]\n",
@@ -98,7 +100,8 @@ MALFORMED_THEORIES = {
 # the refusals known on one line: ``theory error: line N: ``, then the reason
 THEORY_REFUSAL_LINES = {"tolerance-on-bool": 1, "tolerance-on-finfun": 1,
                         "tolerance-not-a-number": 2, "wrong-shape": 3, "not-unitary": 3,
-                        "undeclared-object": 3}
+                        "undeclared-object": 3, "state-twice": 1, "state-twice-on-line-2": 2,
+                        "unknown-semiring": 1, "unknown-semiring-on-line-2": 2}
 
 P1 = "poly p1 holes=[(b,b)] outers=[(b,b)] envs=[I] segs=[top | lower]\n"
 C = "comb c = (top, lower) env I\n"

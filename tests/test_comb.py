@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -43,7 +44,7 @@ from opticomb import (
     sigma_congruence_search,
 )
 from opticomb.comb import (
-    _block_paths, _fingerprinter, _ordered, braid_refutation, filler_probes, plug_chain,
+    _block_paths, _fingerprinter, _namer, braid_refutation, filler_probes, plug_chain,
     probe_scan,
 )
 from opticomb.core import Backend, HomSet
@@ -431,7 +432,7 @@ def reference_search(backend, boundaries, bound, max_pairs):
         for c in enumerate_combs(backend, (a, a1), (b, b1), bound):
             groups.setdefault(backend.canonical_key(braid_eval(backend, c)), []).append(c)
         probes = _probes(backend, b, b1, bound)
-        for _, members in sorted(groups.items(), key=lambda kv: repr(_ordered(kv[0]))):
+        for _, members in sorted(groups.items(), key=lambda kv: repr(kv[0])):
             for c1, c2 in itertools.combinations(members, 2):
                 pairs += 1
                 if pairs > max_pairs:
@@ -448,12 +449,14 @@ def reference_search(backend, boundaries, bound, max_pairs):
 
 
 def test_braid_class_order_ignores_hash_order():
-    # pointed keys hold frozensets, whose repr follows hash order; the classes
-    # are ordered by the text of the key with each set sorted
-    key = ("wiring", A, A, frozenset({(1, 0), (0, 1)}), frozenset(),
-           frozenset({(0, "psi")}), (("phi", "bang"),))
-    assert _ordered(key) == ("wiring", A, A, ((0, 1), (1, 0)), (), ((0, "psi"),),
-                             (("phi", "bang"),))
+    # the classes are ordered by the text of their keys; a pointed key holds
+    # its wiring as sorted pairs, so that text does not depend on hash order
+    backend = PointedFreeBackend(rules=())
+    swap, loop = backend.symmetry(A, A), backend.compose(
+        backend.generator("phi"), backend.generator("bang"))
+    value = backend.tensor(backend.tensor(swap, backend.generator("psi")), loop)
+    assert backend.canonical_key(value) == (
+        "wiring", A @ A, A @ A @ A, ((0, 1), (1, 0)), (), ((2, "psi"),), (("phi", "bang"),))
 
 
 def _same_witness(w1, w2):
@@ -1114,6 +1117,57 @@ class TestCongruenceSearch:
         found = sigma_congruence_search(backend, boundaries, 2, 20)
         assert _same_witness(found, expected)
 
+    @pytest.mark.parametrize("name", sorted(NAME_BACKENDS))
+    def test_names_are_bend_split_at_the_hole(self, name, monkeypatch):
+        """The search names a comb by one ``compose`` of its bottom's half and
+        its top's (:func:`_namer`), and that is :meth:`Backend.bend`; also on
+        the hole ``(oo, o)``, where a swap written the wrong way round types
+        or differs.  Each half is built once: two tensors per bottom, one per
+        top."""
+        make, obj = NAME_BACKENDS[name]
+        backend, o = make(), word(obj)
+        for a, a1, b, b1 in [(o, o, o, o), (o @ o, o, o @ o, o)]:
+            combs = list(enumerate_combs(backend, (a, a1), (b, b1), 2))
+            namer, bottoms, tops = _namer(backend, b, b1), set(), set()
+            for c in combs:
+                assert backend.equal(namer(c), backend.bend(*c.chain()))
+                bottoms.add(id(c.f))
+                tops.add(id(c.g))
+            namer, tensors = _namer(backend, b, b1), []
+
+            def counted(*args, tensor=backend.tensor):
+                tensors.append(args)
+                return tensor(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(backend, "tensor", counted)
+                for c in combs:
+                    namer(c)
+            assert len(combs) > 1 and len(tensors) == 2 * len(bottoms) + len(tops)
+
+    def test_reached_combs_are_unchanged(self):
+        """Per boundary of criterion 05's list: the combs, their braid classes,
+        and the combs that the pairs up to the 200th reach, in order; the
+        classes are ordered by the text of their keys, so a key that prints
+        otherwise moves the cut."""
+        counts = []
+        for backend, boundaries in SEARCHES:
+            for a, a1, b, b1 in boundaries:
+                combs = list(enumerate_combs(backend, (a, a1), (b, b1), 2))
+                classes = {backend.canonical_key(braid_eval(backend, c)) for c in combs}
+                reached = _reached(backend, (a, a1), (b, b1), 2, max_pairs=200)
+                text = repr([(c.env, backend.canonical_key(c.f), backend.canonical_key(c.g))
+                             for c in reached])
+                counts.append((len(combs), len(classes), len(reached),
+                               hashlib.sha256(text.encode()).hexdigest()[:12]))
+        assert counts == [
+            (4, 2, 3, "7040bc0c017c"),
+            (14, 2, 14, "243bc04fc551"), (121, 11, 51, "b842482f42b2"),
+            (768, 226, 183, "2ebdc18fb223"), (528, 16, 105, "dfe073a12b9a"),
+            (528, 64, 24, "cb9f43678ff9"),
+            (14, 3, 14, "b66f76d8dc43"), (71, 15, 66, "7ece8e521a84"),
+        ]
+
 
 def _reached(backend, source, target, bound, max_pairs=None):
     """The combs on a boundary in the order the search's pairs reach them,
@@ -1124,7 +1178,7 @@ def _reached(backend, source, target, bound, max_pairs=None):
     order = {}
     pairs = itertools.chain.from_iterable(
         itertools.combinations(members, 2)
-        for _, members in sorted(groups.items(), key=lambda kv: repr(_ordered(kv[0])))
+        for _, members in sorted(groups.items(), key=lambda kv: repr(kv[0]))
     )
     for pair in itertools.islice(pairs, max_pairs):
         for c in pair:
@@ -1186,11 +1240,13 @@ class TestSharedSearchWork:
     each filler once, for all the combs of a boundary."""
 
     def test_stretches_follow_the_segments_not_the_combs(self, monkeypatch):
-        """Criterion 05's bool ``(x,x)/(x,x)`` search: each stretch costs two
-        tensors (the segment beside the waiting context legs, and the swap
-        that routes a context leg or parks a filler output), once per bottom
-        and context word and once per top and context word.  Tensors inside
-        the kernel halves and inside the braid values are not stretches."""
+        """Criterion 05's bool ``(x,x)/(x,x)`` search: a stretch costs one
+        tensor per context word that is not the unit (the segment beside the
+        waiting context legs), and one more where the environment is not the
+        unit either (the swap that routes a context leg or parks a filler
+        output), once per bottom and context word and once per top and context
+        word.  The names cost two tensors per bottom and one per top, and no
+        ``bend``.  Tensors inside the kernel halves are not stretches."""
         backend, boundaries = MatrixBackend({"x": 2}, semiring="bool"), [(word("x"),) * 4]
         a, a1, b, b1 = boundaries[0]
         reached = _reached(backend, (a, a1), (b, b1), 2, max_pairs=200)
@@ -1198,8 +1254,13 @@ class TestSharedSearchWork:
         tops = {(c.env, backend.canonical_key(c.g)) for c in reached}
         words = backend.enumerate_objects(Budget.of(2).max_word_len)
         assert (len(reached), len(bottoms), len(tops), len(words)) == (183, 48, 48, 3)
+        combs = list(enumerate_combs(backend, (a, a1), (b, b1), 2))
+        assert {(c.env, backend.canonical_key(c.f)) for c in combs} == bottoms
+        assert {(c.env, backend.canonical_key(c.g)) for c in combs} == tops
+        stretches = sum(bool(w) * (1 + bool(e))
+                        for pieces in (bottoms, tops) for e, _ in pieces for w in words)
 
-        tensors, inside = [0], [0]
+        tensors, inside, bends = [0], [0], []
 
         def counting(fn, tally):
             def wrapped(*args):
@@ -1214,9 +1275,10 @@ class TestSharedSearchWork:
         monkeypatch.setattr(backend, "tensor", counting(backend.tensor, True))
         for half in ("plug_lower", "block_key"):  # the search's two kernel halves
             monkeypatch.setattr(backend, half, counting(getattr(backend, half), False))
-        monkeypatch.setattr(backend, "bend", counting(backend.bend, False))
+        monkeypatch.setattr(backend, "bend", lambda *args: bends.append(args))
         assert sigma_congruence_search(backend, boundaries, 2, 200) is None
-        assert tensors[0] == 2 * (len(bottoms) + len(tops)) * len(words)
+        assert bends == []
+        assert (stretches, tensors[0]) == (320, stretches + 2 * len(bottoms) + len(tops))
         assert tensors[0] * 3 < 2 * 2 * len(words) * len(reached)  # per comb
 
     def test_a_shared_table_tells_the_splits_apart(self):

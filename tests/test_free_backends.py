@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opticomb import (
     AbsorbingPointedBackend,
@@ -230,6 +231,95 @@ def test_canonical_key_equal_exactly_when_equal(backend):
                 for w in values:
                     same_key = backend.canonical_key(v) == backend.canonical_key(w)
                     assert same_key == backend.equal(v, w), (v, w)
+
+
+def _oracle_compose(rules, first, then):
+    """Composite of two wirings given as (matching, caps, seeds, scalars) with
+    frozensets of pairs: the dict-and-frozenset algorithm the index tuples
+    replaced, kept as the oracle."""
+    matching_1, caps_1, seeds_1, scalars_1 = first
+    matching_2, caps_2, seeds_2, scalars_2 = then
+    out_of_mid, cap_of_mid = dict(matching_2), dict(caps_2)
+    matching, caps, seeds = [], list(caps_1), list(seeds_2)
+    scalars = list(scalars_1) + list(scalars_2)
+    for i, t in matching_1:
+        if t in out_of_mid:
+            matching.append((i, out_of_mid[t]))
+        else:
+            caps.append((i, cap_of_mid[t]))
+    for t, s in seeds_1:
+        if t in out_of_mid:
+            seeds.append((out_of_mid[t], s))
+        elif (s, cap_of_mid[t]) not in rules:
+            scalars.append((s, cap_of_mid[t]))
+    return frozenset(matching), frozenset(caps), frozenset(seeds), tuple(sorted(scalars))
+
+
+def _oracle_tensor(left, right, di, do):
+    matching = set(left[0]) | {(di + i, do + j) for i, j in right[0]}
+    caps = set(left[1]) | {(di + i, e) for i, e in right[1]}
+    seeds = set(left[2]) | {(do + j, s) for j, s in right[2]}
+    return (frozenset(matching), frozenset(caps), frozenset(seeds),
+            tuple(sorted(left[3] + right[3])))
+
+
+def _oracle_absorbing(wiring):
+    matching, caps, seeds, scalars = wiring
+    bangs = len(caps) + len(scalars)
+    if bangs == 0:
+        return wiring
+    seeds = frozenset((j, "phi") for j, _ in seeds)
+    if bangs >= 2:
+        scalars = tuple(("phi", e) for _, e in scalars)
+    return matching, caps, seeds, scalars
+
+
+def _as_sets(v):
+    for pairs in (v.matching, v.caps, v.seeds):
+        assert pairs == tuple(sorted(pairs))
+    return frozenset(v.matching), frozenset(v.caps), frozenset(v.seeds), v.scalars
+
+
+#: every rule, one rule, none, and the absorbing normal form
+ORACLE_BACKENDS = {
+    "pointed": PointedFreeBackend(),
+    "one-rule": PointedFreeBackend(rules=[("psi", "bang")]),
+    "no-rules": PointedFreeBackend(rules=()),
+    "absorbing": AbsorbingPointedBackend(),
+}
+
+
+def _oracle_pool(backend, max_width=2):
+    """The enumerated wirings up to the width, each beside each loop."""
+    loops = [backend.identity(word())] + [
+        backend.compose(backend.generator(s), backend.generator("bang")) for s in ("phi", "psi")
+    ]
+    return {(m, n): [backend.tensor(v, loop) for loop in loops for v in backend.enumerate_hom(
+                word(*"a" * m), word(*"a" * n), 256).items]
+            for m in range(max_width + 1) for n in range(max_width + 1)}
+
+
+ORACLE_POOLS = {name: _oracle_pool(backend) for name, backend in ORACLE_BACKENDS.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLE_BACKENDS)),
+       widths=st.tuples(*[st.integers(0, 2)] * 4), data=st.data())
+def test_tuple_wirings_match_the_frozenset_algorithm(name, widths, data):
+    """``compose`` and ``tensor`` as index-tuple gathers against the oracle:
+    loops that a rule cancels and loops it keeps, the absorbing normal form,
+    and composites of composites, whose loops ``compose`` made."""
+    backend, pool = ORACLE_BACKENDS[name], ORACLE_POOLS[name]
+    normal = _oracle_absorbing if name == "absorbing" else (lambda w: w)
+    m, k, n, p = widths
+    x, y, z = (data.draw(st.sampled_from(pool[w])) for w in ((m, k), (k, n), (n, p)))
+    xy = backend.compose(x, y)
+    assert _as_sets(xy) == normal(_oracle_compose(backend.rules, _as_sets(x), _as_sets(y)))
+    assert _as_sets(backend.compose(xy, z)) == normal(
+        _oracle_compose(backend.rules, _as_sets(xy), _as_sets(z)))
+    for left, right in ((x, z), (xy, x)):
+        assert _as_sets(backend.tensor(left, right)) == normal(_oracle_tensor(
+            _as_sets(left), _as_sets(right), len(left.dom), len(left.cod)))
 
 
 class TestNames:

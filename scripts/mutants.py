@@ -67,9 +67,19 @@ MUTANTS = (
            (f"{TRAIL_TEST}[pointed-II-0-2]", f"{TRAIL_TEST}[idempotent-2-1-2]")),
     Mutant("slide search scans the pieces beside an empty hom-set of v",
            "src/opticomb/optic.py",
-           "pieces = (hom(a, e0 @ b) if down else hom(e0 @ b1, a1)) if vs else ()",
+           "pieces = (hom(a, e0 @ b) if down else hom(e0 @ b1, a1)) if vs.items else vs",
            "pieces = hom(a, e0 @ b) if down else hom(e0 @ b1, a1)",
            (f"{TRAIL_TEST}[finfun-empty]",)),
+    Mutant("a warm index hit drops its scans' completeness", "src/opticomb/optic.py",
+           "            indexes[key] = (index, vs.complete and pieces.complete)\n"
+           "        index, complete = indexes[key]\n"
+           "        scans_complete = scans_complete and complete\n",
+           "            indexes[key] = (index, vs.complete and pieces.complete)\n"
+           "            scans_complete = scans_complete and indexes[key][1]\n"
+           "        index, complete = indexes[key]\n",
+           ("tests/test_optic.py::test_emptied_tables_answer_as_warm_ones[pointed-II-0-1]",
+            "tests/test_optic.py::test_emptied_tables_answer_as_warm_ones[absorbing]",
+            "tests/test_optic.py::TestSharedSlideIndexes::test_bound_one_then_two")),
     Mutant("finfun kernel reads the first beside leg for every leg",
            "src/opticomb/backends/finfun.py",
            "legs = [(beside.table[i] * n_out, j)", "legs = [(beside.table[0] * n_out, j)",

@@ -25,9 +25,10 @@ keyed weakly by backend and capped at ``MAX_SLIDE_INDEXES`` and
 ``MAX_SLIDE_NEIGHBORS``.  Nothing empties them: an entry is built from
 hom-set scans, composites, tensors and keys, which read the backend's
 object sizes and the values alone, so a generator added later leaves every
-entry true.  Each visit still runs the hom-set scans of a fresh search, so
-the coverage is unchanged; neighbours are read in order, a ``SlideStep`` is
-built only for a state reached first, and the search returns at the goal.
+entry true.  An index entry keeps the completeness of the hom-set scans it
+was built from, and each visit folds it into the coverage, so a warm query
+scans no hom-set; neighbours are read in order, a ``SlideStep`` is built only
+for a state reached first, and the search returns at the goal.
 
 On structured backends (the routes of ``OPTIC``) the search is bypassed:
 environment-rotation factoring classifies optics over unitary backends,
@@ -115,24 +116,15 @@ SLIDE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
     budget = Budget.of(bound)
     (a, a1), (b, b1) = o1.source, o1.target
-    id_b = backend.identity(b)
-    id_b1 = backend.identity(b1)
+    id_b, id_b1 = backend.identity(b), backend.identity(b1)
     envs, graded = env_words_for(backend, o1.source, o1.target, bound)
     env_list = list(envs)
     for extra in (o1.env, o2.env):
         if extra not in env_list:
             env_list.append(extra)
 
-    scans_complete = True
-    hom_cache: dict[tuple[ObjectWord, ObjectWord], tuple] = {}
-
     def hom(dom: ObjectWord, cod: ObjectWord):
-        nonlocal scans_complete
-        if (dom, cod) not in hom_cache:
-            hs = backend.enumerate_hom(dom, cod, budget.max_hom)
-            scans_complete = scans_complete and hs.complete
-            hom_cache[dom, cod] = hs.items
-        return hom_cache[dom, cod]
+        return backend.enumerate_hom(dom, cod, budget.max_hom)
 
     indexes, table, states = SLIDE_TABLES.setdefault(backend, ({}, {}, {}))
     if len(indexes) >= MAX_SLIDE_INDEXES:
@@ -143,24 +135,29 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
     def moves(step, e0, e, side_key):
         """The ``(v, piece, v (x) 1)`` of ``step`` between E0 and E whose recomposed
         side has ``side_key``, in hom order, with v whiskered for the side it moves
-        into.  Hom-sets are scanned per query, pieces only if a v exists."""
+        into.  An index is built from its hom-set scans (pieces only if a v exists)
+        and keeps their completeness, which every visit folds into the coverage."""
+        nonlocal scans_complete
         down = step == "push_down"
-        vs = hom(e0, e) if down else hom(e, e0)
-        pieces = (hom(a, e0 @ b) if down else hom(e0 @ b1, a1)) if vs else ()
         key = (step, e0, e, a, a1, b, b1, budget.max_hom)
         if key not in indexes:
-            index = indexes[key] = {}
-            for v in vs:
+            vs = hom(e0, e) if down else hom(e, e0)
+            pieces = (hom(a, e0 @ b) if down else hom(e0 @ b1, a1)) if vs.items else vs
+            index = {}
+            for v in vs.items:
                 v_b, v_b1 = backend.tensor(v, id_b), backend.tensor(v, id_b1)
-                for piece in pieces:
+                for piece in pieces.items:
                     side = backend.compose(piece, v_b) if down else backend.compose(v_b1, piece)
                     index.setdefault(backend.canonical_key(side), []).append(
                         (v, piece, v_b1 if down else v_b))
-        return indexes[key].get(side_key, ())
+            indexes[key] = (index, vs.complete and pieces.complete)
+        index, complete = indexes[key]
+        scans_complete = scans_complete and complete
+        return index.get(side_key, ())
 
     def neighbors_of(step, e0, state, cur_key):
         """The ``(next_state, next_key, v)`` of ``step`` through E0, in move order;
-        ``moves`` runs on every visit, so each query still scans its hom-sets."""
+        ``moves`` runs on every visit, so the coverage counts the scans behind them."""
         e, f, g = state
         down = step == "push_down"
         found = moves(step, e0, e, cur_key[1] if down else cur_key[2])
@@ -180,7 +177,7 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
     start_key = _state_key(backend, *start)
     parents: dict[Any, tuple[Any, SlideStep] | None] = {start_key: None}
     queue = deque([(start, start_key)])
-    truncated = False
+    scans_complete, truncated = True, False
 
     def emit_path(end_key) -> SlidePathWitness:
         steps = []

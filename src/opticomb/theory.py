@@ -131,6 +131,8 @@ def parse_theory(text: str) -> TheoryConfig:
                     exact = "finfun" if config.kind == "finfun" else f"semiring={semiring}"
                     raise TheoryError(f"tolerance= needs a complex matrix or unitary theory; "
                                       f"{exact} compares exactly", line_no)
+            if config.kind == "free-pointed":  # PointedFreeBackend's default names
+                opts.update({"states": "phi,psi", "effects": "bang"} | opts)
             if config.kind.startswith("free-"):
                 # the free kinds' built-in names; the term reader reads a
                 # state, effect or endo named I as a generator
@@ -193,8 +195,12 @@ def parse_theory(text: str) -> TheoryConfig:
             endo = config.options.get("endo", "f")
             if config.kind == "free-commutative" and rule != (endo, endo, endo):
                 raise TheoryError(f"the only rule available is {endo} ; {endo} -> {endo}", line_no)
-            if config.kind == "free-pointed" and rule[2] != "1":
-                raise TheoryError("pointed rules collapse to 1", line_no)
+            if config.kind == "free-pointed":
+                if rule[2] != "1":
+                    raise TheoryError("pointed rules collapse to 1", line_no)
+                for what, name in zip(("state", "effect"), rule):
+                    if not name or name not in config.options[what + "s"].split(","):
+                        raise TheoryError(f"rule uses undeclared {what} {name!r}", line_no)
             config.rules.append(rule)
         else:
             raise TheoryError(f"unknown declaration {head!r}", line_no)
@@ -282,15 +288,11 @@ def build_backend(config: TheoryConfig):
         # a rule line can only restate that the endo is idempotent
         return IdempotentFreeBackend(opts.get("object", "a"), opts.get("endo", "f"))
     if kind == "free-pointed":
-        obj = opts.get("object", "a")
-        states = tuple(s for s in opts.get("states", "phi,psi").split(",") if s)
-        effects = tuple(e for e in opts.get("effects", "bang").split(",") if e)
+        names = {key: tuple(n for n in opts[key].split(",") if n) for key in ("states", "effects")}
         # no rule lines: the backend's default cancels every state/effect pair
         rules = tuple((g1, g2) for g1, g2, _ in config.rules) or None
         with _refusal_named(f"backend {kind}", config.line_no):
-            return PointedFreeBackend(
-                object_name=obj, states=states, effects=effects, rules=rules
-            )
+            return PointedFreeBackend(opts.get("object", "a"), rules=rules, **names)
     # parse_theory has refused a bad tolerance, and one on an exact theory
     numeric = {"tolerance": float(opts["tolerance"])} if "tolerance" in opts else {}
     semiring = opts.get("semiring", "complex")

@@ -89,6 +89,8 @@ MALFORMED_THEORIES = {
     "morphism-without-arrow": "backend matrix\nobject x dim=2\nmorphism h : x = [[1,0],[0,1]]\n",
     "rule-without-arrow": "backend free-pointed\nrule phi ; bang\n",
     "rule-without-semicolon": "backend free-pointed\nrule phi -> 1\n",
+    "rule-undeclared-effect": "backend free-pointed states=phi effects=bang\n\n"
+                              "rule phi ; stop -> 1\n",
     "complex-entry-of-three": MATRIX + "[[[1, 0, 0]]]\n",
     "float-rational": MATRIX.replace("matrix", "matrix semiring=rational") + "[[0.5]]\n",
     "object-on-free": "backend free-commutative\nobject a dim=2\n",
@@ -101,7 +103,8 @@ MALFORMED_THEORIES = {
 THEORY_REFUSAL_LINES = {"tolerance-on-bool": 1, "tolerance-on-finfun": 1,
                         "tolerance-not-a-number": 2, "wrong-shape": 3, "not-unitary": 3,
                         "undeclared-object": 3, "state-twice": 1, "state-twice-on-line-2": 2,
-                        "unknown-semiring": 1, "unknown-semiring-on-line-2": 2}
+                        "unknown-semiring": 1, "unknown-semiring-on-line-2": 2,
+                        "rule-undeclared-state": 2, "rule-undeclared-effect": 3}
 
 P1 = "poly p1 holes=[(b,b)] outers=[(b,b)] envs=[I] segs=[top | lower]\n"
 C = "comb c = (top, lower) env I\n"

@@ -8,6 +8,7 @@ lists the changes it prints.
 """
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,18 @@ def test_operation_counts_match_fixture(workload):
     expected = json.loads(costs.FIXTURE.read_text(encoding="utf-8"))
     got = costs.counts(workload)
     assert costs.differing({workload: expected[workload]}, {workload: got}) == []
+
+
+def test_a_warm_slide_search_pass_scans_no_hom_set():
+    """The slide search's move indexes keep the completeness of the hom-set
+    scans they were built from, so a second seed-201 pass on the same
+    backends finds every move in them and scans nothing."""
+    queries = costs.WORKLOADS["slide-search"](costs.SEED)
+    for q in queries:
+        costs.workloads.run_query(q)
+    warm = Counter()
+    for backend in {id(q.backend): q.backend for q in queries}.values():
+        costs._count_calls(backend, warm)
+    for q in queries:
+        costs.workloads.run_query(q)
+    assert warm["canonical_key"] and warm["enumerate_hom"] == 0

@@ -455,12 +455,13 @@ def cold_zigzag_answer(backend, o1, o2, bound):
 
 def table_contents(backend):
     """The backend's slide tables with every value replaced by its key, so that
-    two builds compare entry for entry."""
+    two builds compare entry for entry, each index with its scans' completeness."""
     key = backend.canonical_key
     indexes, neighbors, states = slide_tables(backend)
     return (
-        {k: {side: [tuple(map(key, entry)) for entry in entries]
-             for side, entries in index.items()} for k, index in indexes.items()},
+        {k: ({side: [tuple(map(key, entry)) for entry in entries]
+              for side, entries in index.items()}, complete)
+         for k, (index, complete) in indexes.items()},
         {k: [(nxt_key, key(v)) for _, nxt_key, v in nexts] for k, nexts in neighbors.items()},
         {k: (state[0], key(state[1]), key(state[2])) for k, (state, _) in states.items()},
     )
@@ -517,9 +518,13 @@ class TestSharedSlideIndexes:
             assert {key[-1] for key in slide_tables(pt)[0]} == {4, 16}
             assert warm == cold_zigzag_answer(pt, wide[0], c, 2)
         # bound 1 cuts this pair's hom-set scans short, so its moves are not
-        # those of bound 2, and the tables must keep the two apart
+        # those of bound 2, and the tables must keep the two apart; a warm
+        # query scans nothing and still reports the cut from its index entries
         bb, o1, o2 = bool_slide_pair()
-        assert zigzag_answer(bb, o1, o2, 1)[3]["hom_scans_complete"] is False
+        cut = zigzag_answer(bb, o1, o2, 1)
+        assert cut[3]["hom_scans_complete"] is False
+        assert {complete for _, complete in slide_tables(bb)[0].values()} == {False, True}
+        assert zigzag_answer(bb, o1, o2, 1) == cut
         assert zigzag_answer(bb, o1, o2, 2) == cold_zigzag_answer(bb, o1, o2, 2)
 
     def test_two_boundaries(self):

@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 ZIGZAG_GUARD = "if graded and scans_complete and not truncated:"
 WITNESS_LAYOUT = "fields if len(fillers) != 1 else [f[0] for f in fields]"
 TRAIL_TEST = "tests/test_optic.py::test_indexed_zigzag_matches_double_loop"
+CLOSE_TEST = "tests/test_matrix_backend.py::TestClose"
 COSTS_TEST = "tests/test_costs.py::test_operation_counts_match_fixture"
 
 MUTANTS = (
@@ -126,6 +127,16 @@ MUTANTS = (
            "if key not in indexes:", "if True:", (f"{COSTS_TEST}[slide-search]",)),
     Mutant("slide search rebuilds its neighbour lists on every visit", "src/opticomb/optic.py",
            "if key not in table:", "if True:", (f"{COSTS_TEST}[slide-search]",)),
+    Mutant("the block plug repeats the block's first filler", "src/opticomb/comb.py",
+           "backend.plug_lower(path[0][0], beside, list(firsts.values()))",
+           "backend.plug_lower(path[0][0], beside, [block[0][0]] * len(firsts))",
+           ("tests/test_comb.py::TestBlockScan::test_block_scan_matches_the_per_probe_scan[bool]",
+            "tests/test_comb.py::TestPlugKernel::test_block_values_match_one_probe_values"
+            "[complex]")),
+    Mutant("close passes when any entry is close", "src/opticomb/backends/matrix.py",
+           "(near | (a == b)).all()", "(near | (a == b)).any()",
+           (f"{CLOSE_TEST}::test_close_is_allclose_on_special_values[0.0]",
+            f"{CLOSE_TEST}::test_close_at_the_tolerance_edge")),
 )
 
 

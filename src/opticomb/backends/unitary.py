@@ -13,7 +13,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..core import Backend, DimensionMismatch, ObjectWord
-from .matrix import Mat, MatrixBackend, close, residual_tolerance
+from .matrix import Mat, MatrixBackend, _kron, close, residual_tolerance
 
 
 class UnitaryBackend(MatrixBackend):
@@ -59,7 +59,7 @@ def tensor_separate(u: np.ndarray, d_left: int, d_right: int):
         )
     blocks = u.reshape(d_left, d_right, d_left, d_right)
     u_left = blocks[:, 0, :, 0].copy()
-    residual = float(np.max(np.abs(u - np.kron(u_left, np.eye(d_right)))))
+    residual = float(np.max(np.abs(u - _kron(u_left, np.eye(d_right)))))
     return u_left, residual
 
 

@@ -188,10 +188,12 @@ def comb_tensor(backend: Backend, c1: CombRep, c2: CombRep) -> CombRep:
 
 def plug_chain(
     backend: Backend, holes: Sequence[Pair], envs: Sequence[ObjectWord],
-    segments: Sequence[Any], probes: Iterable[tuple[Sequence[Any], Sequence[Pair]]],
+    segments: Sequence[Any], blocks: Iterable[tuple[Sequence[Sequence[Any]], Sequence[Pair]]],
 ) -> Iterator[Any]:
-    """Plug each probe's ``fillers[i] : C_i (x) A_i -> D_i (x) A_i'`` into
-    hole ``i`` at ``contexts[i] = (C_i, D_i)``, lazily.
+    """The values of the probes of each context block ``(tuples, contexts)``,
+    in order, a block at a time: each tuple ``fillers`` of the non-empty
+    block plugs ``fillers[i] : C_i (x) A_i -> D_i (x) A_i'`` into hole ``i``
+    at ``contexts[i] = (C_i, D_i)``.
 
     The chain runs ``segments[0] : B -> M_0 (x) A_0``, then
     ``segments[i] : M_{i-1} (x) A_{i-1}' -> M_i (x) A_i``, up to
@@ -199,20 +201,29 @@ def plug_chain(
     A_i')`` and ``envs[i] = M_i``; a value runs ``C_0 .. C_{n-1} (x) B ->
     D_0 .. D_{n-1} (x) B'``.  Context legs wait on the far left.  The
     stretch before filler ``j`` (or after the last) depends only on ``C_j
-    ..`` and ``.. D_{j-1}``, so it is built once per stream and a probe
-    costs per hole one ``plug_lower`` then one ``plug_upper``.  One hole
-    composes ``((1_C (x) f) (sigma_{C,E} (x) 1_B)) (1_E (x) filler)
-    ((sigma_{E,D} (x) 1_B') (1_D (x) g))``, leaving out each identity on the
-    unit word and each swap with a unit leg.  Every filler is type-checked
-    before it is plugged.
+    ..`` and ``.. D_{j-1}``, so it is built once per stream.  Plugging is
+    associative, so hole 0 takes the block's distinct fillers (the items of
+    its hom-set, for :func:`filler_probes`) with one ``plug_lower`` and one
+    ``plug_upper``; then each tuple in turn plugs its later fillers one by
+    one into its hole-0 value and is yielded.  One hole composes ``((1_C
+    (x) f) (sigma_{C,E} (x) 1_B)) (1_E (x) filler) ((sigma_{E,D} (x) 1_B')
+    (1_D (x) g))``, leaving out each identity on the unit word and each
+    swap with a unit leg.  Every filler of a block is type-checked before
+    any of the block is plugged.
     """
-    for (fillers,), path in _block_paths(
-        backend, holes, envs, segments, (((f,), c) for f, c in probes), None, True
-    ):
-        value = path[0][0]
-        for lam, ((_, beside), (after, _)) in zip(fillers, zip(path, path[1:])):
-            (value,) = backend.plug_upper(backend.plug_lower(value, beside, (lam,)), after)
-        yield value
+    for block, path in _block_paths(backend, holes, envs, segments, blocks, None, True):
+        if not holes:
+            yield from [path[0][0]] * len(block)
+            continue
+        (_, beside), (after, _) = path[:2]
+        firsts = {id(fillers[0]): fillers[0] for fillers in block}  # each hole-0 filler once
+        tops = dict(zip(firsts, backend.plug_upper(
+            backend.plug_lower(path[0][0], beside, list(firsts.values())), after)))
+        for fillers in block:
+            value = tops[id(fillers[0])]
+            for lam, ((_, beside), (after, _)) in zip(fillers[1:], zip(path[1:], path[2:])):
+                (value,) = backend.plug_upper(backend.plug_lower(value, beside, (lam,)), after)
+            yield value
 
 
 def _block_paths(
@@ -285,7 +296,7 @@ def extended_eval(
     The result has type ``C (x) A -> D (x) A'``: a one-probe stream of
     :func:`plug_chain`, whose context legs ride past the environment.
     """
-    return next(plug_chain(backend, *c.chain(), [((filler,), ((c_word, d_word),))]))
+    return next(plug_chain(backend, *c.chain(), [([(filler,)], ((c_word, d_word),))]))
 
 
 def braid_eval(backend: Backend, c: CombRep) -> Any:
@@ -393,36 +404,41 @@ def filler_probes(
     words: Sequence[ObjectWord],
     max_hom: int,
     scans: list[bool],
-) -> Iterator[tuple[tuple[Any, ...], tuple[Pair, ...]]]:
-    """Probes ``(fillers, contexts)`` of a chain's ``holes``, lazily: for each
-    tuple of context pairs of ``words``, one filler per hole.
+) -> Iterator[tuple[list[tuple[Any, ...]], tuple[Pair, ...]]]:
+    """The probes of a chain's ``holes`` as context blocks ``(tuples,
+    contexts)`` for :func:`plug_chain`, lazily: for each tuple of context
+    pairs of ``words``, the filler tuples, one filler per hole.
 
     Each hole's hom-set ``C_i (x) A_i -> D_i (x) A_i'`` is enumerated when the
     walk reaches its context tuple, and its completeness flag appended to
-    ``scans``; the probes of a tuple are the product of those hom-sets.
+    ``scans``; the block of a tuple is the product of those hom-sets, left
+    out when empty.
     """
     for contexts in itertools.product(itertools.product(words, words), repeat=len(holes)):
         homs = [backend.enumerate_hom(c @ a, d @ a1, max_hom)
                 for (c, d), (a, a1) in zip(contexts, holes)]
         scans.extend(h.complete for h in homs)
-        for fillers in itertools.product(*(h.items for h in homs)):
-            yield fillers, contexts
+        if block := list(itertools.product(*(h.items for h in homs))):
+            yield block, contexts
 
 
 def probe_scan(
-    backend: Backend, rep1: Any, rep2: Any, probes: Iterable[Any],
+    backend: Backend, rep1: Any, rep2: Any, blocks: Iterable[Any],
 ) -> tuple[tuple[Any, Any, Any] | None, int]:
-    """Evaluate both representatives on each probe, in order.
+    """Evaluate both representatives on each probe of the context blocks, in
+    order.
 
     Each representative (a comb or a poly piece) is one :func:`plug_chain`
-    stream of its ``chain()`` over the probes, drawn once and lazily.
-    Returns ``((probe, left, right), tried)`` for the first probe on which
-    they differ, or ``(None, tried)`` when every probe agrees.
+    stream of its ``chain()`` over the blocks, drawn once and lazily, a
+    block at a time.  Returns ``((probe, left, right), tried)`` for the
+    first probe ``(fillers, contexts)`` on which they differ, or ``(None,
+    tried)`` when every probe agrees.
     """
-    probes, p1, p2 = itertools.tee(probes, 3)
+    blocks, b1, b2 = itertools.tee(blocks, 3)
+    probes = ((fillers, contexts) for block, contexts in blocks for fillers in block)
     evals = zip(
-        probes, plug_chain(backend, *rep1.chain(), p1),
-        plug_chain(backend, *rep2.chain(), p2),
+        probes, plug_chain(backend, *rep1.chain(), b1),
+        plug_chain(backend, *rep2.chain(), b2),
     )
     tried = 0
     for tried, (probe, v1, v2) in enumerate(evals, 1):
@@ -533,8 +549,8 @@ def _probe_route(
     length = bound if length is None else length
     words = backend.enumerate_objects(length)
     scans: list[bool] = []
-    probes = filler_probes(backend, x.chain()[0], words, Budget.of(bound).max_hom, scans)
-    hit, tried = probe_scan(backend, x, y, probes)
+    blocks = filler_probes(backend, x.chain()[0], words, Budget.of(bound).max_hom, scans)
+    hit, tried = probe_scan(backend, x, y, blocks)
     if hit is not None:
         return Decision.distinct(
             method, _probe_witness(backend, hit, note), coverage={"probes_tried": tried}
@@ -608,16 +624,11 @@ def equiv_comb(
 # Congruence search
 # ---------------------------------------------------------------------------
 
-def _fingerprinter(backend: Backend, probes: list) -> tuple[Callable[[CombRep], tuple], list]:
-    """A comb's block keys, interned per context block (a maximal run of
-    probes with equal contexts) and computed once, and each block's first
-    probe index.  The combs share one boundary, so the first comb checks the
-    fillers; combs that share a bottom or a top share its stretches through
-    one table, a bottom's lower halves through another."""
-    blocks = [
-        ([fillers for fillers, _ in run], contexts)
-        for contexts, run in itertools.groupby(probes, key=lambda probe: probe[1])
-    ]
+def _fingerprinter(backend: Backend, blocks: list) -> Callable[[CombRep], tuple]:
+    """A comb's keys of the context ``blocks`` (:func:`plug_chain`), interned
+    per block and computed once.  The combs share one boundary, so the first
+    comb checks the fillers; combs that share a bottom or a top share its
+    stretches through one table, a bottom's lower halves through another."""
     interned: list[dict[Any, int]] = [{} for _ in blocks]
     prints: dict[int, tuple[CombRep, tuple[int, ...]]] = {}  # holds c, so its id stays
     built: dict = {}
@@ -637,7 +648,7 @@ def _fingerprinter(backend: Backend, probes: list) -> tuple[Callable[[CombRep], 
             prints[id(c)] = c, tuple(keys)
         return prints[id(c)][1]
 
-    return fingerprint, [0, *itertools.accumulate(len(block) for block, _ in blocks)]
+    return fingerprint
 
 
 def _namer(backend: Backend, b: ObjectWord, b1: ObjectWord) -> Callable[[CombRep], Any]:
@@ -686,8 +697,8 @@ def sigma_congruence_search(
     each of which pays one ``block_key``; each filler is checked once.  A
     comb's fingerprint is its block keys, interned per block.  Keys agree
     exactly when every value of the block is ``equal``, so a pair differs
-    exactly when the fingerprints do; the first differing block is replayed
-    from its first probe through :func:`probe_scan`, so the pairs, the
+    exactly when the fingerprints do; the blocks from the first differing one
+    on are replayed through :func:`probe_scan`, so the pairs, the
     ``max_pairs`` cut and the witness are those of a pair-by-pair scan.
     """
     from .sampling import enumerate_combs
@@ -700,8 +711,8 @@ def sigma_congruence_search(
         name = _namer(backend, b, b1)
         for c in enumerate_combs(backend, (a, a1), (b, b1), bound):
             groups.setdefault(backend.canonical_key(name(c)), []).append(c)
-        probes = list(filler_probes(backend, ((b, b1),), words, budget.max_hom, []))
-        fingerprint, starts = _fingerprinter(backend, probes)
+        blocks = list(filler_probes(backend, ((b, b1),), words, budget.max_hom, []))
+        fingerprint = _fingerprinter(backend, blocks)
         for _, members in sorted(groups.items(), key=lambda kv: repr(kv[0])):
             for c1, c2 in itertools.combinations(members, 2):
                 pairs_checked += 1
@@ -711,7 +722,7 @@ def sigma_congruence_search(
                 if p1 == p2:
                     continue
                 first = next(i for i, (k1, k2) in enumerate(zip(p1, p2)) if k1 != k2)
-                hit, _ = probe_scan(backend, c1, c2, probes[starts[first]:])
+                hit, _ = probe_scan(backend, c1, c2, blocks[first:])
                 if hit is not None:
                     return _probe_witness(
                         backend, hit, "filler separates braid-equal combs"

@@ -400,10 +400,11 @@ class Backend(ABC):
     def plug_lower(self, before: Any, beside: Any, fillers: Sequence[Any]) -> Any:
         """``before ; (beside (x) filler)`` for each filler of a non-empty block
         that shares one type: the filler kernel's lower half, which
-        :meth:`plug_upper` ends with ``; after``.  ``comb.plug_chain`` and
-        ``polycomb.poly_compose_at`` plug blocks of one filler; the congruence
-        search keys a block's lower half for many tops (:meth:`block_key`).
-        The matrix and finfun backends batch the block."""
+        :meth:`plug_upper` ends with ``; after``.  ``comb.plug_chain`` plugs a
+        context block's distinct fillers of the first hole as one block, and
+        a later hole's one at a time; ``polycomb.poly_compose_at`` plugs blocks of one
+        filler; the congruence search keys a block's lower half for many tops
+        (:meth:`block_key`).  The matrix and finfun backends batch the block."""
         return [self.compose(before, self.tensor(beside, lam)) for lam in fillers]
 
     def plug_upper(self, lower: Any, after: Any) -> list:
@@ -641,11 +642,11 @@ class ProbeWitness:
         cw, dw, probe, term = fields if len(fillers) != 1 else [f[0] for f in fields]
         return ProbeWitness(cw, dw, probe, left, right, term, note)
 
-    def probes(self) -> list[tuple[tuple, tuple]]:
+    def probes(self) -> list[tuple[list, tuple]]:
         """The witness as a one-probe stream of ``comb.plug_chain``."""
         one = isinstance(self.c_word, ObjectWord)
         cs, ds, fillers = ([f] if one else f for f in (self.c_word, self.d_word, self.probe))
-        return [(tuple(fillers), tuple(zip(cs, ds)))]
+        return [([tuple(fillers)], tuple(zip(cs, ds)))]
 
     def to_json(self) -> dict:
         data = {

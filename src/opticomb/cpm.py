@@ -10,12 +10,13 @@ Two independent equality routes are kept deliberately separate:
 
 * ``cpm_equiv`` compares transfer matrices, the full linear action on
   vectorized inputs.
-* ``cpinf_equiv`` never looks at transfer matrices: it pushes a spanning
+* ``cpinf_equiv`` never builds a transfer matrix: it pushes a spanning
   family of rank-one positive inputs through both channels via their
-  Kraus pieces and compares outputs.  The family (basis projectors plus
-  pairwise real and imaginary mixtures) spans all hermitian inputs, and
-  channels are determined by their action on hermitian inputs, so full
-  agreement on the family is conclusive, not just evidence.
+  Kraus pieces, the whole family as one stack, and compares outputs.  The
+  family (basis projectors plus pairwise real and imaginary mixtures)
+  spans all hermitian inputs, and channels are determined by their action
+  on hermitian inputs, so full agreement on the family is conclusive, not
+  just evidence.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .core import (
     ObjectWord,
     ProbeWitness,
 )
-from .backends.matrix import MatrixBackend, close, residual_tolerance
+from .backends.matrix import MatrixBackend, _kron, close, residual_tolerance
 from .comb import CombRep, Relation, Route, comb as make_comb, decide
 
 
@@ -53,10 +54,8 @@ def is_dagger_comb(backend: Backend, c: CombRep) -> bool:
 
 @dataclass(frozen=True)
 class CpmMorphism:
-    """A channel with its boundary words, Kraus pieces, and transfer matrix.
+    """A channel with its boundary words and Kraus pieces.
 
-    The transfer matrix acts on row-major vectorizations: with
-    ``vec(rho)[a*d+a'] = rho[a, a']``, it is ``sum_x kron(K_x, conj(K_x))``.
     ``tolerance`` is its backend's, for the positivity and trace checks.
     """
 
@@ -65,11 +64,20 @@ class CpmMorphism:
     in_dim: int
     out_dim: int
     kraus: tuple
-    transfer: np.ndarray
     tolerance: float
 
+    @property
+    def transfer(self) -> np.ndarray:
+        """``sum_x kron(K_x, conj(K_x))``, built on each read: the action on
+        row-major vectorizations ``vec(rho)[a*d+a'] = rho[a, a']``."""
+        transfer = np.zeros((self.out_dim ** 2, self.in_dim ** 2), dtype=np.complex128)
+        for k in self.kraus:
+            transfer += _kron(k, k.conj())
+        return transfer
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.out_dim, self.out_dim), dtype=np.complex128)
+        """The channel on ``rho``, or on each matrix of a stack of them."""
+        out = np.zeros(rho.shape[:-2] + (self.out_dim, self.out_dim), dtype=np.complex128)
         for k in self.kraus:
             out += k @ rho @ k.conj().T
         return out
@@ -112,10 +120,7 @@ def to_cpm(backend: MatrixBackend, c: CombRep) -> CpmMorphism:
     b = c.target[0]
     d_a, d_b, d_e = backend.dim(a), backend.dim(b), backend.dim(c.env)
     kraus = kraus_slices(c.f.array, d_e, d_b)
-    transfer = np.zeros((d_b * d_b, d_a * d_a), dtype=np.complex128)
-    for k in kraus:
-        transfer += np.kron(k, k.conj())
-    return CpmMorphism(a, b, d_a, d_b, kraus, transfer, backend.tolerance)
+    return CpmMorphism(a, b, d_a, d_b, kraus, backend.tolerance)
 
 
 def choi_matrix(transfer: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
@@ -162,9 +167,10 @@ def _transfer_route(backend: MatrixBackend, c1: CombRep, c2: CombRep, *_) -> Dec
     differ = _boundary_check(m1, m2, "transfer-compare")
     if differ is not None:
         return differ
-    if cpm_equal(m1, m2, backend.tolerance):
+    t1, t2 = m1.transfer, m2.transfer
+    if close(t1, t2, backend.tolerance):
         return Decision.equivalent("transfer-compare")
-    diff = np.abs(m1.transfer - m2.transfer)
+    diff = np.abs(t1 - t2)
     flat = int(np.argmax(diff))
     row, col = divmod(flat, diff.shape[1])
     witness = FactorWitness(
@@ -177,21 +183,17 @@ def _transfer_route(backend: MatrixBackend, c1: CombRep, c2: CombRep, *_) -> Dec
     return Decision.distinct("transfer-compare", witness)
 
 
-def positive_probe_frame(d: int):
-    """Rank-one positive matrices spanning the hermitian d x d matrices.
-
-    Yields ``v v^+`` for v over basis vectors, pairwise sums, and pairwise
-    imaginary sums, in a fixed order.
-    """
+def positive_probe_frame(d: int) -> np.ndarray:
+    """Rank-one positive matrices spanning the hermitian d x d matrices, as
+    one stack: ``v v^+`` for v over basis vectors, pairwise sums, and
+    pairwise imaginary sums, in a fixed order."""
     eye = np.eye(d, dtype=np.complex128)
-    for i in range(d):
-        yield np.outer(eye[i], eye[i].conj())
+    vs = [*eye]
     for i in range(d):
         for j in range(i + 1, d):
-            v = eye[i] + eye[j]
-            yield np.outer(v, v.conj())
-            w = eye[i] + 1j * eye[j]
-            yield np.outer(w, w.conj())
+            vs += [eye[i] + eye[j], eye[i] + 1j * eye[j]]
+    frame = np.array([np.outer(v, v.conj()) for v in vs], dtype=np.complex128)
+    return frame.reshape(len(vs), d, d)
 
 
 def _probe_frame_route(backend: MatrixBackend, c1: CombRep, c2: CombRep, *_) -> Decision:
@@ -199,23 +201,19 @@ def _probe_frame_route(backend: MatrixBackend, c1: CombRep, c2: CombRep, *_) -> 
     differ = _boundary_check(m1, m2, "positive-probes")
     if differ is not None:
         return differ
-    tried = 0
-    for rho in positive_probe_frame(m1.in_dim):
-        tried += 1
-        out1, out2 = m1.apply(rho), m2.apply(rho)
-        if not close(out1, out2, residual_tolerance(backend.tolerance)):
-            witness = ProbeWitness(
-                ObjectWord.unit(), ObjectWord.unit(), rho,
-                left=out1, right=out2,
-                note="a rank-one positive input separates the channels",
-            )
-            return Decision.distinct(
-                "positive-probes", witness, coverage={"probes_tried": tried}
-            )
-    return Decision.equivalent(
-        "positive-probes",
-        coverage={"probes_tried": tried, "frame_spans_hermitian": True},
+    frame, bound = positive_probe_frame(m1.in_dim), residual_tolerance(backend.tolerance)
+    out1, out2 = m1.apply(frame), m2.apply(frame)
+    if close(out1, out2, bound):  # every probe's outputs at once
+        return Decision.equivalent(
+            "positive-probes",
+            coverage={"probes_tried": len(frame), "frame_spans_hermitian": True},
+        )
+    i = next(i for i in range(len(frame)) if not close(out1[i], out2[i], bound))
+    witness = ProbeWitness(
+        ObjectWord.unit(), ObjectWord.unit(), frame[i], left=out1[i], right=out2[i],
+        note="a rank-one positive input separates the channels",
     )
+    return Decision.distinct("positive-probes", witness, coverage={"probes_tried": i + 1})
 
 
 #: channel equality by transfer matrices, and by the probe frame

@@ -111,7 +111,7 @@ def poly_extended_eval(
     a single hole this is the one-hole extended evaluation, factor for
     factor: both are one-probe streams of :func:`~opticomb.comb.plug_chain`.
     """
-    return next(plug_chain(backend, *p.chain(), [(fillers, contexts)]))
+    return next(plug_chain(backend, *p.chain(), [([fillers], contexts)]))
 
 
 def poly_name(backend: Backend, p: CombRep) -> Any:

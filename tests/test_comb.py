@@ -44,10 +44,10 @@ from opticomb import (
     sigma_congruence_search,
 )
 from opticomb.comb import (
-    _block_paths, _fingerprinter, _namer, braid_refutation, filler_probes, plug_chain,
-    probe_scan,
+    _block_paths, _fingerprinter, _namer, _probe_witness, braid_refutation, filler_probes,
+    plug_chain, probe_scan,
 )
-from opticomb.core import Backend, HomSet
+from opticomb.core import Backend, HomSet, value_json
 from opticomb.program import witness_json
 
 from conftest import NAME_BACKENDS, rand_mat, random_pieces, word
@@ -415,9 +415,33 @@ SEARCHES = [
 
 
 def _probes(backend, b, b1, bound=2):
+    """The probes ``(fillers, contexts)`` of the hole ``(b, b1)`` one by one:
+    :func:`filler_probes`'s blocks, flattened."""
     budget = Budget.of(bound)
     words = backend.enumerate_objects(budget.max_word_len)
-    return list(filler_probes(backend, ((b, b1),), words, budget.max_hom, []))
+    return [(fillers, contexts)
+            for block, contexts in filler_probes(backend, ((b, b1),), words, budget.max_hom, [])
+            for fillers in block]
+
+
+def _one_by_one(probes):
+    """Each probe as a block of its own: the per-probe stream of :func:`plug_chain`."""
+    return (([fillers], contexts) for fillers, contexts in probes)
+
+
+def reference_probe_scan(backend, rep1, rep2, probes):
+    """:func:`probe_scan` as it was before it plugged a block at a time, kept
+    as the reference of the block scan: each representative is one stream of
+    one-probe blocks, and the first probe on which they differ ends the scan.
+    Returns ``((probe, left, right), tried)``, or ``(None, tried)``."""
+    probes, p1, p2 = itertools.tee(probes, 3)
+    evals = zip(probes, plug_chain(backend, *rep1.chain(), _one_by_one(p1)),
+                plug_chain(backend, *rep2.chain(), _one_by_one(p2)))
+    tried = 0
+    for tried, (probe, v1, v2) in enumerate(evals, 1):
+        if not backend.equal(v1, v2):
+            return (probe, v1, v2), tried
+    return None, tried
 
 
 def reference_search(backend, boundaries, bound, max_pairs):
@@ -437,7 +461,7 @@ def reference_search(backend, boundaries, bound, max_pairs):
                 pairs += 1
                 if pairs > max_pairs:
                     return None, pairs
-                hit, _ = probe_scan(backend, c1, c2, probes)
+                hit, _ = reference_probe_scan(backend, c1, c2, probes)
                 if hit is not None:
                     ((lam,), ((cw, dw),)), v1, v2 = hit
                     return ProbeWitness(
@@ -536,7 +560,8 @@ def _unitary_mat(backend, rng, dom, cod):
 
 
 def _blocks(probes):
-    """Maximal runs of probes with equal contexts, as ``_plug_blocks`` takes them."""
+    """Maximal runs of probes with equal contexts: the context blocks that
+    :func:`plug_chain` and ``_plug_blocks`` take."""
     return [
         ([fillers for fillers, _ in run], contexts)
         for contexts, run in itertools.groupby(probes, key=lambda probe: probe[1])
@@ -621,7 +646,7 @@ class TestProbeStreams:
         for p in pieces:
             probes = _walk(backend, rng, p, [word(), o])
             assert probes
-            values = list(plug_chain(backend, *p.chain(), probes))
+            values = list(plug_chain(backend, *p.chain(), _blocks(probes)))
             assert len(values) == len(probes)
             for v, (fillers, contexts) in zip(values, probes):
                 one = poly_extended_eval(backend, p, fillers, contexts)
@@ -634,9 +659,89 @@ class TestProbeStreams:
                 fillers, contexts = probes[-1]
                 (c, _), (a, _) = contexts[-1], p.holes[-1]
                 bad = fillers[:-1] + (backend.identity(c @ a @ o),)
-                stream = plug_chain(backend, *p.chain(), probes + [(bad, contexts)])
+                stream = plug_chain(backend, *p.chain(), _blocks(probes + [(bad, contexts)]))
                 with pytest.raises(TypeMismatch, match=f"filler {len(p.holes) - 1} must"):
                     list(stream)
+
+
+def _zero_or_rand_mat(backend, rng, dom, cod):
+    """The zero matrix or a dense complex one, by a coin: a zero filler in any
+    hole makes every piece's value zero, so two pieces agree on some probes
+    of a block and differ on others."""
+    if rng.random() < 0.5:
+        return backend.mat(dom, cod, np.zeros((backend.dim(cod), backend.dim(dom))))
+    return rand_mat(backend, rng, dom, cod)
+
+
+class TestBlockScan:
+    """``probe_scan`` plugs a context block at a time; the per-probe scan it
+    replaced (:func:`reference_probe_scan`) must find the same first
+    differing probe, with the same ``tried`` count, values and witness."""
+
+    @pytest.mark.parametrize("name", sorted(STREAM_BACKENDS))
+    def test_block_scan_matches_the_per_probe_scan(self, name):
+        make, obj = STREAM_BACKENDS[name]
+        backend, o = make(), word(obj)
+        rng = np.random.default_rng(20261026)
+        if backend.enumerable:
+            pieces = [p for n in (0, 1, 2) for p in random_pieces(backend, o, n, rng, 4)]
+        else:
+            pieces = _complex_pieces(backend, rng)
+        assert {len(p.holes) for p in pieces} == {0, 1, 2}
+        inside = 0  # scans whose first differing probe is not the first of its block
+        for p in pieces:
+            q = _sibling(backend, p, rng, rand_mat)
+            probes = _walk(backend, rng, p, [word(), o], repeat=3, make=_zero_or_rand_mat)
+            blocks = _blocks(probes)
+            # the whole walk, and each block on its own
+            for walk in [probes] + [[(f, c) for f in fillers] for fillers, c in blocks]:
+                for x, y in [(p, p), (p, q), (q, p)]:
+                    hit, tried = probe_scan(backend, x, y, _blocks(walk))
+                    want, want_tried = reference_probe_scan(backend, x, y, walk)
+                    assert tried == want_tried
+                    assert (hit is None) == (want is None)
+                    if hit is None:
+                        assert tried == len(walk)
+                        continue
+                    (fillers, contexts), v1, v2 = hit
+                    assert (fillers, contexts) == walk[tried - 1] == want[0]
+                    assert all(f is g for f, g in zip(fillers, want[0][0]))
+                    for v, u in zip((v1, v2), want[1:]):
+                        assert json.dumps(value_json(v)) == json.dumps(value_json(u))
+                    assert _same_witness(_probe_witness(backend, hit, "n"),
+                                         _probe_witness(backend, want, "n"))
+                    inside += tried > 1 and walk[tried - 2][1] == contexts
+        # an absorbing pair that differs does so on every probe, and the
+        # idempotent pairs drawn here differ on few; elsewhere some differ
+        # first inside a block
+        assert inside or name in ("absorbing", "idempotent")
+
+    def test_a_block_stacks_its_first_hom_set_only(self, monkeypatch):
+        """A two-hole block at bound 3 is the product of its hom-sets: here
+        ``max_hom`` hole-0 fillers times 4, more than ``max_hom`` tuples.  Hole
+        0 stacks the items of its hom-set only, and a scan that differs on
+        the block's first probe plugs the later hole once per stream."""
+        backend, s = FinFunBackend({"s": 2}), word("s")
+        ident = backend.identity(s)
+        flip = next(f for f in backend.enumerate_hom(s, s, 4).items  # no fixed point
+                    if not backend.equal(f, ident) and backend.equal(backend.compose(f, f), ident))
+        p = poly(backend, [(s, s), (s, s)], [(s, s)], [word(), word()], [ident] * 3)
+        q = poly(backend, p.holes, p.outers, p.envs, [ident, ident, flip])
+        budget = Budget.of(3)
+        block = next(b for b in filler_probes(
+            backend, p.holes, backend.enumerate_objects(3), budget.max_hom, []
+        ) if len({id(fillers[0]) for fillers in b[0]}) == budget.max_hom)
+        assert len(block[0]) == 4 * budget.max_hom
+        sizes, plug_lower = [], backend.plug_lower
+
+        def counted(before, beside, fillers):
+            sizes.append(len(fillers))
+            return plug_lower(before, beside, fillers)
+
+        monkeypatch.setattr(backend, "plug_lower", counted)
+        hit, tried = probe_scan(backend, p, q, [block])
+        assert hit is not None and tried == 1
+        assert sizes == [budget.max_hom, 1, budget.max_hom, 1]
 
 
 class TestPlugKernel:
@@ -662,11 +767,13 @@ class TestPlugKernel:
             values = list(itertools.chain.from_iterable(
                 _plug_blocks(backend, *p.chain(), blocks)
             ))
-            assert len(values) == len(probes)
-            for v, probe in zip(values, probes):
-                assert _same_value(backend, v, next(plug_chain(backend, *p.chain(), [probe])))
+            streamed = list(plug_chain(backend, *p.chain(), blocks))
+            assert len(values) == len(streamed) == len(probes)
+            for v, s, probe in zip(values, streamed, probes):
+                one = next(plug_chain(backend, *p.chain(), _one_by_one([probe])))
+                assert _same_value(backend, v, one) and _same_value(backend, s, one)
                 if name.startswith("rational"):
-                    assert all(type(x) is Fraction for x in v.array.flat)
+                    assert all(type(x) is Fraction for x in (*v.array.flat, *s.array.flat))
 
     @pytest.mark.parametrize(
         "name", ["bool", "complex", "finfun", "finfun-empty", "rational", "rational-2**40"]
@@ -768,7 +875,8 @@ class TestPlugKernel:
         """Per filler one tensor and two composites, in that order within each
         half: the lower half's pairs for the block, then the upper half's
         composites; and a block makes the calls of the per-probe stream over
-        its probes, the halves of a block grouped."""
+        its probes, the halves of a block grouped, and so does ``plug_chain``
+        on the blocks."""
         make, obj = NAME_BACKENDS[name]
         backend, o = make(), word(obj)
         before, beside, after = backend.identity(o @ o), backend.identity(o), backend.identity(o @ o)
@@ -788,13 +896,14 @@ class TestPlugKernel:
             probes = _walk(backend, rng, p, [word(), o], repeat=3)
             seqs = []
             for run in (lambda b: _plug_blocks(b, *p.chain(), _blocks(probes)),
-                        lambda b: plug_chain(b, *p.chain(), probes)):
+                        lambda b: plug_chain(b, *p.chain(), _blocks(probes)),
+                        lambda b: plug_chain(b, *p.chain(), _one_by_one(probes))):
                 calls = _recording(other := make())
                 list(run(other))
                 seqs.append(sorted(((op, [(backend.dom(a), backend.cod(a))
                                           if not isinstance(a, ObjectWord) else a
                                           for a in args]) for op, args, _ in calls), key=repr))
-            assert seqs[0] == seqs[1]
+            assert seqs[0] == seqs[1] == seqs[2]
             assert [op for op, _ in seqs[0]].count("tensor") >= len(probes)
 
 
@@ -1192,12 +1301,14 @@ def _check_block_contract(backend, walk, combs):
     exactly when their per-probe keys are equal, and where they differ, the
     first differing block holds the first differing probe.  Returns the
     number of differing pairs."""
-    fingerprint, starts = _fingerprinter(backend, walk)
-    assert starts == [0, *itertools.accumulate(len(fillers) for fillers, _ in _blocks(walk))]
+    blocks = _blocks(walk)
+    fingerprint = _fingerprinter(backend, blocks)
+    starts = [0, *itertools.accumulate(len(fillers) for fillers, _ in blocks)]
     interned = [{} for _ in walk]
     per_probe, prints = [], []
     for c in combs:
-        keys = [backend.canonical_key(v) for v in plug_chain(backend, *c.chain(), walk)]
+        values = plug_chain(backend, *c.chain(), _one_by_one(walk))
+        keys = [backend.canonical_key(v) for v in values]
         per_probe.append(tuple(t.setdefault(k, len(t)) for t, k in zip(interned, keys)))
         prints.append(fingerprint(c))
         assert len(prints[-1]) == len(starts) - 1
@@ -1323,9 +1434,11 @@ class TestSharedSearchWork:
             assert bool(_check_block_contract(backend, walk, reached)) == (name == "pointed")
 
     @pytest.mark.parametrize("name", ["bool", "finfun"])
-    def test_a_mistyped_filler_is_refused(self, name):
+    def test_a_mistyped_filler_is_refused(self, name, monkeypatch):
         """The fingerprinter checks every filler on its first comb, and a
-        stream checks each probe as it comes."""
+        stream checks each block as it comes: it yields every value of the
+        blocks before the bad probe's, and refuses that block before it plugs
+        any of it."""
         make, obj = NAME_BACKENDS[name]
         backend, o = make(), word(obj)
         c = next(enumerate_combs(backend, (o, o), (o, o), 2))
@@ -1335,8 +1448,19 @@ class TestSharedSearchWork:
         bad = [((backend.identity(o @ o),), contexts)]
         assert (backend.dom(lam), backend.cod(lam)) != (o @ o, o @ o)
         with pytest.raises(TypeMismatch, match="filler 0 must"):
-            _fingerprinter(backend, probes[:k] + bad + probes[k + 1:])[0](c)
-        stream = plug_chain(backend, *c.chain(), probes[:k] + bad)
-        assert len(list(itertools.islice(stream, k))) == k
+            _fingerprinter(backend, _blocks(probes[:k] + bad + probes[k + 1:]))(c)
+        blocks = _blocks(probes[:k] + bad)
+        start = sum(len(fillers) for fillers, _ in blocks[:-1])
+        assert len(blocks) > 1 and start < k  # the bad probe's block holds good probes too
+        plugged, plug_lower = [], backend.plug_lower
+
+        def counted(before, beside, fillers):
+            plugged.append(len(fillers))
+            return plug_lower(before, beside, fillers)
+
+        monkeypatch.setattr(backend, "plug_lower", counted)
+        stream = plug_chain(backend, *c.chain(), blocks)
+        assert len(list(itertools.islice(stream, start))) == start
         with pytest.raises(TypeMismatch, match="filler 0 must"):
             next(stream)
+        assert plugged == [len(fillers) for fillers, _ in blocks[:-1]]

@@ -264,10 +264,10 @@ class TestDecision:
     @pytest.mark.parametrize("holes", [1, 2])
     def test_probe_witness_layout_round_trips(self, holes):
         """``ProbeWitness.of`` writes one hole's entries bare and n holes' as
-        tuples; ``probes`` reads either back as the one probe it holds."""
+        tuples; ``probes`` reads either back as the one-probe block it holds."""
         a, b = ObjectWord.of("a"), ObjectWord.of("b")
         fillers, contexts = ("f", "g")[:holes], ((a, b), (b, a))[:holes]
         w = ProbeWitness.of(fillers, contexts, 1, 2, (Symmetry(a, b),) * holes, "n")
         assert isinstance(w.c_word, ObjectWord) == (holes == 1)
-        assert w.probes() == [(fillers, contexts)]
+        assert w.probes() == [([fillers], contexts)]
         assert (w.left, w.right, w.note) == (1, 2, "n")

@@ -16,8 +16,10 @@ from opticomb import (
     is_completely_positive,
     is_dagger_comb,
     kraus_slices,
+    positive_probe_frame,
     to_cpm,
 )
+from opticomb.backends.matrix import close, residual_tolerance
 
 from conftest import TOL, word
 
@@ -181,6 +183,72 @@ class TestEquivalenceRoutes:
         m1, m2 = to_cpm(qb, c1), to_cpm(qb, c2)
         assert np.allclose(m1.apply(d.witness.probe), out_left)
         assert np.allclose(m2.apply(d.witness.probe), out_right)
+
+
+def random_dagger_comb(be, rng, a, e):
+    """The dagger comb of a random isometry ``a -> e (x) a``."""
+    d, de = be.dim(a), be.dim(e)
+    z = rng.normal(size=(d * de, d)) + 1j * rng.normal(size=(d * de, d))
+    return dagger_comb(be, be.mat(a, e @ a, np.linalg.qr(z)[0]), env=e)
+
+
+def frame_pairs():
+    """Dagger-comb pairs on q (dimension 2) and r (dimension 3): random ones,
+    which differ on the first probe, the two dephasings, which agree, and
+    dephasing against the identity, which agree on the basis projectors and
+    differ first on the third probe."""
+    be = MatrixBackend({"q": 2, "r": 3}, semiring="complex", tolerance=TOL)
+    q, r = word("q"), word("r")
+    rng = np.random.default_rng(20261027)
+    pairs = [(random_dagger_comb(be, rng, a, e), random_dagger_comb(be, rng, a, e))
+             for a in (q, r) for e in (q, r)]
+    ident = dagger_comb(be, be.identity(q), env=ObjectWord.unit())
+    pairs += [(copy_comb(be, q), mix_comb(be, q)), (copy_comb(be, q), ident),
+              (ident, mix_comb(be, q))]
+    return be, pairs
+
+
+class TestStackedFrame:
+    """The probe route pushes the whole frame through each channel as one
+    stack; the outputs, the verdict and the witness are those of the frame
+    pushed one input at a time."""
+
+    def test_stacked_outputs_equal_per_input_outputs(self):
+        be, pairs = frame_pairs()
+        for c in {id(c): c for pair in pairs for c in pair}.values():
+            m = to_cpm(be, c)
+            frame = list(positive_probe_frame(m.in_dim))
+            stack = m.apply(np.array(frame))
+            assert stack.shape == (len(frame), m.out_dim, m.out_dim)
+            for rho, out in zip(frame, stack, strict=True):
+                assert np.array_equal(m.apply(rho), out)
+
+    def test_witness_is_the_first_failing_input(self):
+        be, pairs = frame_pairs()
+        bound = residual_tolerance(TOL)
+        firsts = []
+        for c1, c2 in pairs:
+            m1, m2 = to_cpm(be, c1), to_cpm(be, c2)
+            frame = list(positive_probe_frame(m1.in_dim))
+            fails = [i for i, rho in enumerate(frame)
+                     if not close(m1.apply(rho), m2.apply(rho), bound)]
+            d = cpinf_equiv(be, c1, c2)
+            if not fails:
+                assert d.verdict is Verdict.EQUIVALENT
+                assert d.coverage["probes_tried"] == len(frame)
+                continue
+            i = fails[0]
+            firsts.append(i)
+            assert d.verdict is Verdict.DISTINCT and d.coverage["probes_tried"] == i + 1
+            assert np.array_equal(d.witness.probe, frame[i])
+            assert np.array_equal(d.witness.left, m1.apply(frame[i]))
+            assert np.array_equal(d.witness.right, m2.apply(frame[i]))
+        assert 0 in firsts and any(i > 0 for i in firsts)
+
+    def test_transfer_is_built_from_the_kraus_pieces(self, qb, q):
+        m = to_cpm(qb, mix_comb(qb, q))
+        want = sum(np.kron(k, k.conj()) for k in m.kraus)
+        assert np.array_equal(m.transfer, want)
 
 
 class TestFunctoriality:

@@ -1,3 +1,5 @@
+import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,8 @@ from opticomb import (
     ObjectWord,
     TypeMismatch,
 )
+
+from opticomb.backends.matrix import close
 
 from conftest import rand_mat, word
 
@@ -254,3 +258,44 @@ class TestEnumeration:
         pretties = [w.pretty() for w in objs]
         assert "I" in pretties and "x*y" in pretties
         assert len(pretties) == 1 + 2 + 4
+
+
+class TestClose:
+    """``close`` compares directly, without ``np.allclose``: its answer and
+    its warnings are ``np.allclose``'s on every input."""
+
+    SPECIAL = [0.0, 1.0, -1.0, 1e-10, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+    @staticmethod
+    def _run(fn, a, b, tolerance):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            answer = fn(a, b, tolerance)
+        return answer, [(w.category, str(w.message)) for w in caught]
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9])
+    def test_close_is_allclose_on_special_values(self, tolerance):
+        reals = self.SPECIAL
+        complexes = [complex(x, y) for x in reals for y in (0.0, 1.0, np.inf, -np.inf, np.nan)]
+        cases = [(np.array([x]), np.array([y])) for x, y in itertools.product(reals, repeat=2)]
+        cases += [(np.array([[x]]), np.array([[y]]))
+                  for x, y in itertools.product(complexes, repeat=2)]
+        cases.append((np.array([1.0, np.inf, np.nan]), np.array([1.0, np.inf, np.nan])))
+        cases.append((np.array([1.0, np.inf]), np.array([1.0 + 1e-10, np.inf])))
+
+        def allclose(a, b, tol):
+            return bool(np.allclose(a, b, rtol=0.0, atol=tol))
+
+        answers = set()
+        for a, b in cases:
+            got = self._run(close, a, b, tolerance)
+            assert got == self._run(allclose, a, b, tolerance), (a, b)
+            answers.add(got[0])
+        assert answers == {True, False}
+
+    def test_close_at_the_tolerance_edge(self):
+        a = np.array([[1.0 + 1j, 2.0]])
+        assert close(a, a + 1e-9, 1e-9) == bool(np.allclose(a, a + 1e-9, rtol=0.0, atol=1e-9))
+        assert not close(a, a + 1e-8, 1e-9)
+        assert not close(a, a + [[0.0, 1e-8]], 1e-9)  # one entry out is enough
+        assert close(np.eye(2), np.eye(2, dtype=complex), 0.0)

@@ -203,10 +203,10 @@ def test_one_refuter_behind_sigma_comb_and_name_form():
 def plugged(backend, x, witness):
     """The :func:`plug_chain` value of ``x`` on a probe witness's probe."""
     if isinstance(witness.c_word, ObjectWord):
-        probe = ((witness.probe,), ((witness.c_word, witness.d_word),))
+        fillers, contexts = (witness.probe,), ((witness.c_word, witness.d_word),)
     else:
-        probe = (witness.probe, tuple(zip(witness.c_word, witness.d_word)))
-    return next(plug_chain(backend, *x.chain(), [probe]))
+        fillers, contexts = witness.probe, tuple(zip(witness.c_word, witness.d_word))
+    return next(plug_chain(backend, *x.chain(), [([fillers], contexts)]))
 
 
 def name_separated_pieces(backend, n):

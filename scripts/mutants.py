@@ -137,6 +137,9 @@ MUTANTS = (
            "(near | (a == b)).all()", "(near | (a == b)).any()",
            (f"{CLOSE_TEST}::test_close_is_allclose_on_special_values[0.0]",
             f"{CLOSE_TEST}::test_close_at_the_tolerance_edge")),
+    Mutant("the n-comb shape check ignores the outer pairs", "src/opticomb/polycomb.py",
+           "if p.holes != q.holes or p.outers != q.outers:", "if p.holes != q.holes:",
+           ("tests/test_polycomb.py::TestEquivalence::test_outer_split_is_part_of_the_shape",)),
 )
 
 

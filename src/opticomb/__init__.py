@@ -85,9 +85,6 @@ from .optic import (
     unitary_comb_factor,
 )
 from .polycomb import (
-    PolyCombRep,
-    from_comb,
-    identity_poly,
     poly,
     poly_compose_at,
     poly_equiv,
@@ -95,7 +92,6 @@ from .polycomb import (
     poly_name,
     star_counit,
     star_unit,
-    to_comb,
 )
 from .sampling import (
     enumerate_combs,
@@ -112,7 +108,7 @@ _LAZY = {
     for module, names in (
         ("backends.matrix", "Mat MatrixBackend"),
         ("backends.unitary", "UnitaryBackend tensor_separate"),
-        ("cpm", "CpmMorphism choi_matrix cpinf_equiv cpm_equal cpm_equiv dagger_comb "
+        ("cpm", "CpmMorphism choi_matrix cpinf_equiv cpm_equiv dagger_comb "
                 "is_completely_positive is_dagger_comb kraus_slices "
                 "positive_probe_frame to_cpm"),
     )

@@ -144,12 +144,6 @@ def is_completely_positive(
     return bool(eigs.min() >= -bound)
 
 
-def cpm_equal(m1: CpmMorphism, m2: CpmMorphism, tolerance: float) -> bool:
-    if (m1.in_word, m1.out_word) != (m2.in_word, m2.out_word):
-        return False
-    return close(m1.transfer, m2.transfer, tolerance)
-
-
 def _boundary_check(m1: CpmMorphism, m2: CpmMorphism, method: str) -> Decision | None:
     """The certified DISTINCT of two channels with different boundaries, or
     None when their boundaries agree."""

@@ -1,23 +1,22 @@
 """Combs with several ordered holes and their plugging structure.
 
-A poly representative is a ``comb.CombRep`` (``PolyCombRep`` names the
-same type) with holes ``(A_i, A_i')``, outer pairs ``(B_j, B_j')``,
-environments ``M_i`` threading between consecutive holes, and segments
-``s_0 ... s_n``: the bottom segment turns the outer inputs into the first
-environment and hole input, each middle segment turns one hole's output
-into the next environment and hole input, and the top segment turns the
-last hole's output into the outer outputs.  Plugging fillers, the name
-(the backend's ``bend``), the probe route and the splice are ``comb``'s.
+A poly representative is a ``comb.CombRep`` with holes ``(A_i, A_i')``,
+outer pairs ``(B_j, B_j')``, environments ``M_i`` threading between
+consecutive holes, and segments ``s_0 ... s_n``: the bottom segment turns
+the outer inputs into the first environment and hole input, each middle
+segment turns one hole's output into the next environment and hole input,
+and the top segment turns the last hole's output into the outer outputs.
+Plugging fillers, the name (the backend's ``bend``), the probe route and
+the splice are ``comb``'s.
 
-A one-hole piece is a comb, whose ``source`` joins its outer pairs, so
-``poly_equiv`` hands every one-hole pair to ``equiv_comb`` as it is.  It
-compares the names of any other pair through ``comb.braid_refutation``,
-the comparison the one-hole routes use: differing names refute on every
-backend, with the swap filler in every hole as the witness, and equal
-names confirm where the name is complete: over compact closed backends,
-and for hole-free pieces.  Elsewhere an enumerable backend runs
-``comb``'s probe route at context length 0, which refutes but never
-confirms.
+A one-hole piece is a comb, so ``poly_equiv`` hands a one-hole pair of one
+shape (the same holes and outer pairs) to ``equiv_comb``.  It compares the
+names of any other pair through ``comb.braid_refutation``, the comparison
+the one-hole routes use: differing names refute on every backend, with
+the swap filler in every hole as the witness, and equal names confirm
+where the name is complete: over compact closed backends, and for
+hole-free pieces.  Elsewhere an enumerable backend runs ``comb``'s probe
+route at context length 0, which refutes but never confirms.
 
 Composition plugs one representative into a hole of another.  Two shapes
 are supported: an inner piece with holes and exactly one outer pair
@@ -32,7 +31,6 @@ Together these cover unit/counit plugging and the yanking identities.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Sequence
 
 from .core import (
@@ -47,12 +45,8 @@ from .core import (
 )
 from .comb import (
     CombRep, Pair, Relation, Route, _join, _pp, _probe_route, _splice, braid_refutation,
-    decide, equiv_comb, identity_comb, plug_chain,
+    decide, equiv_comb, plug_chain,
 )
-
-
-#: a poly representative is a ``CombRep`` with any number of holes
-PolyCombRep = CombRep
 
 
 def poly(
@@ -83,19 +77,6 @@ def poly(
                 f"{got_d.pretty()} -> {got_c.pretty()}"
             )
     return CombRep(holes, outers, envs, segments)
-
-
-def to_comb(backend: Backend, p: CombRep) -> CombRep:
-    """A one-hole piece on its joined outer words, as one outer pair."""
-    return replace(p, outers=(p.source,))
-
-
-def from_comb(backend: Backend, c: CombRep) -> CombRep:
-    """A comb is the one-hole piece it is."""
-    return c
-
-
-identity_poly = identity_comb
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +140,15 @@ def poly_equiv(
 ) -> Decision:
     """Decide plugging equivalence of two poly representatives.
 
-    A one-hole pair is a pair of combs on the joined outer words, decided
-    by ``equiv_comb``.  Any other pair is compared by name first: differing
-    names refute on every backend, with the swap filler in every hole.
-    Equal names confirm where the name is complete, over compact closed
-    backends and for hole-free pieces (whose name is their segment).
-    Elsewhere, on an enumerable backend, the shared probe route at context
-    length 0 (method ``poly-probes``) plugs every trivial-context filler
-    tuple: it can refute, with a probe witness that
+    The two must have the same holes and outer pairs, else
+    ``HoleMismatch``.  A one-hole pair is decided by ``equiv_comb``.  Any
+    other pair is compared by name first: differing names refute on every
+    backend, with the swap filler in every hole.  Equal names confirm where
+    the name is complete, over compact closed backends and for hole-free
+    pieces (whose name is their segment).  Elsewhere, on an enumerable
+    backend, the shared probe route at context length 0 (method
+    ``poly-probes``) plugs every trivial-context filler tuple: it can
+    refute, with a probe witness that
     :func:`~opticomb.optic.check_probe_witness` replays, and never
     confirms.  The verdict is otherwise unknown.
     """

@@ -110,7 +110,7 @@ def parse_theory(text: str) -> TheoryConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
+        head, rest = (*line.split(None, 1), "")[:2]
         if head == "backend":
             if config is not None:
                 raise TheoryError("backend declared twice", line_no)

@@ -37,10 +37,8 @@ from opticomb import (
     equiv_sigma,
     equiv_tau,
     extended_eval,
-    from_comb,
     functions_as_boolean_matrices,
     identity_comb,
-    identity_poly,
     lift_functor,
     poly_compose_at,
     poly_equiv,
@@ -567,8 +565,8 @@ def test_criterion_08_poly_snakes_names_and_identity_splice():
     snake_failures = 0
     for a, a1 in [(q, q), (q, qq), (qq, q)]:
         for hole, ident in (
-            (0, identity_poly(qb, a1, a)),
-            (1, identity_poly(qb, a, a1)),
+            (0, identity_comb(qb, a1, a)),
+            (1, identity_comb(qb, a, a1)),
         ):
             snake = poly_compose_at(
                 qb, star_counit(qb, a, a1), star_unit(qb, a, a1), hole
@@ -586,7 +584,7 @@ def test_criterion_08_poly_snakes_names_and_identity_splice():
         e = [word(), q][rng.integers(2)]
         c = comb(qb, rand_mat(qb, rng, a, e @ b),
                  rand_mat(qb, rng, e @ b1, a1), env=e)
-        named = poly_name(qb, from_comb(qb, c))
+        named = poly_name(qb, c)
         rebuilt = qb.compose(braid_eval(qb, c), qb.symmetry(a1, b))
         if not qb.equal(named, rebuilt):
             coherence_failures += 1
@@ -597,9 +595,8 @@ def test_criterion_08_poly_snakes_names_and_identity_splice():
         e = [word(), q][rng.integers(2)]
         c = comb(qb, rand_mat(qb, rng, a, e @ q),
                  rand_mat(qb, rng, e @ q, a), env=e)
-        p = from_comb(qb, c)
-        spliced = poly_compose_at(qb, p, from_comb(qb, identity_comb(qb, q, q)), 0)
-        d = poly_equiv(qb, spliced, p)
+        spliced = poly_compose_at(qb, c, identity_comb(qb, q, q), 0)
+        d = poly_equiv(qb, spliced, c)
         if d.verdict is not Verdict.EQUIVALENT or not d.certified:
             splice_failures += 1
 

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -193,11 +194,11 @@ PUBLIC_NAMES = {
             "lens_pair lift_functor sigma_congruence_search",
     "optic": "OPTIC_STRATEGIES check_probe_witness equiv_optic slide_related "
              "unitary_comb_factor",
-    "cpm": "CpmMorphism choi_matrix cpinf_equiv cpm_equal cpm_equiv dagger_comb "
+    "cpm": "CpmMorphism choi_matrix cpinf_equiv cpm_equiv dagger_comb "
            "is_completely_positive is_dagger_comb kraus_slices positive_probe_frame "
            "to_cpm",
-    "polycomb": "PolyCombRep from_comb identity_poly poly poly_compose_at poly_equiv "
-                "poly_extended_eval poly_name star_counit star_unit to_comb",
+    "polycomb": "poly poly_compose_at poly_equiv poly_extended_eval poly_name star_counit "
+                "star_unit",
     "sampling": "enumerate_combs env_words_for random_isometry random_unitary",
 }
 
@@ -208,6 +209,55 @@ UNNAMED_IN_SRC = {
     "map_comb": "public BackendFunctor method; tests and perfbench lift combs with it",
     "parse_term": "public reader of one morphism term; the theory and program tests call it",
 }
+
+# public names that no code in src/, scripts/ or perfbench/ reads
+UNCALLED_PUBLIC = {
+    "COMB_STRATEGIES": "the comb table's strategy names, for callers of equiv_comb; "
+                       "program.STRATEGIES reads the table itself",
+    "OPTIC_STRATEGIES": "the optic table's strategy names, beside COMB_STRATEGIES",
+    "identity_comb": "the unit of splicing; criterion 08 and the units law build with it",
+    "poly_name": "the n-comb name as a value; the swap-filler property test reads it, "
+                 "and poly_equiv compares the chain names themselves",
+    "star_counit": "the closed two-hole snake piece; criterion 08 yanks with it",
+    "star_unit": "the hole-free snake piece, beside star_counit",
+    "typecheck": "a term's boundary, read from its value; the core tests call it",
+    "unitary_comb_factor": "equiv_optic's unitary-factor route under its paper name; "
+                           "criterion 07 and the route tests call it",
+}
+
+
+def scan_names(path, where, defined, named, reads_only=False):
+    """Record each function, method and class defined in ``path`` in
+    ``defined``, and in ``named`` each name its code mentions outside that
+    name's own definitions: an identifier, an attribute, an imported name,
+    or a word of a string constant (the lazy exports), docstrings and
+    f-string text aside.  With ``reads_only``, assigned and imported names
+    do not count."""
+
+    def scan(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(child.name, []).append(f"{where}:{child.lineno}")
+                scan(child, inside | {child.name})
+                continue
+            if reads_only and isinstance(getattr(child, "ctx", None), ast.Store):
+                names = []
+            elif isinstance(child, ast.Name):
+                names = [child.id]
+            elif isinstance(child, ast.Attribute):
+                names = [child.attr]
+            elif isinstance(child, ast.alias) and not reads_only:
+                names = [child.name.rpartition(".")[2]]
+            elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                  and not isinstance(node, (ast.Expr, ast.JoinedStr))):
+                names = child.value.split()
+            else:
+                names = []
+            named.update(set(names) - inside)
+            scan(child, inside)
+
+    scan(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+
 
 # run in a fresh interpreter: import the package, run the CLI on the arguments
 # if any, and report on stderr whether numpy was loaded
@@ -271,6 +321,18 @@ class TestBundledPairs:
         # the .txt beside each .json holds the expected text output
         code = run_cli("run", str(THEORIES / thy), str(THEORIES / prog))
         assert code == 0
+        golden = GOLDEN / prog.replace(".prog", ".txt")
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("thy,prog", BUNDLED)
+    def test_theory_reads_a_tab_after_each_head(self, thy, prog, capsys, tmp_path):
+        # the first space after every declaration's head made a tab
+        text = (THEORIES / thy).read_text(encoding="utf-8")
+        tabbed = tmp_path / thy
+        tabbed.write_text(re.sub(r"^(\S+) ", "\\1\t", text, flags=re.M), encoding="utf-8")
+        assert "backend\t" in tabbed.read_text(encoding="utf-8")
+        code = run_cli("run", str(tabbed), str(THEORIES / prog))
+        assert code == 0, capsys.readouterr().err
         golden = GOLDEN / prog.replace(".prog", ".txt")
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
@@ -716,35 +778,28 @@ class TestImports:
         f-string text aside.  Dunder methods are called by Python; the rest is
         ``UNNAMED_IN_SRC``."""
         defined, named = {}, set()
-
-        def scan(node, inside, where):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    defined.setdefault(child.name, []).append(f"{where}:{child.lineno}")
-                    scan(child, inside | {child.name}, where)
-                    continue
-                if isinstance(child, ast.Name):
-                    names = [child.id]
-                elif isinstance(child, ast.Attribute):
-                    names = [child.attr]
-                elif isinstance(child, ast.alias):
-                    names = [child.name.rpartition(".")[2]]
-                elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
-                      and not isinstance(node, (ast.Expr, ast.JoinedStr))):
-                    names = child.value.split()
-                else:
-                    names = []
-                named.update(set(names) - inside)
-                scan(child, inside, where)
-
         src = ROOT / "src" / "opticomb"
         for path in sorted(src.rglob("*.py")):
-            scan(ast.parse(path.read_text(encoding="utf-8")), frozenset(), path.relative_to(src))
+            scan_names(path, path.relative_to(src), defined, named)
         unnamed = {
             name: where for name, where in defined.items()
             if name not in named and not (name.startswith("__") and name.endswith("__"))
         }
         assert sorted(unnamed) == sorted(UNNAMED_IN_SRC), unnamed
+
+    def test_every_public_name_has_a_caller(self):
+        """Each name of ``PUBLIC_NAMES`` is read by code in ``src/`` (the
+        package's re-exports and the name's own definition aside),
+        ``scripts/`` or ``perfbench/``, or is in ``UNCALLED_PUBLIC``: an
+        export, or an import nothing reads, is no caller."""
+        named = set()
+        paths = [path for folder in ("src", "scripts", "perfbench")
+                 for path in sorted((ROOT / folder).rglob("*.py"))
+                 if path != ROOT / "src" / "opticomb" / "__init__.py"]
+        for path in paths:
+            scan_names(path, path.relative_to(ROOT), {}, named, reads_only=True)
+        public = {name for names in PUBLIC_NAMES.values() for name in names.split()}
+        assert sorted(public - named) == sorted(UNCALLED_PUBLIC)
 
     def test_public_names_are_their_modules_objects(self):
         for module, names in PUBLIC_NAMES.items():

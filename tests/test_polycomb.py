@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from opticomb import (
     AbsorbingPointedBackend,
+    Budget,
     FinFunBackend,
     HoleMismatch,
     NotCompactClosed,
@@ -25,9 +27,7 @@ from opticomb import (
     equiv_sigma,
     equiv_tau,
     extended_eval,
-    from_comb,
     identity_comb,
-    identity_poly,
     lens_pair,
     poly,
     poly_compose_at,
@@ -36,10 +36,9 @@ from opticomb import (
     poly_name,
     star_counit,
     star_unit,
-    to_comb,
 )
 
-from opticomb.comb import NAME_NOTE
+from opticomb.comb import NAME_NOTE, filler_probes, probe_scan
 
 from conftest import NAME_BACKENDS, join, rand_mat, random_pieces, word
 
@@ -86,18 +85,17 @@ class TestShape:
             poly(cbe, [(y, x)], [(x, y)], [x], [s0, bad_top])
 
     def test_comb_round_trip(self, cbe, one_hole):
-        p = from_comb(cbe, one_hole)
-        back = to_comb(cbe, p)
+        back = replace(one_hole, outers=(one_hole.source,))
         assert back.boundary() == one_hole.boundary()
         assert back.env == one_hole.env
         assert cbe.equal(back.f, one_hole.f) and cbe.equal(back.g, one_hole.g)
 
-    def test_to_comb_needs_one_hole_one_outer(self, cbe, two_hole):
+    def test_source_needs_one_hole(self, cbe, two_hole):
         with pytest.raises(UnsupportedShape):
-            to_comb(cbe, two_hole)
+            two_hole.source
 
-    def test_identity_poly_shape(self, cbe):
-        p = identity_poly(cbe, word("x"), word("y"))
+    def test_identity_comb_shape(self, cbe):
+        p = identity_comb(cbe, word("x"), word("y"))
         assert p.holes == p.outers == ((word("x"), word("y")),)
         assert p.envs == (U,)
 
@@ -145,7 +143,7 @@ class TestOneType:
         pieces = [poly(ff, [(s, s)], [(s, U), (U, s)], [U], [ff.identity(s), t]) for t in tops]
         verdicts = set()
         for p, q in itertools.product(pieces, repeat=2):
-            joined = to_comb(ff, p), to_comb(ff, q)
+            joined = replace(p, outers=(p.source,)), replace(q, outers=(q.source,))
             assert joined[0].outers == ((s, s),) and joined[0].boundary() == p.boundary()
             d = equiv_comb(ff, p, q)
             assert d == equiv_comb(ff, *joined) == poly_equiv(ff, p, q)
@@ -155,7 +153,7 @@ class TestOneType:
 
 class TestEvaluation:
     def test_single_hole_matches_comb_evaluation_exactly(self, cbe, rng, one_hole):
-        p = from_comb(cbe, one_hole)
+        p = one_hole
         cw, dw = word("y"), word("x")
         lam = rand_mat(cbe, rng, cw @ word("y"), dw @ word("x"))
         via_comb = extended_eval(cbe, one_hole, lam, cw, dw)
@@ -185,8 +183,7 @@ class TestEvaluation:
 
     def test_name_braid_coherence(self, cbe, one_hole):
         """For one hole, the name is the braid value with its legs swapped."""
-        p = from_comb(cbe, one_hole)
-        name = poly_name(cbe, p)
+        name = poly_name(cbe, one_hole)
         (a, a1) = one_hole.source
         (b, b1) = one_hole.target
         rebuilt = cbe.compose(braid_eval(cbe, one_hole), cbe.symmetry(a1, b))
@@ -213,6 +210,25 @@ def test_swap_fillers_give_the_name(name):
             assert backend.equal(plugged, named), (n, p)
 
 
+@pytest.mark.parametrize("name", sorted(NAME_BACKENDS))
+def test_splicing_an_identity_comb_changes_no_value(name):
+    """The units law: an identity comb spliced into hole ``j`` of a two-hole
+    piece agrees with the piece on every probe at context length <= 1."""
+    make, obj = NAME_BACKENDS[name]
+    backend, o = make(), word(obj)
+    rng = np.random.default_rng(20261020)
+    probed = 0
+    for p in random_pieces(backend, o, 2, rng, 12):
+        for j, (a, a1) in enumerate(p.holes):
+            spliced = poly_compose_at(backend, p, identity_comb(backend, a, a1), j)
+            assert spliced.holes == p.holes and spliced.outers == p.outers
+            blocks = filler_probes(backend, p.holes, [U, o], Budget.of(1).max_hom, [])
+            hit, tried = probe_scan(backend, spliced, p, blocks)
+            assert hit is None, (j, p)
+            probed += tried
+    assert probed
+
+
 class TestEquivalence:
     def test_name_route_confirms_and_refutes(self, cbe, rng, two_hole):
         d = poly_equiv(cbe, two_hole, two_hole)
@@ -236,14 +252,29 @@ class TestEquivalence:
 
     def test_shape_mismatch_raises(self, cbe, two_hole):
         with pytest.raises(HoleMismatch):
-            poly_equiv(cbe, two_hole, identity_poly(cbe, word("x"), word("y")))
+            poly_equiv(cbe, two_hole, identity_comb(cbe, word("x"), word("y")))
+
+    def test_outer_split_is_part_of_the_shape(self):
+        """Pieces with the same joined outer words but different outer pairs
+        have different shapes: ``poly_equiv`` refuses them, with one hole or
+        two, where ``equiv_comb`` decides the one-hole pair."""
+        ff = FinFunBackend({"s": 2})
+        s = word("s")
+        for n in (1, 2):
+            split, joined = (poly(ff, [(s, s)] * n, outers, [U] * n, [ff.identity(s)] * (n + 1))
+                             for outers in ([(s, U), (U, s)], [(s, s)]))
+            if n == 1:
+                d = equiv_comb(ff, split, joined)
+                assert d.verdict is Verdict.EQUIVALENT and d.certified
+            with pytest.raises(HoleMismatch, match="different shapes"):
+                poly_equiv(ff, split, joined)
 
     def test_one_hole_pieces_are_combs(self, idem):
         a = word("a")
         f = idem.generator("f")
         fid = comb(idem, f, idem.identity(a), env=U)
         for other in (comb(idem, f, f, env=U), comb(idem, idem.identity(a), f, env=U)):
-            d = poly_equiv(idem, from_comb(idem, fid), from_comb(idem, other))
+            d = poly_equiv(idem, fid, other)
             assert d == equiv_comb(idem, fid, other)
             assert d.method == "braid-value" and d.certified
 
@@ -257,7 +288,7 @@ class TestEquivalence:
         one = ff.identity(s)
         q = poly(ff, [(s, s)], [(s, U), (U, s)], [U], [one, one])
         for piece, source in ((p, (U, U)), (q, (s, s))):
-            assert to_comb(ff, piece).source == source
+            assert piece.source == source
             d = poly_equiv(ff, piece, piece)
             assert d.verdict is Verdict.EQUIVALENT and d.certified
             assert d.method == "braid-value"
@@ -273,7 +304,7 @@ class TestEquivalence:
         d = poly_equiv(ab, p, q)
         assert d.verdict is Verdict.DISTINCT and d.certified
         assert d.method == "enumerated-probes"
-        assert d == equiv_comb(ab, to_comb(ab, p), to_comb(ab, q))
+        assert d == equiv_comb(ab, p, q)
         # two holes: the trivial-context tuple scan
         p, q = (poly(ab, [(a, a), (U, U)], [], [U, U], [s, bang, ab.identity(U)])
                 for s in (psi, phi))
@@ -298,7 +329,7 @@ class TestEquivalence:
 
     def test_no_route_available(self, ube):
         q = word("q")
-        ident = identity_poly(ube, q, q)
+        ident = identity_comb(ube, q, q)
         d = poly_equiv(ube, ident, ident)
         assert d.verdict is Verdict.EQUIVALENT and d.certified
         assert d.method == "braid-value"
@@ -367,10 +398,8 @@ class TestPlugging:
             rand_mat(cbe, rng, word("y", "y"), word("x")),
             env=word("y"),
         )
-        via_comb = from_comb(cbe, comb_compose(cbe, host, nested))
-        via_poly = poly_compose_at(
-            cbe, from_comb(cbe, host), from_comb(cbe, nested), 0
-        )
+        via_comb = comb_compose(cbe, host, nested)
+        via_poly = poly_compose_at(cbe, host, nested, 0)
         assert via_poly.holes == via_comb.holes
         assert via_poly.outers == via_comb.outers
         lam = rand_mat(cbe, rng, word("x"), word("y"))
@@ -399,9 +428,7 @@ class TestPlugging:
         outer = comb(backend, pick(a, e1 @ b, picks[0]), pick(e1 @ b1, a1, picks[1]), env=e1)
         inner = comb(backend, pick(b, e2 @ c, picks[2]), pick(e2 @ c1, b1, picks[3]), env=e2)
         nested = comb_compose(backend, outer, inner)
-        spliced = to_comb(backend, poly_compose_at(
-            backend, from_comb(backend, outer), from_comb(backend, inner), 0
-        ))
+        spliced = poly_compose_at(backend, outer, inner, 0)
         assert (spliced.source, spliced.target, spliced.env) == \
             (nested.source, nested.target, nested.env)
         assert backend.equal(spliced.f, nested.f) and backend.equal(spliced.g, nested.g)
@@ -415,7 +442,7 @@ class TestPlugging:
             rand_mat(cbe, rng, y @ x, x),
             env=y,
         )  # boundary (y, x), hole (y, x)
-        spliced = poly_compose_at(cbe, two_hole, from_comb(cbe, inner), 0)
+        spliced = poly_compose_at(cbe, two_hole, inner, 0)
         assert spliced.holes == ((y, x), (x, y))
         lam0 = rand_mat(cbe, rng, y, x)
         lam1 = rand_mat(cbe, rng, x, y)
@@ -532,9 +559,9 @@ class TestPlugging:
         """A port outside the inner's outer pairs is refused as such, also
         when the inner has one outer pair and holes of its own."""
         y, x = word("y"), word("x")
-        inner = from_comb(cbe, comb(
+        inner = comb(
             cbe, rand_mat(cbe, rng, y, y @ y), rand_mat(cbe, rng, y @ x, x), env=y,
-        ))  # boundary (y, x), hole (y, x)
+        )  # boundary (y, x), hole (y, x)
         with pytest.raises(HoleMismatch, match=f"inner has no port {port}"):
             poly_compose_at(cbe, two_hole, inner, 0, inner_port=port)
 
@@ -553,7 +580,7 @@ class TestStars:
             cbe, star_counit(cbe, x, y), star_unit(cbe, x, y), 0
         )
         assert snake.holes == ((y, x),) and snake.outers == ((y, x),)
-        d = poly_equiv(cbe, snake, identity_poly(cbe, y, x))
+        d = poly_equiv(cbe, snake, identity_comb(cbe, y, x))
         assert d.verdict is Verdict.EQUIVALENT and d.certified
 
     def test_snake_at_second_hole(self, cbe):
@@ -562,7 +589,7 @@ class TestStars:
             cbe, star_counit(cbe, x, y), star_unit(cbe, x, y), 1
         )
         assert snake.holes == ((x, y),) and snake.outers == ((x, y),)
-        d = poly_equiv(cbe, snake, identity_poly(cbe, x, y))
+        d = poly_equiv(cbe, snake, identity_comb(cbe, x, y))
         assert d.verdict is Verdict.EQUIVALENT and d.certified
 
     def test_counit_needs_compact_closure(self, ffb):

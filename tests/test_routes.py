@@ -27,7 +27,6 @@ from opticomb import (
     equiv_optic,
     equiv_sigma,
     equiv_tau,
-    from_comb,
     identity_comb,
     poly,
     poly_equiv,
@@ -73,9 +72,7 @@ def applicable_deciders(backend):
     deciders = [equiv_sigma, equiv_comb, equiv_optic]
     if not backend.unitary_values:
         deciders.append(equiv_tau)
-    deciders.append(
-        lambda be, c1, c2: poly_equiv(be, from_comb(be, c1), from_comb(be, c2))
-    )
+    deciders.append(poly_equiv)
     if backend.unitary_values:
         deciders.append(unitary_comb_factor)
     if getattr(backend, "semiring", None) == "complex":
@@ -115,7 +112,7 @@ def test_one_hole_poly_equiv_is_equiv_comb(name):
                       comb(backend, backend.identity(o), f, word())))
     for c1, c2 in pairs:
         d = equiv_comb(backend, c1, c2)
-        p = poly_equiv(backend, from_comb(backend, c1), from_comb(backend, c2))
+        p = poly_equiv(backend, c1, c2)
         assert (p.verdict, p.certified, p.method) == (d.verdict, d.certified, d.method)
 
 
@@ -291,9 +288,8 @@ class TestUnitaryFactorOperands:
 def test_negative_bound_refused_by_every_decider(pointed):
     """One check, before any route is picked, for every decider with a bound."""
     c = identity_comb(pointed, word("a"), word("a"))
-    p = from_comb(pointed, c)
     calls = [lambda: equiv_tau(pointed, c, c, bound=-1),
-             lambda: poly_equiv(pointed, p, p, bound=-1)]
+             lambda: poly_equiv(pointed, c, c, bound=-1)]
     calls += [lambda s=s: equiv_comb(pointed, c, c, strategy=s, bound=-1)
               for s in COMB_STRATEGIES]
     calls += [lambda s=s: equiv_optic(pointed, c, c, strategy=s, bound=-1)

@@ -37,6 +37,8 @@ WITNESS_LAYOUT = "fields if len(fillers) != 1 else [f[0] for f in fields]"
 TRAIL_TEST = "tests/test_optic.py::test_indexed_zigzag_matches_double_loop"
 CLOSE_TEST = "tests/test_matrix_backend.py::TestClose"
 COSTS_TEST = "tests/test_costs.py::test_operation_counts_match_fixture"
+FOOTPRINT_TEST = "tests/test_cli.py::TestImports::test_a_run_loads_only_its_own_backend"
+TUPLE_TEST = "tests/test_records.py::test_never_equals_its_tuple"
 
 MUTANTS = (
     Mutant("absorbing braid values claimed conclusive", "src/opticomb/backends/free.py",
@@ -140,6 +142,17 @@ MUTANTS = (
     Mutant("the n-comb shape check ignores the outer pairs", "src/opticomb/polycomb.py",
            "if p.holes != q.holes or p.outers != q.outers:", "if p.holes != q.holes:",
            ("tests/test_polycomb.py::TestEquivalence::test_outer_split_is_part_of_the_shape",)),
+    Mutant("every theory loads the free backends", "src/opticomb/theory.py",
+           "from .core import NAME, CategoryError, ObjectWord, Record\n",
+           "from .core import NAME, CategoryError, ObjectWord, Record\n"
+           "from .backends.free import IdempotentFreeBackend, PointedFreeBackend\n",
+           (f"{FOOTPRINT_TEST}[cartesian]", f"{FOOTPRINT_TEST}[qubit]")),
+    Mutant("a record equals the tuple of its fields", "src/opticomb/core.py",
+           "        if type(other) is not type(self):\n            return NotImplemented\n",
+           "        if isinstance(other, tuple):\n"
+           "            return tuple(self._asdict().values()) == other\n"
+           "        if type(other) is not type(self):\n            return NotImplemented\n",
+           (f"{TUPLE_TEST}[Generator]", f"{TUPLE_TEST}[Decision]", f"{TUPLE_TEST}[FinMap]")),
 )
 
 

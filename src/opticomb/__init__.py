@@ -8,10 +8,11 @@ context sensitivity, report certified verdicts with replayable
 witnesses, and degrade to explicit partial coverage when a search is
 genuinely unbounded.
 
-Names whose modules load numpy (the matrix and unitary backends and the
-channel constructions) are imported on first access, through ``_LAZY`` and
-the module ``__getattr__``, so free and finite-function theories run
-without numpy.
+The backends and the channel constructions are imported on first access,
+through ``_LAZY`` and the module ``__getattr__``.  A CLI run imports the
+backend module of its theory's kind and no other, numpy only for matrix and
+unitary theories, and never ``dataclasses``: records are plain classes
+(``core.Record``).
 """
 import importlib
 
@@ -50,19 +51,9 @@ from .core import (
     block_permutation,
     eval_term,
     permutation_term,
-    typecheck,
-)
-from .backends.finfun import FinFunBackend, FinMap, functions_as_boolean_matrices
-from .backends.free import (
-    AbsorbingPointedBackend,
-    IdempotentFreeBackend,
-    PointedFreeBackend,
-    StrandMor,
-    WiringMor,
 )
 from .comb import (
     BackendFunctor,
-    COMB_STRATEGIES,
     CombRep,
     braid_eval,
     comb,
@@ -77,13 +68,7 @@ from .comb import (
     lift_functor,
     sigma_congruence_search,
 )
-from .optic import (
-    OPTIC_STRATEGIES,
-    check_probe_witness,
-    equiv_optic,
-    slide_related,
-    unitary_comb_factor,
-)
+from .optic import check_probe_witness, equiv_optic, slide_related
 from .polycomb import (
     poly,
     poly_compose_at,
@@ -102,10 +87,13 @@ from .sampling import (
 
 __version__ = "0.1.0"
 
-#: public name -> the submodule that defines it, for the names that need numpy
+#: public name -> the submodule that defines it, for the backends and channels
 _LAZY = {
     name: module
     for module, names in (
+        ("backends.finfun", "FinFunBackend FinMap functions_as_boolean_matrices"),
+        ("backends.free", "AbsorbingPointedBackend IdempotentFreeBackend PointedFreeBackend "
+                          "StrandMor WiringMor"),
         ("backends.matrix", "Mat MatrixBackend"),
         ("backends.unitary", "UnitaryBackend tensor_separate"),
         ("cpm", "CpmMorphism choi_matrix cpinf_equiv cpm_equiv dagger_comb "
@@ -117,7 +105,7 @@ _LAZY = {
 
 
 def __getattr__(name: str):
-    """A numpy-backed name, read from its module at each access (PEP 562)."""
+    """A name of ``_LAZY``, read from its module at each access (PEP 562)."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

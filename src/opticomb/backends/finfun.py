@@ -8,19 +8,18 @@ point) and exactly enumerable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Hashable, Sequence
 
-from ..core import DimensionMismatch, HomSet, ObjectWord, SizedBackend
+from ..core import DimensionMismatch, HomSet, ObjectWord, Record, SizedBackend, _set
 
 
-@dataclass(frozen=True)
-class FinMap:
+class FinMap(Record):
     """A function between finite products; table[i] is the image of element i."""
 
-    dom: ObjectWord
-    cod: ObjectWord
-    table: tuple[int, ...]
+    def __init__(self, dom: ObjectWord, cod: ObjectWord, table: tuple[int, ...]):
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        _set(self, "table", table)
 
     def __repr__(self) -> str:
         return f"FinMap({self.dom.pretty()} -> {self.cod.pretty()}, {self.table})"

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from ..core import (
@@ -37,8 +36,10 @@ from ..core import (
     Identity,
     MorTerm,
     ObjectWord,
+    Record,
     Tensor,
     UnknownGenerator,
+    _set,
     permutation_term,
 )
 
@@ -65,15 +66,15 @@ class _OneObjectBackend(Backend):
 # Idempotent strands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StrandMor:
+class StrandMor(Record):
     """Parallel strands, each either the identity or the idempotent endo.
 
     ``word`` is both boundary words; ``flags[i]`` marks the endo on strand i.
     """
 
-    word: ObjectWord
-    flags: tuple[bool, ...]
+    def __init__(self, word: ObjectWord, flags: tuple[bool, ...]):
+        _set(self, "word", word)
+        _set(self, "flags", flags)
 
     @property
     def dom(self) -> ObjectWord:
@@ -190,8 +191,7 @@ class IdempotentFreeBackend(_OneObjectBackend):
 # Pointed wirings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WiringMor:
+class WiringMor(Record):
     """Normal form of a diagram built from states, an effect, and wires.
 
     ``ins[i]`` is the output that input i passes to, or the name of the
@@ -202,11 +202,13 @@ class WiringMor:
     (input, output), (input, effect) and (output, state) pairs.
     """
 
-    dom: ObjectWord
-    cod: ObjectWord
-    ins: tuple
-    outs: tuple
-    scalars: tuple
+    def __init__(self, dom: ObjectWord, cod: ObjectWord, ins: tuple, outs: tuple,
+                 scalars: tuple):
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        _set(self, "ins", ins)
+        _set(self, "outs", outs)
+        _set(self, "scalars", scalars)
 
     def pairs(self) -> tuple[tuple, tuple, tuple]:
         """``(matching, caps, seeds)``, read in one pass."""

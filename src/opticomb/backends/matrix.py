@@ -22,7 +22,6 @@ bytes of the stack; and ``bend`` names a chain with one product per segment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Hashable, Mapping, Sequence
 
@@ -32,9 +31,11 @@ from ..core import (
     DimensionMismatch,
     HomSet,
     ObjectWord,
+    Record,
     SizedBackend,
     TypeMismatch,
     _join,
+    _set,
     value_json,
 )
 
@@ -60,13 +61,15 @@ def residual_tolerance(tolerance: float) -> float:
     return 10 * tolerance
 
 
-@dataclass(frozen=True, eq=False)
-class Mat:
+class Mat(Record):
     """A matrix with its boundary words; shape is (dim(cod), dim(dom))."""
 
-    dom: ObjectWord
-    cod: ObjectWord
-    array: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity; ``equal`` reads entries
+
+    def __init__(self, dom: ObjectWord, cod: ObjectWord, array: np.ndarray):
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        _set(self, "array", array)
 
     def __repr__(self) -> str:
         return f"Mat({self.dom.pretty()} -> {self.cod.pretty()})"

@@ -73,7 +73,8 @@ def environment_rotation(u: np.ndarray, v: np.ndarray, d_e1: int, d_e2: int,
     Returns ``(ok, pieces)``: ``pieces`` holds both rotations and the three
     residuals (bottom split, top split, and ``max |v_left u_left - 1|``),
     and ``ok`` says every residual is within ``residual_tolerance``.  This
-    is the arithmetic of :func:`optic.unitary_comb_factor`.
+    is the arithmetic of the optic ``unitary-factor`` route
+    (``optic._unitary_factor_route``).
     """
     u_left, res_u = tensor_separate(u, d_e1, d_b)
     v_left, res_v = tensor_separate(v, d_e2, d_b1)

@@ -36,7 +36,6 @@ probe scan, and ``_probe_route`` scans them for ``equiv_tau``, the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -53,10 +52,12 @@ from .core import (
     NotCartesian,
     ObjectWord,
     ProbeWitness,
+    Record,
     Symmetry,
     TypeMismatch,
     UnsupportedShape,
     _join,
+    _set,
 )
 
 
@@ -67,8 +68,7 @@ def _pp(pair: Pair) -> str:
     return f"({pair[0].pretty()},{pair[1].pretty()})"
 
 
-@dataclass(frozen=True)
-class CombRep:
+class CombRep(Record):
     """A representative with ordered holes: the chain ``(holes, envs,
     segments)`` of :func:`plug_chain`, whose first segment takes in the
     joined outer inputs and whose last gives out the joined outer outputs
@@ -81,10 +81,12 @@ class CombRep:
     not have exactly one hole.
     """
 
-    holes: tuple[Pair, ...]
-    outers: tuple[Pair, ...]
-    envs: tuple[ObjectWord, ...]
-    segments: tuple[Any, ...]
+    def __init__(self, holes: tuple[Pair, ...], outers: tuple[Pair, ...],
+                 envs: tuple[ObjectWord, ...], segments: tuple[Any, ...]):
+        _set(self, "holes", holes)
+        _set(self, "outers", outers)
+        _set(self, "envs", envs)
+        _set(self, "segments", segments)
 
     def _one_hole(self) -> tuple:
         if len(self.holes) != 1:
@@ -452,8 +454,7 @@ def _probe_witness(backend: Backend, hit: tuple, note: str) -> ProbeWitness:
     return ProbeWitness.of(fillers, contexts, v1, v2, map(backend.value_to_term, fillers), note)
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(Record):
     """One way to decide a relation, as an entry of that relation's table.
 
     ``applicable`` says whether the backend supports the route; naming a
@@ -464,22 +465,21 @@ class Route:
     ``applicable``, of which only a DISTINCT answer decides.
     """
 
-    name: str
-    run: Callable[..., Decision]
-    applicable: Callable[[Backend], bool] = lambda backend: True
-    needs: str = ""
-    auto: Callable[[Backend], bool] | None = None
-    screens: tuple[Route, ...] = ()
+    def __init__(self, name: str, run: Callable[..., Decision],
+                 applicable: Callable[[Backend], bool] = lambda backend: True,
+                 needs: str = "", auto: Callable[[Backend], bool] | None = None,
+                 screens: tuple[Route, ...] = ()):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """A relation as its table of routes, decided by :func:`decide`; ``check``
     raises on operands the relation cannot compare.  A relation with one fixed
     comparison names its one route ``auto``, so it offers no other strategy."""
 
-    routes: tuple[Route, ...]
-    check: Callable[[Any, Any], None] = lambda x, y: None
+    def __init__(self, routes: tuple[Route, ...],
+                 check: Callable[[Any, Any], None] = lambda x, y: None):
+        self._fill(locals())
 
     @property
     def strategies(self) -> tuple[str, ...]:
@@ -508,22 +508,21 @@ def decide(relation: Relation, backend: Backend, x: Any, y: Any,
             break
     else:
         d = route.run(backend, x, y, bound)
-    return replace(d, tolerance=backend.tolerance)
+    return Decision(d.verdict, d.method, d.certified, d.witness, backend.tolerance, d.coverage)
 
 
 # ---------------------------------------------------------------------------
 # Equivalence deciders
 # ---------------------------------------------------------------------------
 
-def _braid_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decision:
+def _braid_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int,
+                 method: str = "braid-value") -> Decision:
     witness = braid_refutation(backend, c1, c2)
     if witness is not None:
-        return Decision.distinct("braid-value", witness)
+        return Decision.distinct(method, witness)
     if backend.braid_conclusive:
-        return Decision.equivalent("braid-value", coverage={"conclusive": True})
-    return Decision.unknown(
-        "braid-value", coverage={"braid_values_agree": True, "conclusive": False}
-    )
+        return Decision.equivalent(method, coverage={"conclusive": True})
+    return Decision.unknown(method, coverage={"braid_values_agree": True, "conclusive": False})
 
 
 def _lens_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decision:
@@ -534,7 +533,7 @@ def _lens_route(backend: Backend, c1: CombRep, c2: CombRep, bound: int) -> Decis
     makes every comb on the boundary agree), so the ``braid`` route answers."""
     if lens_refutation(backend, c1, c2) is None:
         return Decision.equivalent("lens-components")
-    return replace(_braid_route(backend, c1, c2, bound), method="lens-components")
+    return _braid_route(backend, c1, c2, bound, "lens-components")
 
 
 def _probe_route(
@@ -582,7 +581,6 @@ COMB = Relation((
                                "enumerated filler separates the combs", None),
           lambda b: b.enumerable, "enumerate strategy needs an enumerable backend"),
 ), _check_same_boundary)
-COMB_ROUTES, COMB_STRATEGIES = COMB.routes, COMB.strategies
 
 
 def equiv_sigma(backend: Backend, c1: CombRep, c2: CombRep) -> Decision:
@@ -615,7 +613,7 @@ def equiv_comb(
     equal cartesian components and otherwise answers as ``braid``;
     ``enumerate`` plugs every enumerable filler up to the bound; ``auto``
     picks braid on a backend whose braid values are conclusive, else lens,
-    else enumerate, else braid (``COMB_ROUTES``).
+    else enumerate, else braid (``COMB.routes``).
     """
     return decide(COMB, backend, c1, c2, strategy, bound)
 
@@ -734,18 +732,16 @@ def sigma_congruence_search(
 # Structure-preserving maps between backends
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BackendFunctor:
+class BackendFunctor(Record):
     """A strict monoidal map from one backend into another.
 
     ``object_map`` sends generator object names to target words;
     ``value_map`` sends morphism values to morphism values.
     """
 
-    source: Backend
-    target: Backend
-    object_map: Mapping[str, ObjectWord]
-    value_map: Callable[[Any], Any]
+    def __init__(self, source: Backend, target: Backend,
+                 object_map: Mapping[str, ObjectWord], value_map: Callable[[Any], Any]):
+        self._fill(locals())
 
     def map_word(self, word: ObjectWord) -> ObjectWord:
         out: ObjectWord = ObjectWord.unit()

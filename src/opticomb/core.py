@@ -17,6 +17,8 @@ This module defines the pieces every other module builds on:
   :class:`SizedBackend` is the base of backends over named finite sizes.
 * :class:`Decision` -- the three-valued answer type used by every
   equivalence procedure, together with its witness payloads.
+* :class:`Record` -- the base of these and every other record of the
+  package: its fields are its ``__init__``'s parameters.
 * JSON data -- :func:`value_json`, :func:`witness_json` and
   :func:`decision_json`.  Backend values and witnesses serialize
   themselves through ``to_json``; numbers, arrays, words, terms (in
@@ -36,7 +38,6 @@ from __future__ import annotations
 import itertools
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -111,6 +112,58 @@ class HoleMismatch(CategoryError):
 
 class UnsupportedShape(CategoryError):
     """A polymorphism composition shape outside the supported fragment."""
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_set = object.__setattr__  # how a record's __init__ sets a field
+
+
+class Record:
+    """Base of the immutable records, which generate no code.  A record's
+    fields are its ``__init__``'s parameters, stored by :meth:`_fill`, or by
+    one ``_set`` each in the records built on hot paths, which costs less.
+    A record equals a record of its own type with equal fields, never a
+    tuple, hashes by its fields, and refuses assignment.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "__init__" in cls.__dict__:
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
+
+    def _fill(self, values: dict[str, Any]) -> None:
+        """Store each field from ``values``, the ``locals()`` of ``__init__``."""
+        for name in self._fields:
+            _set(self, name, values[name])
+
+    def _asdict(self) -> dict[str, Any]:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def replace(self, **changes: Any) -> "Record":
+        """The record with ``changes`` (field name -> value), built anew."""
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __setattr__(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -201,44 +254,35 @@ def _join(words: Sequence[ObjectWord]) -> ObjectWord:
 # Morphism terms
 # ---------------------------------------------------------------------------
 
-class MorTerm:
+class MorTerm(Record):
     """Base class of morphism syntax."""
 
 
-@dataclass(frozen=True)
 class Generator(MorTerm):
-    name: str
+    def __init__(self, name: str):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
 class Identity(MorTerm):
-    word: ObjectWord
+    def __init__(self, word: ObjectWord):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
 class Symmetry(MorTerm):
-    left: ObjectWord
-    right: ObjectWord
+    def __init__(self, left: ObjectWord, right: ObjectWord):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
 class Compose(MorTerm):
     """``Compose(first, then)``: ``first`` happens first (diagrammatic order)."""
 
-    first: MorTerm
-    then: MorTerm
+    def __init__(self, first: MorTerm, then: MorTerm):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
 class Tensor(MorTerm):
-    left: MorTerm
-    right: MorTerm
-
-
-def typecheck(term: MorTerm, backend: "Backend") -> tuple[ObjectWord, ObjectWord]:
-    """Return ``(dom, cod)`` of ``term``'s value or raise :class:`TypeMismatch`."""
-    value = eval_term(term, backend)
-    return (backend.dom(value), backend.cod(value))
+    def __init__(self, left: MorTerm, right: MorTerm):
+        self._fill(locals())
 
 
 def eval_term(term: MorTerm, backend: "Backend") -> Any:
@@ -293,16 +337,14 @@ def term_text(term: MorTerm) -> str:
 # Enumeration records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomSet:
+class HomSet(Record):
     """A duplicate-free enumeration of a hom-set, flagged if truncated."""
 
-    items: tuple
-    complete: bool
+    def __init__(self, items: tuple, complete: bool):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Enumeration budget derived from a single user-facing integer bound.
 
     ``max_word_len`` caps extension-object word length; ``max_hom`` caps how
@@ -310,8 +352,9 @@ class Budget:
     flagged truncated.
     """
 
-    max_word_len: int
-    max_hom: int
+    def __init__(self, max_word_len: int, max_hom: int):
+        _set(self, "max_word_len", max_word_len)
+        _set(self, "max_hom", max_hom)
 
     @staticmethod
     def of(bound: int) -> "Budget":
@@ -613,8 +656,7 @@ class Verdict(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class ProbeWitness:
+class ProbeWitness(Record):
     """A probe on which two representatives evaluate to different values.
 
     The probe is the filler ``probe : C (x) A -> D (x) A'`` at context
@@ -625,13 +667,11 @@ class ProbeWitness:
     layout and :meth:`probes` reads it.
     """
 
-    c_word: ObjectWord | tuple[ObjectWord, ...]
-    d_word: ObjectWord | tuple[ObjectWord, ...]
-    probe: Any
-    left: Any
-    right: Any
-    probe_term: MorTerm | tuple[MorTerm, ...] | None = None
-    note: str = ""
+    def __init__(self, c_word: ObjectWord | tuple[ObjectWord, ...],
+                 d_word: ObjectWord | tuple[ObjectWord, ...], probe: Any, left: Any,
+                 right: Any, probe_term: MorTerm | tuple[MorTerm, ...] | None = None,
+                 note: str = ""):
+        self._fill(locals())
 
     @staticmethod
     def of(fillers: Sequence[Any], contexts: Sequence[tuple[ObjectWord, ObjectWord]],
@@ -664,11 +704,11 @@ class ProbeWitness:
         return data
 
 
-@dataclass(frozen=True)
-class SlideStep:
-    direction: str  # "push_up" | "push_down"
-    v: Any
-    residual: Any
+class SlideStep(Record):
+    def __init__(self, direction: str, v: Any, residual: Any):
+        _set(self, "direction", direction)  # "push_up" | "push_down"
+        _set(self, "v", v)
+        _set(self, "residual", residual)
 
     def to_json(self) -> dict:
         return {
@@ -678,23 +718,22 @@ class SlideStep:
         }
 
 
-@dataclass(frozen=True)
-class SlidePathWitness:
+class SlidePathWitness(Record):
     """A chain of slide moves connecting two representatives."""
 
-    steps: tuple[SlideStep, ...]
+    def __init__(self, steps: tuple[SlideStep, ...]):
+        self._fill(locals())
 
     def to_json(self) -> dict:
         return {"type": "slide-path", "steps": value_json(self.steps)}
 
 
-@dataclass(frozen=True)
-class ExhaustionWitness:
+class ExhaustionWitness(Record):
     """Evidence that a certified-finite search space was fully explored."""
 
-    states_explored: int
-    environments: tuple[ObjectWord, ...]
-    note: str = ""
+    def __init__(self, states_explored: int, environments: tuple[ObjectWord, ...],
+                 note: str = ""):
+        self._fill(locals())
 
     def to_json(self) -> dict:
         return {
@@ -705,12 +744,11 @@ class ExhaustionWitness:
         }
 
 
-@dataclass(frozen=True)
-class FactorWitness:
+class FactorWitness(Record):
     """Factorization data produced by a structural decision procedure."""
 
-    pieces: Mapping[str, Any]
-    note: str = ""
+    def __init__(self, pieces: Mapping[str, Any], note: str = ""):
+        self._fill(locals())
 
     def to_json(self) -> dict:
         return {
@@ -720,8 +758,7 @@ class FactorWitness:
         }
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Record):
     """Three-valued decision with provenance.
 
     Invariants enforced here: a DISTINCT verdict always carries a witness,
@@ -730,18 +767,18 @@ class Decision:
     coverage statistics instead.
     """
 
-    verdict: Verdict
-    method: str
-    certified: bool
-    witness: Any = None
-    tolerance: float | None = None
-    coverage: Mapping[str, Any] | None = None
-
-    def __post_init__(self) -> None:
-        if self.verdict is Verdict.DISTINCT and self.witness is None:
+    def __init__(self, verdict: Verdict, method: str, certified: bool, witness: Any = None,
+                 tolerance: float | None = None, coverage: Mapping[str, Any] | None = None):
+        if verdict is Verdict.DISTINCT and witness is None:
             raise ValueError("a distinct verdict requires a witness")
-        if self.verdict is Verdict.EQUIVALENT and not self.certified:
+        if verdict is Verdict.EQUIVALENT and not certified:
             raise ValueError("an uncertified equivalence must be reported unknown")
+        _set(self, "verdict", verdict)
+        _set(self, "method", method)
+        _set(self, "certified", certified)
+        _set(self, "witness", witness)
+        _set(self, "tolerance", tolerance)
+        _set(self, "coverage", coverage)
 
     @staticmethod
     def equivalent(method: str, witness: Any = None,

@@ -20,8 +20,6 @@ Two independent equality routes are kept deliberately separate:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -32,6 +30,7 @@ from .core import (
     NotDaggerBackend,
     ObjectWord,
     ProbeWitness,
+    Record,
 )
 from .backends.matrix import MatrixBackend, _kron, close, residual_tolerance
 from .comb import CombRep, Relation, Route, comb as make_comb, decide
@@ -52,19 +51,15 @@ def is_dagger_comb(backend: Backend, c: CombRep) -> bool:
     return backend.equal(c.g, backend.dagger(c.f))
 
 
-@dataclass(frozen=True)
-class CpmMorphism:
+class CpmMorphism(Record):
     """A channel with its boundary words and Kraus pieces.
 
     ``tolerance`` is its backend's, for the positivity and trace checks.
     """
 
-    in_word: ObjectWord
-    out_word: ObjectWord
-    in_dim: int
-    out_dim: int
-    kraus: tuple
-    tolerance: float
+    def __init__(self, in_word: ObjectWord, out_word: ObjectWord, in_dim: int, out_dim: int,
+                 kraus: tuple, tolerance: float):
+        self._fill(locals())
 
     @property
     def transfer(self) -> np.ndarray:

@@ -224,6 +224,17 @@ def _zigzag(backend: Backend, o1: CombRep, o2: CombRep, bound: int) -> Decision:
 
 
 def _unitary_factor_route(backend: Backend, o1: CombRep, o2: CombRep, *_) -> Decision:
+    """Decide slide equivalence of unitary combs by factoring the change of
+    environment.
+
+    ``u = f2 . dagger(f1)`` must be an environment rotation beside an
+    identity on the hole input, ``v = dagger(g1) . g2`` one beside an
+    identity on the hole output, and the two rotations must cancel.  All
+    slides in a unitary backend are invertible, so a whole zigzag collapses
+    to one rotation and this check is complete.  The matrix arithmetic is
+    :func:`backends.unitary.environment_rotation`'s, imported on first use
+    so that this module loads without numpy.
+    """
     from .backends.unitary import environment_rotation
 
     (b, b1) = o1.target
@@ -262,22 +273,6 @@ OPTIC = Relation((
               Route("trivial-context", TAU.routes[0].run, lambda b: not b.braid_conclusive),
           )),
 ), _check_same_boundary)
-OPTIC_ROUTES, OPTIC_STRATEGIES = OPTIC.routes, OPTIC.strategies
-
-
-def unitary_comb_factor(backend: Backend, o1: CombRep, o2: CombRep) -> Decision:
-    """Decide slide equivalence of unitary combs by factoring the change of
-    environment.
-
-    ``u = f2 . dagger(f1)`` must be an environment rotation beside an
-    identity on the hole input, ``v = dagger(g1) . g2`` one beside an
-    identity on the hole output, and the two rotations must cancel.  All
-    slides in a unitary backend are invertible, so a whole zigzag collapses
-    to one rotation and this check is complete.  The matrix arithmetic is
-    :func:`backends.unitary.environment_rotation`'s, imported on first use
-    so that this module loads without numpy.
-    """
-    return decide(OPTIC, backend, o1, o2, "unitary-factor")
 
 
 def equiv_optic(

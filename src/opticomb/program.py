@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
 # value, witness and decision JSON and term_text live in core, beside the
 # classes they serialize; they are imported here for this module's callers too
@@ -46,6 +45,7 @@ from .core import (
     Identity,
     MorTerm,
     ObjectWord,
+    Record,
     Symmetry,
     Tensor,
     decision_json,
@@ -258,15 +258,11 @@ def _declaration(head: str, rest: str, line_no: int) -> tuple[str, _TermParser]:
     return _name(head, name, line_no), _TermParser(rest[len(name):].lstrip(), line_no)
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(Record):
     """One program line, without its comment; ``line_no`` places the
     statement's run-time errors.  ``parse`` reads a subclass's own fields
     from the rest of the line, and ``run`` runs the statement and returns
     its report's kind and payload."""
-
-    line: str = field(kw_only=True)
-    line_no: int | None = field(default=None, kw_only=True)
 
     @classmethod
     def parse(cls, head: str, rest: str, line_no: int) -> tuple:
@@ -281,12 +277,10 @@ class Statement:
         return m.groups()
 
 
-@dataclass(frozen=True)
 class CombDecl(Statement):
-    name: str
-    f_term: MorTerm
-    g_term: MorTerm
-    env: ObjectWord
+    def __init__(self, name: str, f_term: MorTerm, g_term: MorTerm, env: ObjectWord,
+                 *, line: str, line_no: int | None = None):
+        self._fill(locals())
 
     @classmethod
     def parse(cls, head: str, rest: str, line_no: int) -> tuple:
@@ -304,11 +298,10 @@ class CombDecl(Statement):
         return ctx.bind_comb(self.name, comb(ctx.backend, f, g, env=self.env))
 
 
-@dataclass(frozen=True)
 class DaggerDecl(Statement):
-    name: str
-    f_term: MorTerm
-    env: ObjectWord
+    def __init__(self, name: str, f_term: MorTerm, env: ObjectWord,
+                 *, line: str, line_no: int | None = None):
+        self._fill(locals())
 
     @classmethod
     def parse(cls, head: str, rest: str, line_no: int) -> tuple:
@@ -325,13 +318,11 @@ class DaggerDecl(Statement):
         return ctx.bind_comb(self.name, c)
 
 
-@dataclass(frozen=True)
 class PolyDecl(Statement):
-    name: str
-    holes: tuple[tuple[ObjectWord, ObjectWord], ...]
-    outers: tuple[tuple[ObjectWord, ObjectWord], ...]
-    envs: tuple[ObjectWord, ...]
-    seg_terms: tuple[MorTerm, ...]
+    def __init__(self, name: str, holes: tuple[tuple[ObjectWord, ObjectWord], ...],
+                 outers: tuple[tuple[ObjectWord, ObjectWord], ...], envs: tuple[ObjectWord, ...],
+                 seg_terms: tuple[MorTerm, ...], *, line: str, line_no: int | None = None):
+        self._fill(locals())
 
     @classmethod
     def parse(cls, head: str, rest: str, line_no: int) -> tuple:
@@ -349,13 +340,12 @@ class PolyDecl(Statement):
         return ctx.bind_poly(self.name, p)
 
 
-@dataclass(frozen=True)
 class EquivQuery(Statement):
-    relation: str
-    left: str
-    right: str
-
     syntax = f"({'|'.join(RELATIONS)}) A B"
+
+    def __init__(self, relation: str, left: str, right: str,
+                 *, line: str, line_no: int | None = None):
+        self._fill(locals())
 
     def run(self, ctx: _Run) -> tuple[str, dict]:
         get = ctx.get_poly if self.relation == "poly" else ctx.get_comb
@@ -367,14 +357,13 @@ class EquivQuery(Statement):
         return "decision", decision_json(decision)
 
 
-@dataclass(frozen=True)
 class ComposeQuery(Statement):
-    outer: str
-    inner: str
-    name: str
-    op: str  # "compose" puts inner into outer's hole; "tensor" sets outer left of inner
-
     syntax = "A B as C"
+
+    # op "compose" puts inner into outer's hole; "tensor" sets outer left of inner
+    def __init__(self, outer: str, inner: str, name: str, op: str,
+                 *, line: str, line_no: int | None = None):
+        self._fill(locals())
 
     @classmethod
     def parse(cls, head: str, rest: str, line_no: int) -> tuple:
@@ -387,15 +376,12 @@ class ComposeQuery(Statement):
         return ctx.bind_comb(self.name, make(ctx.backend, c1, c2))
 
 
-@dataclass(frozen=True)
 class PlugQuery(Statement):
-    outer: str
-    hole: int
-    inner: str
-    name: str
-    port: int | None
-
     syntax = "A at J with B [port P] as C"
+
+    def __init__(self, outer: str, hole: int, inner: str, name: str, port: int | None,
+                 *, line: str, line_no: int | None = None):
+        self._fill(locals())
 
     @classmethod
     def parse(cls, head: str, rest: str, line_no: int) -> tuple:
@@ -412,22 +398,22 @@ class PlugQuery(Statement):
         return ctx.bind_poly(self.name, p)
 
 
-@dataclass(frozen=True)
 class LensQuery(Statement):
-    name: str
-
     syntax = "A"
+
+    def __init__(self, name: str, *, line: str, line_no: int | None = None):
+        self._fill(locals())
 
     def run(self, ctx: _Run) -> tuple[str, dict]:
         get, put = lens_pair(ctx.backend, ctx.get_comb(self.name))
         return "lens", {"get": value_json(get), "put": value_json(put)}
 
 
-@dataclass(frozen=True)
 class CpmQuery(Statement):
-    name: str
-
     syntax = "A"
+
+    def __init__(self, name: str, *, line: str, line_no: int | None = None):
+        self._fill(locals())
 
     def run(self, ctx: _Run) -> tuple[str, dict]:
         c = ctx.get_comb(self.name)
@@ -477,11 +463,10 @@ def load_program(path: str) -> list[Statement]:
         return parse_program(handle.read())
 
 
-@dataclass
-class QueryReport:
-    query: str
-    kind: str
-    payload: dict = field(default_factory=dict)
+class QueryReport(Record):
+    def __init__(self, query: str, kind: str, payload: dict | None = None):
+        payload = {} if payload is None else payload
+        self._fill(locals())
 
 
 def run_program(

@@ -39,13 +39,10 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .core import NAME, CategoryError, ObjectWord
-from .backends.finfun import FinFunBackend
-from .backends.free import IdempotentFreeBackend, PointedFreeBackend
+from .core import NAME, CategoryError, ObjectWord, Record
 
 #: each backend kind and the options its backend line takes; finfun takes
 #: tolerance only to refuse it with the reason
@@ -68,15 +65,16 @@ class TheoryError(Exception):
         self.line_no = line_no
 
 
-@dataclass
-class TheoryConfig:
-    kind: str
-    options: dict[str, str] = field(default_factory=dict)
-    objects: dict[str, int] = field(default_factory=dict)
-    morphisms: dict[str, tuple[str, str, Any, int]] = field(default_factory=dict)
-    rules: list[tuple[str, str, str]] = field(default_factory=list)
-    #: the line of the backend declaration, which names the backend's refusals
-    line_no: int | None = None
+class TheoryConfig(Record):
+    """A parsed theory; ``line_no``, of its backend line, names the backend's refusals."""
+
+    def __init__(self, kind: str, options: dict[str, str] | None = None,
+                 objects: dict[str, int] | None = None,
+                 morphisms: dict[str, tuple[str, str, Any, int]] | None = None,
+                 rules: list[tuple[str, str, str]] | None = None, line_no: int | None = None):
+        options, objects, morphisms = ({} if d is None else d for d in (options, objects, morphisms))
+        rules = [] if rules is None else rules
+        self._fill(locals())
 
 
 def _split_options(parts: list[str], line_no: int) -> dict[str, str]:
@@ -281,13 +279,15 @@ def parse_tolerance(text: str, line_no: int | None = None) -> float:
 
 
 def build_backend(config: TheoryConfig):
-    """Turn a parsed theory into a live backend."""
+    """Turn a parsed theory into a live backend.  Each kind imports its own
+    backend module and no other; only matrix and unitary load numpy."""
     kind = config.kind
     opts = config.options
-    if kind == "free-commutative":
-        # a rule line can only restate that the endo is idempotent
+    if kind == "free-commutative":  # a rule line can only restate that the endo is idempotent
+        from .backends.free import IdempotentFreeBackend
         return IdempotentFreeBackend(opts.get("object", "a"), opts.get("endo", "f"))
     if kind == "free-pointed":
+        from .backends.free import PointedFreeBackend
         names = {key: tuple(n for n in opts[key].split(",") if n) for key in ("states", "effects")}
         # no rule lines: the backend's default cancels every state/effect pair
         rules = tuple((g1, g2) for g1, g2, _ in config.rules) or None
@@ -297,17 +297,16 @@ def build_backend(config: TheoryConfig):
     numeric = {"tolerance": float(opts["tolerance"])} if "tolerance" in opts else {}
     semiring = opts.get("semiring", "complex")
     if kind == "finfun":
+        from .backends.finfun import FinFunBackend
         backend = FinFunBackend(config.objects)
         entries = _indices
     else:
-        # the matrix modules load numpy, so free and finfun theories never import them
-        from .backends.matrix import MatrixBackend
-        from .backends.unitary import UnitaryBackend
-
         with _refusal_named(f"backend {kind}", config.line_no):
             if kind == "unitary":
+                from .backends.unitary import UnitaryBackend
                 backend = UnitaryBackend(config.objects, **numeric)
             else:
+                from .backends.matrix import MatrixBackend
                 backend = MatrixBackend(config.objects, semiring=semiring, **numeric)
         entries = functools.partial(_matrix_entries, semiring=semiring)
     for name, (dom, cod, value, line_no) in config.morphisms.items():

@@ -50,7 +50,6 @@ from opticomb import (
     star_counit,
     star_unit,
     to_cpm,
-    unitary_comb_factor,
 )
 from opticomb.cli import main as cli_main
 from opticomb.program import witness_json
@@ -515,7 +514,7 @@ def test_criterion_07_environment_rotation_factoring():
             ub.compose(ub.tensor(ub.dagger(rot), ub.identity(b)), g1),
             env=env,
         )
-        d = unitary_comb_factor(ub, o1, o2)
+        d = equiv_optic(ub, o1, o2, strategy="unitary-factor")
         positives += 1
         if d.verdict is not Verdict.EQUIVALENT or not d.certified:
             positive_failures += 1
@@ -536,7 +535,7 @@ def test_criterion_07_environment_rotation_factoring():
         g1 = Mat(env @ b, a, random_unitary(rng, 4))
         o1 = comb(ub, f1, g1, env=env)
         o2 = comb(ub, ub.compose(f1, ub.symmetry(env, b)), g1, env=env)
-        d = unitary_comb_factor(ub, o1, o2)
+        d = equiv_optic(ub, o1, o2, strategy="unitary-factor")
         if d.verdict is not Verdict.DISTINCT or not d.certified:
             negative_failures += 1
 

@@ -183,17 +183,16 @@ PUBLIC_NAMES = {
             "NotCartesian NotCompactClosed NotDaggerBackend NotEnumerable "
             "ObjectWord ProbeWitness SlidePathWitness SlideStep Symmetry Tensor "
             "TypeMismatch UnknownGenerator UnsupportedShape Verdict block_permutation "
-            "eval_term permutation_term typecheck",
+            "eval_term permutation_term",
     "backends.finfun": "FinFunBackend FinMap functions_as_boolean_matrices",
     "backends.free": "AbsorbingPointedBackend IdempotentFreeBackend PointedFreeBackend "
                      "StrandMor WiringMor",
     "backends.matrix": "Mat MatrixBackend",
     "backends.unitary": "UnitaryBackend tensor_separate",
-    "comb": "BackendFunctor COMB_STRATEGIES CombRep braid_eval comb comb_compose "
+    "comb": "BackendFunctor CombRep braid_eval comb comb_compose "
             "comb_tensor equiv_comb equiv_sigma equiv_tau extended_eval identity_comb "
             "lens_pair lift_functor sigma_congruence_search",
-    "optic": "OPTIC_STRATEGIES check_probe_witness equiv_optic slide_related "
-             "unitary_comb_factor",
+    "optic": "check_probe_witness equiv_optic slide_related",
     "cpm": "CpmMorphism choi_matrix cpinf_equiv cpm_equiv dagger_comb "
            "is_completely_positive is_dagger_comb kraus_slices positive_probe_frame "
            "to_cpm",
@@ -212,17 +211,11 @@ UNNAMED_IN_SRC = {
 
 # public names that no code in src/, scripts/ or perfbench/ reads
 UNCALLED_PUBLIC = {
-    "COMB_STRATEGIES": "the comb table's strategy names, for callers of equiv_comb; "
-                       "program.STRATEGIES reads the table itself",
-    "OPTIC_STRATEGIES": "the optic table's strategy names, beside COMB_STRATEGIES",
     "identity_comb": "the unit of splicing; criterion 08 and the units law build with it",
     "poly_name": "the n-comb name as a value; the swap-filler property test reads it, "
                  "and poly_equiv compares the chain names themselves",
     "star_counit": "the closed two-hole snake piece; criterion 08 yanks with it",
     "star_unit": "the hole-free snake piece, beside star_counit",
-    "typecheck": "a term's boundary, read from its value; the core tests call it",
-    "unitary_comb_factor": "equiv_optic's unitary-factor route under its paper name; "
-                           "criterion 07 and the route tests call it",
 }
 
 
@@ -269,6 +262,25 @@ code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print("numpy" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
+
+# the same, reporting on stderr the name of every module loaded
+MODULES_PROBE = NUMPY_PROBE.replace('"numpy" in sys.modules', '*sys.modules')
+
+# each bundled pair: the backend module its run loads, and the modules it must
+# leave unloaded; dataclasses is checked on the numpy-free pairs, where every
+# module loaded is the package's or one it imports itself
+NUMPY_FREE_UNUSED = {"opticomb.backends.finfun", "opticomb.backends.matrix",
+                     "opticomb.backends.unitary", "opticomb.cpm", "numpy", "dataclasses"}
+FOOTPRINTS = {
+    "idempotent": ("free", NUMPY_FREE_UNUSED),
+    "pointed": ("free", NUMPY_FREE_UNUSED),
+    "cartesian": ("finfun", {"opticomb.backends.free", "dataclasses"}),
+    "bool2": ("matrix", {"opticomb.backends.free", "opticomb.backends.finfun",
+                         "opticomb.backends.unitary"}),
+    "qubit": ("matrix", {"opticomb.backends.free", "opticomb.backends.finfun",
+                         "opticomb.backends.unitary"}),
+    "unitary": ("unitary", {"opticomb.backends.free", "opticomb.backends.finfun"}),
+}
 
 
 def child_env():
@@ -757,6 +769,25 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
         assert proc.stderr.strip().splitlines()[-1] == "False"
+
+    def test_bare_import_loads_no_backend(self):
+        proc = run_child("-c", MODULES_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stderr.split()
+        assert "opticomb.core" in loaded
+        assert not [m for m in loaded if m.startswith("opticomb.backends")]
+
+    @pytest.mark.parametrize("name", sorted(FOOTPRINTS))
+    def test_a_run_loads_only_its_own_backend(self, name):
+        proc = run_child(
+            "-c", MODULES_PROBE, "run",
+            str(THEORIES / f"{name}.thy"), str(THEORIES / f"{name}.prog"), "--format", "json",
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.split())
+        own, unused = FOOTPRINTS[name]
+        assert f"opticomb.backends.{own}" in loaded
+        assert not loaded & unused, sorted(loaded & unused)
 
     def test_program_imports_no_backend(self):
         # values and witnesses serialize themselves, so the program layer

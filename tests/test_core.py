@@ -27,7 +27,6 @@ from opticomb import (
     equiv_sigma,
     eval_term,
     permutation_term,
-    typecheck,
 )
 from opticomb.core import _join
 
@@ -106,19 +105,19 @@ class TestObjectWord:
 class TestTerms:
     def test_typecheck_generator(self, cbe):
         cbe.add_generator("h", "x", "y", np.ones((3, 2)))
-        dom, cod = typecheck(Generator("h"), cbe)
-        assert dom == ObjectWord.of("x")
-        assert cod == ObjectWord.of("y")
+        value = eval_term(Generator("h"), cbe)
+        assert cbe.dom(value) == ObjectWord.of("x")
+        assert cbe.cod(value) == ObjectWord.of("y")
 
     def test_typecheck_unknown_generator(self, cbe):
         with pytest.raises(UnknownGenerator):
-            typecheck(Generator("nope"), cbe)
+            eval_term(Generator("nope"), cbe)
 
     def test_typecheck_bad_compose_names_offender(self, cbe):
         cbe.add_generator("h", "x", "y", np.ones((3, 2)))
         bad = Compose(Generator("h"), Generator("h"))
         with pytest.raises(TypeMismatch) as err:
-            typecheck(bad, cbe)
+            eval_term(bad, cbe)
         assert err.value.offender is bad
 
     def test_eval_identity_symmetry(self, cbe):
@@ -180,7 +179,8 @@ class TestBackendContract:
         assert be.generator_names() == ("f", "g")
         v = eval_term(Compose(Generator("f"), Generator("g")), be)
         assert (v.dom, v.cod, v.weight) == (x, x @ x, 3)
-        assert typecheck(Tensor(Generator("g"), Identity(x)), be) == (x @ x, x @ x @ x)
+        w = eval_term(Tensor(Generator("g"), Identity(x)), be)
+        assert (be.dom(w), be.cod(w)) == (x @ x, x @ x @ x)
         with pytest.raises(UnknownGenerator, match="unknown morphism 'h'"):
             eval_term(Generator("h"), be)
         bad = Compose(Generator("g"), Generator("f"))

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -85,7 +84,7 @@ class TestShape:
             poly(cbe, [(y, x)], [(x, y)], [x], [s0, bad_top])
 
     def test_comb_round_trip(self, cbe, one_hole):
-        back = replace(one_hole, outers=(one_hole.source,))
+        back = one_hole.replace(outers=(one_hole.source,))
         assert back.boundary() == one_hole.boundary()
         assert back.env == one_hole.env
         assert cbe.equal(back.f, one_hole.f) and cbe.equal(back.g, one_hole.g)
@@ -143,7 +142,7 @@ class TestOneType:
         pieces = [poly(ff, [(s, s)], [(s, U), (U, s)], [U], [ff.identity(s), t]) for t in tops]
         verdicts = set()
         for p, q in itertools.product(pieces, repeat=2):
-            joined = replace(p, outers=(p.source,)), replace(q, outers=(q.source,))
+            joined = p.replace(outers=(p.source,)), q.replace(outers=(q.source,))
             assert joined[0].outers == ((s, s),) and joined[0].boundary() == p.boundary()
             d = equiv_comb(ff, p, q)
             assert d == equiv_comb(ff, *joined) == poly_equiv(ff, p, q)

@@ -7,14 +7,12 @@ import pytest
 from opticomb import (
     AbsorbingPointedBackend,
     BoundaryMismatch,
-    COMB_STRATEGIES,
     FinFunBackend,
     IdempotentFreeBackend,
     IncompatibleStrategy,
     Mat,
     MatrixBackend,
     ObjectWord,
-    OPTIC_STRATEGIES,
     PointedFreeBackend,
     ProbeWitness,
     UnitaryBackend,
@@ -30,10 +28,9 @@ from opticomb import (
     identity_comb,
     poly,
     poly_equiv,
-    unitary_comb_factor,
 )
-from opticomb.comb import COMB_ROUTES, NAME_NOTE, braid_refutation, plug_chain
-from opticomb.optic import OPTIC_ROUTES
+from opticomb.comb import COMB, NAME_NOTE, braid_refutation, plug_chain
+from opticomb.optic import OPTIC
 from opticomb.program import witness_json
 
 from conftest import random_pieces, word
@@ -74,7 +71,7 @@ def applicable_deciders(backend):
         deciders.append(equiv_tau)
     deciders.append(poly_equiv)
     if backend.unitary_values:
-        deciders.append(unitary_comb_factor)
+        deciders.append(partial(equiv_optic, strategy="unitary-factor"))
     if getattr(backend, "semiring", None) == "complex":
         deciders += [cpm_equiv, cpinf_equiv]
     return deciders
@@ -117,12 +114,12 @@ def test_one_hole_poly_equiv_is_equiv_comb(name):
 
 
 def test_strategies_come_from_the_tables():
-    assert COMB_STRATEGIES == ("auto", "braid", "lens", "enumerate")
-    assert OPTIC_STRATEGIES == ("auto",) + tuple(r.name for r in OPTIC_ROUTES)
-    assert set(OPTIC_STRATEGIES) == {
+    assert COMB.strategies == ("auto", "braid", "lens", "enumerate")
+    assert OPTIC.strategies == ("auto",) + tuple(r.name for r in OPTIC.routes)
+    assert set(OPTIC.strategies) == {
         "auto", "name-form", "lens", "unitary-factor", "zigzag"
     }
-    assert [r.name for r in COMB_ROUTES] == list(COMB_STRATEGIES[1:])
+    assert [r.name for r in COMB.routes] == list(COMB.strategies[1:])
 
 
 def test_unknown_strategy_rejected(pointed):
@@ -269,20 +266,21 @@ def test_name_witness_contract(name):
 
 
 class TestUnitaryFactorOperands:
-    """``unitary_comb_factor`` is the optic table's ``unitary-factor`` route,
-    so it refuses operands as ``equiv_optic`` does."""
+    """The optic table's ``unitary-factor`` route refuses operands as
+    ``equiv_optic`` does."""
 
     def test_different_boundaries(self):
         ub = UnitaryBackend({"q": 2})
         q = word("q")
         with pytest.raises(BoundaryMismatch, match="different boundaries"):
-            unitary_comb_factor(ub, identity_comb(ub, q, q), identity_comb(ub, q @ q, q @ q))
+            equiv_optic(ub, identity_comb(ub, q, q), identity_comb(ub, q @ q, q @ q),
+                        strategy="unitary-factor")
 
     def test_non_unitary_backend(self, pointed):
         c = identity_comb(pointed, word("a"), word("a"))
         with pytest.raises(IncompatibleStrategy,
                            match="factorization needs a unitary backend, not free-pointed"):
-            unitary_comb_factor(pointed, c, c)
+            equiv_optic(pointed, c, c, strategy="unitary-factor")
 
 
 def test_negative_bound_refused_by_every_decider(pointed):
@@ -291,9 +289,9 @@ def test_negative_bound_refused_by_every_decider(pointed):
     calls = [lambda: equiv_tau(pointed, c, c, bound=-1),
              lambda: poly_equiv(pointed, c, c, bound=-1)]
     calls += [lambda s=s: equiv_comb(pointed, c, c, strategy=s, bound=-1)
-              for s in COMB_STRATEGIES]
+              for s in COMB.strategies]
     calls += [lambda s=s: equiv_optic(pointed, c, c, strategy=s, bound=-1)
-              for s in OPTIC_STRATEGIES]
+              for s in OPTIC.strategies]
     for call in calls:
         with pytest.raises(ValueError, match="bound must be >= 0"):
             call()

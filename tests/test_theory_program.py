@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -272,7 +271,7 @@ class TestProgramParsing:
             (original,) = parse_program(line)
             for respace in respacings:
                 (stmt,) = parse_program(respace(line))
-                assert dataclasses.replace(stmt, line=line) == original, respace(line)
+                assert stmt.replace(line=line) == original, respace(line)
             declared += 1
         assert declared
 
@@ -284,8 +283,8 @@ class TestProgramParsing:
             head, rest = original.line.split(" ", 1)
             for gap in ("\t", " \t ", "   "):
                 (stmt,) = parse_program(head + gap + rest)
-                assert dataclasses.replace(
-                    stmt, line=original.line, line_no=original.line_no) == original, gap
+                assert stmt.replace(
+                    line=original.line, line_no=original.line_no) == original, gap
 
 
 class TestRunProgram:

@@ -143,10 +143,14 @@ MUTANTS = (
            "if p.holes != q.holes or p.outers != q.outers:", "if p.holes != q.holes:",
            ("tests/test_polycomb.py::TestEquivalence::test_outer_split_is_part_of_the_shape",)),
     Mutant("every theory loads the free backends", "src/opticomb/theory.py",
-           "from .core import NAME, CategoryError, ObjectWord, Record\n",
-           "from .core import NAME, CategoryError, ObjectWord, Record\n"
+           "from .core import NAME, CategoryError, Record\n",
+           "from .core import NAME, CategoryError, Record\n"
            "from .backends.free import IdempotentFreeBackend, PointedFreeBackend\n",
            (f"{FOOTPRINT_TEST}[cartesian]", f"{FOOTPRINT_TEST}[qubit]")),
+    Mutant("head split only at a space", "src/opticomb/theory.py",
+           "line.split(None, 1)", 'line.split(" ", 1)',
+           ("tests/test_cli.py::TestBundledPairs::test_theory_reads_a_tab_after_each_head",
+            "tests/test_theory_program.py::TestProgramParsing::test_any_whitespace_after_the_head")),
     Mutant("a record equals the tuple of its fields", "src/opticomb/core.py",
            "        if type(other) is not type(self):\n            return NotImplemented\n",
            "        if isinstance(other, tuple):\n"

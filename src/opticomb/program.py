@@ -1,8 +1,9 @@
 """Program files: morphism terms, bindings, and queries over a theory.
 
-A program is line oriented, with ``#`` comments.  Each line starts with
-a head, and ``STATEMENTS`` maps the head to the statement class that
-parses the rest of the line and runs it.  Bindings:
+A program is read by ``theory``'s line grammar: ``#`` comments and blank
+lines are skipped, a line's head ends at its first whitespace, and every
+refusal starts ``line N: ``.  ``STATEMENTS`` maps each head to the
+statement class that parses the rest of the line and runs it.  Bindings:
 
     comb c1 = (f, g) env e
     dagger_comb d1 = v env e
@@ -12,7 +13,7 @@ Terms compose diagrammatically with ``;`` (loose) and tensor with ``*``
 (tight); ``id(W)`` and ``sym(W1,W2)`` build structural pieces, where a
 word is ``I`` or factor names joined by ``*``.  A declaration is read
 token by token by the term reader, so spacing between its tokens does not
-matter.  Queries are read against fixed word patterns:
+matter.  A query is read against its ``syntax`` (``theory.read_syntax``):
 
     equiv sigma c1 c2          # also tau, comb, optic, cpm, cpinf, poly
     compose c1 c2 as c3        # c2 fills the hole of c1
@@ -57,16 +58,11 @@ from .core import (
 from .comb import COMB, SIGMA, TAU, CombRep, comb, comb_compose, comb_tensor, decide, lens_pair
 from .optic import OPTIC
 from .polycomb import POLY, poly, poly_compose_at
+from .theory import InputError, read_lines, read_syntax
 
 
-class ProgramError(Exception):
+class ProgramError(InputError):
     """Raised when a program file cannot be parsed or references nothing."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +262,8 @@ class Statement(Record):
 
     @classmethod
     def parse(cls, head: str, rest: str, line_no: int) -> tuple:
-        """The words of ``rest`` read against ``cls.syntax``, where a capital
-        letter stands for any one word, ``(x|y)`` for one of the words
-        listed and ``[...]`` for an optional part (None when left out)."""
-        pattern = re.sub(r"\b[A-Z]\b", r"(\\S+)", cls.syntax)
-        pattern = pattern.replace(" [", "(?: ").replace("]", ")?").replace(" ", r"\s+")
-        m = re.fullmatch(pattern, rest)
-        if m is None:
-            raise ProgramError(f"{head} syntax: {head} {cls.syntax}", line_no)
-        return m.groups()
+        """The fields of ``rest`` read against ``cls.syntax`` (``theory.read_syntax``)."""
+        return read_syntax(head, cls.syntax, rest, ProgramError, line_no)
 
 
 class CombDecl(Statement):
@@ -444,18 +433,9 @@ STATEMENTS = {
 
 
 def parse_program(text: str) -> list[Statement]:
-    statements: list[Statement] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, *rest = line.split(None, 1)
-        kind = STATEMENTS.get(head)
-        if kind is None:
-            raise ProgramError(f"unknown statement {head!r}", line_no)
-        fields = kind.parse(head, "".join(rest), line_no)
-        statements.append(kind(*fields, line=line, line_no=line_no))
-    return statements
+    lines = read_lines(text, STATEMENTS, ProgramError, "statement")
+    return [kind(*kind.parse(head, rest, line_no), line=line, line_no=line_no)
+            for line_no, line, head, rest, kind in lines]
 
 
 def load_program(path: str) -> list[Statement]:

@@ -1,29 +1,31 @@
-"""Theory files: plain-text descriptions of a backend and its generators.
+"""Theory files, and the line grammar of both input files.
 
-A theory file is line oriented.  Blank lines and ``#`` comments are
-skipped.  The first meaningful line picks the backend kind:
+Theory and program files are read line by line (``read_lines``): a ``#``
+starts a comment, blank lines are skipped, and a line's head ends at its
+first whitespace and must be one the file knows.  The rest of the line is
+read against its head's syntax string (``read_syntax``): a word in capitals
+is a field, ``(x|y)`` one of the words listed and ``[...]`` an optional
+part.  Words are separated by any whitespace; ``:``, ``;``, ``=`` and
+``->`` take any spacing or none, and a field beside them is any text.
+Every refusal (``InputError``) starts ``line N: `` with its line's number.
 
-    backend matrix semiring=complex tolerance=1e-9
-    backend finfun
-    backend free-commutative object=a endo=f
-    backend free-pointed object=a states=phi,psi effects=bang
-    backend unitary tolerance=1e-9
+A theory starts with its backend line, ``backend KIND KEY=VALUE ...``, as
+in ``backend matrix semiring=complex tolerance=1e-9`` or ``backend
+free-pointed object=a states=phi,psi effects=bang``.  ``KINDS`` holds what
+each kind takes, and ``DECLARATIONS`` the syntax of the other lines:
 
-Then, depending on the kind:
+    object NAME EXTENT        # object x dim=2 (matrix, unitary), object s size=3 (finfun)
+    morphism NAME : DOM -> COD = LITERAL
+    rule G1 ; G2 -> RHS       # rule phi ; bang -> 1, or the endo's rule f ; f -> f
 
-    object x dim=2            # matrix, unitary
-    object s size=3           # finfun
-    morphism h : x -> x = [[[0.707,0],[0.707,0]],[[0.707,0],[-0.707,0]]]
-    morphism f : s -> t = [0, 2, 1]
-    rule phi ; bang -> 1      # free-pointed collapse pairs
-    rule f ; f -> f           # free-commutative, must name the endo
-
-Matrix entries are finite JSON numbers in rows of equal length.  A complex
-matrix is written with every entry a two-element ``[re, im]`` list; an
-array of plain numbers is read as real.  Function morphisms are the list
-of output indices.  Free backends carry their generators implicitly, so
-they take no morphism lines.  A declaration the backend refuses (a wrong
-shape, a non-unitary matrix, an undeclared object) is a TheoryError.
+An extent is ASCII digits.  A matrix is a JSON list of equally long rows,
+as in ``[[0.707,0],[0,1]]``, of finite numbers; a complex entry may also be
+a two-element ``[re, im]`` list, and a rational one a ``"p/q"`` string.  A
+function is the list of its output indices, as in ``[0, 2, 1]``.  ``true``
+and ``false`` are not numbers.  Free kinds have their objects and
+generators built in, and take only rules.  A declaration the backend
+refuses (a wrong shape, a non-unitary matrix, an undeclared object) is a
+TheoryError.
 
 ``tolerance`` (a finite number >= 0, default 1e-9) sets the policy of
 complex matrix and unitary theories: values are equal within the tolerance,
@@ -42,27 +44,48 @@ import re
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .core import NAME, CategoryError, ObjectWord, Record
-
-#: each backend kind and the options its backend line takes; finfun takes
-#: tolerance only to refuse it with the reason
-KINDS = {
-    "matrix": ("semiring", "tolerance"),
-    "finfun": ("tolerance",),
-    "free-commutative": ("object", "endo"),
-    "free-pointed": ("object", "states", "effects"),
-    "unitary": ("tolerance",),
-}
+from .core import NAME, CategoryError, Record
 
 
-class TheoryError(Exception):
-    """Raised when a theory file cannot be parsed."""
+class InputError(Exception):
+    """A refusal of an input file; ``line_no``, when known, leads its message."""
 
     def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class TheoryError(InputError):
+    """Raised when a theory file cannot be parsed."""
+
+
+def read_lines(text: str, rows: dict[str, Any], error: type[InputError],
+               what: str) -> Iterator[tuple[int, str, str, str, Any]]:
+    """``(line_no, line, head, rest, row)`` of each line that is not blank once
+    its comment is cut, where ``row`` is ``rows[head]``; a head not in
+    ``rows`` is an unknown ``what``."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            head, rest = (*line.split(None, 1), "")[:2]
+            if head not in rows:
+                raise error(f"unknown {what} {head!r}", line_no)
+            yield line_no, line, head, rest, rows[head]
+
+
+def read_syntax(head: str, syntax: str, rest: str, error: type[InputError],
+                line_no: int) -> tuple:
+    """The fields of ``rest``, read against ``syntax``; None for a left-out part."""
+    pieces = re.split(r" ?(->|[:;=]) ?", syntax)
+    if len(pieces) > 1:  # fields beside punctuation
+        pattern = r"\s*".join("(.*?)" if p.isupper() else re.escape(p) for p in pieces)
+    else:
+        pattern = re.sub(r"\b[A-Z][A-Z\d]*\b", r"(\\S+)", syntax)
+        pattern = pattern.replace(" [", "(?: ").replace("]", ")?").replace(" ", r"\s+")
+    m = re.fullmatch(pattern, rest)
+    if m is None:
+        raise error(f"{head} syntax: {head} {syntax}", line_no)
+    return m.groups()
 
 
 class TheoryConfig(Record):
@@ -77,14 +100,17 @@ class TheoryConfig(Record):
         self._fill(locals())
 
 
-def _split_options(parts: list[str], line_no: int) -> dict[str, str]:
-    opts: dict[str, str] = {}
-    for part in parts:
-        if "=" not in part:
-            raise TheoryError(f"expected key=value, got {part!r}", line_no)
-        key, _, value = part.partition("=")
-        _once(opts, key.strip(), value.strip(), "option", line_no)
-    return opts
+#: each backend kind: the options of its backend line, with their defaults
+#: ("": none; finfun takes tolerance only to refuse it with the reason), the
+#: key of its objects' extent, and the declarations it takes: the free kinds
+#: have their objects and generators built in, and only they take rules
+KINDS = {
+    "matrix": ({"semiring": "", "tolerance": ""}, "dim", ("object", "morphism")),
+    "finfun": ({"tolerance": ""}, "size", ("object", "morphism")),
+    "free-commutative": ({"object": "a", "endo": "f"}, None, ("rule",)),
+    "free-pointed": ({"object": "a", "states": "phi,psi", "effects": "bang"}, None, ("rule",)),
+    "unitary": ({"tolerance": ""}, "dim", ("object", "morphism")),
+}
 
 
 def _once(table: dict, name: str, value: Any, what: str, line_no: int) -> None:
@@ -102,106 +128,92 @@ def _name(what: str, name: str, line_no: int) -> str:
     return name
 
 
+def _backend(parts: list[str], line_no: int) -> TheoryConfig:
+    if not parts or parts[0] not in KINDS:
+        raise TheoryError(f"backend kind must be one of {', '.join(KINDS)}", line_no)
+    kind, opts = parts[0], {}
+    for part in parts[1:]:
+        if "=" not in part:
+            raise TheoryError(f"expected key=value, got {part!r}", line_no)
+        _once(opts, *part.split("=", 1), "option", line_no)
+    defaults, extent_key, _ = KINDS[kind]
+    unknown = set(opts) - set(defaults)
+    if unknown:
+        raise TheoryError(f"unknown options {sorted(unknown)} for {kind}", line_no)
+    if "tolerance" in opts:
+        parse_tolerance(opts["tolerance"], line_no)
+        exact = kind if kind == "finfun" else f"semiring={opts.get('semiring', 'complex')}"
+        if exact != "semiring=complex":
+            raise TheoryError(f"tolerance= needs a complex matrix or unitary theory; "
+                              f"{exact} compares exactly", line_no)
+    opts = {key: value for key, value in defaults.items() if value} | opts
+    if extent_key is None:  # the term reader reads a state, effect or endo named I as a generator
+        names = [(what, opts[what]) for what in ("object", "endo") if what in opts]
+        names += [(key[:-1], n) for key in ("states", "effects")
+                  for n in opts.get(key, "").split(",") if n]
+        for what, name in names:
+            _name(what, name, line_no)
+    return TheoryConfig(kind, opts, line_no=line_no)
+
+
+def _object(config: TheoryConfig, name: str, extent: str, line_no: int) -> None:
+    key = KINDS[config.kind][1]
+    given, eq, value = extent.partition("=")
+    if given + eq != key + "=":
+        raise TheoryError(f"object for {config.kind} takes {key}=N", line_no)
+    if not re.fullmatch("-?[0-9]+", value):
+        raise TheoryError(f"{key} must be an integer", line_no)
+    if int(value) < 0:
+        raise TheoryError(f"{key} must be nonnegative", line_no)
+    _once(config.objects, _name("object", name, line_no), int(value), "object", line_no)
+
+
+def _morphism(config: TheoryConfig, name: str, dom: str, cod: str, literal: str,
+              line_no: int) -> None:
+    try:
+        value = json.loads(literal, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
+        raise TheoryError(f"bad literal: {exc}", line_no) from None
+    _once(config.morphisms, _name("morphism", name, line_no), (dom, cod, value, line_no),
+          "morphism", line_no)
+
+
+def _rule(config: TheoryConfig, *rule: str, line_no: int) -> None:
+    endo = config.options.get("endo")
+    if config.kind == "free-commutative" and rule != (endo, endo, endo):
+        raise TheoryError(f"the only rule available is {endo} ; {endo} -> {endo}", line_no)
+    if config.kind == "free-pointed":
+        if rule[2] != "1":
+            raise TheoryError("pointed rules collapse to 1", line_no)
+        for what, name in zip(("state", "effect"), rule):
+            if not name or name not in config.options[what + "s"].split(","):
+                raise TheoryError(f"rule uses undeclared {what} {name!r}", line_no)
+    config.rules.append(rule)
+
+
+#: the syntax of each declaration after the backend line, and its reader
+DECLARATIONS = {
+    "object": ("NAME EXTENT", _object),
+    "morphism": ("NAME : DOM -> COD = LITERAL", _morphism),
+    "rule": ("G1 ; G2 -> RHS", _rule),
+}
+
+
 def parse_theory(text: str) -> TheoryConfig:
     config: TheoryConfig | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, rest = (*line.split(None, 1), "")[:2]
+    rows = {"backend": None, **DECLARATIONS}
+    for line_no, _, head, rest, row in read_lines(text, rows, TheoryError, "declaration"):
         if head == "backend":
             if config is not None:
                 raise TheoryError("backend declared twice", line_no)
-            parts = rest.split()
-            if not parts or parts[0] not in KINDS:
-                raise TheoryError(
-                    f"backend kind must be one of {', '.join(KINDS)}", line_no
-                )
-            config = TheoryConfig(parts[0], _split_options(parts[1:], line_no), line_no=line_no)
-            opts = config.options
-            unknown = set(opts) - set(KINDS[config.kind])
-            if unknown:
-                raise TheoryError(f"unknown options {sorted(unknown)} for {config.kind}", line_no)
-            if "tolerance" in opts:
-                parse_tolerance(opts["tolerance"], line_no)
-                semiring = opts.get("semiring", "complex")
-                if config.kind == "finfun" or semiring != "complex":
-                    exact = "finfun" if config.kind == "finfun" else f"semiring={semiring}"
-                    raise TheoryError(f"tolerance= needs a complex matrix or unitary theory; "
-                                      f"{exact} compares exactly", line_no)
-            if config.kind == "free-pointed":  # PointedFreeBackend's default names
-                opts.update({"states": "phi,psi", "effects": "bang"} | opts)
-            if config.kind.startswith("free-"):
-                # the free kinds' built-in names; the term reader reads a
-                # state, effect or endo named I as a generator
-                names = [(what, opts[what]) for what in ("object", "endo") if what in opts]
-                names += [(key[:-1], n) for key in ("states", "effects")
-                          for n in opts.get(key, "").split(",") if n]
-                for what, name in names:
-                    _name(what, name, line_no)
-            continue
-        if config is None:
+            config = _backend(rest.split(), line_no)
+        elif config is None:
             raise TheoryError("the first declaration must be a backend line", line_no)
-        if head == "object":
-            if config.kind.startswith("free-"):
-                raise TheoryError(f"{config.kind} backends carry a fixed object", line_no)
-            parts = rest.split()
-            if len(parts) != 2:
-                raise TheoryError("object takes a name and dim=N or size=N", line_no)
-            name = _name("object", parts[0], line_no)
-            opts = _split_options(parts[1:], line_no)
-            key = "dim" if config.kind in ("matrix", "unitary") else "size"
-            if set(opts) != {key}:
-                raise TheoryError(f"object for {config.kind} takes {key}=N", line_no)
-            try:
-                extent = int(opts[key])
-            except ValueError:
-                raise TheoryError(f"{key} must be an integer", line_no) from None
-            if extent < 0:
-                raise TheoryError(f"{key} must be nonnegative", line_no)
-            _once(config.objects, name, extent, "object", line_no)
-        elif head == "morphism":
-            if config.kind.startswith("free-"):
-                raise TheoryError(f"{config.kind} generators are built in", line_no)
-            if "=" not in rest or ":" not in rest:
-                raise TheoryError(
-                    "morphism syntax: name : word -> word = literal", line_no
-                )
-            sig, _, literal = rest.partition("=")
-            name, _, arrow = sig.partition(":")
-            if "->" not in arrow:
-                raise TheoryError("morphism boundary needs ->", line_no)
-            dom, _, cod = arrow.partition("->")
-            try:
-                value = json.loads(
-                    literal.strip(), parse_float=_finite, parse_constant=_finite
-                )
-            except ValueError as exc:
-                raise TheoryError(f"bad literal: {exc}", line_no) from None
-            _once(config.morphisms, _name("morphism", name.strip(), line_no),
-                  (dom.strip(), cod.strip(), value, line_no), "morphism", line_no)
-        elif head == "rule":
-            if "->" not in rest:
-                raise TheoryError("rule syntax: g1 ; g2 -> rhs", line_no)
-            lhs, _, rhs = rest.partition("->")
-            if ";" not in lhs:
-                raise TheoryError("rule left side must be g1 ; g2", line_no)
-            g1, _, g2 = lhs.partition(";")
-            rule = (g1.strip(), g2.strip(), rhs.strip())
-            if not config.kind.startswith("free-"):
-                raise TheoryError(f"{config.kind} theories take no rules", line_no)
-            endo = config.options.get("endo", "f")
-            if config.kind == "free-commutative" and rule != (endo, endo, endo):
-                raise TheoryError(f"the only rule available is {endo} ; {endo} -> {endo}", line_no)
-            if config.kind == "free-pointed":
-                if rule[2] != "1":
-                    raise TheoryError("pointed rules collapse to 1", line_no)
-                for what, name in zip(("state", "effect"), rule):
-                    if not name or name not in config.options[what + "s"].split(","):
-                        raise TheoryError(f"rule uses undeclared {what} {name!r}", line_no)
-            config.rules.append(rule)
+        elif head not in KINDS[config.kind][2]:
+            raise TheoryError(f"{config.kind} theories take no {head}s", line_no)
         else:
-            raise TheoryError(f"unknown declaration {head!r}", line_no)
+            syntax, declare = row
+            declare(config, *read_syntax(head, syntax, rest, TheoryError, line_no), line_no=line_no)
     if config is None:
         raise TheoryError("empty theory: no backend line")
     return config
@@ -216,7 +228,7 @@ def _finite(text: str) -> float:
 
 
 def _number(e: Any) -> Any:
-    if isinstance(e, (int, float)):
+    if type(e) in (int, float):  # not bool: true and false are not numbers
         return e
     raise ValueError(f"matrix entries are numbers: {e!r}")
 
@@ -230,7 +242,7 @@ def _complex_entry(e: Any) -> complex:
 
 
 def _rational_entry(e: Any) -> Fraction:
-    if isinstance(e, (str, int)):
+    if type(e) in (str, int):
         return Fraction(e)
     raise ValueError(f"rational entries are integers or 'p/q' strings: {e!r}")
 
@@ -239,12 +251,7 @@ _ENTRIES = {"bool": _number, "complex": _complex_entry, "rational": _rational_en
 
 
 def _matrix_entries(value: Any, semiring: str) -> list[list[Any]]:
-    """Rebuild a JSON matrix literal, a list of equally long rows, for ``semiring``.
-
-    Boolean entries are numbers; complex entries are numbers, taken as real,
-    or two-element ``[re, im]`` lists, mixed freely; rational entries are
-    integers or ``'p/q'`` strings.
-    """
+    """Rebuild a JSON matrix literal, a list of equally long rows, for ``semiring``."""
     if not (isinstance(value, list) and value and all(
         isinstance(row, list) and len(row) == len(value[0]) for row in value
     )):
@@ -253,7 +260,7 @@ def _matrix_entries(value: Any, semiring: str) -> list[list[Any]]:
 
 
 def _indices(value: Any) -> list[int]:
-    if isinstance(value, list) and all(isinstance(v, int) for v in value):
+    if isinstance(value, list) and all(type(v) is int for v in value):
         return value
     raise ValueError(f"a function is a list of indices: {value!r}")
 
@@ -281,39 +288,33 @@ def parse_tolerance(text: str, line_no: int | None = None) -> float:
 def build_backend(config: TheoryConfig):
     """Turn a parsed theory into a live backend.  Each kind imports its own
     backend module and no other; only matrix and unitary load numpy."""
-    kind = config.kind
-    opts = config.options
-    if kind == "free-commutative":  # a rule line can only restate that the endo is idempotent
-        from .backends.free import IdempotentFreeBackend
-        return IdempotentFreeBackend(opts.get("object", "a"), opts.get("endo", "f"))
-    if kind == "free-pointed":
-        from .backends.free import PointedFreeBackend
-        names = {key: tuple(n for n in opts[key].split(",") if n) for key in ("states", "effects")}
-        # no rule lines: the backend's default cancels every state/effect pair
-        rules = tuple((g1, g2) for g1, g2, _ in config.rules) or None
-        with _refusal_named(f"backend {kind}", config.line_no):
-            return PointedFreeBackend(opts.get("object", "a"), rules=rules, **names)
+    kind, opts = config.kind, config.options
     # parse_theory has refused a bad tolerance, and one on an exact theory
     numeric = {"tolerance": float(opts["tolerance"])} if "tolerance" in opts else {}
     semiring = opts.get("semiring", "complex")
-    if kind == "finfun":
-        from .backends.finfun import FinFunBackend
-        backend = FinFunBackend(config.objects)
-        entries = _indices
-    else:
-        with _refusal_named(f"backend {kind}", config.line_no):
-            if kind == "unitary":
-                from .backends.unitary import UnitaryBackend
-                backend = UnitaryBackend(config.objects, **numeric)
-            else:
-                from .backends.matrix import MatrixBackend
-                backend = MatrixBackend(config.objects, semiring=semiring, **numeric)
-        entries = functools.partial(_matrix_entries, semiring=semiring)
+    entries = functools.partial(_matrix_entries, semiring=semiring)
+    with _refusal_named(f"backend {kind}", config.line_no):
+        if kind == "free-commutative":  # a rule line can only restate that the endo is idempotent
+            from .backends.free import IdempotentFreeBackend
+            return IdempotentFreeBackend(opts["object"], opts["endo"])
+        if kind == "free-pointed":
+            from .backends.free import PointedFreeBackend
+            names = {key: tuple(n for n in opts[key].split(",") if n) for key in ("states", "effects")}
+            # no rule lines: the backend's default cancels every state/effect pair
+            rules = tuple((g1, g2) for g1, g2, _ in config.rules) or None
+            return PointedFreeBackend(opts["object"], rules=rules, **names)
+        if kind == "finfun":
+            from .backends.finfun import FinFunBackend
+            backend, entries = FinFunBackend(config.objects), _indices
+        elif kind == "unitary":
+            from .backends.unitary import UnitaryBackend
+            backend = UnitaryBackend(config.objects, **numeric)
+        else:
+            from .backends.matrix import MatrixBackend
+            backend = MatrixBackend(config.objects, semiring=semiring, **numeric)
     for name, (dom, cod, value, line_no) in config.morphisms.items():
         with _refusal_named(f"morphism {name}", line_no):
-            backend.add_generator(
-                name, ObjectWord.parse(dom), ObjectWord.parse(cod), entries(value)
-            )
+            backend.add_generator(name, dom, cod, entries(value))
     return backend
 
 

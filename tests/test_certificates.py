@@ -7,6 +7,7 @@ import itertools
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from opticomb import (
@@ -18,11 +19,15 @@ from opticomb import (
     check_probe_witness,
     enumerate_combs,
     equiv_comb,
+    equiv_optic,
+    equiv_sigma,
+    equiv_tau,
+    poly_equiv,
     sigma_congruence_search,
 )
 from opticomb.cli import main as cli_main
 
-from conftest import word
+from conftest import NAME_BACKENDS, random_pieces, word
 
 
 def braid_equal_pairs(backend, boundaries, bound):
@@ -146,3 +151,29 @@ def test_equal_lens_components_certify_over_an_empty_object():
     assert len(reps) == 8
     for c1, c2 in itertools.combinations_with_replacement(reps, 2):
         assert not equiv_comb(fz, c1, c2, strategy="lens", bound=1).is_unknown()
+
+
+@pytest.mark.parametrize("name", sorted(NAME_BACKENDS))
+def test_every_relation_is_reflexive_and_symmetric(name):
+    """The four comb relations answer ``(x, y)`` as they answer ``(y, x)``,
+    verdict, certificate and method alike, and never DISTINCT on ``(x, x)``:
+    over the first 8 representatives at bound 1 of four boundaries.
+    ``poly_equiv`` never answers DISTINCT on a two-hole piece and itself."""
+    make, obj = NAME_BACKENDS[name]
+    backend, o = make(), word(obj)
+    decided = 0
+    for source, hole in [((I, o), (o, I)), ((o, o), (o, o)), ((I, I), (o, o)), ((o, o), (I, I))]:
+        reps = list(itertools.islice(enumerate_combs(backend, source, hole, 1), 8))
+        for relation in (equiv_sigma, equiv_tau, equiv_comb, equiv_optic):
+            answers = {}
+            for (i, x), (j, y) in itertools.product(enumerate(reps), repeat=2):
+                d = relation(backend, x, y)
+                answers[i, j] = (d.verdict, d.certified, d.method)
+                assert i != j or not d.is_distinct(), (relation.__name__, source, hole, i)
+            for (i, j), answer in answers.items():
+                assert answer == answers[j, i], (relation.__name__, source, hole, i, j)
+            decided += len(answers)
+    pieces = random_pieces(backend, o, 2, np.random.default_rng(7), 10)
+    for p in pieces:
+        assert not poly_equiv(backend, p, p).is_distinct(), p
+    assert decided >= 128 and pieces

@@ -1,12 +1,16 @@
 import ast
+import contextlib
 import doctest
 import importlib
 import importlib.util
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,7 @@ import opticomb
 from opticomb import IncompatibleStrategy
 from opticomb.cli import build_parser, main
 from opticomb.program import load_program, parse_program, run_program
-from opticomb.theory import build_backend, load_theory, parse_theory
+from opticomb.theory import DECLARATIONS, TheoryError, build_backend, load_theory, parse_theory
 
 ROOT = Path(__file__).resolve().parent.parent
 THEORIES = ROOT / "theories"
@@ -99,13 +103,25 @@ MALFORMED_THEORIES = {
     "unknown-commutative-option": "backend free-commutative colour=red\n",
     "unknown-pointed-option": "backend free-pointed colour=red\n",
     "rule-on-matrix": IDENTITY + "rule h ; h -> h\n",
+    # JSON booleans are not entries, and an extent is ASCII digits
+    "boolean-table": "backend finfun\nobject x size=2\nmorphism h : x -> x = [true, false]\n",
+    "boolean-on-bool": MATRIX.replace("matrix", "matrix semiring=bool") + "[[true]]\n",
+    "boolean-on-complex": MATRIX + "[[true]]\n",
+    "boolean-in-complex-pair": MATRIX + "[[[1, false]]]\n",
+    "boolean-on-rational": MATRIX.replace("matrix", "matrix semiring=rational") + "[[true]]\n",
+    "dim-with-underscore": "backend matrix\nobject x dim=1_0\n",
+    "dim-with-plus": "backend matrix\nobject x dim=+1\n",
+    "size-in-other-digits": "backend finfun\nobject x size=\u0662\n",
 }
 # the refusals known on one line: ``theory error: line N: ``, then the reason
 THEORY_REFUSAL_LINES = {"tolerance-on-bool": 1, "tolerance-on-finfun": 1,
                         "tolerance-not-a-number": 2, "wrong-shape": 3, "not-unitary": 3,
                         "undeclared-object": 3, "state-twice": 1, "state-twice-on-line-2": 2,
                         "unknown-semiring": 1, "unknown-semiring-on-line-2": 2,
-                        "rule-undeclared-state": 2, "rule-undeclared-effect": 3}
+                        "rule-undeclared-state": 2, "rule-undeclared-effect": 3,
+                        "boolean-table": 3, "boolean-on-bool": 3, "boolean-on-complex": 3,
+                        "boolean-in-complex-pair": 3, "boolean-on-rational": 3,
+                        "dim-with-underscore": 2, "dim-with-plus": 2, "size-in-other-digits": 2}
 
 P1 = "poly p1 holes=[(b,b)] outers=[(b,b)] envs=[I] segs=[top | lower]\n"
 C = "comb c = (top, lower) env I\n"
@@ -410,6 +426,15 @@ def test_documented_syntax_parses():
     assert result.attempted and not result.failed
 
 
+def test_each_declaration_syntax_is_documented():
+    """``theory``'s docstring and README's table list each row of
+    ``DECLARATIONS`` as the table holds it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for head, (syntax, _) in DECLARATIONS.items():
+        assert f"    {head} {syntax}" in opticomb.theory.__doc__, head
+        assert f"| `{head}` | `{syntax}` |" in readme, head
+
+
 def test_hole_free_poly_is_certified(capsys, tmp_path):
     prog = tmp_path / "p.prog"
     prog.write_text("poly p holes=[] outers=[] envs=[] segs=[id(I)]\nequiv poly p p\n")
@@ -418,6 +443,76 @@ def test_hole_free_poly_is_certified(capsys, tmp_path):
     ) == 0
     result = json.loads(capsys.readouterr().out)["queries"][1]["result"]
     assert result == {"certified": True, "method": "poly-name", "verdict": "equivalent"}
+
+
+def mutate(text, rng):
+    """``text`` after 1 to 3 edits, each a line duplicated or dropped, a
+    character dropped or inserted (one of the text's own), or a token (a run
+    of non-space) dropped or duplicated."""
+    for _ in range(rng.randint(1, 3)):
+        if not text:
+            break
+        lines = text.splitlines(keepends=True)
+        words = re.split(r"(\s+)", text)  # the tokens are at the even places
+        i, at = rng.randrange(len(lines)), rng.randrange(len(text))
+        w = 2 * rng.randrange((len(words) + 1) // 2)
+        text = rng.choice([
+            "".join(lines[:i + 1] + lines[i:]),
+            "".join(lines[:i] + lines[i + 1:]),
+            text[:at] + text[at + 1:],
+            text[:at] + rng.choice(text) + text[at:],
+            "".join(words[:w] + words[w + 1:]),
+            "".join(words[:w + 1] + [" "] + words[w:]),
+        ])
+    return text
+
+
+def fuzz_case(case):
+    """The theory and program texts of fuzz case ``case``: a bundled pair,
+    one of whose two files is mutated by a generator seeded with ``case``."""
+    rng = random.Random(case)
+    texts = [(THEORIES / name).read_text(encoding="utf-8") for name in BUNDLED[case % 6]]
+    which = rng.randrange(2)
+    texts[which] = mutate(texts[which], rng)
+    return texts
+
+
+def run_fuzz(cases, folder):
+    """The outcome of each case of ``cases`` run through ``cli.main`` in this
+    process, by name: ``exit N``, ``skipped`` for a theory with an object
+    extent above 8 (no backend is built for it), or ``traceback``."""
+    outcomes = {}
+    thy, prog = Path(folder) / "t.thy", Path(folder) / "p.prog"
+    for case in cases:
+        texts = fuzz_case(case)
+        try:
+            extents = parse_theory(texts[0]).objects.values()
+        except TheoryError:
+            extents = ()
+        if any(extent > 8 for extent in extents):
+            outcomes[case] = "skipped"
+            continue
+        thy.write_text(texts[0], encoding="utf-8")
+        prog.write_text(texts[1], encoding="utf-8")
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", str(thy), str(prog)])
+        except Exception:  # any escape from main is the fault looked for
+            code = None
+        outcomes[case] = "traceback" if code is None or "Traceback" in err.getvalue() \
+            else f"exit {code}"
+    return outcomes
+
+
+def test_mutated_bundled_files_exit_with_a_message(tmp_path):
+    """600 bundled pairs, each with one file mutated, exit 0, 2 or 3 and
+    never escape with a traceback; a theory with a large object is skipped."""
+    outcomes = run_fuzz(range(600), tmp_path)
+    counts = Counter(outcomes.values())
+    assert set(counts) <= {"exit 0", "exit 2", "exit 3", "skipped"}, [
+        case for case, outcome in outcomes.items() if outcome == "traceback"]
+    assert counts["exit 0"] and counts["exit 2"] and counts["skipped"] < 60, counts
 
 
 class TestExitCodes:

@@ -97,6 +97,15 @@ class TestTheoryParsing:
         with pytest.raises(TheoryError, match=f"^line {line_no}: {re.escape(message)}$"):
             parse_theory(text)
 
+    @pytest.mark.parametrize("extent,message", [
+        ("1_0", "dim must be an integer"), ("+2", "dim must be an integer"),
+        ("\u0662", "dim must be an integer"), ("", "dim must be an integer"),
+        ("-1", "dim must be nonnegative"), ("2 3", "object syntax: object NAME EXTENT"),
+    ])
+    def test_extents_are_ascii_digits(self, extent, message):
+        with pytest.raises(TheoryError, match=f"^line 2: {re.escape(message)}$"):
+            parse_theory(f"backend matrix\nobject x dim={extent}")
+
     def test_object_wants_right_extent_key(self):
         with pytest.raises(TheoryError):
             parse_theory("backend matrix\nobject q size=2")
